@@ -5,56 +5,60 @@
 //! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon all
 //! ```
 
+use std::process::ExitCode;
+
 use msync_bench::experiments as exp;
 use msync_bench::experiments::Report;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut id: Option<String> = None;
-    let mut scale: Option<f64> = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs a number")),
-                );
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                usage();
-                return;
-            }
-            other if id.is_none() => id = Some(other.to_string()),
-            other => die(&format!("unexpected argument `{other}`")),
-        }
-        i += 1;
-    }
-    let id = id.unwrap_or_else(|| {
-        usage();
-        std::process::exit(2)
-    });
-
-    let reports = run(&id, scale);
-    for r in reports {
-        if json {
-            println!("{}", serde_json::to_string(&r));
-        } else {
-            println!("{}", r.render());
+    match parse_and_run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
         }
     }
 }
 
-fn run(id: &str, scale: Option<f64>) -> Vec<Report> {
+fn parse_and_run(args: &[String]) -> Result<(), String> {
+    let mut id: Option<&str> = None;
+    let mut scale: Option<f64> = None;
+    let mut json = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => {
+                let value = args.next().and_then(|s| s.parse().ok());
+                scale = Some(value.ok_or("--scale needs a number")?);
+            }
+            "--json" => json = true,
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                return Ok(());
+            }
+            other if id.is_none() => id = Some(other),
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    let id = id.ok_or_else(|| format!("missing experiment id\n{USAGE}"))?;
+
+    for r in run(id, scale)? {
+        if json {
+            println!("{}", json::to_string(&r));
+        } else {
+            println!("{}", r.render());
+        }
+    }
+    Ok(())
+}
+
+fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
     // Default scales keep full runs in tens of seconds while staying
     // large enough (dozens of files / megabytes) for stable shapes.
     let s_src = scale.unwrap_or(0.10);
     let s_web = scale.unwrap_or(0.02);
-    match id {
+    Ok(match id {
         "fig6-1" => vec![exp::fig6_basic("gcc", s_src)],
         "fig6-2" => vec![exp::fig6_basic("emacs", s_src)],
         "fig6-3" => vec![exp::fig6_3(s_src)],
@@ -81,31 +85,20 @@ fn run(id: &str, scale: Option<f64>) -> Vec<Report> {
             exp::broadcast(s_src),
             exp::recon(s_web * 5.0),
         ],
-        other => {
-            die(&format!("unknown experiment `{other}`"));
-        }
-    }
+        other => return Err(format!("unknown experiment `{other}`")),
+    })
 }
 
-fn usage() {
-    eprintln!(
-        "usage: exp <id> [--scale S] [--json]\n\
-         ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon all\n\
-         scale: corpus size fraction (1.0 = the paper's full size)"
-    );
-}
+const USAGE: &str = "usage: exp <id> [--scale S] [--json]\n\
+    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon all\n\
+    scale: corpus size fraction (1.0 = the paper's full size)";
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-// Minimal hand-rolled JSON to avoid pulling serde_json: reports are
-// simple enough that serde's derive plus this shim covers the need.
-mod serde_json {
+// Hand-rolled JSON: a report is strings in two levels of arrays, and
+// the workspace takes no registry dependencies.
+mod json {
     use super::Report;
 
-    pub fn to_string(r: &Report) -> String {
+    pub(crate) fn to_string(r: &Report) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         write!(

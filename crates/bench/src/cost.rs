@@ -1,6 +1,6 @@
 //! Wire-cost measurement of every method the paper compares.
 
-use msync_core::{sync_collection, FileEntry, ProtocolConfig};
+use msync_core::{name_exchange_bytes, sync_collection, FileEntry, ProtocolConfig};
 use msync_corpus::Collection;
 use msync_protocol::Phase;
 
@@ -72,11 +72,12 @@ impl Method {
     }
 }
 
+fn names(c: &Collection) -> Vec<&str> {
+    c.files().iter().map(|f| f.name.as_str()).collect()
+}
+
 fn entries(c: &Collection) -> Vec<FileEntry> {
-    c.files()
-        .iter()
-        .map(|f| FileEntry::new(f.name.clone(), f.data.clone()))
-        .collect()
+    c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
 }
 
 /// Measure `method` updating `old` to `new`.
@@ -86,7 +87,21 @@ fn entries(c: &Collection) -> Vec<FileEntry> {
 /// lower-bound accounting the paper uses. For gzip/uncompressed,
 /// unchanged files are still skipped (any such tool would be driven by a
 /// file-level change detector; the paper's Table 6.2 assumes the same).
+///
+/// Every method is charged the collection's name exchange: whatever
+/// moves the bytes, both sides first have to agree which files exist.
+/// msync's traffic already contains it; the baselines, measured file by
+/// file, get the same bytes added here. Roundtrips stay per-method.
 pub fn measure(old: &Collection, new: &Collection, method: &Method) -> Cost {
+    let mut cost = measure_files(old, new, method);
+    if !matches!(method, Method::Msync(_)) {
+        let (c2s, s2c) = name_exchange_bytes(&names(old), &names(new));
+        cost.setup += c2s + s2c;
+    }
+    cost
+}
+
+fn measure_files(old: &Collection, new: &Collection, method: &Method) -> Cost {
     match method {
         Method::Msync(cfg) => {
             let out = sync_collection(&entries(old), &entries(new), cfg)
@@ -106,9 +121,15 @@ pub fn measure(old: &Collection, new: &Collection, method: &Method) -> Cost {
         Method::Rsync(bs) => per_file_rsync(old, new, |o, n| {
             msync_rsync::sync(o, n, bs.unwrap_or(msync_rsync::DEFAULT_BLOCK_SIZE))
         }),
-        Method::RsyncOptimal => per_file_rsync(old, new, |o, n| msync_rsync::optimal::sync_optimal(o, n).0),
-        Method::Zdelta => delta_cost(old, new, |o, n| msync_compress::delta_encode(o, n).len() as u64),
-        Method::Vcdiff => delta_cost(old, new, |o, n| msync_compress::vcdiff_encode(o, n).len() as u64),
+        Method::RsyncOptimal => {
+            per_file_rsync(old, new, |o, n| msync_rsync::optimal::sync_optimal(o, n).0)
+        }
+        Method::Zdelta => {
+            delta_cost(old, new, |o, n| msync_compress::delta_encode(o, n).len() as u64)
+        }
+        Method::Vcdiff => {
+            delta_cost(old, new, |o, n| msync_compress::vcdiff_encode(o, n).len() as u64)
+        }
         Method::Cdc(params) => {
             let mut cost = Cost::default();
             let empty: Vec<u8> = Vec::new();

@@ -9,13 +9,10 @@
 
 use crate::cost::{measure, Method};
 use msync_core::{BatchConfig, ProtocolConfig, VerifyStrategy};
-use msync_corpus::{
-    emacs_like, gcc_like, release_pair, web_collection, web_params, Collection,
-};
-use serde::Serialize;
+use msync_corpus::{emacs_like, gcc_like, release_pair, web_collection, web_params, Collection};
 
 /// A rendered experiment: a title, column headers, and labeled rows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Which figure/table this regenerates.
     pub id: String,
@@ -30,7 +27,7 @@ pub struct Report {
 }
 
 /// One labeled row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReportRow {
     /// Row label.
     pub label: String,
@@ -104,14 +101,26 @@ pub fn fig6_basic(which: &str, scale: f64) -> Report {
         }
         rows.push(ReportRow {
             label: format!("msync basic, min={min_block}"),
-            cells: vec![kb(c.map_s2c), kb(c.map_c2s), kb(c.delta + c.setup), kb(c.total()), c.roundtrips.to_string()],
+            cells: vec![
+                kb(c.map_s2c),
+                kb(c.map_c2s),
+                kb(c.delta + c.setup),
+                kb(c.total()),
+                c.roundtrips.to_string(),
+            ],
         });
     }
     for method in [Method::Rsync(None), Method::RsyncOptimal, Method::Zdelta] {
         let c = measure(old, new, &method);
         rows.push(ReportRow {
             label: method.label(),
-            cells: vec![kb(c.map_s2c), kb(c.map_c2s), kb(c.delta + c.setup), kb(c.total()), c.roundtrips.to_string()],
+            cells: vec![
+                kb(c.map_s2c),
+                kb(c.map_c2s),
+                kb(c.delta + c.setup),
+                kb(c.total()),
+                c.roundtrips.to_string(),
+            ],
         });
     }
     let (best_min, _) = best.expect("sweep non-empty");
@@ -139,7 +148,10 @@ pub fn fig6_3(scale: f64) -> Report {
     let (old, new) = pair.pair(0, 1);
 
     let group_verify = VerifyStrategy::GroupTesting {
-        batches: vec![BatchConfig { group_size: 4, bits: 20 }, BatchConfig { group_size: 1, bits: 20 }],
+        batches: vec![
+            BatchConfig { group_size: 4, bits: 20 },
+            BatchConfig { group_size: 1, bits: 20 },
+        ],
     };
     let mut rows = Vec::new();
     for &min_global in &[64usize, 128] {
@@ -254,11 +266,7 @@ pub fn table6_1(scale: f64) -> Report {
             let c = measure(old, new, method);
             row.cells.push(kb(c.total()));
         }
-        notes.push(format!(
-            "{name}: {} files, {} KB total",
-            new.len(),
-            new.total_bytes() / 1024
-        ));
+        notes.push(format!("{name}: {} files, {} KB total", new.len(), new.total_bytes() / 1024));
     }
     notes.push(format!("corpus scale {scale}"));
     Report {
@@ -287,10 +295,8 @@ pub fn table6_2(scale: f64) -> Report {
         Method::Msync(ProtocolConfig::all_techniques()),
         Method::Zdelta,
     ];
-    let mut rows: Vec<ReportRow> = methods
-        .iter()
-        .map(|m| ReportRow { label: m.label(), cells: Vec::new() })
-        .collect();
+    let mut rows: Vec<ReportRow> =
+        methods.iter().map(|m| ReportRow { label: m.label(), cells: Vec::new() }).collect();
     for &days in WEB_INTERVALS {
         let (old, new) = vc.pair(0, days);
         for (row, method) in rows.iter_mut().zip(&methods) {
@@ -322,7 +328,14 @@ pub fn ablation(scale: f64) -> Report {
     let variants: Vec<(&str, ProtocolConfig)> = vec![
         ("all techniques", full.clone()),
         ("− decomposable hashes", ProtocolConfig { use_decomposable: false, ..full.clone() }),
-        ("− continuation hashes", ProtocolConfig { use_continuation: false, min_block_cont: full.min_block_global, ..full.clone() }),
+        (
+            "− continuation hashes",
+            ProtocolConfig {
+                use_continuation: false,
+                min_block_cont: full.min_block_global,
+                ..full.clone()
+            },
+        ),
         ("− sibling skip", ProtocolConfig { skip_sibling_of_matched: false, ..full.clone() }),
         ("+ local hashes", ProtocolConfig { use_local: true, ..full.clone() }),
         ("+ two-phase rounds (§5.4)", ProtocolConfig { cont_first_phase: true, ..full.clone() }),
@@ -377,7 +390,11 @@ pub fn restricted(scale: f64) -> Report {
         let t = stats_for(&c);
         rows.push(ReportRow {
             label: format!("msync, {levels} level(s)"),
-            cells: vec![kb(c.total()), c.roundtrips.to_string(), format!("{:.1}s", link.estimate(&t).as_secs_f64())],
+            cells: vec![
+                kb(c.total()),
+                c.roundtrips.to_string(),
+                format!("{:.1}s", link.estimate(&t).as_secs_f64()),
+            ],
         });
     }
     for method in [Method::Rsync(None), Method::RsyncOptimal] {
@@ -385,7 +402,11 @@ pub fn restricted(scale: f64) -> Report {
         let t = stats_for(&c);
         rows.push(ReportRow {
             label: method.label(),
-            cells: vec![kb(c.total()), c.roundtrips.to_string(), format!("{:.1}s", link.estimate(&t).as_secs_f64())],
+            cells: vec![
+                kb(c.total()),
+                c.roundtrips.to_string(),
+                format!("{:.1}s", link.estimate(&t).as_secs_f64()),
+            ],
         });
     }
     Report {
@@ -427,12 +448,7 @@ pub fn adaptive(scale: f64) -> Report {
         let adaptive_total = out.outcome.traffic.total_bytes() + out.probe_overhead;
         rows.push(ReportRow {
             label: name.into(),
-            cells: vec![
-                kb(fixed),
-                kb(adaptive_total),
-                out.chosen.into(),
-                kb(out.probe_overhead),
-            ],
+            cells: vec![kb(fixed), kb(adaptive_total), out.chosen.into(), kb(out.probe_overhead)],
         });
     }
     Report {
@@ -540,7 +556,8 @@ pub fn recon(scale: f64) -> Report {
     let n = ((10_000.0 * scale) as usize).max(64);
     let mut old: Vec<FileEntry> = Vec::new();
     for i in 0..n {
-        let data = msync_corpus::text::html_page(&mut Rng::seed_from_u64(3_000 + i as u64), 4_000, 1);
+        let data =
+            msync_corpus::text::html_page(&mut Rng::seed_from_u64(3_000 + i as u64), 4_000, 1);
         old.push(FileEntry::new(format!("www/p{i:05}.html"), data));
     }
     let cfg = ProtocolConfig { start_block: 1 << 12, ..ProtocolConfig::default() };
@@ -558,11 +575,12 @@ pub fn recon(scale: f64) -> Report {
         let mut cells = Vec::new();
         for strategy in [ReconStrategy::Flat, ReconStrategy::Merkle, ReconStrategy::GroupTesting] {
             let out = sync_collection_with(&old, &new, &cfg, strategy).expect("sync succeeds");
-            let setup =
-                out.traffic.c2s(msync_protocol::Phase::Setup) + out.traffic.s2c(msync_protocol::Phase::Setup);
+            let setup = out.traffic.c2s(msync_protocol::Phase::Setup)
+                + out.traffic.s2c(msync_protocol::Phase::Setup);
             cells.push(kb(setup));
         }
-        let out = sync_collection_with(&old, &new, &cfg, ReconStrategy::Merkle).expect("sync succeeds");
+        let out =
+            sync_collection_with(&old, &new, &cfg, ReconStrategy::Merkle).expect("sync succeeds");
         cells.push(kb(out.traffic.total_bytes()));
         rows.push(ReportRow { label: format!("{d} changed"), cells });
     }
@@ -589,7 +607,8 @@ mod tests {
         let r = fig6_basic("gcc", 0.02);
         assert_eq!(r.rows.len(), MIN_BLOCK_SWEEP.len() + 3);
         let total = |row: &ReportRow| row.cells[3].parse::<f64>().unwrap();
-        let best_msync = r.rows[..MIN_BLOCK_SWEEP.len()].iter().map(&total).fold(f64::MAX, f64::min);
+        let best_msync =
+            r.rows[..MIN_BLOCK_SWEEP.len()].iter().map(&total).fold(f64::MAX, f64::min);
         let rsync_default = total(&r.rows[MIN_BLOCK_SWEEP.len()]);
         let zdelta = total(&r.rows[MIN_BLOCK_SWEEP.len() + 2]);
         assert!(best_msync < rsync_default, "msync {best_msync} vs rsync {rsync_default}");
@@ -613,7 +632,12 @@ mod tests {
         let rsync = row("rsync (700B)");
         let raw = row("uncompressed");
         for day in 0..3 {
-            assert!(msync[day] < rsync[day], "day {day}: msync {} rsync {}", msync[day], rsync[day]);
+            assert!(
+                msync[day] < rsync[day],
+                "day {day}: msync {} rsync {}",
+                msync[day],
+                rsync[day]
+            );
             assert!(msync[day] < raw[day] / 4.0);
         }
         // Cost grows with the interval but sublinearly.

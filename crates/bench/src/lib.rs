@@ -11,6 +11,9 @@
 //! cargo run --release -p msync-bench --bin exp -- all --scale 0.1
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
+
 pub mod cost;
 pub mod experiments;
 

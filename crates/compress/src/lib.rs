@@ -26,9 +26,3 @@ pub mod vcdiff;
 pub use delta::{decode as delta_decode, delta_size, encode as delta_encode, DeltaError};
 pub use lz::{compress, decompress, LzError};
 pub use vcdiff::{decode as vcdiff_decode, encode as vcdiff_encode, VcdiffError};
-
-/// Compressed size of `data` under the gzip-like coder — the "gzip"
-/// column of the paper's Table 6.2.
-pub fn gzip_size(data: &[u8]) -> usize {
-    compress(data).len()
-}

@@ -64,6 +64,21 @@ pub struct CollectionOutcome {
     pub resumed: usize,
 }
 
+/// Wire bytes of the collection-level name exchange, `(c2s, s2c)`: the
+/// client lists its file names; the server answers with the names to
+/// create, one byte per name to delete, and a terminator. Every method
+/// that synchronizes a directory pays this listing, so the paper
+/// harness charges the baselines through this same function.
+pub fn name_exchange_bytes(old_names: &[&str], new_names: &[&str]) -> (u64, u64) {
+    let old_set: std::collections::HashSet<&str> = old_names.iter().copied().collect();
+    let new_set: std::collections::HashSet<&str> = new_names.iter().copied().collect();
+    let c2s = old_names.iter().map(|n| frame_wire_size(n.len())).sum::<u64>().max(1);
+    let created: u64 =
+        new_names.iter().filter(|n| !old_set.contains(*n)).map(|n| frame_wire_size(n.len())).sum();
+    let deleted = old_names.iter().filter(|n| !new_set.contains(*n)).count() as u64;
+    (c2s, created + deleted + 1)
+}
+
 /// Synchronize the client's `old` collection to the server's `new` one.
 ///
 /// The name listings are exchanged in sorted order and the outcome's
@@ -97,25 +112,17 @@ pub fn sync_collection_traced(
     new_sorted.sort_by(|a, b| a.name.cmp(&b.name));
     let mut traffic = TrafficStats::new();
 
-    // Name exchange: client lists its file names; server answers with
-    // the set of names to create/delete. Fingerprints travel inside each
-    // per-file session, so only the name bytes are charged here.
-    let c2s_listing: u64 = old.iter().map(|f| frame_wire_size(f.name.len())).sum::<u64>().max(1);
+    // Fingerprints travel inside each per-file session, so only the
+    // name bytes are charged here.
+    let old_names: Vec<&str> = old.iter().map(|f| f.name.as_str()).collect();
+    let new_names: Vec<&str> = new.iter().map(|f| f.name.as_str()).collect();
+    let (c2s_listing, s2c_listing) = name_exchange_bytes(&old_names, &new_names);
     traffic.record(Direction::ClientToServer, Phase::Setup, c2s_listing);
     recorder.record(EventKind::FrameSend {
         dir: DirTag::C2s,
         phase: PhaseTag::Setup,
         bytes: c2s_listing,
     });
-    let old_names: std::collections::HashSet<&str> = old.iter().map(|f| f.name.as_str()).collect();
-    let new_names: std::collections::HashSet<&str> = new.iter().map(|f| f.name.as_str()).collect();
-    let s2c_listing: u64 = new
-        .iter()
-        .filter(|f| !old_names.contains(f.name.as_str()))
-        .map(|f| frame_wire_size(f.name.len()))
-        .sum::<u64>()
-        + old.iter().filter(|f| !new_names.contains(f.name.as_str())).count() as u64
-        + 1;
     traffic.record(Direction::ServerToClient, Phase::Setup, s2c_listing);
     recorder.record(EventKind::FrameRecv {
         dir: DirTag::S2c,
@@ -123,7 +130,8 @@ pub fn sync_collection_traced(
         bytes: s2c_listing,
     });
 
-    let deleted = old.iter().filter(|f| !new_names.contains(f.name.as_str())).count();
+    let new_names: std::collections::HashSet<&str> = new_names.into_iter().collect();
+    let deleted = old_names.iter().filter(|name| !new_names.contains(*name)).count();
 
     let mut files = Vec::with_capacity(new.len());
     let mut per_file = Vec::new();

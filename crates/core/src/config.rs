@@ -37,16 +37,6 @@ pub struct BatchConfig {
     pub bits: u32,
 }
 
-impl VerifyStrategy {
-    /// Number of verification roundtrips this strategy can take.
-    pub fn max_batches(&self) -> usize {
-        match self {
-            VerifyStrategy::PerCandidate { .. } => 1,
-            VerifyStrategy::GroupTesting { batches } => batches.len(),
-        }
-    }
-}
-
 /// Full protocol configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolConfig {

@@ -48,7 +48,6 @@
 #![deny(missing_docs)]
 
 pub mod adaptive;
-pub mod analysis;
 pub mod apply;
 pub mod broadcast;
 pub mod collection;
@@ -70,8 +69,8 @@ pub use adaptive::{sync_collection_adaptive, sync_file_adaptive, AdaptiveOutcome
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
 pub use broadcast::{sync_broadcast, BroadcastOutcome};
 pub use collection::{
-    sync_collection, sync_collection_traced, sync_collection_with, CollectionOutcome, FileEntry,
-    ReconStrategy,
+    name_exchange_bytes, sync_collection, sync_collection_traced, sync_collection_with,
+    CollectionOutcome, FileEntry, ReconStrategy,
 };
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
 pub use engine::{

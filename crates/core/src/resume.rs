@@ -283,11 +283,6 @@ impl MetadataCache {
         self.entries.insert(name, entry);
     }
 
-    /// Drop a file's record (it changed or disappeared).
-    pub fn evict(&mut self, name: &str) {
-        self.entries.remove(name);
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.entries.len()

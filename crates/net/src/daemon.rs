@@ -1,14 +1,10 @@
 //! The `msync serve` daemon: accept, handshake, serve, repeat.
 //!
-//! The default serve model is an event-driven multiplexer
-//! ([`ServeModel::Multiplex`]): a fixed pool of worker threads
-//! (default: one per core, `--workers N`) runs nonblocking poll loops
-//! over per-session sans-IO machines
+//! The daemon is an event-driven multiplexer: a fixed pool of worker
+//! threads (default: one per core, `--workers N`) runs nonblocking poll
+//! loops over per-session sans-IO machines
 //! ([`msync_core::CollectionServeMachine`]), so a slow client on a slow
-//! link never holds a thread — it holds a few kilobytes of state. The
-//! original thread-per-session model is retained
-//! ([`ServeModel::ThreadPerSession`]) as a baseline for the
-//! concurrency benchmark.
+//! link never holds a thread — it holds a few kilobytes of state.
 //!
 //! Admission control: `--max-sessions N` caps concurrently admitted
 //! sessions. An over-capacity connection is not dropped silently — the
@@ -23,24 +19,21 @@
 //! daemon's log callback and the listener keeps accepting.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use msync_core::pipeline::{serve_collection_snapshot, ServeOutcome};
+use msync_core::pipeline::ServeOutcome;
 use msync_core::FileEntry;
-use msync_protocol::{BufferPool, FrameBuf, Phase, RetryPolicy, Transport};
-use msync_trace::{EventKind, MetricsSnapshot, Recorder};
+use msync_protocol::{BufferPool, RetryPolicy};
+use msync_trace::MetricsSnapshot;
 
-use crate::handshake::{
-    eval_hello, parse_admin, unknown_collection_reject, AdminCmd, HelloOutcome, NetError,
-};
+use crate::handshake::NetError;
 use crate::mux::{worker_loop, Introspect, Shared};
 use crate::registry::CollectionRegistry;
-use crate::tcp::TcpTransport;
 
 /// Reason string sent on the wire (as `err <reason>`) when admission
 /// control turns a connection away.
@@ -51,18 +44,6 @@ pub(crate) const REFUSAL_REASON: &str = "server at capacity";
 /// of it is *outstanding*, not idle; the idle list only absorbs the
 /// churn between session teardowns and the next admissions.
 const POOL_MAX_IDLE: usize = 256;
-
-/// How accepted connections are serviced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeModel {
-    /// Event-driven: a fixed worker pool multiplexes all sessions over
-    /// nonblocking sockets and sans-IO machines. The default.
-    #[default]
-    Multiplex,
-    /// One dedicated thread per accepted connection, blocking I/O.
-    /// Kept as the baseline for the concurrency benchmark.
-    ThreadPerSession,
-}
 
 /// Daemon-side knobs. The protocol configuration is *not* one of them:
 /// the client proposes it in the handshake and the daemon adopts any
@@ -79,20 +60,17 @@ pub struct DaemonOptions {
     /// (`msync serve --metrics-out FILE`). Best-effort: an unwritable
     /// path never fails a session.
     pub metrics_out: Option<PathBuf>,
-    /// Worker threads for the multiplexing model (`--workers N`).
-    /// `0` means one per available core.
+    /// Worker threads (`--workers N`). `0` means one per available
+    /// core.
     pub workers: usize,
     /// Cap on concurrently admitted sessions (`--max-sessions N`).
     /// `None` means unlimited. Excess connections receive a typed
     /// `err server at capacity` handshake refusal.
     pub max_sessions: Option<usize>,
-    /// How accepted connections are serviced.
-    pub model: ServeModel,
     /// Slow-session watchdog threshold (`--slow-session-ms N`): a
     /// session stuck in one protocol phase longer than this gets one
     /// `slow_session` trace event and one WARN line per stall. `None`
-    /// disables the watchdog. Multiplex model only — the blocking
-    /// model has no poll loop to run it on.
+    /// disables the watchdog.
     pub slow_session: Option<Duration>,
 }
 
@@ -104,7 +82,6 @@ impl Default for DaemonOptions {
             metrics_out: None,
             workers: 0,
             max_sessions: None,
-            model: ServeModel::Multiplex,
             slow_session: None,
         }
     }
@@ -179,15 +156,8 @@ impl Daemon {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Mutex::new(MetricsSnapshot::new()));
         let per_collection = Arc::new(Mutex::new(BTreeMap::new()));
-        let model = opts.model;
         let workers = worker_count(opts.workers);
-        let intro = Arc::new(Introspect::new(
-            match model {
-                ServeModel::Multiplex => workers,
-                ServeModel::ThreadPerSession => 1,
-            },
-            opts.slow_session,
-        ));
+        let intro = Arc::new(Introspect::new(workers, opts.slow_session));
         let shared = Arc::new(Shared {
             registry: Arc::clone(&registry),
             opts,
@@ -199,20 +169,13 @@ impl Daemon {
             intro,
             pool: BufferPool::new(POOL_MAX_IDLE),
         });
+        listener.set_nonblocking(true)?;
+        let listener = Arc::new(listener);
         let mut threads = Vec::new();
-        match model {
-            ServeModel::Multiplex => {
-                listener.set_nonblocking(true)?;
-                let listener = Arc::new(listener);
-                for _ in 0..workers {
-                    let listener = Arc::clone(&listener);
-                    let shared = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || worker_loop(&listener, &shared)));
-                }
-            }
-            ServeModel::ThreadPerSession => {
-                threads.push(thread::spawn(move || accept_loop(&listener, &shared)));
-            }
+        for _ in 0..workers {
+            let listener = Arc::clone(&listener);
+            let shared = Arc::clone(&shared);
+            threads.push(thread::spawn(move || worker_loop(&listener, &shared)));
         }
         Ok(Daemon { addr, stop, threads, metrics, per_collection, registry })
     }
@@ -255,16 +218,10 @@ impl Daemon {
         }
     }
 
-    /// Stop accepting and join the service threads. Multiplex workers
-    /// drain their in-flight sessions before exiting; thread-per-session
-    /// sessions already in flight run to completion on their own
-    /// threads.
+    /// Stop accepting and join the service threads. The workers poll
+    /// the stop flag and drain their in-flight sessions before exiting.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The blocking model's listener sits in accept(); a throwaway
-        // connection wakes it so it can observe the flag. The
-        // multiplex workers poll the flag anyway.
-        let _ = TcpStream::connect(self.addr);
         for t in self.threads {
             let _ = t.join();
         }
@@ -278,147 +235,4 @@ fn worker_count(configured: usize) -> usize {
     } else {
         thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
     }
-}
-
-/// The thread-per-session accept loop: one blocking service thread per
-/// accepted connection, admission included.
-fn accept_loop<F>(listener: &TcpListener, shared: &Arc<Shared<F>>)
-where
-    F: Fn(SessionReport) + Send + Sync + 'static,
-{
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let admitted = shared.try_admit();
-        let shared = Arc::clone(shared);
-        thread::spawn(move || {
-            let peer = stream.peer_addr().ok();
-            let (result, session_metrics, collection) = if admitted {
-                serve_session(stream, &shared)
-            } else {
-                refuse_session(stream, &shared.opts)
-            };
-            if admitted {
-                shared.release();
-            }
-            shared.deliver(SessionReport { peer, result, metrics: session_metrics, collection });
-        });
-    }
-}
-
-/// One connection: handshake (or admin command), then pipelined
-/// collection service against the snapshot resolved at handshake time.
-/// The session runs under its own trace recorder (on the daemon's
-/// shared clock, with a live status slot on the board); whatever it
-/// measured is returned alongside the outcome, even on failure.
-fn serve_session<F>(
-    stream: TcpStream,
-    shared: &Shared<F>,
-) -> (Result<ServeOutcome, NetError>, MetricsSnapshot, Option<String>)
-where
-    F: Fn(SessionReport) + Send + Sync + 'static,
-{
-    let opts = &shared.opts;
-    let recorder = Recorder::with_clock(shared.intro.clock.clone());
-    let peer_label = stream.peer_addr().map_or_else(|_| "-".to_owned(), |p| p.to_string());
-    let mut status = Some(shared.intro.board.register(&peer_label));
-    if let Some(handle) = &status {
-        recorder.set_status(handle.clone());
-    }
-    let mut collection = None;
-    let result = (|| {
-        let mut t = TcpTransport::server(stream).map_err(NetError::Io)?;
-        t.set_recorder(recorder.clone());
-        let hello = t.recv_timeout(opts.handshake_timeout).map_err(NetError::Channel)?;
-        t.attribute_inbound(Phase::Setup);
-        if let Some(cmd) = parse_admin(&hello) {
-            // An admin exchange is not a sync session: de-list it
-            // before rendering, so `sessions` never shows the scrape.
-            recorder.clear_status();
-            status = None;
-            return admin_session(&mut t, cmd, shared, &recorder);
-        }
-        let (reply, error) = match eval_hello(&hello) {
-            HelloOutcome::Accept { cfg, collection: requested, reply } => {
-                match shared.registry.resolve(requested.as_deref()) {
-                    Some((name, snap)) => {
-                        if let Some(handle) = &status {
-                            handle.set_collection(&name);
-                        }
-                        collection = Some(name);
-                        t.send(&FrameBuf::from(reply), Phase::Setup).map_err(NetError::Channel)?;
-                        recorder.record(EventKind::Handshake { ok: true });
-                        return serve_collection_snapshot(&mut t, &snap, &cfg, opts.retry)
-                            .map_err(NetError::Sync);
-                    }
-                    None => unknown_collection_reject(requested.as_deref().unwrap_or_default()),
-                }
-            }
-            HelloOutcome::Reject { reply, error } => (reply, error),
-        };
-        // Best-effort refusal notice; the connection is being torn
-        // down anyway, so a failed send changes nothing.
-        let _ = t.send(&FrameBuf::from(reply), Phase::Setup);
-        recorder.record(EventKind::Handshake { ok: false });
-        Err(error)
-    })();
-    drop(status);
-    (result, recorder.snapshot(), collection)
-}
-
-/// Execute one admin command on the blocking path and answer
-/// `ok …` / `err …`. The verbs themselves are shared with the
-/// multiplexer ([`Shared::execute_admin`]).
-fn admin_session<F>(
-    t: &mut TcpTransport,
-    cmd: Result<AdminCmd, String>,
-    shared: &Shared<F>,
-    recorder: &Recorder,
-) -> Result<ServeOutcome, NetError>
-where
-    F: Fn(SessionReport) + Send + Sync + 'static,
-{
-    match cmd.and_then(|cmd| shared.execute_admin(cmd)) {
-        Ok((reply, files)) => {
-            t.send(&FrameBuf::from(reply.into_bytes()), Phase::Setup).map_err(NetError::Channel)?;
-            recorder.record(EventKind::Handshake { ok: true });
-            Ok(ServeOutcome { files, sessions: 0, traffic: t.stats() })
-        }
-        Err(reason) => {
-            let _ = t.send(&FrameBuf::from(format!("err {reason}").into_bytes()), Phase::Setup);
-            recorder.record(EventKind::Handshake { ok: false });
-            Err(NetError::Handshake(format!("admin command failed: {reason}")))
-        }
-    }
-}
-
-/// An over-capacity connection: wait for the hello, answer with the
-/// typed refusal, report a failed handshake.
-fn refuse_session(
-    stream: TcpStream,
-    opts: &DaemonOptions,
-) -> (Result<ServeOutcome, NetError>, MetricsSnapshot, Option<String>) {
-    let recorder = Recorder::system();
-    let result = (|| {
-        let mut t = TcpTransport::server(stream).map_err(NetError::Io)?;
-        t.set_recorder(recorder.clone());
-        let _hello = t.recv_timeout(opts.handshake_timeout).map_err(NetError::Channel)?;
-        t.attribute_inbound(Phase::Setup);
-        // Best-effort: the connection is being torn down anyway.
-        let refusal = format!("err {REFUSAL_REASON}").into_bytes();
-        let _ = t.send(&FrameBuf::from(refusal), Phase::Setup);
-        Err(NetError::Handshake(format!("refused client: {REFUSAL_REASON}")))
-    })();
-    recorder.record(EventKind::Handshake { ok: false });
-    (result, recorder.snapshot(), None)
 }

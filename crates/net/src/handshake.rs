@@ -149,56 +149,10 @@ fn client_hello_inner(
     Ok(agreed)
 }
 
-/// Server half: receive a hello, validate it, answer ok or err.
-///
-/// Returns the agreed configuration. A rejected client gets a typed
-/// `err` line before the error is returned, so it can report *why*
-/// instead of seeing a hangup. This transport-level half accepts any
-/// syntactically valid collection name — resolving the name against a
-/// registry (and refusing unknown ones) is the daemon's job, which is
-/// why the daemon paths consume [`eval_hello`] directly.
-///
-/// # Errors
-/// [`NetError::Channel`] if the wire fails, [`NetError::Handshake`] if
-/// the hello is not this protocol or proposes an invalid config.
-pub fn server_hello(t: &mut dyn Transport, timeout: Duration) -> Result<ProtocolConfig, NetError> {
-    let rec = t.recorder();
-    let hello = match t.recv_timeout(timeout) {
-        Ok(hello) => hello,
-        Err(e) => {
-            rec.record(EventKind::Handshake { ok: false });
-            return Err(NetError::Channel(e));
-        }
-    };
-    t.attribute_inbound(Phase::Setup);
-    match eval_hello(&hello) {
-        HelloOutcome::Accept { cfg, reply, .. } => {
-            match t.send(&FrameBuf::from(reply), Phase::Setup) {
-                Ok(()) => {
-                    rec.record(EventKind::Handshake { ok: true });
-                    Ok(cfg)
-                }
-                Err(e) => {
-                    rec.record(EventKind::Handshake { ok: false });
-                    Err(NetError::Channel(e))
-                }
-            }
-        }
-        HelloOutcome::Reject { reply, error } => {
-            // Best-effort refusal notice; the connection is being torn
-            // down anyway, so a failed send changes nothing.
-            let _ = t.send(&FrameBuf::from(reply), Phase::Setup);
-            rec.record(EventKind::Handshake { ok: false });
-            Err(error)
-        }
-    }
-}
-
 /// The server's verdict on one client hello frame, pure of any I/O.
 ///
-/// Both daemon serve models — the blocking thread-per-session path and
-/// the nonblocking multiplexer — evaluate hellos through this one
-/// function, so acceptance rules and refusal wording cannot drift.
+/// The multiplexer evaluates every hello through [`eval_hello`], the
+/// one place acceptance rules and refusal wording live.
 pub(crate) enum HelloOutcome {
     /// The proposal parsed and validated: send `reply` (the canonical
     /// `ok` echo) and run the session under `cfg`.
@@ -227,8 +181,8 @@ pub(crate) enum HelloOutcome {
 
 /// The typed refusal for a syntactically fine collection name the
 /// registry does not hold: the `err` frame to send and the error the
-/// session ends with. Shared by both serve models so the wire token
-/// and the error type cannot drift.
+/// session ends with, so the wire token and the error type are
+/// spelled in one place.
 pub(crate) fn unknown_collection_reject(name: &str) -> (Vec<u8>, NetError) {
     (
         format!("err {UNKNOWN_COLLECTION} {name}").into_bytes(),
@@ -398,14 +352,26 @@ mod tests {
 
     const T: Duration = Duration::from_secs(5);
 
+    /// The daemon's side of a handshake, minus the registry lookup:
+    /// take the first frame, evaluate it, send the verdict's reply.
+    fn answer_hello(s: &mut Endpoint) -> Result<ProtocolConfig, NetError> {
+        let hello = Transport::recv_timeout(s, T).unwrap();
+        let (reply, verdict) = match eval_hello(&hello) {
+            HelloOutcome::Accept { cfg, reply, .. } => (reply, Ok(cfg)),
+            HelloOutcome::Reject { reply, error } => (reply, Err(error)),
+        };
+        Transport::send(s, &FrameBuf::from(reply), Phase::Setup).unwrap();
+        verdict
+    }
+
     #[test]
     fn agreeing_sides_converge_on_one_config() {
         let (mut c, mut s) = Endpoint::pair();
         let cfg = ProtocolConfig { start_block: 1 << 13, ..Default::default() };
         let want = cfg.clone();
-        let server = thread::spawn(move || server_hello(&mut s, T).unwrap());
-        let got = client_hello(&mut c, &cfg, T).unwrap();
-        let served = server.join().unwrap();
+        let client = thread::spawn(move || client_hello(&mut c, &cfg, T).unwrap());
+        let served = answer_hello(&mut s).unwrap();
+        let got = client.join().unwrap();
         assert_eq!(got, want);
         assert_eq!(served, want);
     }
@@ -413,33 +379,30 @@ mod tests {
     #[test]
     fn wrong_magic_is_refused_with_a_reason() {
         let (mut c, mut s) = Endpoint::pair();
-        let server = thread::spawn(move || server_hello(&mut s, T));
         c.send(b"rsync 31".to_vec());
+        assert!(matches!(answer_hello(&mut s), Err(NetError::Handshake(_))));
         let reply = Transport::recv_timeout(&mut c, T).unwrap();
         assert!(reply.starts_with(b"err "), "{reply:?}");
-        assert!(matches!(server.join().unwrap(), Err(NetError::Handshake(_))));
     }
 
     #[test]
     fn version_mismatch_is_refused() {
         let (mut c, mut s) = Endpoint::pair();
-        let server = thread::spawn(move || server_hello(&mut s, T));
         let hello = format!("{MAGIC} 999\n");
         Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup).unwrap();
+        assert!(matches!(answer_hello(&mut s), Err(NetError::Handshake(_))));
         let reply = Transport::recv_timeout(&mut c, T).unwrap();
         assert_eq!(&reply[..3], b"err");
-        assert!(matches!(server.join().unwrap(), Err(NetError::Handshake(_))));
     }
 
     #[test]
     fn bad_config_is_refused() {
         let (mut c, mut s) = Endpoint::pair();
-        let server = thread::spawn(move || server_hello(&mut s, T));
         let hello = format!("{MAGIC} {PROTOCOL_VERSION}\nstart_block = nope");
         Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup).unwrap();
+        assert!(matches!(answer_hello(&mut s), Err(NetError::Handshake(_))));
         let reply = Transport::recv_timeout(&mut c, T).unwrap();
         assert!(reply.starts_with(b"err "), "{reply:?}");
-        assert!(matches!(server.join().unwrap(), Err(NetError::Handshake(_))));
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //!   reality can be cross-checked against `TrafficStats` accounting.
 //! * [`daemon`] — the `msync serve` side: an event-driven multiplexer
 //!   running many concurrent sessions as sans-IO machines over
-//!   nonblocking sockets on a fixed worker pool (with the original
-//!   thread-per-session model retained as a benchmark baseline), a
-//!   version/config handshake, and admission control with typed
-//!   capacity refusals.
+//!   nonblocking sockets on a fixed worker pool, a version/config
+//!   handshake, and admission control with typed capacity refusals.
 //! * [`client`] — the `msync sync --remote` side: connect, handshake,
 //!   then run the pipelined collection scheduler
 //!   ([`msync_core::pipeline`]) against the daemon, optionally with the
@@ -41,7 +39,7 @@ pub use client::{
     admin_health, admin_reload, admin_sessions, admin_stats, sync_remote, sync_remote_with,
     RemoteOptions, RemoteOutcome,
 };
-pub use daemon::{Daemon, DaemonOptions, ServeModel, SessionReport};
+pub use daemon::{Daemon, DaemonOptions, SessionReport};
 pub use handshake::{NetError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{
     validate_collection_name, CollectionRegistry, RegistryBuilder, RegistryError,

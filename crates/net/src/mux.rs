@@ -12,12 +12,11 @@
 //! per core) serves an arbitrary number of concurrent sessions.
 //!
 //! Accounting parity: every byte charged here follows exactly the rules
-//! of the blocking [`TcpTransport`](crate::tcp::TcpTransport) — sends
-//! charged to the caller's phase at wire size when queued, inbound
-//! bytes pooled unattributed until the machine names their phase, a
-//! direction reversal counted as a half-trip — so a session served by
-//! the multiplexer reports the same `TrafficStats` and trace events as
-//! one served by a dedicated thread.
+//! of the blocking [`TcpTransport`](crate::tcp::TcpTransport) the client
+//! runs on — sends charged to the caller's phase at wire size when
+//! queued, inbound bytes pooled unattributed until the machine names
+//! their phase, a direction reversal counted as a half-trip — so the two
+//! ends of a session report mirror-image `TrafficStats`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -67,27 +66,26 @@ fn micros(d: Duration) -> u64 {
 /// submissions closer than its own minimum spacing.
 const RATE_SAMPLE_US: u64 = 1_000_000;
 
-/// The daemon's live-introspection state, shared by both serve models:
-/// one clock for every session recorder (so ages, rates, and uptime
-/// share a single epoch — the daemon's start), the live session board,
-/// the windowed rate estimator, and the reload timestamps the `health`
-/// verb reports.
+/// The daemon's live-introspection state: one clock for every session
+/// recorder (so ages, rates, and uptime share a single epoch — the
+/// daemon's start), the live session board, the windowed rate
+/// estimator, and the reload timestamps the `health` verb reports.
 pub(crate) struct Introspect {
     /// The one clock every recorder, board registration, and worker
     /// loop reads. Its epoch is daemon start, so `now_micros()` *is*
     /// the uptime.
-    pub(crate) clock: Arc<SystemClock>,
+    clock: Arc<SystemClock>,
     /// Live per-session status registry (weak slots; sessions vanish
     /// when their connection drops).
-    pub(crate) board: StatusBoard,
+    board: StatusBoard,
     /// Cumulative-sample ring behind the `stats` rate gauges.
-    pub(crate) rates: Mutex<RateWindows>,
+    rates: Mutex<RateWindows>,
     /// Clock reading of the last successful `reload`, per collection.
     reloads: Mutex<BTreeMap<String, u64>>,
-    /// Worker-pool size (1 for the thread-per-session model).
-    pub(crate) workers: usize,
+    /// Worker-pool size.
+    workers: usize,
     /// Slow-session watchdog threshold; `None` disables the watchdog.
-    pub(crate) slow_session_us: Option<u64>,
+    slow_session_us: Option<u64>,
 }
 
 impl Introspect {
@@ -104,7 +102,7 @@ impl Introspect {
     }
 
     /// Stamp a successful reload of `name` for the `health` report.
-    pub(crate) fn note_reload(&self, name: &str) {
+    fn note_reload(&self, name: &str) {
         let t_us = self.clock.now_micros();
         self.reloads.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_owned(), t_us);
     }
@@ -113,7 +111,7 @@ impl Introspect {
 /// The one-line WARN the watchdog emits alongside the
 /// [`EventKind::SlowSession`] trace event. Split out so the format is
 /// unit-testable without a live socket.
-pub(crate) fn slow_session_warning(
+fn slow_session_warning(
     id: u64,
     peer: Option<SocketAddr>,
     phase: PhaseTag,
@@ -123,10 +121,10 @@ pub(crate) fn slow_session_warning(
     format!("WARN slow-session id={id} peer={peer} phase={} waited_us={waited_us}", phase.as_str())
 }
 
-/// State shared by every worker thread of one daemon, and by the
-/// blocking thread-per-session model: the collection registry, the
-/// options, the admission counter, the stop flag, and the metrics
-/// aggregate + log-callback sink every finished session reports to.
+/// State shared by every worker thread of one daemon: the collection
+/// registry, the options, the admission counter, the stop flag, and the
+/// metrics aggregate + log-callback sink every finished session reports
+/// to.
 pub(crate) struct Shared<F> {
     /// The served collections. Entry contents swap at runtime
     /// (`reload`); the name set is fixed for the daemon's lifetime.
@@ -160,7 +158,7 @@ where
 {
     /// Try to claim an admission slot. `false` means the connection
     /// must be refused with the typed capacity reason.
-    pub(crate) fn try_admit(&self) -> bool {
+    fn try_admit(&self) -> bool {
         let Some(max) = self.opts.max_sessions else {
             self.active.fetch_add(1, Ordering::SeqCst);
             return true;
@@ -181,7 +179,7 @@ where
     }
 
     /// Release an admission slot claimed by [`Shared::try_admit`].
-    pub(crate) fn release(&self) {
+    fn release(&self) {
         self.active.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -190,7 +188,7 @@ where
     /// bucket), rewrite the metrics file if configured, and deliver
     /// the report. The admission slot is released *before* this runs,
     /// so a report's delivery is proof the slot is free again.
-    pub(crate) fn deliver(&self, report: SessionReport) {
+    fn deliver(&self, report: SessionReport) {
         let aggregate = {
             let mut agg = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
             agg.merge(&report.metrics);
@@ -211,7 +209,7 @@ where
     /// The daemon's full Prometheus dump: the aggregate (typed, with
     /// histograms) followed by one `collection`-labeled counter block
     /// per served collection.
-    pub(crate) fn render_metrics(&self, aggregate: &MetricsSnapshot) -> String {
+    fn render_metrics(&self, aggregate: &MetricsSnapshot) -> String {
         let mut text = aggregate.render_prometheus();
         let per = self.per_collection.lock().unwrap_or_else(PoisonError::into_inner);
         for (name, snap) in per.iter() {
@@ -246,7 +244,7 @@ where
     /// The `stats` verb's payload: the Prometheus dump plus the
     /// windowed rate gauges, or the flat JSON rendering. Scraping also
     /// feeds the rate estimator, so a lone scraper still gets rates.
-    pub(crate) fn stats_payload(&self, json: bool) -> String {
+    fn stats_payload(&self, json: bool) -> String {
         let aggregate = self.aggregate_now();
         let now_us = self.intro.clock.now_micros();
         let mut rates = self.intro.rates.lock().unwrap_or_else(PoisonError::into_inner);
@@ -261,12 +259,12 @@ where
     }
 
     /// The `sessions` verb's payload: the live session table.
-    pub(crate) fn sessions_payload(&self) -> String {
+    fn sessions_payload(&self) -> String {
         render_sessions(&self.intro.board.snapshot(), self.intro.clock.now_micros())
     }
 
     /// The `health` verb's payload: daemon vitals as `key=value` lines.
-    pub(crate) fn health_payload(&self) -> String {
+    fn health_payload(&self) -> String {
         let aggregate = self.aggregate_now();
         let sessions = self.intro.board.snapshot();
         let active = self.active.load(Ordering::SeqCst);
@@ -301,8 +299,7 @@ where
 
     /// Execute one admin command: the full `ok …` reply plus the
     /// reload file count for the session outcome, or the `err` reason.
-    /// Shared by both serve models so the verbs cannot drift.
-    pub(crate) fn execute_admin(&self, cmd: AdminCmd) -> Result<(String, usize), String> {
+    fn execute_admin(&self, cmd: AdminCmd) -> Result<(String, usize), String> {
         match cmd {
             AdminCmd::Reload(name) => self.registry.reload(&name).map(|files| {
                 self.intro.note_reload(&name);

@@ -26,11 +26,6 @@ pub fn sync_optimal(old: &[u8], new: &[u8]) -> (RsyncOutcome, usize) {
     best
 }
 
-/// Just the cost in bytes of the oracle run (convenience for benches).
-pub fn optimal_cost(old: &[u8], new: &[u8]) -> u64 {
-    sync_optimal(old, new).0.stats.total_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -220,9 +220,6 @@ pub struct LintConfig {
     /// Crate directory names doing raw socket I/O: every `read`-family
     /// call must have a `set_read_timeout` earlier in the same file.
     pub socket_crates: Vec<String>,
-    /// Crate directory names skipped entirely (excluded from the cargo
-    /// workspace, so allowed registry deps and exempt from code rules).
-    pub skip_crates: Vec<String>,
     /// Crate directory names allowed to read the ambient clock
     /// (`Instant::now` / `SystemTime::now`). Everyone else must take
     /// time from a `msync_trace::Clock`.
@@ -270,7 +267,6 @@ impl LintConfig {
             .map(str::to_owned)
             .to_vec(),
             socket_crates: vec!["net".to_owned()],
-            skip_crates: vec!["bench".to_owned()],
             clock_exempt: vec!["trace".to_owned()],
             engine_modules: vec!["crates/core/src/engine/".to_owned()],
             wire_schemas: vec![
@@ -350,10 +346,6 @@ pub fn analyze(root: &Path, cfg: &LintConfig) -> io::Result<Analysis> {
     // Model every source file once; rules and passes share the models.
     let mut models: BTreeMap<String, FileModel> = BTreeMap::new();
     for dir in &crate_dirs {
-        let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_owned();
-        if cfg.skip_crates.contains(&name) {
-            continue;
-        }
         check_manifest(root, &dir.join("Cargo.toml"), false, &mut findings)?;
         for file in rust_sources(&dir.join("src"))? {
             let rel = rel_path(root, &file);
@@ -654,8 +646,7 @@ fn check_lossy_casts(rel: &str, m: &FileModel, findings: &mut Vec<Finding>) {
 
 /// Rule `hermeticity`: every dependency of a workspace crate must be a
 /// first-party path dependency (`path = ...` or `workspace = true`
-/// pointing at a path entry). Registry deps belong only in the excluded
-/// bench crate.
+/// pointing at a path entry).
 fn check_manifest(
     root: &Path,
     manifest: &Path,
@@ -702,7 +693,7 @@ fn check_manifest(
                 col: 1,
                 end_col: 1,
                 message: format!(
-                    "dependency `{name}` is not a first-party path dependency; registry deps break the offline build (confine them to crates/bench)"
+                    "dependency `{name}` is not a first-party path dependency; registry dependencies are not allowed: the workspace must build offline"
                 ),
             });
         }

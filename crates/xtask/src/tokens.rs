@@ -79,21 +79,6 @@ impl Token {
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
         )
     }
-
-    /// Whether this token is any string/char/byte literal.
-    #[must_use]
-    pub fn is_literal(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::CharLit
-                | TokenKind::ByteLit
-                | TokenKind::StrLit
-                | TokenKind::RawStrLit
-                | TokenKind::ByteStrLit
-                | TokenKind::RawByteStrLit
-                | TokenKind::NumberLit
-        )
-    }
 }
 
 fn is_ident_start(b: u8) -> bool {

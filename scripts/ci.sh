@@ -14,11 +14,15 @@ echo "==> lint report artifact (LINT_REPORT.json, schema-validated)"
 cargo run --release -q -p xtask -- lint --format json > LINT_REPORT.json
 cargo run --release -q -p xtask -- check-lint-report LINT_REPORT.json
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+echo "==> cargo build --release"
+cargo build --release
 
 echo "==> cargo test -q"
-cargo test -q --workspace
+cargo test -q
+
+echo "==> paper tables (exp all == experiments_output.txt; regenerate the archive in the commit that moves a table)"
+cargo run --release -q -p msync-bench --bin exp -- all > experiments_output.txt
+git diff --exit-code experiments_output.txt
 
 echo "==> network loopback gate (live daemon, 32-client soak with admin scrapes, admission control)"
 cargo test --release -q --test net_loopback
@@ -75,7 +79,7 @@ kill "$serve_pid" 2>/dev/null || true
 echo "==> tracing overhead gate (< 5%, BENCH_trace_overhead.json)"
 MSYNC_BENCH=1 cargo test --release -q --test trace_overhead
 
-echo "==> daemon 1k-session soak (mux >= thread-per-session, bytes-copied + peak-RSS ceilings, BENCH_daemon_concurrency.json)"
+echo "==> daemon 1k-session soak (bytes-copied + peak-RSS ceilings, BENCH_daemon_concurrency.json)"
 MSYNC_BENCH=1 cargo test --release -q --test daemon_bench
 test -s BENCH_daemon_concurrency.json || {
     echo "daemon soak did not archive its measurement"; exit 1; }

@@ -1,25 +1,27 @@
-//! Daemon concurrency soak gate (ISSUE PR 5, extended to a 1k-session
-//! soak with a memory ceiling in ISSUE PR 10): the event-driven
-//! multiplexer must sustain at least the sessions-per-second of the
-//! original thread-per-session model on a burst of tiny sessions, the
-//! frame path must copy strictly fewer bytes per session than the
-//! pre-refactor (owned `Vec<u8>`) implementation did, and the whole
-//! soak must fit under a peak-RSS ceiling.
+//! Daemon concurrency soak gate: 1 000 tiny sessions against one
+//! multiplexing daemon must copy strictly fewer frame bytes per session
+//! than the pre-`FrameBuf` (owned `Vec<u8>`) frame path did, and the
+//! whole soak must fit under a peak-RSS ceiling.
 //!
-//! Off by default (timing asserts don't belong in plain `cargo test`);
-//! CI runs it with `MSYNC_BENCH=1` in release mode and archives the
-//! measurement as `BENCH_daemon_concurrency.json` in the repo root.
+//! Off by default (a 1k-session soak doesn't belong in plain
+//! `cargo test`); CI runs it with `MSYNC_BENCH=1` in release mode and
+//! archives the measurement as `BENCH_daemon_concurrency.json` in the
+//! repo root.
+//!
+//! This file gates no throughput: a single burst is too noisy to
+//! compare against anything. Throughput regressions are the job of the
+//! repo benchmark's `tiny_sessions` workload (`sessions_per_s`,
+//! `session_p50_ms`, `session_p99_ms` in `BENCHMARK.json`), which runs
+//! the same corpus as paired runs of parent and change. `multiplex_sps`
+//! is archived here as an observation, next to the last figure the
+//! deleted thread-per-session server scored on this burst
+//! (`thread_per_session_sps_at_removal`, a frozen literal).
 //!
 //! Method: `SESSIONS` tiny collection syncs are fired from a fixed
-//! `CLIENT_THREADS`-thread client pool at one daemon; the wall clock
-//! over the whole burst gives sessions/sec. Each attempt measures the
-//! baseline and the multiplexer back to back on fresh daemons (same
-//! corpus, same client pool shape), and the gate passes on the first
-//! attempt where the multiplexer is at least as fast; the minimum over
-//! attempts is never averaged, so one noisy neighbour is forgiven but
-//! a real regression fails every attempt. Copied frame bytes come from
+//! `CLIENT_THREADS`-thread client pool at one daemon, once to warm up
+//! and once measured. Copied frame bytes come from
 //! `msync_protocol::frame_copy_bytes()` (every wire-path memcpy is
-//! metered), snapshotted around the multiplex burst; peak RSS is the
+//! metered), snapshotted around the measured burst; peak RSS is the
 //! kernel's `VmHWM` for the whole test process. (Root integration
 //! tests are outside the xtask clock-discipline scan, so `Instant` is
 //! fine here.)
@@ -28,15 +30,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
-use msync::net::{sync_remote, Daemon, DaemonOptions, RemoteOptions, ServeModel};
+use msync::net::{sync_remote, Daemon, DaemonOptions, RemoteOptions};
 
 /// Total sessions per measured burst — the 1k soak.
 const SESSIONS: usize = 1000;
 /// Client pool width: enough to keep the daemon saturated without
 /// drowning a small CI box in client-side threads.
 const CLIENT_THREADS: usize = 16;
-/// Full-measurement retries before the gate fails.
-const ATTEMPTS: usize = 3;
 
 /// Pre-refactor frame bytes copied per multiplexed session, measured by
 /// this same bench (same corpus, same counter) on the owned-`Vec<u8>`
@@ -44,15 +44,14 @@ const ATTEMPTS: usize = 3;
 /// current number to be strictly below this — the ratchet that keeps
 /// the zero-copy path zero-copy.
 const PRE_REFACTOR_COPIED_PER_SESSION: u64 = 5141;
-/// Peak-RSS ceiling for the whole soak process (clients + both
-/// daemons). Measured 13 MiB on the reference box; the ceiling leaves
+/// Peak-RSS ceiling for the whole soak process (clients + daemon).
+/// Measured 13 MiB on the reference box; the ceiling leaves
 /// ~5x headroom for allocator and platform variance while still
 /// catching any per-session copy or leak regression at 1k sessions.
 const PEAK_RSS_CEILING_BYTES: u64 = 64 * 1024 * 1024;
 
 /// A deliberately tiny collection: per-session protocol work is a few
-/// round trips, so session setup/teardown — the thing the two serve
-/// models differ on — dominates the measurement.
+/// round trips, so session setup/teardown dominates the measurement.
 fn tiny_corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
     let make = |tag: &str| -> Vec<FileEntry> {
         (0..4)
@@ -82,11 +81,11 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Run one burst of `SESSIONS` syncs against a daemon using `model`;
-/// returns sessions per second over the burst's wall clock.
-fn burst(model: ServeModel, old: &Arc<Vec<FileEntry>>, new: &[FileEntry]) -> f64 {
-    let opts = DaemonOptions { model, ..DaemonOptions::default() };
-    let daemon = Daemon::spawn("127.0.0.1:0", new.to_vec(), opts, |_| {}).expect("bind daemon");
+/// Run one burst of `SESSIONS` syncs against a fresh daemon; returns
+/// sessions per second over the burst's wall clock.
+fn burst(old: &Arc<Vec<FileEntry>>, new: &[FileEntry]) -> f64 {
+    let daemon = Daemon::spawn("127.0.0.1:0", new.to_vec(), DaemonOptions::default(), |_| {})
+        .expect("bind daemon");
     let addr = Arc::new(daemon.local_addr().to_string());
 
     let t0 = Instant::now();
@@ -126,47 +125,32 @@ fn multiplexer_sustains_1k_session_soak() {
     let (old, new) = tiny_corpus();
     let old = Arc::new(old);
 
-    // Warm-up burst so neither side pays first-touch costs.
-    let _ = burst(ServeModel::Multiplex, &old, &new);
+    // Warm-up burst so the measured one pays no first-touch costs.
+    let _ = burst(&old, &new);
 
-    let mut last = (0.0f64, 0.0f64);
-    for attempt in 1..=ATTEMPTS {
-        let baseline_sps = burst(ServeModel::ThreadPerSession, &old, &new);
-        let copied_before = msync::protocol::frame_copy_bytes();
-        let mux_sps = burst(ServeModel::Multiplex, &old, &new);
-        let copied_per_session =
-            (msync::protocol::frame_copy_bytes() - copied_before) / SESSIONS as u64;
-        last = (baseline_sps, mux_sps);
-        let rss = peak_rss_bytes();
-        eprintln!(
-            "daemon_bench attempt {attempt}: thread-per-session {baseline_sps:.1}/s, \
-             multiplex {mux_sps:.1}/s, {copied_per_session} copied B/session, \
-             peak RSS {} MiB",
-            rss / (1024 * 1024)
-        );
-        assert!(
-            copied_per_session < PRE_REFACTOR_COPIED_PER_SESSION,
-            "frame path copies {copied_per_session} B/session — not below the \
-             pre-refactor {PRE_REFACTOR_COPIED_PER_SESSION} B/session ratchet"
-        );
-        assert!(
-            rss < PEAK_RSS_CEILING_BYTES,
-            "soak peak RSS {rss} B exceeds the {PEAK_RSS_CEILING_BYTES} B ceiling"
-        );
-        if mux_sps >= baseline_sps {
-            let json = format!(
-                "{{\n  \"bench\": \"daemon_concurrency\",\n  \"sessions\": {SESSIONS},\n  \"client_threads\": {CLIENT_THREADS},\n  \"attempt\": {attempt},\n  \"thread_per_session_sps\": {baseline_sps:.2},\n  \"multiplex_sps\": {mux_sps:.2},\n  \"speedup\": {:.3},\n  \"bytes_copied_per_session\": {copied_per_session},\n  \"bytes_copied_per_session_pre_refactor\": {PRE_REFACTOR_COPIED_PER_SESSION},\n  \"peak_rss_bytes\": {rss}\n}}\n",
-                mux_sps / baseline_sps.max(1e-9)
-            );
-            let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_daemon_concurrency.json");
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("daemon_bench: gate passed -> {out}");
-            return;
-        }
-    }
-    let (baseline_sps, mux_sps) = last;
-    panic!(
-        "multiplexer slower than thread-per-session on all {ATTEMPTS} attempts: \
-         last multiplex {mux_sps:.1}/s vs baseline {baseline_sps:.1}/s"
+    let copied_before = msync::protocol::frame_copy_bytes();
+    let mux_sps = burst(&old, &new);
+    let copied_per_session =
+        (msync::protocol::frame_copy_bytes() - copied_before) / SESSIONS as u64;
+    let rss = peak_rss_bytes();
+    eprintln!(
+        "daemon_bench: multiplex {mux_sps:.1}/s, {copied_per_session} copied B/session, \
+         peak RSS {} MiB",
+        rss / (1024 * 1024)
     );
+    assert!(
+        copied_per_session < PRE_REFACTOR_COPIED_PER_SESSION,
+        "frame path copies {copied_per_session} B/session — not below the \
+         pre-refactor {PRE_REFACTOR_COPIED_PER_SESSION} B/session ratchet"
+    );
+    assert!(
+        rss < PEAK_RSS_CEILING_BYTES,
+        "soak peak RSS {rss} B exceeds the {PEAK_RSS_CEILING_BYTES} B ceiling"
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"daemon_concurrency\",\n  \"sessions\": {SESSIONS},\n  \"client_threads\": {CLIENT_THREADS},\n  \"multiplex_sps\": {mux_sps:.2},\n  \"thread_per_session_sps_at_removal\": 1554.21,\n  \"bytes_copied_per_session\": {copied_per_session},\n  \"bytes_copied_per_session_pre_refactor\": {PRE_REFACTOR_COPIED_PER_SESSION},\n  \"peak_rss_bytes\": {rss},\n  \"peak_rss_ceiling_bytes\": {PEAK_RSS_CEILING_BYTES}\n}}\n"
+    );
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_daemon_concurrency.json");
+    std::fs::write(out, &json).expect("write bench json");
+    eprintln!("daemon_bench: gate passed -> {out}");
 }
