@@ -26,7 +26,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::coverage::Coverage;
-use crate::index::PositionIndex;
+use crate::index::first_positions;
 use crate::items::global_hash_bits;
 use crate::map::{FileMap, Segment};
 use crate::session::{sync_file, SyncError};
@@ -181,16 +181,19 @@ pub fn sync_broadcast(
 
         // Individual phase: candidates, verification, confirmations.
         for (ci, old) in olds.iter().enumerate() {
-            let index = PositionIndex::build(old, d as usize, bits, cfg.max_positions_per_hash);
+            let (live_blocks, targets): (Vec<Block>, Vec<u64>) = included
+                .iter()
+                .zip(&shared_values)
+                .filter(|(b, _)| b.len == d && coverages[ci].is_free(b.off, b.len))
+                .map(|(b, &v)| (*b, v))
+                .unzip();
             let mut candidates = Vec::new();
             let mut cand_blocks = Vec::new();
-            for (i, b) in included.iter().enumerate() {
-                if b.len != d || !coverages[ci].is_free(b.off, b.len) {
-                    continue;
-                }
-                if let Some(&pos) = index.lookup(shared_values[i]).first() {
-                    candidates.push(Candidate { old_pos: pos as u64 });
-                    cand_blocks.push(*b);
+            let positions = first_positions(old, d as usize, bits, &targets);
+            for (b, pos) in live_blocks.into_iter().zip(positions) {
+                if let Some(old_pos) = pos {
+                    candidates.push(Candidate { old_pos });
+                    cand_blocks.push(b);
                 }
             }
             // Uplink: candidate bitmap over the included blocks.

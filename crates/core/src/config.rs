@@ -82,9 +82,10 @@ pub struct ProtocolConfig {
     pub cont_first_phase: bool,
     /// Verification strategy.
     pub verify: VerifyStrategy,
-    /// Maximum candidate positions kept per hash value in the client's
-    /// position index (more positions = fewer lost matches to aliasing,
-    /// at more memory).
+    /// Ignored by the sync, which takes the lowest matching position of
+    /// each hash and never looked past it; retained for the benchmark's
+    /// `core.index.*` replay (`PositionIndex::build`) and for existing
+    /// parameter files; scheduled for removal.
     pub max_positions_per_hash: usize,
 }
 

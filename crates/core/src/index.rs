@@ -1,19 +1,157 @@
-//! The client's position index: where in the old file does each hash
-//! value occur?
+//! Match finding: where in the old file does each received hash occur?
 //!
-//! For each round with global hashes, the client scans `f_old` once with
-//! the rolling decomposable checksum at the round's window size and
-//! stores `truncated hash → positions`. An incoming global hash then
-//! finds its candidate positions in O(1) — the same trick as rsync's
-//! hash table, one scan per block size (this is the "repeated passes over
-//! the data" the paper's CPU discussion refers to).
+//! The client finds global-hash matches the way rsync's sender does,
+//! with the table on the *received* side: a round's hash values go into
+//! a small table of targets, `f_old` is rolled over once with the
+//! decomposable checksum at the round's window size, and every position
+//! probes the table ([`first_positions`]). Memory is proportional to the
+//! items of the round, not to the file, and the scan stops as soon as
+//! every target has a position. One scan per window size is the
+//! "repeated passes over the data" of the paper's CPU discussion.
+//!
+//! The probe works on the checksum's two sums directly. The low `bits`
+//! bits of `interleave(a, b)` are the low `⌈bits/2⌉` bits of `a` and the
+//! low `⌊bits/2⌋` bits of `b`, so each target is de-interleaved once and
+//! a position matches when its two masked sums equal the target's.
 
-use msync_hash::decomposable::{DecomposableAdler, DecomposableDigest};
-use msync_hash::rolling::scan_rolling;
+use msync_hash::decomposable::{deinterleave, DecomposableAdler, DecomposableDigest};
+use msync_hash::rolling::{scan_rolling, RollingHash};
 use msync_hash::truncate_bits;
 use std::collections::HashMap;
 
-/// Hash-value → old-file positions for one window size.
+/// Words of the tag bitmap in front of the target table: 64 Kbit, one
+/// bit per 16-bit tag, as in rsync's tag table.
+const TAG_WORDS: usize = 1 << 10;
+/// Multiplier spreading a packed `(a, b)` key over 64 bits; the slot
+/// and the tag are both taken from the top of the product.
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One scan's distinct targets: open addressing from a target's `(a, b)`
+/// pair to the lowest position seen so far, behind a bitmap that turns
+/// away most positions with a single load.
+struct TargetTable {
+    tags: Vec<u64>,
+    /// `(key, lowest position found)`; at most half the slots are taken.
+    slots: Vec<Option<(u64, Option<u64>)>>,
+    shift: u32,
+    mask_a: u32,
+    mask_b: u32,
+    /// Distinct targets with no position yet.
+    missing: usize,
+}
+
+#[inline]
+fn pack(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
+}
+
+/// The packed key of a `bits`-bit target value. A value with bits above
+/// `bits` keeps them, so it equals no masked window key.
+#[inline]
+fn target_key(target: u64) -> u64 {
+    let (a, b) = deinterleave(target);
+    pack(a, b)
+}
+
+/// Word and bit of `key`'s 16-bit tag in the bitmap.
+#[inline]
+fn tag_bit(key: u64) -> (usize, u64) {
+    let tag = key.wrapping_mul(MIX) >> 48;
+    ((tag >> 6) as usize, 1 << (tag & 63))
+}
+
+/// Masks selecting the part of `(a, b)` that the low `bits` bits of
+/// `interleave(a, b)` carry: `⌈bits/2⌉` bits of `a`, `⌊bits/2⌋` of `b`.
+fn component_masks(bits: u32) -> (u32, u32) {
+    let low = |n: u32| if n >= 32 { u32::MAX } else { (1u32 << n) - 1 };
+    (low(bits.div_ceil(2)), low(bits / 2))
+}
+
+impl TargetTable {
+    fn new(bits: u32, targets: &[u64]) -> Self {
+        let (mask_a, mask_b) = component_masks(bits);
+        let capacity = (targets.len() * 2).next_power_of_two().max(2);
+        let mut table = Self {
+            tags: vec![0; TAG_WORDS],
+            slots: vec![None; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+            mask_a,
+            mask_b,
+            missing: 0,
+        };
+        for &target in targets {
+            let key = target_key(target);
+            let slot = table.slot_of(key);
+            if table.slots[slot].is_none() {
+                table.slots[slot] = Some((key, None));
+                table.missing += 1;
+                let (word, bit) = tag_bit(key);
+                table.tags[word] |= bit;
+            }
+        }
+        table
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    #[inline]
+    fn slot_of(&self, key: u64) -> usize {
+        // The top `log2(slots.len())` bits: always a valid index.
+        let mut slot = (key.wrapping_mul(MIX) >> self.shift) as usize;
+        while self.slots[slot].is_some_and(|(k, _)| k != key) {
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+        slot
+    }
+
+    /// Offer the window at `pos` with sums `(a, b)`. Positions arrive in
+    /// ascending order, so the first one a target sees is its lowest.
+    #[inline]
+    fn probe(&mut self, (a, b): (u32, u32), pos: u64) {
+        let key = pack(a & self.mask_a, b & self.mask_b);
+        let (word, bit) = tag_bit(key);
+        if self.tags[word] & bit == 0 {
+            return;
+        }
+        let slot = self.slot_of(key);
+        if let Some((_, first @ None)) = &mut self.slots[slot] {
+            *first = Some(pos);
+            self.missing -= 1;
+        }
+    }
+
+    fn first(&self, target: u64) -> Option<u64> {
+        self.slots[self.slot_of(target_key(target))].and_then(|(_, first)| first)
+    }
+}
+
+/// For each of `targets`, the lowest position in `old` whose
+/// `window`-byte window has that `bits`-bit decomposable hash, or `None`
+/// where no window has it. One rolling pass over `old`, cut short once
+/// every target is placed; duplicate targets get the same answer.
+pub fn first_positions(old: &[u8], window: usize, bits: u32, targets: &[u64]) -> Vec<Option<u64>> {
+    if window == 0 || old.len() < window || targets.is_empty() {
+        return vec![None; targets.len()];
+    }
+    let mut table = TargetTable::new(bits, targets);
+    let mut hash = DecomposableAdler::new();
+    hash.reset(&old[..window]);
+    table.probe(hash.sums(), 0);
+    let mut pos = 0u64;
+    for (&out, &in_) in old.iter().zip(&old[window..]) {
+        if table.missing == 0 {
+            break;
+        }
+        hash.roll(out, in_);
+        pos += 1;
+        table.probe(hash.sums(), pos);
+    }
+    targets.iter().map(|&target| table.first(target)).collect()
+}
+
+/// Hash-value → old-file positions for one window size, every offset of
+/// the file stored. The sync no longer builds this: it is the reference
+/// implementation that [`first_positions`] is tested against and that
+/// the benchmark's `core.index.*` replay measures.
 #[derive(Debug)]
 pub struct PositionIndex {
     map: HashMap<u64, Vec<u32>>,
@@ -96,16 +234,118 @@ pub fn scan_neighborhood(
 mod tests {
     use super::*;
 
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            (self.next() >> 11) % n
+        }
+    }
+
     fn data(n: usize) -> Vec<u8> {
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 56) as u8
-            })
-            .collect()
+        let mut rng = XorShift(0x1234_5678_9ABC_DEF0);
+        (0..n).map(|_| (rng.next() >> 56) as u8).collect()
+    }
+
+    /// What the sync did before the inverted scan: index every offset,
+    /// take the first stored position.
+    fn reference(old: &[u8], window: usize, bits: u32, targets: &[u64]) -> Vec<Option<u64>> {
+        let index = PositionIndex::build(old, window, bits, 4);
+        targets.iter().map(|&t| index.lookup(t).first().map(|&p| u64::from(p))).collect()
+    }
+
+    #[test]
+    fn scan_agrees_with_position_index() {
+        let mut rng = XorShift(0x6d73_796e_0016);
+        for case in 0..400 {
+            // A small alphabet makes repeated windows (and so the
+            // lowest-position rule) common.
+            let len = rng.below(1500) as usize;
+            let alphabet = 1 + rng.below(if case % 4 == 0 { 2 } else { 256 });
+            let old: Vec<u8> = (0..len).map(|_| rng.below(alphabet) as u8).collect();
+            let window = match rng.below(8) {
+                0 => 0,
+                1 => len,
+                2 => len + 1,
+                3 => 1,
+                _ => 1 + rng.below(len.max(1) as u64) as usize,
+            };
+            let bits = 2 + (case % 47) as u32; // 2..=48, odd and even
+            let mut targets = Vec::new();
+            for _ in 0..rng.below(40) {
+                match rng.below(4) {
+                    // The hash of a window that is there.
+                    0 | 1 if window > 0 && window <= len => {
+                        let at = rng.below((len - window + 1) as u64) as usize;
+                        targets.push(DecomposableDigest::of(&old[at..at + window]).prefix(bits));
+                    }
+                    // A repeat of an earlier target.
+                    2 if !targets.is_empty() => {
+                        targets.push(targets[rng.below(targets.len() as u64) as usize]);
+                    }
+                    // Most likely nowhere; sometimes wider than `bits`.
+                    _ => targets.push(rng.next() >> rng.below(64)),
+                }
+            }
+            assert_eq!(
+                first_positions(&old, window, bits, &targets),
+                reference(&old, window, bits, &targets),
+                "case {case}: len {len}, window {window}, bits {bits}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_on_a_constant_file_reports_position_zero() {
+        let old = vec![7u8; 1000]; // every window identical
+        let hit = DecomposableDigest::of(&old[..16]).prefix(20);
+        let targets = [hit, hit ^ 1, hit];
+        assert_eq!(first_positions(&old, 16, 20, &targets), [Some(0), None, Some(0)]);
+        assert_eq!(first_positions(&old, 16, 20, &targets), reference(&old, 16, 20, &targets));
+    }
+
+    #[test]
+    fn scan_degenerate_inputs() {
+        let old = data(64);
+        let whole = DecomposableDigest::of(&old).prefix(24);
+        assert_eq!(first_positions(&old, 64, 24, &[whole]), [Some(0)]);
+        assert_eq!(first_positions(&old, 65, 24, &[whole]), [None]);
+        assert_eq!(first_positions(&old, 0, 24, &[whole, 0]), [None, None]);
+        assert_eq!(first_positions(&old, 16, 24, &[]), []);
+        assert_eq!(first_positions(&[], 16, 24, &[whole]), [None]);
+    }
+
+    #[test]
+    fn masked_components_equal_iff_truncated_values_equal() {
+        use msync_hash::decomposable::interleave;
+        let mut rng = XorShift(0x6d73_796e_0017);
+        for bits in 1..=64u32 {
+            let (mask_a, mask_b) = component_masks(bits);
+            assert_eq!(mask_a.count_ones() + mask_b.count_ones(), bits);
+            for case in 0..200 {
+                let (a, b) = (rng.next() as u32, rng.next() as u32);
+                // Every other pair differs from `(a, b)` in a few bits
+                // only, so both outcomes occur at every width.
+                let (c, d) = if case % 2 == 0 {
+                    (a ^ (1 << rng.below(32)), b ^ (1 << rng.below(32)))
+                } else {
+                    (rng.next() as u32, rng.next() as u32)
+                };
+                for (c, d) in [(c, d), (a, d), (c, b), (a, b)] {
+                    let components = (a & mask_a, b & mask_b) == (c & mask_a, d & mask_b);
+                    let values = truncate_bits(interleave(a, b), bits)
+                        == truncate_bits(interleave(c, d), bits);
+                    assert_eq!(components, values, "bits {bits}: ({a:#x},{b:#x}) ({c:#x},{d:#x})");
+                }
+            }
+        }
     }
 
     #[test]

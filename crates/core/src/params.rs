@@ -20,6 +20,10 @@
 //! verify = group 4x20, 1x20      # batches: group_size x bits
 //! #verify = per_candidate 32
 //! ```
+//!
+//! `max_positions_per_hash` is still parsed, validated and rendered, but
+//! it is ignored by the sync; it is retained for the benchmark's
+//! `core.index.*` replay and is scheduled for removal.
 
 use crate::config::{BatchConfig, ProtocolConfig, VerifyStrategy};
 

@@ -28,7 +28,7 @@
 use crate::config::{ChannelOptions, ProtocolConfig};
 use crate::coverage::Coverage;
 use crate::engine::{ClientMachine, Machine, Output, ServerMachine};
-use crate::index::{matches_at, scan_neighborhood, PositionIndex};
+use crate::index::{first_positions, matches_at, scan_neighborhood};
 use crate::items::{self, global_hash_bits, Item, ItemKind, Side};
 use crate::map::{FileMap, Segment};
 use crate::snapshot::SessionCache;
@@ -532,8 +532,6 @@ pub(crate) struct ClientSession<'a> {
     state: CState,
     pub(crate) levels: Vec<LevelStats>,
     pub(crate) delta_bytes: u64,
-    /// Cached position index for the current level's window size.
-    index: Option<PositionIndex>,
     /// Mirror of the server's §5.4 subround bookkeeping.
     excluded: Coverage,
     excluded_level: Option<u32>,
@@ -561,7 +559,6 @@ impl<'a> ClientSession<'a> {
             state: CState::AwaitSetup,
             levels: Vec::new(),
             delta_bytes: 0,
-            index: None,
             excluded: Coverage::new(),
             excluded_level: None,
             recorder: Recorder::off(),
@@ -724,21 +721,6 @@ impl<'a> ClientSession<'a> {
             self.excluded_level = Some(level);
         }
 
-        // Lazy per-level position index for full-size global lookups.
-        let needs_index =
-            items.iter().any(|it| matches!(it.kind, ItemKind::Global { .. }) && it.len == d);
-        if needs_index {
-            let rebuild = self.index.as_ref().is_none_or(|ix| ix.window() != d as usize);
-            if rebuild {
-                self.index = Some(PositionIndex::build(
-                    self.old,
-                    d as usize,
-                    self.global_bits,
-                    self.cfg.max_positions_per_hash,
-                ));
-            }
-        }
-
         let mut stats = LevelStats {
             block_size: d as usize,
             items: items.len(),
@@ -751,10 +733,13 @@ impl<'a> ClientSession<'a> {
             retransmits: 0,
         };
 
-        let mut candidates = Vec::new();
-        let mut bitmap = BitWriter::new();
+        // Pass 1: every item's hash value, read or derived in wire order.
+        // Probes and local hashes resolve on the spot (one predicted
+        // position or neighborhood each); global values wait for pass 2.
+        let mut found: Vec<Option<u64>> = Vec::with_capacity(items.len());
+        let mut globals: Vec<(usize, u64)> = Vec::new();
         for (i, it) in items.iter().enumerate() {
-            let found = match it.kind {
+            found.push(match it.kind {
                 ItemKind::Cont { side, anchor_edge } => {
                     stats.cont_items += 1;
                     let value = r
@@ -773,32 +758,44 @@ impl<'a> ClientSession<'a> {
                 }
                 ItemKind::Global { suppressed } => {
                     let value = match suppressed {
-                        None => {
-                            let v = r
-                                .read_bits(self.global_bits)
-                                .map_err(|_| SyncError::Desync("global hash"))?;
-                            Some(v)
-                        }
+                        None => Some(
+                            r.read_bits(self.global_bits)
+                                .map_err(|_| SyncError::Desync("global hash"))?,
+                        ),
                         Some(der) => {
                             stats.suppressed += 1;
                             self.derive_hash(it, der)
                         }
                     };
-                    match value {
-                        None => None,
-                        Some(v) => {
-                            self.hash_store.insert((it.new_off, it.len), v);
-                            self.global_lookup(it, v, d)
-                        }
+                    if let Some(v) = value {
+                        self.hash_store.insert((it.new_off, it.len), v);
+                        globals.push((i, v));
                     }
+                    None
                 }
-            };
-            match found {
-                Some(pos) => {
-                    bitmap.write_bit(true);
-                    candidates.push(Candidate { item_idx: i, old_pos: pos });
-                }
-                None => bitmap.write_bit(false),
+            });
+        }
+
+        // Pass 2: one rolling scan of `f_old` per distinct global window
+        // length — the level's block size and the tail block's odd one.
+        let mut windows: Vec<u64> = globals.iter().map(|&(i, _)| items[i].len).collect();
+        windows.sort_unstable();
+        windows.dedup();
+        for window in windows {
+            let (idx, targets): (Vec<usize>, Vec<u64>) =
+                globals.iter().filter(|&&(i, _)| items[i].len == window).copied().unzip();
+            let positions = first_positions(self.old, window as usize, self.global_bits, &targets);
+            for (i, pos) in idx.into_iter().zip(positions) {
+                found[i] = pos;
+            }
+        }
+
+        let mut candidates = Vec::new();
+        let mut bitmap = BitWriter::new();
+        for (i, pos) in found.into_iter().enumerate() {
+            bitmap.write_bit(pos.is_some());
+            if let Some(old_pos) = pos {
+                candidates.push(Candidate { item_idx: i, old_pos });
             }
         }
         stats.candidates = candidates.len();
@@ -915,24 +912,6 @@ impl<'a> ClientSession<'a> {
         } else {
             prefix_decompose_left(parent, sibling, self.global_bits, it.len)
         })
-    }
-
-    /// Look up a global hash in the position index (full-size blocks) or
-    /// by direct scan (the tail block's odd length).
-    fn global_lookup(&self, it: &Item, value: u64, d: u64) -> Option<u64> {
-        if it.len == d {
-            let index = self.index.as_ref()?;
-            index.lookup(value).first().map(|&p| p as u64)
-        } else {
-            scan_neighborhood(
-                self.old,
-                0,
-                self.old.len() as i64,
-                it.len as usize,
-                self.global_bits,
-                value,
-            )
-        }
     }
 }
 

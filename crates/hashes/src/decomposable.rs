@@ -216,6 +216,13 @@ impl DecomposableAdler {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The window's two sums `(A, B)`; [`RollingHash::value`] is their
+    /// interleaving, so a scan that compares components can skip it.
+    #[inline]
+    pub fn sums(&self) -> (u32, u32) {
+        (self.a, self.b)
+    }
 }
 
 impl RollingHash for DecomposableAdler {
@@ -226,6 +233,7 @@ impl RollingHash for DecomposableAdler {
         self.len = data.len();
     }
 
+    #[inline]
     fn roll(&mut self, out: u8, in_: u8) {
         let go = G[out as usize];
         let gi = G[in_ as usize];

@@ -84,6 +84,11 @@ MSYNC_BENCH=1 cargo test --release -q --test daemon_bench
 test -s BENCH_daemon_concurrency.json || {
     echo "daemon soak did not archive its measurement"; exit 1; }
 
+echo "==> one-large-file ceiling (4 MiB sync: RSS growth < 64 MiB, < 5 s, BENCH_bigfile_ceiling.json)"
+MSYNC_BENCH=1 cargo test --release -q --test bigfile_ceiling
+test -s BENCH_bigfile_ceiling.json || {
+    echo "bigfile ceiling did not archive its measurement"; exit 1; }
+
 echo "==> crash-resume byte gate (resume < restart, warm cache = roster only, BENCH_resume.json)"
 MSYNC_BENCH=1 cargo test --release -q --test fault_injection resume_bench_gate
 

@@ -26,11 +26,14 @@
 //! tests are outside the xtask clock-discipline scan, so `Instant` is
 //! fine here.)
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Instant;
 
 use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
 use msync::net::{sync_remote, Daemon, DaemonOptions, RemoteOptions};
+use support::peak_rss_bytes;
 
 /// Total sessions per measured burst — the 1k soak.
 const SESSIONS: usize = 1000;
@@ -62,23 +65,6 @@ fn tiny_corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
             .collect()
     };
     (make("old"), make("new"))
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// /proc/self/status). Returns 0 where procfs is unavailable, which
-/// trivially passes the ceiling — the gate is meaningful on the Linux
-/// CI boxes it runs on.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 /// Run one burst of `SESSIONS` syncs against a fresh daemon; returns

@@ -110,6 +110,22 @@ fn msync_exact_with_weak_hashes() {
 }
 
 #[test]
+fn max_positions_per_hash_is_inert() {
+    // The sync takes the lowest matching position per hash and nothing
+    // else; the field survives only for the benchmark's index replay.
+    for_cases(0x6d73796e_0016, 32, |rng| {
+        let (old, new) = edited_pair(rng, 4096);
+        let one = ProtocolConfig { max_positions_per_hash: 1, ..quick_cfg() };
+        let many = ProtocolConfig { max_positions_per_hash: 1 << 20, ..quick_cfg() };
+        let (a, b) = (sync_file(&old, &new, &one).unwrap(), sync_file(&old, &new, &many).unwrap());
+        assert_eq!(a.stats.traffic, b.stats.traffic);
+        assert_eq!(a.stats.levels, b.stats.levels);
+        assert_eq!(a.reconstructed, new);
+        assert_eq!(b.reconstructed, new);
+    });
+}
+
+#[test]
 fn rsync_reconstructs_exactly() {
     for_cases(0x6d73796e_0003, 64, |rng| {
         let (old, new) = edited_pair(rng, 4096);
