@@ -3,8 +3,8 @@
 
 use crate::args::{preset_config, Cli, Command, ConfigSource, USAGE};
 use msync_core::{
-    atomic_write_file, load_checkpoint, sync_collection_traced, sync_file, AtomicApplier,
-    CacheEntry, CheckpointLog, FileEntry, MetadataCache, ProtocolConfig, ResumePlan,
+    atomic_write_file, load_checkpoint, sync_collection_channel, sync_collection_traced, sync_file,
+    AtomicApplier, CacheEntry, CheckpointLog, FileEntry, MetadataCache, ProtocolConfig, ResumePlan,
 };
 use msync_corpus::fsload::load_dir;
 use msync_corpus::Collection;
@@ -674,9 +674,9 @@ fn sync_cmd(
     Ok(report)
 }
 
-/// `sync --fault-profile`: run each file pair over a deterministically
-/// faulty channel and report what the recovery machinery did — the
-/// operational view of the soak tests.
+/// `sync --fault-profile`: run the pair as one collection session over
+/// a deterministically faulty in-process channel and report what the
+/// recovery machinery did — the operational view of the soak tests.
 fn faulty_sync_cmd(
     old: &Path,
     new: &Path,
@@ -697,49 +697,32 @@ fn faulty_sync_cmd(
     let mut report = String::new();
     let _ = writeln!(report, "fault profile `{profile}`, seed {seed}:");
     let recorder = trace_recorder(trace_out);
-    let mut total = msync_protocol::TrafficStats::new();
-    let mut failures = 0usize;
-    let mut fallbacks = 0usize;
-    for (i, nf) in new_col.files().iter().enumerate() {
-        let old_data = old_col.get(&nf.name).map(|f| f.data.clone()).unwrap_or_default();
-        let opts = msync_core::ChannelOptions {
-            fault_plan: Some(plan),
-            fault_seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        };
-        let sync_opts = msync_core::SyncOptions {
-            recorder: recorder.clone(),
-            file_id: i as u64,
-            channel: Some(opts),
-        };
-        match msync_core::sync_file_with(&old_data, &nf.data, &cfg, &sync_opts) {
-            Ok(out) => {
-                let verified = if out.reconstructed == nf.data { "exact" } else { "MISMATCH" };
-                fallbacks += usize::from(out.fell_back);
-                let _ = writeln!(
-                    report,
-                    "  {}: {} on the wire, {} retransmitted frame(s), {verified}{}",
-                    nf.name,
-                    human(out.stats.total_bytes()),
-                    out.stats.traffic.retransmits,
-                    if out.fell_back { " (fell back to full transfer)" } else { "" },
-                );
-                total.merge(&out.stats.traffic);
-            }
-            Err(e) => {
-                failures += 1;
-                let _ = writeln!(report, "  {}: FAILED: {e}", nf.name);
-            }
+    let opts = msync_core::ChannelOptions {
+        fault_plan: Some(plan),
+        fault_seed: seed,
+        ..Default::default()
+    };
+    let synced =
+        sync_collection_channel(&entries(&old_col), &entries(&new_col), &cfg, &opts, &recorder);
+    let (failed, fell_back, traffic) = match synced {
+        Ok(out) => {
+            let wrong =
+                |f: &&FileEntry| new_col.get(&f.name).is_none_or(|want| want.data != f.data);
+            (out.files.iter().filter(wrong).count(), out.fell_back, out.traffic)
         }
-    }
+        Err(e) => {
+            let _ = writeln!(report, "  FAILED: {e}");
+            (new_col.len(), 0, msync_protocol::TrafficStats::new())
+        }
+    };
     let _ = writeln!(
         report,
-        "{} file(s): {} failed, {} fell back; {} total, {} retransmitted frame(s)",
+        "{} file(s): {failed} failed, {fell_back} fell back; {} on the wire, {} roundtrips, \
+         {} retransmitted frame(s)",
         new_col.len(),
-        failures,
-        fallbacks,
-        human(total.total_bytes()),
-        total.retransmits,
+        human(traffic.total_bytes()),
+        traffic.roundtrips,
+        traffic.retransmits,
     );
     write_journal(&mut report, &recorder, trace_out)?;
     Ok(report)

@@ -159,9 +159,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_varint(input.len() as u64);
         w.write_bit(false); // stored
-        for &b in input {
-            w.write_bits(b as u64, 8);
-        }
+        w.write_bytes(input);
         w.into_bytes()
     } else {
         compressed
@@ -182,15 +180,12 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
         return Err(LzError::Corrupt);
     }
     let compressed = r.read_bit().map_err(|_| LzError::Corrupt)?;
+    if !compressed {
+        return r.read_bytes(orig_len).map_err(|_| LzError::Corrupt);
+    }
     // Allocate incrementally: `orig_len` is untrusted wire data, so a
     // corrupt header must not be able to demand gigabytes up front.
     let mut out = Vec::with_capacity(orig_len.min(1 << 20));
-    if !compressed {
-        for _ in 0..orig_len {
-            out.push(r.read_bits(8).map_err(|_| LzError::Corrupt)? as u8);
-        }
-        return Ok(out);
-    }
     let litlen_lengths = read_table(&mut r, LITLEN_SYMS)?;
     let dist_lengths = read_table(&mut r, GAMMA_BINS)?;
     let litlen = HuffmanDecoder::from_lengths(&litlen_lengths).map_err(|_| LzError::Corrupt)?;

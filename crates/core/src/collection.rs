@@ -16,7 +16,7 @@
 //!   files can be processed simultaneously".
 
 use crate::config::ProtocolConfig;
-use crate::session::{sync_file, sync_file_with, SyncError, SyncOptions};
+use crate::session::{sync_file_with, SyncError, SyncOptions};
 use crate::stats::SyncStats;
 use msync_protocol::{frame_wire_size, Direction, Phase, TrafficStats};
 use msync_trace::{DirTag, EventKind, PhaseTag, Recorder};
@@ -38,7 +38,7 @@ impl FileEntry {
 }
 
 /// Result of synchronizing a collection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectionOutcome {
     /// The client's updated collection (exactly the server's).
     pub files: Vec<FileEntry>,
@@ -110,20 +110,20 @@ pub fn sync_collection_traced(
 ) -> Result<CollectionOutcome, SyncError> {
     let mut new_sorted: Vec<&FileEntry> = new.iter().collect();
     new_sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut traffic = TrafficStats::new();
+    let mut setup = TrafficStats::new();
 
     // Fingerprints travel inside each per-file session, so only the
     // name bytes are charged here.
     let old_names: Vec<&str> = old.iter().map(|f| f.name.as_str()).collect();
     let new_names: Vec<&str> = new.iter().map(|f| f.name.as_str()).collect();
     let (c2s_listing, s2c_listing) = name_exchange_bytes(&old_names, &new_names);
-    traffic.record(Direction::ClientToServer, Phase::Setup, c2s_listing);
+    setup.record(Direction::ClientToServer, Phase::Setup, c2s_listing);
     recorder.record(EventKind::FrameSend {
         dir: DirTag::C2s,
         phase: PhaseTag::Setup,
         bytes: c2s_listing,
     });
-    traffic.record(Direction::ServerToClient, Phase::Setup, s2c_listing);
+    setup.record(Direction::ServerToClient, Phase::Setup, s2c_listing);
     recorder.record(EventKind::FrameRecv {
         dir: DirTag::S2c,
         phase: PhaseTag::Setup,
@@ -133,15 +133,6 @@ pub fn sync_collection_traced(
     let new_names: std::collections::HashSet<&str> = new_names.into_iter().collect();
     let deleted = old_names.iter().filter(|name| !new_names.contains(*name)).count();
 
-    let mut files = Vec::with_capacity(new.len());
-    let mut per_file = Vec::new();
-    let mut unchanged = 0usize;
-    let mut created = 0usize;
-    let mut renamed = 0usize;
-    let mut fell_back = 0usize;
-    let mut max_roundtrips = 1u32;
-
-    let empty: Vec<u8> = Vec::new();
     let old_by_name: std::collections::HashMap<&str, &FileEntry> =
         old.iter().map(|f| (f.name.as_str(), f)).collect();
     // Rename detection: the client's name listing already travels with
@@ -159,62 +150,79 @@ pub fn sync_collection_traced(
             *slot = f;
         }
     }
-    for (file_id, nf) in new_sorted.into_iter().enumerate() {
-        let mut old_data = old_by_name.get(nf.name.as_str()).map(|f| f.data.as_slice());
-        let mut was_rename = false;
-        if old_data.is_none() {
+    let mut unchanged = 0usize;
+    let mut created = 0usize;
+    let mut renamed = 0usize;
+    let mut pairs = Vec::with_capacity(new.len());
+    for nf in new_sorted {
+        let base: &[u8] = if let Some(own) = old_by_name.get(nf.name.as_str()) {
+            // Equal bytes mean equal fingerprints: that session ends at
+            // the setup exchange without opening a round.
+            unchanged += usize::from(own.data == nf.data);
+            &own.data
+        } else {
+            // Renames are categorized as `created` (+`renamed`), not
+            // `unchanged` — the categories must partition the files.
             created += 1;
-            if let Some(base) = old_by_fp.get(&msync_hash::file_fingerprint(&nf.data)) {
-                // Rename: sync against the identical old file; the
-                // session's fingerprint exchange reduces it to ~20 B.
-                // Charge the base-name reference the server sends.
-                renamed += 1;
-                was_rename = true;
-                let base_ref = frame_wire_size(base.name.len());
-                traffic.record(Direction::ServerToClient, Phase::Setup, base_ref);
-                recorder.record(EventKind::FrameRecv {
-                    dir: DirTag::S2c,
-                    phase: PhaseTag::Setup,
-                    bytes: base_ref,
-                });
-                old_data = Some(base.data.as_slice());
+            match old_by_fp.get(&msync_hash::file_fingerprint(&nf.data)) {
+                Some(base) => {
+                    // Rename: sync against the identical old file; the
+                    // session's fingerprint exchange reduces it to ~20 B.
+                    // Charge the base-name reference the server sends.
+                    renamed += 1;
+                    let base_ref = frame_wire_size(base.name.len());
+                    setup.record(Direction::ServerToClient, Phase::Setup, base_ref);
+                    recorder.record(EventKind::FrameRecv {
+                        dir: DirTag::S2c,
+                        phase: PhaseTag::Setup,
+                        bytes: base_ref,
+                    });
+                    &base.data
+                }
+                None => &[],
             }
-        }
-        let old_bytes = old_data.unwrap_or(&empty);
-        let opts =
-            SyncOptions { recorder: recorder.clone(), file_id: file_id as u64, channel: None };
+        };
+        pairs.push((nf, Some(base)));
+    }
+    let mut out = sync_pairs(&pairs, setup, cfg, recorder)?;
+    out.traffic.roundtrips = out.traffic.roundtrips.max(1) + 1; // +1 for the name exchange
+    (out.unchanged, out.created, out.renamed, out.deleted) = (unchanged, created, renamed, deleted);
+    Ok(out)
+}
+
+/// The per-file loop behind both lockstep collection drivers: one
+/// [`sync_file_with`] session per `(server file, client bytes)` pair in
+/// the order given (a pair's index is its trace file id), merged onto
+/// the already-charged `setup` traffic. No client bytes means change
+/// identification already proved the two copies identical: no session,
+/// no cost. Fills `files`, `per_file`, `fell_back` and `traffic` (its
+/// `roundtrips` the longest session's); the other counters are the
+/// caller's.
+fn sync_pairs(
+    pairs: &[(&FileEntry, Option<&[u8]>)],
+    setup: TrafficStats,
+    cfg: &ProtocolConfig,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    let mut out = CollectionOutcome {
+        files: Vec::with_capacity(pairs.len()),
+        traffic: setup,
+        ..CollectionOutcome::default()
+    };
+    for (file_id, &(nf, old_bytes)) in pairs.iter().enumerate() {
+        let Some(old_bytes) = old_bytes else {
+            out.files.push(nf.clone());
+            continue;
+        };
+        let opts = SyncOptions { recorder: recorder.clone(), file_id: file_id as u64 };
         let outcome = sync_file_with(old_bytes, &nf.data, cfg, &opts)?;
         debug_assert_eq!(outcome.reconstructed, nf.data);
-        // Renames are categorized as `created` (+`renamed`), not
-        // `unchanged` — the categories must partition the files.
-        if !was_rename
-            && outcome.stats.levels.is_empty()
-            && outcome.reconstructed == *old_bytes
-            && old_data.is_some()
-        {
-            unchanged += 1;
-        }
-        if outcome.fell_back {
-            fell_back += 1;
-        }
-        max_roundtrips = max_roundtrips.max(outcome.stats.traffic.roundtrips);
-        traffic.merge(&outcome.stats.traffic);
-        files.push(FileEntry { name: nf.name.clone(), data: outcome.reconstructed });
-        per_file.push((nf.name.clone(), outcome.stats));
+        out.fell_back += usize::from(outcome.fell_back);
+        out.traffic.merge(&outcome.stats.traffic);
+        out.files.push(FileEntry { name: nf.name.clone(), data: outcome.reconstructed });
+        out.per_file.push((nf.name.clone(), outcome.stats));
     }
-    traffic.roundtrips = max_roundtrips + 1; // +1 for the name exchange
-
-    Ok(CollectionOutcome {
-        files,
-        traffic,
-        per_file,
-        unchanged,
-        created,
-        renamed,
-        deleted,
-        fell_back,
-        resumed: 0,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -401,13 +409,12 @@ pub enum ReconStrategy {
 /// [`ReconStrategy::GroupTesting`] cut the setup cost from `O(n)` to
 /// `O(d·log n)`.
 ///
-/// Differences from [`sync_collection`] (which keeps its own per-file
-/// loop because its costs are accounted inside each session): renamed
-/// files are **not** detected here — a file appearing under a new name
-/// reconciles as created and transfers as a delta against empty — and
-/// unchanged files cost zero instead of a fingerprint pair. Prefer this
-/// variant for large mostly-unchanged collections, the plain one when
-/// renames are common.
+/// Differences from [`sync_collection`]: renamed files are **not**
+/// detected here — a file appearing under a new name reconciles as
+/// created and transfers as a delta against empty — and unchanged files
+/// cost zero instead of a fingerprint pair. Prefer this variant for
+/// large mostly-unchanged collections, the plain one when renames are
+/// common.
 pub fn sync_collection_with(
     old: &[FileEntry],
     new: &[FileEntry],
@@ -439,55 +446,31 @@ pub fn sync_collection_with(
     let differing: std::collections::HashSet<&str> =
         rec.differing.iter().map(String::as_str).collect();
 
-    let mut traffic = TrafficStats::new();
-    traffic.record(Direction::ClientToServer, Phase::Setup, rec.c2s);
-    traffic.record(Direction::ServerToClient, Phase::Setup, rec.s2c);
+    let mut setup = TrafficStats::new();
+    setup.record(Direction::ClientToServer, Phase::Setup, rec.c2s);
+    setup.record(Direction::ServerToClient, Phase::Setup, rec.s2c);
 
     let old_by_name: std::collections::HashMap<&str, &FileEntry> =
         old.iter().map(|f| (f.name.as_str(), f)).collect();
     let new_names: std::collections::HashSet<&str> = new.iter().map(|f| f.name.as_str()).collect();
     let deleted = old.iter().filter(|f| !new_names.contains(f.name.as_str())).count();
 
-    let mut files = Vec::with_capacity(new.len());
-    let mut per_file = Vec::new();
-    let mut unchanged = 0usize;
-    let mut created = 0usize;
-    let mut fell_back = 0usize;
-    let mut max_roundtrips = rec.roundtrips;
-    let empty: Vec<u8> = Vec::new();
-    for nf in new {
-        if !differing.contains(nf.name.as_str()) {
-            // Reconciliation proved it unchanged: zero marginal cost.
-            unchanged += 1;
-            files.push(nf.clone());
-            continue;
-        }
-        let old_data = old_by_name.get(nf.name.as_str()).map(|f| f.data.as_slice());
-        if old_data.is_none() {
-            created += 1;
-        }
-        let outcome = sync_file(old_data.unwrap_or(&empty), &nf.data, cfg)?;
-        debug_assert_eq!(outcome.reconstructed, nf.data);
-        if outcome.fell_back {
-            fell_back += 1;
-        }
-        max_roundtrips = max_roundtrips.max(rec.roundtrips + outcome.stats.traffic.roundtrips);
-        traffic.merge(&outcome.stats.traffic);
-        files.push(FileEntry { name: nf.name.clone(), data: outcome.reconstructed });
-        per_file.push((nf.name.clone(), outcome.stats));
-    }
-    traffic.roundtrips = max_roundtrips;
-    Ok(CollectionOutcome {
-        files,
-        traffic,
-        per_file,
-        unchanged,
-        created,
-        renamed: 0,
-        deleted,
-        fell_back,
-        resumed: 0,
-    })
+    // A name only the server has always reconciles as differing.
+    let created = new.iter().filter(|f| !old_by_name.contains_key(f.name.as_str())).count();
+    let pairs: Vec<(&FileEntry, Option<&[u8]>)> = new
+        .iter()
+        .map(|nf| {
+            let name = nf.name.as_str();
+            let base = || old_by_name.get(name).map_or(&[][..], |f| f.data.as_slice());
+            (nf, differing.contains(name).then(base))
+        })
+        .collect();
+    let mut out = sync_pairs(&pairs, setup, cfg, &Recorder::off())?;
+    out.traffic.roundtrips += rec.roundtrips;
+    // Reconciliation proved every other file unchanged: zero marginal cost.
+    out.unchanged = new.len() - out.per_file.len();
+    (out.created, out.deleted) = (created, deleted);
+    Ok(out)
 }
 
 #[cfg(test)]

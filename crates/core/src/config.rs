@@ -230,8 +230,7 @@ impl ProtocolConfig {
     }
 }
 
-/// Transport options for channel-mode [`crate::sync_file_with`] (the
-/// `channel` field of `SyncOptions`): the
+/// Link options for [`crate::sync_collection_channel`]: the
 /// timeout/retry policy the session applies to every receive, and an
 /// optional deterministic fault plan for the link (used by the soak
 /// tests and the CLI's `--fault-profile` flag to exercise recovery).

@@ -163,9 +163,6 @@ pub(crate) struct ArqCore {
     frames: u32,
     deadline_us: u64,
     awaiting: bool,
-    /// Frames retransmitted during the current wait, for per-level
-    /// recovery-cost attribution by the client machine.
-    retrans_in_wait: u64,
     /// Queued effects (Transmit/Attribute only), drained by the owner.
     effects: VecDeque<Output>,
 }
@@ -203,7 +200,6 @@ impl ArqCore {
             frames: 0,
             deadline_us: 0,
             awaiting: false,
-            retrans_in_wait: 0,
             effects: VecDeque::new(),
         }
     }
@@ -274,7 +270,6 @@ impl ArqCore {
     /// Queue the whole cached message again as recovery traffic — the
     /// identical encoded frames, shared by refcount.
     pub(crate) fn queue_retransmit(&mut self) {
-        let n = self.cached.len();
         for (frame, phase) in &self.cached {
             self.effects.push_back(Output::Transmit {
                 frame: frame.share(),
@@ -282,8 +277,7 @@ impl ArqCore {
                 retransmit: true,
             });
         }
-        self.retrans_in_wait += n as u64;
-        self.rec.record(EventKind::Retransmit { frames: n as u64 });
+        self.rec.record(EventKind::Retransmit { frames: self.cached.len() as u64 });
     }
 
     /// Queue an inbound-byte attribution (used by lingering machines
@@ -303,13 +297,6 @@ impl ArqCore {
         self.frames = 0;
         self.deadline_us = now_us.saturating_add(micros_of(self.timeout));
         self.awaiting = true;
-        self.retrans_in_wait = 0;
-    }
-
-    /// Frames retransmitted since the current (or just-completed) wait
-    /// began; resets the counter.
-    pub(crate) fn take_retrans_in_wait(&mut self) -> u64 {
-        std::mem::take(&mut self.retrans_in_wait)
     }
 
     fn count_frame(&mut self, now_us: u64) -> Result<(), SyncError> {
@@ -414,5 +401,32 @@ impl ArqCore {
         self.timeout = self.retry.backoff(self.timeout);
         self.deadline_us = now_us.saturating_add(micros_of(self.timeout));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arq_frame_roundtrip_and_garbage_rejection() {
+        let part = Part { phase: Phase::Map, payload: vec![1, 2, 3, 4].into() };
+        let mut frame = Vec::new();
+        encode_arq_frame_into(&mut frame, 6, 1, true, &part);
+        let parsed = parse_frame(&frame.into()).unwrap();
+        assert_eq!(parsed.seq, 6);
+        assert_eq!(parsed.idx, 1);
+        assert!(parsed.more);
+        assert_eq!(parsed.part.payload, part.payload);
+        assert_eq!(parsed.part.phase, Phase::Map);
+
+        // Truncated header and absurd part indices are rejected, not
+        // panicked on.
+        assert!(parse_frame(&FrameBuf::default()).is_none());
+        let mut w = BitWriter::new();
+        w.write_varint(0);
+        w.write_varint(u64::from(u32::MAX));
+        w.write_bits(0, 8);
+        assert!(parse_frame(&w.into_bytes().into()).is_none());
     }
 }

@@ -691,10 +691,11 @@ impl CollectionServeMachine {
         Ok(())
     }
 
-    fn on_linger_frame(&mut self, bytes: &FrameBuf, now_us: u64) {
+    /// A frame arrived during the linger (`None`: it failed its CRC).
+    fn on_linger_frame(&mut self, bytes: Option<&FrameBuf>, now_us: u64) {
         self.linger_frames += 1;
         self.quiet = 0;
-        if let Some(frame) = parse_frame(bytes) {
+        if let Some(frame) = bytes.and_then(parse_frame) {
             self.arq.queue_attribute(frame.part.phase);
             if frame.seq < self.arq.recv_seq() && !frame.more && self.arq.has_cached() {
                 self.arq.queue_retransmit();
@@ -729,7 +730,7 @@ impl Machine for CollectionServeMachine {
                 }
             }
             ServeState::Linger { .. } => {
-                self.on_linger_frame(bytes, now_us);
+                self.on_linger_frame(Some(bytes), now_us);
                 Ok(())
             }
             ServeState::Done => Ok(()),
@@ -740,14 +741,7 @@ impl Machine for CollectionServeMachine {
         match self.state {
             ServeState::AwaitRoster | ServeState::Await => self.arq.on_corrupt(now_us),
             ServeState::Linger { .. } => {
-                self.linger_frames += 1;
-                self.quiet = 0;
-                if self.linger_frames >= MAX_FRAMES_PER_EXCHANGE {
-                    self.state = ServeState::Done;
-                } else {
-                    let deadline_us = now_us.saturating_add(micros_of(self.arq.retry().timeout));
-                    self.state = ServeState::Linger { deadline_us };
-                }
+                self.on_linger_frame(None, now_us);
                 Ok(())
             }
             ServeState::Done => Ok(()),

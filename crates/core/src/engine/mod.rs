@@ -1,16 +1,16 @@
 //! Sans-IO session engine.
 //!
-//! Every protocol exchange in this crate — the single-file session, the
-//! stop-and-wait ARQ recovery layer, and the pipelined collection
-//! schedule — is expressed here as a pure state machine. A machine never
-//! touches a socket, a channel, a thread, or a clock: the caller feeds
-//! it received frames ([`Machine::on_frame`]) and drains its effects
+//! The wire protocol of this crate — the stop-and-wait ARQ recovery
+//! layer and the pipelined collection schedule above it — is expressed
+//! here as pure state machines. A machine never touches a socket, a
+//! channel, a thread, or a clock: the caller feeds it received frames
+//! ([`Machine::on_frame`]) and drains its effects
 //! ([`Machine::poll_output`]), supplying the current time on every call.
 //! What to do with those effects is the caller's business:
 //!
-//! * the blocking drivers in [`crate::session`] and [`crate::pipeline`]
-//!   pump a machine over a [`Transport`](msync_protocol::Transport),
-//!   sleeping in `recv_timeout` until the machine's deadline;
+//! * the blocking drivers in [`crate::pipeline`] pump a machine over a
+//!   [`Transport`](msync_protocol::Transport), sleeping in
+//!   `recv_timeout` until the machine's deadline;
 //! * the `msync-net` daemon multiplexes many machines over nonblocking
 //!   sockets on a fixed worker pool, servicing deadlines from a poll
 //!   loop.
@@ -26,10 +26,8 @@
 
 pub mod arq;
 pub mod collection;
-pub mod machine;
 
 pub use collection::{CollectionClientMachine, CollectionServeMachine, CompletedFile};
-pub use machine::{ClientDone, ClientMachine, ServerMachine};
 
 use crate::session::SyncError;
 use msync_protocol::{FrameBuf, Phase};
@@ -86,9 +84,9 @@ pub enum Output {
 /// 3. repeat from 1 until `Done` or an error.
 ///
 /// `Ctx` is whatever per-call context the machine needs but must not
-/// own — the served file's bytes for a server machine (`[u8]`), the
-/// served collection for a collection server (`[FileEntry]`), or `()`
-/// for client machines, which borrow their inputs at construction.
+/// own — the served [`CollectionSnapshot`](crate::CollectionSnapshot)
+/// for the server, or `()` for the client, which borrows its inputs at
+/// construction.
 pub trait Machine {
     /// Caller-supplied context passed to every `on_frame` call.
     type Ctx: ?Sized;

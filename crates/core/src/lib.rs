@@ -73,19 +73,16 @@ pub use collection::{
     CollectionOutcome, FileEntry, ReconStrategy,
 };
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
-pub use engine::{
-    ClientDone, ClientMachine, CollectionClientMachine, CollectionServeMachine, CompletedFile,
-    Machine, Output, ServerMachine,
-};
+pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};
 pub use map::{FileMap, Segment};
-pub use pipeline::{serve_collection, sync_collection_client, PipelineOptions, ServeOutcome};
+pub use pipeline::{
+    serve_collection, sync_collection_channel, sync_collection_client, PipelineOptions,
+    ServeOutcome,
+};
 pub use resume::{
     config_digest, load_checkpoint, CacheEntry, CheckpointLog, MetadataCache, ResumePlan,
     SessionCheckpoint, STATE_VERSION,
 };
-pub use session::{
-    serve_file_transport, sync_file, sync_file_transport, sync_file_transport_as, sync_file_with,
-    SyncError, SyncOptions, SyncOutcome,
-};
+pub use session::{sync_file, sync_file_with, SyncError, SyncOptions, SyncOutcome};
 pub use snapshot::{CollectionSnapshot, HashCache, SessionCache};
 pub use stats::{LevelStats, SyncStats};

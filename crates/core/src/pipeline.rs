@@ -4,7 +4,7 @@
 //! workload analytically: it runs each file's session in-process and
 //! merges the accounting. This module is the wire version — a client
 //! and a server that only share a [`Transport`], suitable for the
-//! in-memory [`Endpoint`](msync_protocol::Endpoint) pair or a TCP
+//! in-memory [`Endpoint`] pair or a TCP
 //! socket.
 //!
 //! The paper's observation (§1) is that roundtrip latencies need not be
@@ -22,7 +22,7 @@
 //!    that listing becomes the file id used by every later batch.
 //! 3. Repeat until the client has no in-flight files: client packs one
 //!    message per in-flight file into a batch frame; server feeds each
-//!    file's message to that file's [`ServerSession`] and packs the
+//!    file's message to that file's `ServerSession` and packs the
 //!    replies into the mirror batch. Files finish at their own pace;
 //!    freed slots admit the next unstarted file in roster order.
 //! 4. The client hangs up; the server treats the peer-gone condition
@@ -34,15 +34,17 @@
 //! costs a create plus a delete here.
 
 use msync_hash::{BitReader, BitWriter, Fingerprint};
-use msync_protocol::{RetryPolicy, TrafficStats, Transport};
-use msync_trace::{Clock, ResumeRejectTag, SystemClock};
+use msync_protocol::{ChannelError, Endpoint, RetryPolicy, TrafficStats, Transport};
+use msync_trace::{Clock, Recorder, ResumeRejectTag, SystemClock};
 
 use crate::collection::{CollectionOutcome, FileEntry};
-use crate::config::ProtocolConfig;
+use crate::config::{ChannelOptions, ProtocolConfig};
 use crate::engine::arq::{parse_part_header, part_header, MAX_PARTS_PER_MESSAGE};
-use crate::engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile};
+use crate::engine::{
+    CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output,
+};
 use crate::resume::ResumePlan;
-use crate::session::{pump, pump_with, Part, SyncError};
+use crate::session::{Part, SyncError};
 use crate::snapshot::CollectionSnapshot;
 
 /// Upper bound on files in one collection roster. A count above this in
@@ -86,9 +88,7 @@ pub(crate) fn encode_roster(names: &[&str]) -> Vec<u8> {
     w.write_varint(names.len() as u64);
     for name in names {
         w.write_varint(name.len() as u64);
-        for &b in name.as_bytes() {
-            w.write_bits(u64::from(b), 8);
-        }
+        w.write_bytes(name.as_bytes());
     }
     w.into_bytes()
 }
@@ -107,11 +107,7 @@ pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<String>, SyncError> {
             return Err(SyncError::Desync("roster name too long"));
         }
         let len = usize::try_from(len).map_err(|_| SyncError::Desync("roster name len"))?;
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            let b = r.read_bits(8).map_err(|_| SyncError::Desync("roster name byte"))?;
-            bytes.push(u8::try_from(b).map_err(|_| SyncError::Desync("roster name byte"))?);
-        }
+        let bytes = r.read_bytes(len).map_err(|_| SyncError::Desync("roster name truncated"))?;
         let name =
             String::from_utf8(bytes).map_err(|_| SyncError::Desync("roster name not UTF-8"))?;
         names.push(name);
@@ -131,9 +127,7 @@ pub(crate) fn encode_batch(entries: &[(usize, Vec<Part>)]) -> Vec<u8> {
         for part in parts {
             w.write_bits(u64::from(part_header(part.phase, false)), 8);
             w.write_varint(part.payload.len() as u64);
-            for &b in part.payload.iter() {
-                w.write_bits(u64::from(b), 8);
-            }
+            w.write_bytes(&part.payload);
         }
     }
     w.into_bytes()
@@ -166,15 +160,7 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Result<Vec<(usize, Vec<Part>)>, Sy
                 parse_part_header(header).ok_or(SyncError::Desync("batch phase tag"))?;
             let len = r.read_varint().map_err(|_| SyncError::Desync("batch part len"))?;
             let len = usize::try_from(len).map_err(|_| SyncError::Desync("batch part len"))?;
-            let bits = len.checked_mul(8).ok_or(SyncError::Desync("batch part len"))?;
-            if bits > r.remaining_bits() {
-                return Err(SyncError::Desync("batch part truncated"));
-            }
-            let mut bytes = Vec::with_capacity(len);
-            for _ in 0..len {
-                let b = r.read_bits(8).map_err(|_| SyncError::Desync("batch part byte"))?;
-                bytes.push(u8::try_from(b).map_err(|_| SyncError::Desync("batch byte"))?);
-            }
+            let bytes = r.read_bytes(len).map_err(|_| SyncError::Desync("batch part truncated"))?;
             parts.push(Part { phase, payload: bytes.into() });
         }
         out.push((id, parts));
@@ -201,20 +187,18 @@ pub(crate) fn encode_resume_offer(
     entries: &[(String, Fingerprint)],
 ) -> Vec<u8> {
     let mut w = BitWriter::new();
-    for &b in config_digest {
-        w.write_bits(u64::from(b), 8);
-    }
+    w.write_bytes(config_digest);
     w.write_varint(entries.len() as u64);
     for (name, digest) in entries {
         w.write_varint(name.len() as u64);
-        for &b in name.as_bytes() {
-            w.write_bits(u64::from(b), 8);
-        }
-        for &b in &digest.0 {
-            w.write_bits(u64::from(b), 8);
-        }
+        w.write_bytes(name.as_bytes());
+        w.write_bytes(&digest.0);
     }
     w.into_bytes()
+}
+
+fn read_digest(r: &mut BitReader<'_>) -> Result<[u8; 16], ResumeRejectTag> {
+    r.read_bytes(16).ok().and_then(|d| d.try_into().ok()).ok_or(ResumeRejectTag::MalformedOffer)
 }
 
 /// Decode a resume offer. Failures map directly onto the typed
@@ -225,11 +209,7 @@ pub(crate) fn decode_resume_offer(
     payload: &[u8],
 ) -> Result<([u8; 16], Vec<(String, Fingerprint)>), ResumeRejectTag> {
     let mut r = BitReader::new(payload);
-    let mut config_digest = [0u8; 16];
-    for slot in &mut config_digest {
-        let b = r.read_bits(8).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        *slot = u8::try_from(b).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-    }
+    let config_digest = read_digest(&mut r)?;
     let count = r.read_varint().map_err(|_| ResumeRejectTag::MalformedOffer)?;
     if count > MAX_COLLECTION_FILES {
         return Err(ResumeRejectTag::TooLarge);
@@ -242,18 +222,9 @@ pub(crate) fn decode_resume_offer(
             return Err(ResumeRejectTag::MalformedOffer);
         }
         let len = usize::try_from(len).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            let b = r.read_bits(8).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-            bytes.push(u8::try_from(b).map_err(|_| ResumeRejectTag::MalformedOffer)?);
-        }
+        let bytes = r.read_bytes(len).map_err(|_| ResumeRejectTag::MalformedOffer)?;
         let name = String::from_utf8(bytes).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        let mut digest = [0u8; 16];
-        for slot in &mut digest {
-            let b = r.read_bits(8).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-            *slot = u8::try_from(b).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        }
-        entries.push((name, Fingerprint(digest)));
+        entries.push((name, Fingerprint(read_digest(&mut r)?)));
     }
     Ok((config_digest, entries))
 }
@@ -325,6 +296,60 @@ pub(crate) fn decode_resume_verdict(payload: &[u8]) -> Result<ResumeVerdict, Syn
     }
 }
 
+/// Drive `m` over `t` until it finishes: transmit queued frames,
+/// attribute inbound bytes, and on `Wait` block in `recv_timeout` until
+/// a frame arrives or the machine's deadline passes. `clock` supplies
+/// the `now_us` timeline the machine's deadlines live on.
+///
+/// `after_input` is the durability hook: it runs after every frame the
+/// machine absorbs (and once more when it finishes), which is exactly
+/// when new progress can exist to persist. The checkpoint writer drains
+/// completed files here without the machine itself touching any I/O —
+/// the engine stays effect-pure.
+fn pump<M: Machine>(
+    t: &mut dyn Transport,
+    m: &mut M,
+    ctx: &M::Ctx,
+    clock: &SystemClock,
+    after_input: &mut dyn FnMut(&mut M) -> Result<(), SyncError>,
+) -> Result<(), SyncError> {
+    loop {
+        match m.poll_output(clock.now_micros())? {
+            Output::Transmit { frame, phase, retransmit } => {
+                // The in-memory channel never fails a send; a TCP
+                // transport reports a closed or wedged socket here.
+                t.send(&frame, phase).map_err(|e| match e {
+                    ChannelError::Timeout => SyncError::Timeout,
+                    ChannelError::Disconnected => SyncError::PeerGone,
+                    ChannelError::Corrupt(_) => SyncError::FrameCorrupt,
+                })?;
+                if retransmit {
+                    t.note_retransmits(1);
+                }
+            }
+            Output::Attribute { phase } => t.attribute_inbound(phase),
+            Output::Wait { deadline_us } => {
+                let remaining = deadline_us.saturating_sub(clock.now_micros()).max(1);
+                match t.recv_timeout(std::time::Duration::from_micros(remaining)) {
+                    Ok(bytes) => {
+                        m.on_frame(ctx, &bytes, clock.now_micros())?;
+                        after_input(m)?;
+                    }
+                    // A bare expiry needs no machine call: the next
+                    // `poll_output` observes the passed deadline.
+                    Err(ChannelError::Timeout) => {}
+                    Err(ChannelError::Corrupt(_)) => m.on_corrupt_frame(clock.now_micros())?,
+                    Err(ChannelError::Disconnected) => m.on_disconnect()?,
+                }
+            }
+            Output::Done => {
+                after_input(m)?;
+                return Ok(());
+            }
+        }
+    }
+}
+
 /// Sync the local `old` collection against a remote server over `t`,
 /// with up to [`PipelineOptions::depth`] files in flight per flush.
 ///
@@ -369,7 +394,7 @@ pub fn sync_collection_client_resumable(
         resume,
         clock.now_micros(),
     )?;
-    pump_with(t, &mut machine, &(), &clock, &mut |m| {
+    pump(t, &mut machine, &(), &clock, &mut |m| {
         for done in m.drain_completed() {
             on_complete(&done).map_err(SyncError::Persist)?;
         }
@@ -380,12 +405,11 @@ pub fn sync_collection_client_resumable(
 
 /// Serve the `new` collection to one pipelined client over `t`.
 ///
-/// Convenience wrapper around [`serve_collection_snapshot`] for
-/// one-shot callers (tests, single-connection servers): the files are
-/// snapshotted — fingerprinted once, given a private hash cache — and
-/// served. A daemon serving many connections should build one
-/// [`CollectionSnapshot`] and share it instead, so the cache is warm
-/// across sessions.
+/// For one-shot callers (tests, the in-process channel run): the files
+/// are snapshotted — fingerprinted once, given a private hash cache —
+/// and served. The daemon instead shares one [`CollectionSnapshot`]
+/// across every [`CollectionServeMachine`] it multiplexes, so its cache
+/// is warm across sessions.
 ///
 /// A vanished peer after the roster exchange is the normal end of
 /// service (the client simply hangs up once every file is done), not
@@ -397,27 +421,49 @@ pub fn serve_collection(
     retry: RetryPolicy,
 ) -> Result<ServeOutcome, SyncError> {
     let snap = CollectionSnapshot::new(new.to_vec());
-    serve_collection_snapshot(t, &snap, cfg, retry)
+    let clock = SystemClock::new();
+    let mut machine = CollectionServeMachine::new(cfg, retry, t.recorder(), clock.now_micros())?;
+    pump(t, &mut machine, &snap, &clock, &mut |_| Ok(()))?;
+    Ok(machine.outcome(snap.len(), t.stats()))
 }
 
-/// Serve an immutable [`CollectionSnapshot`] to one pipelined client
-/// over `t`. Sessions memoize their map-phase hash work into the
-/// snapshot's shared cache, so a hot file is hashed once across every
-/// connection served from the same snapshot.
+/// Run one collection sync over an in-process duplex channel:
+/// [`sync_collection_client`] and [`serve_collection`] on the two ends
+/// of an [`Endpoint`] pair, the server on its own thread — the
+/// deployment shape of the library without a socket, as opposed to
+/// [`sync_collection`](crate::sync_collection)'s lockstep model. Byte
+/// accounting comes from the channel itself, framing, checksums and
+/// retransmissions included; `opts.fault_plan` puts the seeded fault
+/// injector on the link. A single file is a one-entry collection.
 ///
-/// # Errors
-/// As [`serve_collection`].
-pub fn serve_collection_snapshot(
-    t: &mut dyn Transport,
-    snap: &CollectionSnapshot,
+/// Whenever this returns `Ok`, every file is byte-exact; link failures
+/// that outlast the retry budget surface as [`SyncError::Timeout`] /
+/// [`SyncError::FrameCorrupt`] / [`SyncError::PeerGone`].
+pub fn sync_collection_channel(
+    old: &[FileEntry],
+    new: &[FileEntry],
     cfg: &ProtocolConfig,
-    retry: RetryPolicy,
-) -> Result<ServeOutcome, SyncError> {
-    let rec = t.recorder();
-    let clock = SystemClock::new();
-    let mut machine = CollectionServeMachine::new(cfg, retry, rec, clock.now_micros())?;
-    pump(t, &mut machine, snap, &clock)?;
-    Ok(machine.outcome(snap.len(), t.stats()))
+    opts: &ChannelOptions,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    let (mut client_ep, mut server_ep) = match &opts.fault_plan {
+        Some(plan) => Endpoint::pair_with_faults(plan, opts.fault_seed),
+        None => Endpoint::pair(),
+    };
+    // The endpoints share channel state, so one attach covers both.
+    client_ep.set_recorder(recorder.clone());
+    let pipeline = PipelineOptions { retry: opts.retry, ..PipelineOptions::default() };
+    std::thread::scope(|s| {
+        let server = s.spawn(move || serve_collection(&mut server_ep, new, cfg, pipeline.retry));
+        let result = sync_collection_client(&mut client_ep, old, cfg, &pipeline);
+        // Dropping the client endpoint is the hang-up signal that lets a
+        // lingering server finish.
+        drop(client_ep);
+        let served = server.join().map_err(|_| SyncError::Desync("server thread panicked"));
+        let outcome = result?;
+        served??;
+        Ok(outcome)
+    })
 }
 
 #[cfg(test)]
@@ -431,23 +477,30 @@ mod tests {
         FileEntry::new(name, data.to_vec())
     }
 
-    fn run_pair(
+    /// Both ends over a clean channel at an explicit depth, with an
+    /// optional resume plan; also returns what the durability sink saw.
+    fn run(
         old: &[FileEntry],
         new: &[FileEntry],
         cfg: &ProtocolConfig,
         depth: usize,
-    ) -> (CollectionOutcome, ServeOutcome) {
+        plan: Option<&ResumePlan>,
+    ) -> (CollectionOutcome, ServeOutcome, Vec<CompletedFile>) {
         let (mut client_ep, mut server_ep) = Endpoint::pair();
-        let server_files = new.to_vec();
-        let server_cfg = cfg.clone();
-        let handle = thread::spawn(move || {
-            serve_collection(&mut server_ep, &server_files, &server_cfg, RetryPolicy::default())
-        });
-        let opts = PipelineOptions { depth, retry: RetryPolicy::default() };
-        let out = sync_collection_client(&mut client_ep, old, cfg, &opts).unwrap();
-        drop(client_ep);
-        let srv = handle.join().unwrap().unwrap();
-        (out, srv)
+        thread::scope(|s| {
+            let server =
+                s.spawn(|| serve_collection(&mut server_ep, new, cfg, RetryPolicy::default()));
+            let opts = PipelineOptions { depth, retry: RetryPolicy::default() };
+            let mut completed = Vec::new();
+            let out =
+                sync_collection_client_resumable(&mut client_ep, old, cfg, &opts, plan, &mut |f| {
+                    completed.push(f.clone());
+                    Ok(())
+                })
+                .unwrap();
+            drop(client_ep);
+            (out, server.join().unwrap().unwrap(), completed)
+        })
     }
 
     fn sorted_names(files: &[FileEntry]) -> Vec<&str> {
@@ -501,7 +554,7 @@ mod tests {
             entry("fresh.txt", b"brand new file body"),
         ];
         let cfg = ProtocolConfig::default();
-        let (out, srv) = run_pair(&old, &new, &cfg, 8);
+        let (out, srv, _) = run(&old, &new, &cfg, 8, None);
 
         assert_eq!(sorted_names(&out.files), vec!["changed.txt", "fresh.txt", "same.txt"]);
         let by_name: HashMap<&str, &[u8]> =
@@ -536,8 +589,8 @@ mod tests {
             })
             .collect();
 
-        let (seq, _) = run_pair(&old, &files, &cfg, 1);
-        let (pipe, _) = run_pair(&old, &files, &cfg, 16);
+        let (seq, ..) = run(&old, &files, &cfg, 1, None);
+        let (pipe, ..) = run(&old, &files, &cfg, 16, None);
         assert_eq!(sorted_names(&seq.files), sorted_names(&pipe.files));
         for (a, b) in seq.files.iter().zip(&pipe.files) {
             assert_eq!(a.data, b.data);
@@ -554,13 +607,13 @@ mod tests {
     fn empty_collections_terminate() {
         let cfg = ProtocolConfig::default();
         let old = vec![entry("only-local.txt", b"bytes")];
-        let (out, srv) = run_pair(&old, &[], &cfg, 4);
+        let (out, srv, _) = run(&old, &[], &cfg, 4, None);
         assert!(out.files.is_empty());
         assert_eq!(out.deleted, 1);
         assert_eq!(srv.files, 0);
         assert_eq!(srv.sessions, 0);
 
-        let (out, srv) = run_pair(&[], &[], &cfg, 4);
+        let (out, srv, _) = run(&[], &[], &cfg, 4, None);
         assert!(out.files.is_empty());
         assert_eq!(srv.sessions, 0);
     }
@@ -569,7 +622,7 @@ mod tests {
     fn client_from_nothing_receives_everything() {
         let cfg = ProtocolConfig::default();
         let new = vec![entry("a", b"alpha contents"), entry("b", &b"beta ".repeat(500))];
-        let (out, _) = run_pair(&[], &new, &cfg, 4);
+        let (out, ..) = run(&[], &new, &cfg, 4, None);
         assert_eq!(out.created, 2);
         assert_eq!(out.files.len(), 2);
         assert_eq!(out.files[0].data, b"alpha contents");
@@ -619,37 +672,6 @@ mod tests {
         assert!(decode_resume_verdict(&[9]).is_err());
     }
 
-    fn run_pair_resume(
-        old: &[FileEntry],
-        new: &[FileEntry],
-        cfg: &ProtocolConfig,
-        plan: &crate::resume::ResumePlan,
-    ) -> (CollectionOutcome, ServeOutcome, Vec<crate::engine::CompletedFile>) {
-        let (mut client_ep, mut server_ep) = Endpoint::pair();
-        let server_files = new.to_vec();
-        let server_cfg = cfg.clone();
-        let handle = thread::spawn(move || {
-            serve_collection(&mut server_ep, &server_files, &server_cfg, RetryPolicy::default())
-        });
-        let opts = PipelineOptions { depth: 8, retry: RetryPolicy::default() };
-        let mut completed = Vec::new();
-        let out = sync_collection_client_resumable(
-            &mut client_ep,
-            old,
-            cfg,
-            &opts,
-            Some(plan),
-            &mut |f| {
-                completed.push(f.clone());
-                Ok(())
-            },
-        )
-        .unwrap();
-        drop(client_ep);
-        let srv = handle.join().unwrap().unwrap();
-        (out, srv, completed)
-    }
-
     #[test]
     fn accepted_resume_entries_skip_sessions() {
         use msync_hash::file_fingerprint;
@@ -663,7 +685,7 @@ mod tests {
         let mut plan = crate::resume::ResumePlan::new(&cfg);
         plan.add("done.bin", file_fingerprint(&big));
 
-        let (out, srv, completed) = run_pair_resume(&old, &new, &cfg, &plan);
+        let (out, srv, completed) = run(&old, &new, &cfg, 8, Some(&plan));
         assert_eq!(out.resumed, 1);
         assert_eq!(out.unchanged, 0);
         // Only the changed file ran a session.
@@ -698,7 +720,7 @@ mod tests {
         let mut plan = crate::resume::ResumePlan::new(&cfg);
         plan.add("f.bin", file_fingerprint(&body));
 
-        let (out, srv, _) = run_pair_resume(&old, &new, &cfg, &plan);
+        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
         assert_eq!(out.resumed, 0);
         assert_eq!(srv.sessions, 1);
         assert_eq!(out.files[0].data, new[0].data);
@@ -718,7 +740,7 @@ mod tests {
         let mut plan = crate::resume::ResumePlan::new(&other);
         plan.add("f.bin", file_fingerprint(&body));
 
-        let (out, srv, _) = run_pair_resume(&old, &new, &cfg, &plan);
+        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
         assert_eq!(out.resumed, 0);
         assert_eq!(out.unchanged, 1);
         assert_eq!(srv.sessions, 1);
@@ -740,7 +762,7 @@ mod tests {
         plan.add("f.bin", file_fingerprint(b"something else"));
         plan.add("ghost.bin", file_fingerprint(&body));
 
-        let (out, srv, _) = run_pair_resume(&old, &new, &cfg, &plan);
+        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
         assert_eq!(out.resumed, 0);
         assert_eq!(srv.sessions, 1);
         assert_eq!(out.files[0].data, body);

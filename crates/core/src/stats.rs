@@ -27,9 +27,6 @@ pub struct LevelStats {
     /// Wall-clock duration of the round in microseconds (0 when the
     /// session ran without a trace recorder).
     pub wall_us: u64,
-    /// Frames the ARQ layer retransmitted while this round was the
-    /// most recent one (0 on clean links or untraced runs).
-    pub retransmits: u64,
 }
 
 impl LevelStats {

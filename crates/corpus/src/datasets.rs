@@ -119,7 +119,7 @@ pub fn web_params(scale: f64) -> WebParams {
 }
 
 /// Build the base crawl plus snapshots after each of `days` consecutive
-/// days of churn (versions[0] = base, versions[k] = day k).
+/// days of churn (`versions[0]` = base, `versions[k]` = day k).
 pub fn web_collection(p: &WebParams, days: u32) -> VersionedCollection {
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut base = Collection::new();
@@ -186,8 +186,8 @@ pub fn recrawl_params(scale: f64) -> RecrawlParams {
     }
 }
 
-/// Build the base crawl plus one snapshot per night (versions[0] =
-/// base, versions[k] = after night k). Deterministic per seed.
+/// Build the base crawl plus one snapshot per night (`versions[0]` =
+/// base, `versions[k]` = after night k). Deterministic per seed.
 pub fn nightly_recrawl(p: &RecrawlParams, nights: u32) -> VersionedCollection {
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut base = Collection::new();

@@ -75,6 +75,20 @@ impl BitWriter {
         }
     }
 
+    /// Append whole bytes: one slice copy when the cursor is
+    /// byte-aligned (every length-prefixed run the protocol writes
+    /// follows a varint, so that is the usual case), the bit path
+    /// otherwise. The bits written are the same either way.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        if self.bit_pos == 0 {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            for &b in bytes {
+                self.write_bits(u64::from(b), 8);
+            }
+        }
+    }
+
     /// Pad with zero bits to the next byte boundary and return the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -134,6 +148,26 @@ impl<'a> BitReader<'a> {
             out |= chunk << got;
             got += take;
             self.bit_pos += take;
+        }
+        Ok(out)
+    }
+
+    /// Read `len` whole bytes written by [`BitWriter::write_bytes`].
+    /// `len` usually comes off the wire, so it is checked against the
+    /// input that remains *before* anything is allocated.
+    pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, BitReadError> {
+        if len.checked_mul(8).is_none_or(|bits| bits > self.remaining_bits()) {
+            return Err(BitReadError);
+        }
+        if self.bit_pos % 8 == 0 {
+            let start = self.bit_pos / 8;
+            let run = self.buf.get(start..start + len).ok_or(BitReadError)?;
+            self.bit_pos += len * 8;
+            return Ok(run.to_vec());
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(u8::try_from(self.read_bits(8)?).map_err(|_| BitReadError)?);
         }
         Ok(out)
     }
@@ -217,6 +251,44 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(8).unwrap(), 0xFF);
         assert_eq!(r.read_bits(1), Err(BitReadError));
+    }
+
+    #[test]
+    fn byte_runs_roundtrip_at_every_bit_offset() {
+        let run: Vec<u8> = (0..=255u8).rev().collect();
+        for offset in 0..8u32 {
+            // `write_bytes` against the per-byte loop it replaced.
+            let (mut w, mut per_byte) = (BitWriter::new(), BitWriter::new());
+            w.write_bits(0x55, offset);
+            w.write_bytes(&run);
+            w.write_bits(0b101, 3);
+            per_byte.write_bits(0x55, offset);
+            for &b in &run {
+                per_byte.write_bits(u64::from(b), 8);
+            }
+            per_byte.write_bits(0b101, 3);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, per_byte.into_bytes(), "offset {offset}");
+
+            let mut r = BitReader::new(&bytes);
+            assert_eq!(r.read_bits(offset).unwrap(), 0x55 & ((1 << offset) - 1));
+            assert_eq!(r.read_bytes(run.len()).unwrap(), run, "offset {offset}");
+            assert_eq!(r.read_bits(3).unwrap(), 0b101);
+        }
+    }
+
+    #[test]
+    fn over_long_byte_run_is_rejected_before_allocating() {
+        for (offset, fits) in [(0u32, 4usize), (3, 3)] {
+            let mut r = BitReader::new(&[0xAB; 4]);
+            r.read_bits(offset).unwrap();
+            // Allocating any of these first would abort the test.
+            for len in [usize::MAX, usize::MAX / 8, 1 << 60, 5] {
+                assert_eq!(r.read_bytes(len), Err(BitReadError), "len {len}");
+            }
+            // A refused read consumes nothing.
+            assert_eq!(r.read_bytes(fits).unwrap().len(), fits);
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! thread ever blocks on one peer, so a fixed worker pool (default: one
 //! per core) serves an arbitrary number of concurrent sessions.
 //!
-//! Accounting parity: every byte charged here follows exactly the rules
-//! of the blocking [`TcpTransport`](crate::tcp::TcpTransport) the client
-//! runs on — sends charged to the caller's phase at wire size when
-//! queued, inbound bytes pooled unattributed until the machine names
-//! their phase, a direction reversal counted as a half-trip — so the two
-//! ends of a session report mirror-image `TrafficStats`.
+//! Accounting parity: every connection charges its bytes through the
+//! same [`WireMeter`] as the blocking
+//! [`TcpTransport`](crate::tcp::TcpTransport) the client runs on — sends
+//! charged when queued, inbound bytes pooled until the machine names
+//! their phase — so the two ends of a session report mirror-image
+//! `TrafficStats`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -29,8 +29,7 @@ use std::time::Duration;
 use msync_core::pipeline::ServeOutcome;
 use msync_core::{CollectionServeMachine, CollectionSnapshot, Machine, Output, SyncError};
 use msync_protocol::{
-    frame_header, frame_wire_size, BufferPool, ChannelError, Direction, FrameBuf, Phase,
-    TrafficStats,
+    frame_header, BufferPool, ChannelError, Direction, FrameBuf, Phase, WireMeter,
 };
 use msync_trace::{
     render_sessions, Clock, EventKind, MetricsSnapshot, PhaseTag, RateWindows, Recorder,
@@ -358,10 +357,7 @@ struct MuxConn {
     /// cannot advance past a bad length word); stop reading and let the
     /// machine's retry budget conclude the session.
     poisoned: bool,
-    stats: TrafficStats,
-    last_dir: Option<Direction>,
-    half_trips: u64,
-    pending_inbound: u64,
+    meter: WireMeter,
     recorder: Recorder,
     /// Live status slot on the daemon's board; `None` for refused
     /// connections and for admin exchanges (which de-list themselves).
@@ -394,6 +390,8 @@ impl MuxConn {
         if let Some(handle) = &status {
             recorder.set_status(handle.clone());
         }
+        let mut meter = WireMeter::default();
+        meter.set_recorder(recorder.clone());
         Ok(Self {
             stream,
             peer,
@@ -404,72 +402,26 @@ impl MuxConn {
             collection: None,
             deadline_us: now_us.saturating_add(micros(handshake_timeout)),
             result: None,
-            inbuf: FrameBuffer::new(),
+            inbuf: FrameBuffer::default(),
             scratch: vec![0u8; READ_CHUNK],
             outq: VecDeque::new(),
             out_pos: 0,
             stall_since_us: None,
             eof: false,
             poisoned: false,
-            stats: TrafficStats::new(),
-            last_dir: None,
-            half_trips: 0,
-            pending_inbound: 0,
+            meter,
             recorder,
             status,
         })
     }
 
-    fn bump(&mut self, dir: Direction) {
-        if self.last_dir != Some(dir) {
-            self.half_trips += 1;
-            self.last_dir = Some(dir);
-        }
-    }
-
-    /// Queue one frame for sending, charged to `phase` at wire size —
-    /// the multiplexed mirror of `TcpTransport::send` plus the pump's
-    /// retransmit note.
+    /// Queue one frame for sending, charged to `phase` when queued.
     fn queue_send(&mut self, payload: &FrameBuf, phase: Phase, retransmit: bool) {
         self.outq.push_back((frame_header(payload), payload.share()));
-        let wire = frame_wire_size(payload.len());
-        self.stats.record(Direction::ServerToClient, phase, wire);
-        self.recorder.record(EventKind::FrameSend {
-            dir: Direction::ServerToClient.into(),
-            phase: phase.into(),
-            bytes: wire,
-        });
-        self.stats.frames += 1;
-        self.bump(Direction::ServerToClient);
+        self.meter.sent(Direction::ServerToClient, phase, payload.len());
         if retransmit {
-            self.stats.retransmits += 1;
+            self.meter.note_retransmits(1);
         }
-    }
-
-    /// Attribute pooled inbound bytes to `phase` — the multiplexed
-    /// mirror of `TcpTransport::attribute_inbound`.
-    fn attribute(&mut self, phase: Phase) {
-        let bytes = std::mem::take(&mut self.pending_inbound);
-        if bytes > 0 {
-            self.stats.record(Direction::ClientToServer, phase, bytes);
-            self.recorder.record(EventKind::FrameRecv {
-                dir: Direction::ClientToServer.into(),
-                phase: phase.into(),
-                bytes,
-            });
-        }
-    }
-
-    /// This session's `TrafficStats`, by the blocking transport's
-    /// rules: unattributed inbound bytes charged to the map phase, two
-    /// half-trips rounded up to a roundtrip.
-    fn stats_now(&self) -> TrafficStats {
-        let mut out = self.stats.clone();
-        if self.pending_inbound > 0 {
-            out.record(Direction::ClientToServer, Phase::Map, self.pending_inbound);
-        }
-        out.roundtrips = u32::try_from(self.half_trips.div_ceil(2)).unwrap_or(u32::MAX);
-        out
     }
 
     /// End the session with `error` (unless a verdict already landed)
@@ -495,10 +447,10 @@ impl MuxConn {
                     self.queue_send(&frame, phase, retransmit);
                     progressed = true;
                 }
-                Ok(Output::Attribute { phase }) => self.attribute(phase),
+                Ok(Output::Attribute { phase }) => self.meter.attribute(phase),
                 Ok(Output::Wait { .. }) => break,
                 Ok(Output::Done) => {
-                    let outcome = m.outcome(files, self.stats_now());
+                    let outcome = m.outcome(files, self.meter.stats());
                     self.result = Some(Ok(outcome));
                     self.phase = ConnPhase::Drain;
                     progressed = true;
@@ -525,7 +477,7 @@ impl MuxConn {
         F: Fn(SessionReport) + Send + Sync + 'static,
     {
         let retry = shared.opts.retry;
-        self.attribute(Phase::Setup);
+        self.meter.attribute(Phase::Setup);
         if let Some(cmd) = parse_admin(payload) {
             self.on_admin(cmd, shared);
             return;
@@ -589,7 +541,7 @@ impl MuxConn {
                 self.queue_send(&FrameBuf::from(reply.into_bytes()), Phase::Setup, false);
                 self.recorder.record(EventKind::Handshake { ok: true });
                 self.result =
-                    Some(Ok(ServeOutcome { files, sessions: 0, traffic: self.stats_now() }));
+                    Some(Ok(ServeOutcome { files, sessions: 0, traffic: self.meter.stats() }));
                 self.phase = ConnPhase::Drain;
             }
             Err(reason) => {
@@ -604,7 +556,7 @@ impl MuxConn {
     /// The hello of an over-capacity connection arrived: answer with
     /// the typed refusal and drain.
     fn on_refused_hello(&mut self) {
-        self.attribute(Phase::Setup);
+        self.meter.attribute(Phase::Setup);
         let reply = format!("err {REFUSAL_REASON}").into_bytes();
         self.queue_send(&FrameBuf::from(reply), Phase::Setup, false);
         self.recorder.record(EventKind::Handshake { ok: false });
@@ -656,9 +608,7 @@ impl MuxConn {
             match self.inbuf.take_frame() {
                 Ok(Some((payload, wire))) => {
                     progressed = true;
-                    self.pending_inbound += wire;
-                    self.stats.frames += 1;
-                    self.bump(Direction::ClientToServer);
+                    self.meter.received(Direction::ClientToServer, wire);
                     match self.phase {
                         ConnPhase::Hello => {
                             self.on_hello(&payload, shared, now_us);

@@ -2,7 +2,7 @@
 //!
 //! The wire format is exactly the in-memory channel's: each frame is a
 //! LEB128 payload length, a CRC32 over the payload, then the payload
-//! ([`encode_frame`]/[`decode_frame`]). A stream socket adds only the
+//! ([`msync_protocol::encode_frame`]/[`decode_frame`]). A stream socket adds only the
 //! need to reassemble frames from arbitrary read boundaries.
 //!
 //! Discipline (enforced by the xtask `channel-discipline` gate):
@@ -14,11 +14,11 @@
 //!   `Timeout`, connection teardown to `Disconnected`, and an inflated
 //!   length word to `Corrupt` before any allocation happens.
 //!
-//! Accounting: sends are charged to the caller's phase at full wire
-//! size, like the in-memory channel. Inbound bytes pool in an
-//! unattributed counter until the session layer parses the frame header
-//! and calls [`Transport::attribute_inbound`] with the real phase. The
-//! raw [`TcpTransport::socket_sent`] / [`TcpTransport::socket_received`]
+//! Accounting goes through the shared [`WireMeter`]: sends are charged
+//! to the caller's phase at full wire size, like the in-memory channel,
+//! and inbound bytes pool unattributed until the session layer parses
+//! the frame header and calls [`Transport::attribute_inbound`] with the
+//! real phase. The raw [`TcpTransport::socket_sent`] / [`TcpTransport::socket_received`]
 //! counters are kept separately so tests can assert that the accounting
 //! and the socket agree to the byte.
 
@@ -27,10 +27,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use msync_protocol::{
-    decode_frame, frame_header, frame_wire_size, BufferPool, ChannelError, Direction, FrameBuf,
-    FrameError, Phase, TrafficStats, Transport,
+    decode_frame, frame_header, BufferPool, ChannelError, Direction, FrameBuf, FrameError, Phase,
+    TrafficStats, Transport, WireMeter,
 };
-use msync_trace::{EventKind, Recorder};
+use msync_trace::Recorder;
 
 /// Hard cap on a decoded payload length. A length word above this is
 /// rejected as corrupt before any buffering: no real payload approaches
@@ -60,11 +60,6 @@ pub(crate) struct FrameBuffer {
 }
 
 impl FrameBuffer {
-    /// An empty buffer.
-    pub(crate) fn new() -> Self {
-        Self { buf: Vec::new(), pool: None }
-    }
-
     /// Draw payload buffers from `pool` from now on.
     pub(crate) fn set_pool(&mut self, pool: BufferPool) {
         self.pool = Some(pool);
@@ -140,32 +135,22 @@ impl FrameBuffer {
     }
 }
 
-/// A [`Transport`] over one TCP stream.
-///
-/// Construct with [`TcpTransport::client`] on the connecting side and
-/// [`TcpTransport::server`] on the accepting side; the two differ only
-/// in which [`Direction`] their sends are charged to, so that a
-/// client's and a server's `TrafficStats` describe the same wire the
-/// same way the shared in-memory channel does.
+/// A [`Transport`] over one TCP stream: the connecting side of a
+/// session (the accepting side is the daemon's multiplexer, which
+/// frames and meters by the same two types). Sends are charged as
+/// client→server, receives as server→client, so a client's and a
+/// server's `TrafficStats` describe the same wire the same way the
+/// shared in-memory channel does.
 pub struct TcpTransport {
     stream: TcpStream,
     /// Received-but-not-yet-framed bytes.
     inbound: FrameBuffer,
     /// Reusable read buffer.
     scratch: Vec<u8>,
-    stats: TrafficStats,
+    meter: WireMeter,
     outbound_dir: Direction,
-    /// Last traffic direction seen, for roundtrip counting: a reversal
-    /// is a half-trip, two half-trips are a roundtrip — the same rule
-    /// the in-memory channel applies.
-    last_dir: Option<Direction>,
-    half_trips: u64,
-    /// Wire bytes of received frames not yet attributed to a phase.
-    pending_inbound: u64,
     socket_sent: u64,
     socket_received: u64,
-    /// Trace recorder; off unless [`TcpTransport::set_recorder`] ran.
-    recorder: Recorder,
 }
 
 impl TcpTransport {
@@ -174,35 +159,27 @@ impl TcpTransport {
     /// # Errors
     /// Any socket-option error (the stream is unusable).
     pub fn client(stream: TcpStream) -> std::io::Result<Self> {
-        Self::new(stream, Direction::ClientToServer)
-    }
-
-    /// Wrap the accepting side of a stream (sends are server→client).
-    ///
-    /// # Errors
-    /// Any socket-option error (the stream is unusable).
-    pub fn server(stream: TcpStream) -> std::io::Result<Self> {
-        Self::new(stream, Direction::ServerToClient)
-    }
-
-    fn new(stream: TcpStream, outbound_dir: Direction) -> std::io::Result<Self> {
         // The protocol is request/response with small frames; Nagle
         // would add an RTT of latency to every flush.
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(Self {
             stream,
-            inbound: FrameBuffer::new(),
+            inbound: FrameBuffer::default(),
             scratch: vec![0u8; READ_CHUNK],
-            stats: TrafficStats::new(),
-            outbound_dir,
-            last_dir: None,
-            half_trips: 0,
-            pending_inbound: 0,
+            meter: WireMeter::default(),
+            outbound_dir: Direction::ClientToServer,
             socket_sent: 0,
             socket_received: 0,
-            recorder: Recorder::off(),
         })
+    }
+
+    /// Wrap the accepting side of a stream (sends are server→client).
+    #[cfg(test)]
+    fn server(stream: TcpStream) -> std::io::Result<Self> {
+        let mut t = Self::client(stream)?;
+        t.outbound_dir = Direction::ServerToClient;
+        Ok(t)
     }
 
     /// Attach a trace recorder. Every byte subsequently charged to
@@ -210,7 +187,7 @@ impl TcpTransport {
     /// `frame_recv` event (sends at charge time, receives when the
     /// session layer attributes them to a phase).
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.meter.set_recorder(recorder);
     }
 
     /// Raw bytes written to the socket, frames and framing included.
@@ -232,34 +209,18 @@ impl TcpTransport {
         }
     }
 
-    fn bump(&mut self, dir: Direction) {
-        if self.last_dir != Some(dir) {
-            self.half_trips += 1;
-            self.last_dir = Some(dir);
-        }
-    }
-
     /// Split one complete frame off the inbound buffer, if present.
     /// `Ok(None)` means more bytes are needed.
     fn take_frame(&mut self) -> Result<Option<FrameBuf>, ChannelError> {
         let Some((payload, wire)) = self.inbound.take_frame()? else {
             return Ok(None);
         };
-        self.pending_inbound += wire;
-        self.stats.frames += 1;
-        self.bump(self.inbound_dir());
+        self.meter.received(self.inbound_dir(), wire);
         Ok(Some(payload))
     }
 }
 
-fn map_read_error(e: &std::io::Error) -> ChannelError {
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => ChannelError::Timeout,
-        _ => ChannelError::Disconnected,
-    }
-}
-
-fn map_write_error(e: &std::io::Error) -> ChannelError {
+fn map_io_error(e: &std::io::Error) -> ChannelError {
     match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => ChannelError::Timeout,
         _ => ChannelError::Disconnected,
@@ -284,19 +245,11 @@ impl Transport for TcpTransport {
                 Ok(0) => return Err(ChannelError::Disconnected),
                 Ok(n) => written += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(map_write_error(&e)),
+                Err(e) => return Err(map_io_error(&e)),
             }
         }
         self.socket_sent += total as u64;
-        let wire = frame_wire_size(payload.len());
-        self.stats.record(self.outbound_dir, phase, wire);
-        self.recorder.record(EventKind::FrameSend {
-            dir: self.outbound_dir.into(),
-            phase: phase.into(),
-            bytes: wire,
-        });
-        self.stats.frames += 1;
-        self.bump(self.outbound_dir);
+        self.meter.sent(self.outbound_dir, phase, payload.len());
         Ok(())
     }
 
@@ -319,41 +272,25 @@ impl Transport for TcpTransport {
                     self.inbound.extend(&self.scratch[..n]);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(map_read_error(&e)),
+                Err(e) => return Err(map_io_error(&e)),
             }
         }
     }
 
     fn attribute_inbound(&mut self, phase: Phase) {
-        let bytes = std::mem::take(&mut self.pending_inbound);
-        if bytes > 0 {
-            self.stats.record(self.inbound_dir(), phase, bytes);
-            self.recorder.record(EventKind::FrameRecv {
-                dir: self.inbound_dir().into(),
-                phase: phase.into(),
-                bytes,
-            });
-        }
+        self.meter.attribute(phase);
     }
 
     fn note_retransmits(&mut self, frames: u64) {
-        self.stats.retransmits += frames;
+        self.meter.note_retransmits(frames);
     }
 
     fn recorder(&self) -> Recorder {
-        self.recorder.clone()
+        self.meter.recorder().clone()
     }
 
     fn stats(&self) -> TrafficStats {
-        let mut out = self.stats.clone();
-        // Bytes whose frames were received but never attributed (e.g. a
-        // frame that failed its CRC) are still wire reality; charge
-        // them to the map phase so totals always match the socket.
-        if self.pending_inbound > 0 {
-            out.record(self.inbound_dir(), Phase::Map, self.pending_inbound);
-        }
-        out.roundtrips = u32::try_from(self.half_trips.div_ceil(2)).unwrap_or(u32::MAX);
-        out
+        self.meter.stats()
     }
 }
 

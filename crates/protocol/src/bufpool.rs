@@ -14,7 +14,7 @@
 //!   re-encodes;
 //! * the only sanctioned copy of live frame bytes is the fault
 //!   injector's copy-on-mutate path
-//!   ([`crate::fault::FaultInjector::copy_for_mutation`]), because a
+//!   ([`crate::fault::copy_for_mutation`]), because a
 //!   corrupted frame must not damage the sender's retransmit cache.
 //!
 //! When the last reference drops, a pooled buffer returns to its pool

@@ -35,9 +35,9 @@
 use crate::bufpool::FrameBuf;
 use crate::crc::crc32;
 use crate::fault::{copy_for_mutation, FaultInjector, FaultPlan};
-use crate::stats::{Direction, Phase, TrafficStats};
+use crate::stats::{Direction, Phase, TrafficStats, WireMeter};
 use crate::transport::record_fate;
-use msync_trace::{EventKind, Recorder};
+use msync_trace::Recorder;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -246,9 +246,9 @@ impl Default for RetryPolicy {
 
 #[derive(Debug, Default)]
 struct Shared {
-    stats: TrafficStats,
-    last_dir: Option<Direction>,
-    half_trips: u32,
+    /// Both endpoints charge their sends here, so either one's
+    /// [`Endpoint::stats`] describes the whole link.
+    meter: WireMeter,
     /// Set when a disconnect fault cut the link: subsequent sends are
     /// lost and receivers see `Disconnected` once their queue drains.
     cut: bool,
@@ -258,8 +258,6 @@ struct Shared {
     /// of the next frame sent in the same direction.
     held_c2s: Option<Frame>,
     held_s2c: Option<Frame>,
-    /// Trace recorder shared by both endpoints (disabled by default).
-    recorder: Recorder,
 }
 
 impl Shared {
@@ -274,27 +272,6 @@ impl Shared {
         match dir {
             Direction::ClientToServer => &mut self.held_c2s,
             Direction::ServerToClient => &mut self.held_s2c,
-        }
-    }
-
-    /// Charge one transmission of a `payload_len`-byte frame. This is
-    /// the single point where wire bytes enter the stats, so the
-    /// matching `FrameSend` trace event is emitted here too — a
-    /// journal's per-(direction, phase) byte sums therefore equal the
-    /// run's `TrafficStats` by construction.
-    fn charge(&mut self, dir: Direction, phase: Phase, payload_len: usize) {
-        let wire = frame_wire_size(payload_len);
-        self.stats.record(dir, phase, wire);
-        self.stats.frames += 1;
-        self.recorder.record(EventKind::FrameSend {
-            dir: dir.into(),
-            phase: phase.into(),
-            bytes: wire,
-        });
-        if self.last_dir != Some(dir) {
-            self.half_trips += 1;
-            self.last_dir = Some(dir);
-            self.stats.roundtrips = self.half_trips.div_ceil(2);
         }
     }
 }
@@ -386,14 +363,13 @@ impl Endpoint {
             let fate = shared.injector_mut(self.dir).map(FaultInjector::next_fate);
             if let Some(f) = &fate {
                 let seq = shared.injector_mut(self.dir).map_or(0, |i| i.frames_seen());
-                let rec = shared.recorder.clone();
-                record_fate(&rec, self.dir.into(), f, seq);
+                record_fate(shared.meter.recorder(), self.dir.into(), f, seq);
             }
             if fate.is_some_and(|f| f.disconnect) {
                 shared.cut = true;
                 return;
             }
-            shared.charge(self.dir, self.phase, payload.len());
+            shared.meter.sent(self.dir, self.phase, payload.len());
             // A previously delayed frame is released by the next send in
             // the same direction: it travels ahead of the new frame.
             if let Some(held) = shared.held_mut(self.dir).take() {
@@ -419,7 +395,7 @@ impl Endpoint {
                 Frame::Clean(payload.share())
             };
             if fate.duplicate {
-                shared.charge(self.dir, self.phase, payload.len());
+                shared.meter.sent(self.dir, self.phase, payload.len());
                 deliveries.push(frame.share());
             }
             if fate.drop {
@@ -478,25 +454,26 @@ impl Endpoint {
     /// bytes themselves are charged by [`Endpoint::send`] like any other
     /// transmission; this counter makes the recovery cost visible.
     pub fn note_retransmits(&self, frames: u64) {
-        self.lock_shared().stats.retransmits += frames;
+        self.lock_shared().meter.note_retransmits(frames);
     }
 
     /// Snapshot of the traffic statistics shared by both endpoints.
     pub fn stats(&self) -> TrafficStats {
-        self.lock_shared().stats
+        self.lock_shared().meter.stats()
     }
 
     /// Attach a trace recorder to the channel. Both endpoints share
-    /// it: the channel emits `FrameSend` events at its charge points
-    /// and `FaultInjected` events for every fate the injector assigns.
+    /// it: the meter mirrors every charge as a `FrameSend` event and the
+    /// channel emits `FaultInjected` events for every fate the injector
+    /// assigns.
     pub fn set_recorder(&self, recorder: Recorder) {
-        self.lock_shared().recorder = recorder;
+        self.lock_shared().meter.set_recorder(recorder);
     }
 
     /// The trace recorder shared by both endpoints (disabled unless
     /// [`Endpoint::set_recorder`] was called).
     pub fn recorder(&self) -> Recorder {
-        self.lock_shared().recorder.clone()
+        self.lock_shared().meter.recorder().clone()
     }
 }
 

@@ -34,5 +34,5 @@ pub use channel::{
 pub use crc::crc32;
 pub use fault::{FaultPlan, FaultRates};
 pub use link::LinkModel;
-pub use stats::{Direction, Phase, TrafficStats};
+pub use stats::{Direction, Phase, TrafficStats, WireMeter};
 pub use transport::{FaultTransport, Transport};

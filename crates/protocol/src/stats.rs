@@ -4,9 +4,11 @@
 //! the wire per direction* (e.g. Figure 6.1 stacks client→server and
 //! server→client map-phase traffic and the final delta separately), so
 //! the accounting is first-class: channels attribute every frame to a
-//! `(direction, phase)` pair.
+//! `(direction, phase)` pair, and every transport does so through the
+//! one [`WireMeter`].
 
-use msync_trace::{DirTag, PhaseTag};
+use crate::channel::frame_wire_size;
+use msync_trace::{DirTag, EventKind, PhaseTag, Recorder};
 use std::fmt;
 
 /// Transfer direction, named from the synchronization client's viewpoint
@@ -171,6 +173,102 @@ impl TrafficStats {
     }
 }
 
+/// The one place wire bytes enter a [`TrafficStats`]. Every transport —
+/// the in-memory channel, the blocking TCP transport, each of the
+/// daemon's multiplexed connections — owns a `WireMeter` and reports
+/// its frames to it, so they all charge by the same rules and a trace
+/// journal's per-(direction, phase) byte sums equal the stats by
+/// construction:
+///
+/// * a sent frame is charged to its phase at [`frame_wire_size`] and
+///   mirrored as one `FrameSend` event;
+/// * a received frame's wire bytes pool until the session layer has
+///   parsed the frame and named its phase, and are then charged and
+///   mirrored as one `FrameRecv` event; bytes never attributed (a frame
+///   that failed its CRC) are charged to the map phase in the snapshot,
+///   so totals always match the socket;
+/// * a change of traffic direction is a half-trip, and two half-trips
+///   are one roundtrip.
+#[derive(Debug, Default)]
+pub struct WireMeter {
+    stats: TrafficStats,
+    recorder: Recorder,
+    last_dir: Option<Direction>,
+    half_trips: u64,
+    /// Direction and wire bytes of received frames awaiting a phase.
+    unattributed: Option<(Direction, u64)>,
+}
+
+impl WireMeter {
+    /// Mirror every charge from now on as a frame event on `recorder`
+    /// (the default recorder is off).
+    pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = recorder;
+    }
+
+    /// The recorder the charges are mirrored to.
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    /// Charge one transmission of a `payload_len`-byte frame. Every
+    /// actual transmission is charged, retransmissions and injected
+    /// duplicates included: the sender paid for them either way.
+    pub fn sent(&mut self, dir: Direction, phase: Phase, payload_len: usize) {
+        let wire = frame_wire_size(payload_len);
+        self.stats.record(dir, phase, wire);
+        self.recorder.record(EventKind::FrameSend {
+            dir: dir.into(),
+            phase: phase.into(),
+            bytes: wire,
+        });
+        self.frame(dir);
+    }
+
+    /// Pool one received frame of `wire` bytes until
+    /// [`attribute`](Self::attribute) names its phase.
+    pub fn received(&mut self, dir: Direction, wire: u64) {
+        self.unattributed.get_or_insert((dir, 0)).1 += wire;
+        self.frame(dir);
+    }
+
+    /// Charge the pooled inbound bytes to `phase`.
+    pub fn attribute(&mut self, phase: Phase) {
+        if let Some((dir, bytes)) = self.unattributed.take() {
+            self.stats.record(dir, phase, bytes);
+            self.recorder.record(EventKind::FrameRecv {
+                dir: dir.into(),
+                phase: phase.into(),
+                bytes,
+            });
+        }
+    }
+
+    /// Count `frames` of the frames already charged as retransmissions.
+    pub fn note_retransmits(&mut self, frames: u64) {
+        self.stats.retransmits += frames;
+    }
+
+    /// Snapshot of the accounting so far.
+    #[must_use]
+    pub fn stats(&self) -> TrafficStats {
+        let mut out = self.stats;
+        if let Some((dir, bytes)) = self.unattributed {
+            out.record(dir, Phase::Map, bytes);
+        }
+        out.roundtrips = u32::try_from(self.half_trips.div_ceil(2)).unwrap_or(u32::MAX);
+        out
+    }
+
+    fn frame(&mut self, dir: Direction) {
+        self.stats.frames += 1;
+        if self.last_dir != Some(dir) {
+            self.half_trips += 1;
+            self.last_dir = Some(dir);
+        }
+    }
+}
+
 /// `1234` → `"1.2 KB"`; decimal units to match the paper's figures.
 fn human_bytes(n: u64) -> String {
     if n < 1000 {
@@ -290,6 +388,32 @@ mod tests {
         assert_eq!(PhaseTag::from(Phase::Map), PhaseTag::Map);
         assert_eq!(PhaseTag::from(Phase::Delta), PhaseTag::Delta);
         assert_eq!(PhaseTag::from(Phase::Resume), PhaseTag::Resume);
+    }
+
+    #[test]
+    fn meter_charges_pools_and_counts_reversals() {
+        let rec = Recorder::system();
+        let mut m = WireMeter::default();
+        m.set_recorder(rec.clone());
+        m.sent(Direction::ClientToServer, Phase::Setup, 10);
+        m.sent(Direction::ClientToServer, Phase::Map, 0);
+        m.received(Direction::ServerToClient, 40);
+        m.received(Direction::ServerToClient, 2);
+        // Unattributed bytes already show, under the map phase.
+        assert_eq!(m.stats().s2c(Phase::Map), 42);
+        m.attribute(Phase::Delta);
+        m.attribute(Phase::Setup); // nothing pooled: charges nothing
+        m.received(Direction::ServerToClient, 7);
+        m.sent(Direction::ClientToServer, Phase::Map, 1);
+        m.note_retransmits(1);
+        let s = m.stats();
+        assert_eq!((s.c2s(Phase::Setup), s.c2s(Phase::Map)), (15, 5 + 6));
+        assert_eq!((s.s2c(Phase::Delta), s.s2c(Phase::Map), s.s2c(Phase::Setup)), (42, 7, 0));
+        assert_eq!((s.frames, s.retransmits, s.roundtrips), (6, 1, 2));
+        // The journal mirrors every attributed byte, and only those.
+        let snap = rec.snapshot();
+        assert_eq!(snap.total_bytes(), s.total_bytes() - 7);
+        assert_eq!(snap.dir_phase_bytes(DirTag::S2c, PhaseTag::Delta), 42);
     }
 
     #[test]

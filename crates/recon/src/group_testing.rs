@@ -1,4 +1,4 @@
-//! Group-testing reconciliation (Madej [27]: "an application of group
+//! Group-testing reconciliation (Madej \[27\]: "an application of group
 //! testing to the file comparison problem").
 //!
 //! The same question as the Merkle walk — *which files changed?* — posed

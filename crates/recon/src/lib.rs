@@ -4,8 +4,8 @@
 //! files differ. The paper (§4) notes a line of related work on exactly
 //! this — "the problem of efficiently identifying files that have
 //! changed in scenarios where almost all objects are unchanged" (Madej's
-//! group-testing approach [27], Abdel-Ghaffar & El Abbadi's optimal
-//! strategies [1], Metzner's hash trees [28,29]) — and sidesteps it with
+//! group-testing approach \[27\], Abdel-Ghaffar & El Abbadi's optimal
+//! strategies \[1\], Metzner's hash trees \[28,29\]) — and sidesteps it with
 //! a flat per-file fingerprint exchange ("we do not focus on this aspect
 //! and instead use a fingerprint for each file as this is efficient
 //! enough for our data sets").

@@ -1,4 +1,4 @@
-//! Merkle-difference reconciliation (Metzner [28,29] family).
+//! Merkle-difference reconciliation (Metzner \[28,29\] family).
 //!
 //! Both sides bucket their (name, fingerprint) pairs into a fixed
 //! power-of-two bucket space by name hash, build the same-shaped binary

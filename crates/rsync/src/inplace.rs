@@ -1,5 +1,5 @@
 //! In-place reconstruction (Rasch & Burns, USENIX '03 — the paper's
-//! related work [40]: "a version of the rsync algorithm that updates
+//! related work \[40\]: "a version of the rsync algorithm that updates
 //! files in-place without using additional temporary space").
 //!
 //! Ordinary reconstruction writes a second copy of the file; on the

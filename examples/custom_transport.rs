@@ -1,7 +1,8 @@
 //! Scenario: running the protocol over a real channel with the server
 //! on its own thread — the deployment shape of the library (the
 //! in-process `sync_file` driver is for experiments; a real tool talks
-//! over a socket-like transport).
+//! over a socket-like transport, and on the wire a single file is a
+//! one-entry collection).
 //!
 //! Also demonstrates the [`msync::protocol::LinkModel`] to answer the
 //! operational question: *on which links does the multi-round protocol
@@ -11,8 +12,9 @@
 //! cargo run --release --example custom_transport
 //! ```
 
-use msync::core::{sync_file_with, ChannelOptions, ProtocolConfig, SyncOptions};
+use msync::core::{sync_collection_channel, ChannelOptions, FileEntry, ProtocolConfig};
 use msync::protocol::LinkModel;
+use msync::trace::Recorder;
 use std::time::Duration;
 
 fn main() {
@@ -27,14 +29,20 @@ fn main() {
 
     // Client and server talk through a real duplex channel; the server
     // runs on its own thread. Byte accounting comes from the channel.
-    let opts = SyncOptions { channel: Some(ChannelOptions::default()), ..SyncOptions::default() };
-    let outcome =
-        sync_file_with(&old, &new, &ProtocolConfig::default(), &opts).expect("sync succeeds");
-    assert_eq!(outcome.reconstructed, new);
+    let file = |data: &[u8]| [FileEntry::new("status.log", data)];
+    let outcome = sync_collection_channel(
+        &file(&old),
+        &file(&new),
+        &ProtocolConfig::default(),
+        &ChannelOptions::default(),
+        &Recorder::off(),
+    )
+    .expect("sync succeeds");
+    assert_eq!(outcome.files[0].data, new);
     println!(
         "channel run: {} bytes, {} roundtrips (file {} KiB)",
-        outcome.stats.total_bytes(),
-        outcome.stats.traffic.roundtrips,
+        outcome.traffic.total_bytes(),
+        outcome.traffic.roundtrips,
         new.len() / 1024
     );
 
@@ -49,7 +57,7 @@ fn main() {
     for rtt_ms in [5u64, 20, 50, 100, 200, 500] {
         let link =
             LinkModel { up_bps: 56_000.0, down_bps: 256_000.0, rtt: Duration::from_millis(rtt_ms) };
-        let tm = link.estimate(&outcome.stats.traffic);
+        let tm = link.estimate(&outcome.traffic);
         let tr = link.estimate(&rsync.stats);
         println!(
             "{:>8}ms  {:>9.2}s  {:>9.2}s  {}",

@@ -17,6 +17,9 @@ cargo run --release -q -p xtask -- check-lint-report LINT_REPORT.json
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo doc (a doc link to a deleted public item is an error)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline -q
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -32,10 +35,10 @@ test -s ARTIFACT_sessions_scrape.txt || {
 echo "==> live introspection gate (sessions/health verbs, slow-session watchdog)"
 cargo test --release -q --test introspection
 
-echo "==> sans-IO engine determinism gate (ManualClock replay)"
+echo "==> sans-IO engine determinism gate (ManualClock replay of CollectionClientMachine / CollectionServeMachine)"
 cargo test --release -q --test engine_machine
 
-echo "==> fault-injection soak (seeded, release)"
+echo "==> fault-injection soak (seeded, release; sync_collection_client vs serve_collection over a faulty channel)"
 MSYNC_SOAK_SEEDS="${MSYNC_SOAK_SEEDS:-40}" \
     cargo test --release -q --test fault_injection
 

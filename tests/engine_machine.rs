@@ -1,30 +1,67 @@
-//! Machine-level tests of the sans-IO engine (ISSUE PR 5): drive
-//! `ClientMachine` / `ServerMachine` by hand — no transport, no
-//! threads, no real clock — and assert the protocol is a deterministic
-//! function of its inputs: the same files and the same frame schedule
-//! produce byte-identical output frames, and a dropped frame plus a
-//! clock advance produces the same retransmission every run.
+//! Machine-level tests of the sans-IO engine: drive
+//! `CollectionClientMachine` / `CollectionServeMachine` — the pair the
+//! daemon and every client run — by hand, with no transport, no threads
+//! and no real clock, and assert the protocol is a deterministic
+//! function of its inputs: the same collections and the same frame
+//! schedule produce byte-identical output frames, and a dropped frame
+//! plus a clock advance produces the same retransmission every run.
 
-use msync::core::{ClientMachine, Machine, Output, ProtocolConfig, ServerMachine};
-use msync::protocol::{BufferPool, FrameBuf, RetryPolicy};
+use msync::core::{
+    CollectionClientMachine, CollectionServeMachine, CollectionSnapshot, FileEntry, Machine,
+    Output, ProtocolConfig,
+};
+use msync::protocol::{BufferPool, FrameBuf, RetryPolicy, TrafficStats};
 use msync::trace::{Clock, ManualClock, Recorder};
 
-/// An 80 KB old/new pair with a mid-file edit: enough content for a
-/// multi-round map descent without making the test slow.
-fn corpus() -> (Vec<u8>, Vec<u8>) {
-    let old: Vec<u8> = b"the quick brown fox jumps over the lazy dog; "
+/// Fewer window slots than files, so admission order is part of what
+/// must replay identically.
+const DEPTH: usize = 2;
+
+/// Three files, in roster (name) order on the server: an 80 KB one
+/// with a mid-file edit (enough content for a multi-round map descent
+/// without making the test slow), one that only the server has, and
+/// one that did not change.
+fn corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
+    let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog; "
         .iter()
         .copied()
         .cycle()
         .take(80_000)
         .collect();
-    let mut new = old.clone();
-    new.splice(40_000..40_100, b"EDITED SEGMENT ".iter().copied().cycle().take(250));
+    let mut edited = text.clone();
+    edited.splice(40_000..40_100, b"EDITED SEGMENT ".iter().copied().cycle().take(250));
+    let same = FileEntry::new("same.txt", &text[..9_000]);
+    let old = vec![FileEntry::new("edited.txt", text), same.clone()];
+    let new = vec![
+        FileEntry::new("edited.txt", edited),
+        FileEntry::new("fresh.txt", b"only the server has this one".repeat(40)),
+        same,
+    ];
     (old, new)
 }
 
 fn cfg() -> ProtocolConfig {
     ProtocolConfig { start_block: 1024, ..ProtocolConfig::default() }
+}
+
+fn new_client<'a>(
+    old: &'a [FileEntry],
+    config: &'a ProtocolConfig,
+    now_us: u64,
+) -> CollectionClientMachine<'a> {
+    let retry = RetryPolicy::default();
+    CollectionClientMachine::new(old, config, DEPTH, retry, Recorder::off(), None, now_us)
+        .expect("client machine")
+}
+
+fn new_server(config: &ProtocolConfig, now_us: u64) -> CollectionServeMachine {
+    CollectionServeMachine::new(config, RetryPolicy::default(), Recorder::off(), now_us)
+        .expect("server machine")
+}
+
+/// What the client reconstructed, in roster order.
+fn finish(client: CollectionClientMachine<'_>) -> Vec<FileEntry> {
+    client.finish(TrafficStats::new()).expect("finished client yields a result").files
 }
 
 /// Drain one machine's queued effects, collecting transmissions.
@@ -44,14 +81,16 @@ fn drain<M: Machine>(m: &mut M, now_us: u64) -> (bool, Vec<(FrameBuf, bool)>) {
 /// Run one full client↔server session over a lossless in-test shuttle,
 /// returning every frame in wire order plus the client's reconstruction.
 /// With a pool, both machines draw their encoded frames from it.
-fn run_session_with(old: &[u8], new: &[u8], pool: Option<&BufferPool>) -> (Vec<FrameBuf>, Vec<u8>) {
+fn run_session_with(
+    old: &[FileEntry],
+    new: &[FileEntry],
+    pool: Option<&BufferPool>,
+) -> (Vec<FrameBuf>, Vec<FileEntry>) {
     let clock = ManualClock::fixed(0);
-    let retry = RetryPolicy::default();
     let config = cfg();
-    let now = clock.now_micros();
-    let mut client =
-        ClientMachine::new(old, &config, retry, Recorder::off(), 0, now).expect("client machine");
-    let mut server = ServerMachine::new(&config, retry, Recorder::off(), now).expect("server");
+    let snap = CollectionSnapshot::new(new.to_vec());
+    let mut client = new_client(old, &config, clock.now_micros());
+    let mut server = new_server(&config, clock.now_micros());
     if let Some(pool) = pool {
         client.set_pool(pool.clone());
         server.set_pool(pool.clone());
@@ -62,15 +101,14 @@ fn run_session_with(old: &[u8], new: &[u8], pool: Option<&BufferPool>) -> (Vec<F
         let now = clock.now_micros();
         let (client_done, to_server) = drain(&mut client, now);
         for (frame, _) in to_server {
-            server.on_frame(new, &frame, now).expect("server accepts frame");
+            server.on_frame(&snap, &frame, now).expect("server accepts frame");
             wire.push(frame);
         }
         if client_done {
-            let done = client.take_done().expect("finished client yields a result");
             // The server saw the hang-up in the real deployment; here
             // the shuttle just stops driving it.
             server.on_disconnect().expect("server ends cleanly");
-            return (wire, done.data);
+            return (wire, finish(client));
         }
         let (_, to_client) = drain(&mut server, now);
         for (frame, _) in to_client {
@@ -81,49 +119,43 @@ fn run_session_with(old: &[u8], new: &[u8], pool: Option<&BufferPool>) -> (Vec<F
     panic!("session did not converge within the frame budget");
 }
 
-fn run_session(old: &[u8], new: &[u8]) -> (Vec<FrameBuf>, Vec<u8>) {
-    run_session_with(old, new, None)
-}
-
 /// Replaying the identical inputs through fresh machines yields the
 /// byte-identical frame sequence — the protocol has no hidden state,
 /// no ambient clock, no RNG.
 #[test]
 fn recorded_frame_sequence_replays_identically() {
     let (old, new) = corpus();
-    let (wire_a, data_a) = run_session(&old, &new);
-    let (wire_b, data_b) = run_session(&old, &new);
-    assert_eq!(data_a, new, "client must reconstruct the new file exactly");
-    assert_eq!(data_b, new);
-    assert!(wire_a.len() >= 4, "a multi-round session crosses several frames: {}", wire_a.len());
+    let (wire_a, files_a) = run_session_with(&old, &new, None);
+    let (wire_b, files_b) = run_session_with(&old, &new, None);
+    assert_eq!(files_a, new, "client must reconstruct the new collection exactly");
+    assert_eq!(files_b, files_a);
+    assert!(wire_a.len() >= 6, "a multi-round session crosses several frames: {}", wire_a.len());
     assert_eq!(wire_a.len(), wire_b.len(), "frame counts must match across runs");
     for (i, (a, b)) in wire_a.iter().zip(&wire_b).enumerate() {
         assert_eq!(a, b, "frame {i} differs between identical runs");
     }
 }
 
-/// Drop the opening request, advance the manual clock past the retry
+/// Drop the opening roster, advance the manual clock past the retry
 /// deadline, and the client retransmits the byte-identical frame with
 /// the retransmit flag set — deterministically, run after run.
 #[test]
 fn dropped_frame_retransmits_deterministically_under_manual_clock() {
     let (old, new) = corpus();
-    let retry = RetryPolicy::default();
     let config = cfg();
-    let timeout_us = u64::try_from(retry.timeout.as_micros()).expect("sane timeout");
+    let snap = CollectionSnapshot::new(new.clone());
+    let timeout_us =
+        u64::try_from(RetryPolicy::default().timeout.as_micros()).expect("sane timeout");
 
     let mut retransmits: Vec<FrameBuf> = Vec::new();
     for _ in 0..2 {
         let clock = ManualClock::fixed(0);
-        let mut client =
-            ClientMachine::new(&old, &config, retry, Recorder::off(), 0, clock.now_micros())
-                .expect("client machine");
-        let mut server = ServerMachine::new(&config, retry, Recorder::off(), clock.now_micros())
-            .expect("server");
+        let mut client = new_client(&old, &config, clock.now_micros());
+        let mut server = new_server(&config, clock.now_micros());
 
-        // The request is generated... and lost on the wire.
+        // The roster is generated... and lost on the wire.
         let (_, lost) = drain(&mut client, clock.now_micros());
-        assert_eq!(lost.len(), 1, "the opening request is one frame");
+        assert_eq!(lost.len(), 1, "the opening roster is one frame");
         assert!(!lost[0].1, "the first transmission is not a retransmit");
 
         // Nothing arrives; the deadline passes; the client retransmits.
@@ -135,7 +167,7 @@ fn dropped_frame_retransmits_deterministically_under_manual_clock() {
 
         // Recovery completes: deliver the resend and run to the end.
         let now = clock.now_micros();
-        server.on_frame(&new, &resent[0].0, now).expect("server accepts the resend");
+        server.on_frame(&snap, &resent[0].0, now).expect("server accepts the resend");
         let mut done = false;
         for _ in 0..10_000 {
             let now = clock.now_micros();
@@ -145,7 +177,7 @@ fn dropped_frame_retransmits_deterministically_under_manual_clock() {
             }
             let (client_done, to_server) = drain(&mut client, now);
             for (frame, _) in to_server {
-                server.on_frame(&new, &frame, now).expect("server accepts frame");
+                server.on_frame(&snap, &frame, now).expect("server accepts frame");
             }
             if client_done {
                 done = true;
@@ -153,8 +185,7 @@ fn dropped_frame_retransmits_deterministically_under_manual_clock() {
             }
         }
         assert!(done, "session completes after the retransmission");
-        let outcome = client.take_done().expect("client result");
-        assert_eq!(outcome.data, new, "reconstruction survives the lost frame");
+        assert_eq!(finish(client), new, "reconstruction survives the lost frame");
         retransmits.push(resent[0].0.clone());
     }
     assert_eq!(retransmits[0], retransmits[1], "retransmission is deterministic across runs");
@@ -166,16 +197,14 @@ fn dropped_frame_retransmits_deterministically_under_manual_clock() {
 #[test]
 fn retransmission_shares_the_original_allocation() {
     let (old, _new) = corpus();
-    let retry = RetryPolicy::default();
     let config = cfg();
-    let timeout_us = u64::try_from(retry.timeout.as_micros()).expect("sane timeout");
+    let timeout_us =
+        u64::try_from(RetryPolicy::default().timeout.as_micros()).expect("sane timeout");
 
     let clock = ManualClock::fixed(0);
-    let mut client =
-        ClientMachine::new(&old, &config, retry, Recorder::off(), 0, clock.now_micros())
-            .expect("client machine");
+    let mut client = new_client(&old, &config, clock.now_micros());
     let (_, lost) = drain(&mut client, clock.now_micros());
-    assert_eq!(lost.len(), 1, "the opening request is one frame");
+    assert_eq!(lost.len(), 1, "the opening roster is one frame");
 
     for round in 1..=2u64 {
         // Deadlines back off; a generous advance always crosses the next.
@@ -199,9 +228,9 @@ fn pooled_buffers_return_and_high_water_stays_flat() {
     let pool = BufferPool::new(64);
     let mut marks = Vec::new();
     for i in 0..4 {
-        let (wire, data) = run_session_with(&old, &new, Some(&pool));
+        let (wire, files) = run_session_with(&old, &new, Some(&pool));
         drop(wire);
-        assert_eq!(data, new, "session {i} reconstructs exactly");
+        assert_eq!(files, new, "session {i} reconstructs exactly");
         let s = pool.stats();
         assert_eq!(s.outstanding, 0, "session {i}: every pooled frame must return at teardown");
         marks.push(s.high_water);

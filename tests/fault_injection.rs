@@ -1,10 +1,12 @@
-//! Fault-injection soak: the session layer must survive lossy,
+//! Fault-injection soak: the wire protocol must survive lossy,
 //! corrupting, and hanging links.
 //!
 //! Sweeps every fault class of `msync::protocol::fault` across a seed
-//! range and two block-size schedules, driving real two-thread
-//! [`msync::core::sync_file_with`] sessions over a faulty
-//! channel. The contract under test (ISSUE: "graceful degradation"):
+//! range, two block-size schedules and two collection shapes, driving
+//! real two-thread sessions of the machines the daemon runs
+//! (`sync_collection_client` against `serve_collection`) over a faulty
+//! in-memory channel. The contract under test (ISSUE: "graceful
+//! degradation"):
 //!
 //! * **no panic, no hang** — every run finishes within a watchdog
 //!   deadline, whatever the link does;
@@ -15,8 +17,8 @@
 //!   deadlock or a wrong file.
 //!
 //! Seeds are deterministic; a failure reproduces from the printed
-//! `(class, schedule, seed)` triple. `MSYNC_SOAK_SEEDS=100` widens the
-//! sweep (CI runs it with more seeds than the default 20).
+//! `(class, schedule, shape, seed)` tuple. `MSYNC_SOAK_SEEDS=100` widens
+//! the sweep (CI runs it with more seeds than the default 20).
 //!
 //! The crash-recovery section at the bottom drives the durable-session
 //! machinery end to end: seeded disconnects kill live daemon sessions
@@ -27,14 +29,15 @@
 //! emits the measurement as `BENCH_resume.json` in the repo root.
 
 use msync::core::{
-    sync_file, sync_file_with, AtomicApplier, ChannelOptions, FileEntry, PipelineOptions,
-    ProtocolConfig, ResumePlan, SyncError, SyncOptions,
+    serve_collection, sync_collection, sync_collection_channel, sync_collection_client,
+    AtomicApplier, ChannelOptions, CollectionOutcome, FileEntry, PipelineOptions, ProtocolConfig,
+    ResumePlan, SyncError,
 };
 use msync::corpus::Rng;
 use msync::hashes::file_fingerprint;
 use msync::net::{sync_remote, sync_remote_with, Daemon, DaemonOptions, RemoteOptions};
 use msync::protocol::fault::FaultInjector;
-use msync::protocol::{FaultPlan, Phase, RetryPolicy};
+use msync::protocol::{Endpoint, FaultPlan, Phase, RetryPolicy};
 use msync::trace::{DirTag, EventKind, FaultKind, Recorder};
 use std::time::Duration;
 
@@ -79,11 +82,25 @@ fn schedules() -> Vec<(&'static str, ProtocolConfig)> {
     ]
 }
 
+/// Collection shapes, `(files, pipeline depth)`: a single file — on the
+/// wire a one-entry collection — and four files through a two-slot
+/// window, so admission and batching run under faults too. The second
+/// is also the only one the `disconnect` profile can reach: it cuts the
+/// link after 20 server frames, and one window of files is done in 18.
+const SHAPES: &[(usize, usize)] = &[(1, 32), WINDOWED];
+const WINDOWED: (usize, usize) = (4, 2);
+
 /// Deterministic file pair: ~24 KiB old file plus an edited copy
 /// (splices, overwrites, and a tail change) derived from `seed`.
 fn file_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
+    sized_pair(seed, 24_576)
+}
+
+/// [`file_pair`] with the old file between two thirds of `max_len` and
+/// `max_len` bytes long.
+fn sized_pair(seed: u64, max_len: usize) -> (Vec<u8>, Vec<u8>) {
     let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-    let n = rng.gen_range(16_384..=24_576usize);
+    let n = rng.gen_range(max_len * 2 / 3..=max_len);
     let old: Vec<u8> = (0..n).map(|_| (rng.next_u64() >> 56) as u8).collect();
     let mut new = old.clone();
     for _ in 0..rng.gen_range(1..=4u32) {
@@ -110,29 +127,79 @@ fn file_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     (old, new)
 }
 
-/// Run one sync on a worker thread under the watchdog. A deadline miss
-/// is exactly the hang this PR exists to eliminate, so it panics the
-/// test with the reproducing triple.
-fn run_with_deadline(
+/// Deterministic collection pair: `files` entries of [`file_pair`] data,
+/// old on the client, edited new on the server.
+fn collection_pair(files: usize, seed: u64) -> (Vec<FileEntry>, Vec<FileEntry>) {
+    let mut old = Vec::new();
+    let mut new = Vec::new();
+    for i in 0..files {
+        let (o, n) = file_pair(seed.wrapping_mul(1009).wrapping_add(i as u64));
+        old.push(FileEntry::new(format!("f{i:02}.bin"), o));
+        new.push(FileEntry::new(format!("f{i:02}.bin"), n));
+    }
+    (old, new)
+}
+
+fn assert_collection(got: &[FileEntry], want: &[FileEntry], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: file count differs");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.name, w.name, "{label}: name order differs");
+        assert_eq!(g.data, w.data, "{label}: `{}` is not byte-exact", g.name);
+    }
+}
+
+/// One soak run: sync ~24 KiB of [`sized_pair`]s in the given shape
+/// over a channel injecting `plan`, on a worker thread under the
+/// watchdog (a deadline miss is exactly the hang this suite exists to
+/// catch, so it panics with the reproducing tuple). Every `Ok` is
+/// checked byte for byte, every `Err` for being a typed transport
+/// error; returns the retransmitted frame count of a successful run.
+fn soak_run(
     label: &str,
-    old: Vec<u8>,
-    new: Vec<u8>,
-    cfg: ProtocolConfig,
-    opts: ChannelOptions,
-) -> Result<(Vec<u8>, u64), SyncError> {
+    plan: FaultPlan,
+    seed: u64,
+    cfg: &ProtocolConfig,
+    (files, depth): (usize, usize),
+) -> Option<u64> {
+    let (old, new): (Vec<FileEntry>, Vec<FileEntry>) = (0..files)
+        .map(|i| {
+            let (o, n) = sized_pair(seed.wrapping_mul(1009).wrapping_add(i as u64), 24_576 / files);
+            (FileEntry::new(format!("f{i:02}.bin"), o), FileEntry::new(format!("f{i:02}.bin"), n))
+        })
+        .unzip();
+    let (cfg, served) = (cfg.clone(), new.clone());
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
-        let sync_opts = SyncOptions { channel: Some(opts), ..SyncOptions::default() };
-        let result = sync_file_with(&old, &new, &cfg, &sync_opts)
-            .map(|out| (out.reconstructed, out.stats.traffic.retransmits));
+        let (mut client_ep, mut server_ep) = Endpoint::pair_with_faults(&plan, seed);
+        let result = std::thread::scope(|s| {
+            s.spawn(|| serve_collection(&mut server_ep, &served, &cfg, soak_retry()));
+            let opts = PipelineOptions { depth, retry: soak_retry() };
+            let result = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
+            // The hang-up that lets a lingering server finish.
+            drop(client_ep);
+            result
+        });
         let _ = tx.send(result);
     });
-    match rx.recv_timeout(DEADLINE) {
+    let result = match rx.recv_timeout(DEADLINE) {
         Ok(result) => {
             let _ = handle.join();
             result
         }
         Err(_) => panic!("HANG: {label} exceeded the {DEADLINE:?} watchdog"),
+    };
+    match result {
+        Ok(out) => {
+            assert_collection(&out.files, &new, label);
+            Some(out.traffic.retransmits)
+        }
+        Err(
+            SyncError::Timeout
+            | SyncError::FrameCorrupt
+            | SyncError::PeerGone
+            | SyncError::Desync(_),
+        ) => None,
+        Err(other) => panic!("{label}: non-transport error {other}"),
     }
 }
 
@@ -142,45 +209,38 @@ fn soak_every_fault_class_across_seeds() {
     for class in CLASSES {
         let plan = FaultPlan::profile(class).expect("profile exists");
         let mut successes = 0u64;
-        let mut failures = 0u64;
+        let mut runs = 0u64;
         let mut retransmits = 0u64;
         for (schedule, cfg) in schedules() {
-            for seed in 0..seeds {
-                let label = format!("class={class} schedule={schedule} seed={seed}");
-                let (old, new) = file_pair(seed);
-                let opts = ChannelOptions {
-                    retry: soak_retry(),
-                    fault_plan: Some(plan),
-                    fault_seed: seed,
-                };
-                match run_with_deadline(&label, old, new.clone(), cfg.clone(), opts) {
-                    Ok((reconstructed, rtx)) => {
-                        assert_eq!(
-                            reconstructed, new,
-                            "{label}: reported success but reconstruction differs"
-                        );
+            for &shape in SHAPES {
+                for seed in 0..seeds {
+                    let label =
+                        format!("class={class} schedule={schedule} shape={shape:?} seed={seed}");
+                    runs += 1;
+                    if let Some(rtx) = soak_run(&label, plan, seed, &cfg, shape) {
                         successes += 1;
                         retransmits += rtx;
                     }
-                    Err(
-                        SyncError::Timeout
-                        | SyncError::FrameCorrupt
-                        | SyncError::PeerGone
-                        | SyncError::Desync(_),
-                    ) => failures += 1,
-                    Err(other) => panic!("{label}: non-transport error {other}"),
                 }
             }
         }
-        let runs = successes + failures;
         println!("class {class:<10} {successes}/{runs} ok, {retransmits} retransmitted frame(s)");
-        // The disconnect profile severs the link mid-session, so typed
-        // failure is its expected outcome; every recoverable class must
-        // actually recover on at least some seeds.
-        if *class != "disconnect" {
-            assert!(successes > 0, "class {class}: no run ever succeeded");
-        }
+        // Every class must actually recover on at least some seeds —
+        // `disconnect` too: its single-file sessions outrun the cut.
+        assert!(successes > 0, "class {class}: no run ever succeeded");
     }
+}
+
+/// How many of `seed_count()` default-schedule runs of `class` recovered.
+fn recovered(class: &str, shape: (usize, usize)) -> u64 {
+    let plan = FaultPlan::profile(class).expect("profile exists");
+    let cfg = ProtocolConfig::default();
+    (0..seed_count())
+        .filter(|&seed| {
+            let label = format!("class={class} shape={shape:?} seed={seed}");
+            soak_run(&label, plan, seed, &cfg, shape).is_some()
+        })
+        .count() as u64
 }
 
 #[test]
@@ -188,80 +248,67 @@ fn recoverable_classes_mostly_recover() {
     // Mild per-class rates must be *absorbed* by retransmission, not
     // merely survived: demand a high success rate so recovery
     // regressions show up even while errors stay typed.
-    let seeds = seed_count();
     for class in ["drop", "corrupt", "duplicate", "delay"] {
-        let plan = FaultPlan::profile(class).expect("profile exists");
-        let mut successes = 0u64;
-        let mut runs = 0u64;
-        for seed in 0..seeds {
-            let label = format!("class={class} seed={seed}");
-            let (old, new) = file_pair(seed);
-            let opts =
-                ChannelOptions { retry: soak_retry(), fault_plan: Some(plan), fault_seed: seed };
-            runs += 1;
-            if let Ok((reconstructed, _)) =
-                run_with_deadline(&label, old, new.clone(), ProtocolConfig::default(), opts)
-            {
-                assert_eq!(reconstructed, new, "{label}: corrupt reconstruction");
-                successes += 1;
-            }
+        for &shape in SHAPES {
+            let (ok, runs) = (recovered(class, shape), seed_count());
+            assert!(ok * 10 >= runs * 9, "class {class} {shape:?}: only {ok}/{runs} recovered");
         }
-        assert!(
-            successes * 10 >= runs * 9,
-            "class {class}: only {successes}/{runs} runs recovered"
-        );
     }
 }
 
 #[test]
 fn disconnect_surfaces_typed_error_not_hang() {
-    let plan = FaultPlan::profile("disconnect").expect("profile exists");
-    for seed in 0..seed_count() {
-        let label = format!("class=disconnect seed={seed}");
-        let (old, new) = file_pair(seed);
-        let opts = ChannelOptions { retry: soak_retry(), fault_plan: Some(plan), fault_seed: seed };
-        match run_with_deadline(&label, old, new.clone(), ProtocolConfig::default(), opts) {
-            // The session may finish before the cut lands.
-            Ok((reconstructed, _)) => assert_eq!(reconstructed, new, "{label}"),
-            Err(
-                SyncError::PeerGone
-                | SyncError::Timeout
-                | SyncError::FrameCorrupt
-                | SyncError::Desync(_),
-            ) => {}
-            Err(other) => panic!("{label}: non-transport error {other}"),
-        }
-    }
+    // The windowed shape runs past the profile's cut point on most
+    // seeds, so the cut must be seen to land — and to surface as a
+    // typed error (`soak_run` panics on a hang or any other error).
+    assert!(
+        recovered("disconnect", WINDOWED) < seed_count(),
+        "no session was long enough for the disconnect to land"
+    );
+}
+
+/// A single file over a channel: a one-entry collection.
+fn one(data: &[u8]) -> Vec<FileEntry> {
+    vec![FileEntry::new("file.bin", data)]
+}
+
+fn channel_run(
+    old: &[u8],
+    new: &[u8],
+    opts: &ChannelOptions,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    sync_collection_channel(&one(old), &one(new), &ProtocolConfig::default(), opts, recorder)
 }
 
 #[test]
 fn zero_fault_rates_change_nothing() {
     // A FaultPlan with every rate at zero must be bit-transparent:
     // identical bytes, frames, and phase attribution to the clean
-    // channel, zero retransmissions, and only the documented fixed
-    // per-frame ARQ header overhead versus the in-process driver.
+    // channel, zero retransmissions, and only a bounded per-frame
+    // header overhead versus the lockstep driver's price for the same
+    // one-entry collection.
     let (old, new) = file_pair(7);
-    let cfg = ProtocolConfig::default();
-    let clean_opts =
-        SyncOptions { channel: Some(ChannelOptions::default()), ..SyncOptions::default() };
-    let clean = sync_file_with(&old, &new, &cfg, &clean_opts).expect("clean run");
+    let clean =
+        channel_run(&old, &new, &ChannelOptions::default(), &Recorder::off()).expect("clean run");
     let opts = ChannelOptions {
         retry: RetryPolicy::default(),
         fault_plan: Some(FaultPlan::none()),
         fault_seed: 1234,
     };
-    let zeroed_opts = SyncOptions { channel: Some(opts), ..SyncOptions::default() };
-    let zeroed = sync_file_with(&old, &new, &cfg, &zeroed_opts).expect("zero-fault run");
-    assert_eq!(zeroed.reconstructed, new);
-    assert_eq!(zeroed.stats.traffic, clean.stats.traffic, "zero-rate plan perturbed accounting");
-    assert_eq!(zeroed.stats.traffic.retransmits, 0);
+    let zeroed = channel_run(&old, &new, &opts, &Recorder::off()).expect("zero-fault run");
+    assert_eq!(zeroed.files, one(&new));
+    assert_eq!(zeroed.traffic, clean.traffic, "zero-rate plan perturbed accounting");
+    assert_eq!(zeroed.traffic.retransmits, 0);
 
-    let driver = sync_file(&old, &new, &cfg).expect("in-process driver");
-    let diff = zeroed.stats.total_bytes().abs_diff(driver.stats.total_bytes());
+    let driver = sync_collection(&one(&old), &one(&new), &ProtocolConfig::default())
+        .expect("lockstep driver");
+    assert_eq!(zeroed.traffic.roundtrips, driver.traffic.roundtrips);
+    let diff = zeroed.traffic.total_bytes().abs_diff(driver.traffic.total_bytes());
     assert!(
-        diff <= 8 * zeroed.stats.traffic.frames,
-        "channel overhead {diff} exceeds the per-frame ARQ header bound ({} frames)",
-        zeroed.stats.traffic.frames
+        diff <= 8 * zeroed.traffic.frames,
+        "channel overhead {diff} exceeds the per-frame header bound ({} frames)",
+        zeroed.traffic.frames
     );
 }
 
@@ -286,9 +333,7 @@ fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
     };
     // Outcome is irrelevant here (Ok or typed failure both leave a
     // valid journal); only the recorded fault events are under test.
-    let sync_opts =
-        SyncOptions { channel: Some(opts), recorder: recorder.clone(), ..SyncOptions::default() };
-    let _ = sync_file_with(&old, &new, &ProtocolConfig::default(), &sync_opts);
+    let _ = channel_run(&old, &new, &opts, &recorder);
 
     let mut observed: [Vec<(u64, FaultKind)>; 2] = [Vec::new(), Vec::new()];
     for ev in recorder.drain_events() {
@@ -353,12 +398,11 @@ fn faulty_runs_are_reproducible() {
         // spuriously flaky under a heavily loaded test machine.
         let retry = RetryPolicy { timeout: Duration::from_secs(10), ..RetryPolicy::default() };
         let opts = ChannelOptions { retry, fault_plan: Some(plan), fault_seed: seed };
-        let opts = SyncOptions { channel: Some(opts), ..SyncOptions::default() };
-        sync_file_with(&old, &new, &ProtocolConfig::default(), &opts)
+        channel_run(&old, &new, &opts, &Recorder::off())
             .map(|out| {
-                let mut traffic = out.stats.traffic;
+                let mut traffic = out.traffic;
                 traffic.roundtrips = 0;
-                (out.reconstructed, traffic)
+                (out.files, traffic)
             })
             .map_err(|e| e.to_string())
     };
@@ -369,27 +413,6 @@ fn faulty_runs_are_reproducible() {
 // Crash recovery: kill-and-resume over a live daemon, torn-temp sweep,
 // and the repeated-sync fast path.
 // ---------------------------------------------------------------------
-
-/// Deterministic collection pair: `files` entries of [`file_pair`] data,
-/// old on the client, edited new on the server.
-fn collection_pair(files: usize, seed: u64) -> (Vec<FileEntry>, Vec<FileEntry>) {
-    let mut old = Vec::new();
-    let mut new = Vec::new();
-    for i in 0..files {
-        let (o, n) = file_pair(seed.wrapping_mul(1009).wrapping_add(i as u64));
-        old.push(FileEntry::new(format!("f{i:02}.bin"), o));
-        new.push(FileEntry::new(format!("f{i:02}.bin"), n));
-    }
-    (old, new)
-}
-
-fn assert_collection(got: &[FileEntry], want: &[FileEntry], label: &str) {
-    assert_eq!(got.len(), want.len(), "{label}: file count differs");
-    for (g, w) in got.iter().zip(want) {
-        assert_eq!(g.name, w.name, "{label}: name order differs");
-        assert_eq!(g.data, w.data, "{label}: `{}` is not byte-exact", g.name);
-    }
-}
 
 /// The seeded kill points for the resume soak: the connection is cut
 /// after this many server-to-client frames, spanning everything from

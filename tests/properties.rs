@@ -366,7 +366,8 @@ mod decoder_robustness {
 mod extensions {
     use super::{edited_pair, for_cases};
     use msync::cdc::ChunkParams;
-    use msync::core::{sync_file_with, ChannelOptions, ProtocolConfig, SyncOptions};
+    use msync::core::{sync_collection_channel, ChannelOptions, FileEntry, ProtocolConfig};
+    use msync::trace::Recorder;
 
     #[test]
     fn cdc_sync_reconstructs_exactly() {
@@ -399,12 +400,13 @@ mod extensions {
             min_block_cont: 8,
             ..ProtocolConfig::default()
         };
-        let opts =
-            SyncOptions { channel: Some(ChannelOptions::default()), ..SyncOptions::default() };
         for_cases(0x65787433, 32, |rng| {
+            // On the wire a single file is a one-entry collection.
             let (old, new) = edited_pair(rng, 4096);
-            let out = sync_file_with(&old, &new, &cfg, &opts).unwrap();
-            assert_eq!(out.reconstructed, new);
+            let (old, new) = ([FileEntry::new("f", old)], [FileEntry::new("f", new)]);
+            let opts = ChannelOptions::default();
+            let out = sync_collection_channel(&old, &new, &cfg, &opts, &Recorder::off()).unwrap();
+            assert_eq!(out.files, new);
         });
     }
 }
