@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! exp <id> [--scale S] [--json]
-//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon all
+//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon window all
 //! ```
 
 use std::process::ExitCode;
@@ -71,6 +71,7 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
         "baselines" => vec![exp::baselines(s_src)],
         "broadcast" => vec![exp::broadcast(s_src)],
         "recon" => vec![exp::recon(s_web * 5.0)],
+        "window" => vec![exp::window(s_src)],
         "all" => vec![
             exp::fig6_basic("gcc", s_src),
             exp::fig6_basic("emacs", s_src),
@@ -84,13 +85,14 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
             exp::baselines(s_src),
             exp::broadcast(s_src),
             exp::recon(s_web * 5.0),
+            exp::window(s_src),
         ],
         other => return Err(format!("unknown experiment `{other}`")),
     })
 }
 
 const USAGE: &str = "usage: exp <id> [--scale S] [--json]\n\
-    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon all\n\
+    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon window all\n\
     scale: corpus size fraction (1.0 = the paper's full size)";
 
 // Hand-rolled JSON: a report is strings in two levels of arrays, and

@@ -77,6 +77,11 @@ fn kb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 
+/// A corpus collection as the entries the collection drivers take.
+fn entries(c: &Collection) -> Vec<msync_core::FileEntry> {
+    c.files().iter().map(|f| msync_core::FileEntry::new(f.name.clone(), f.data.clone())).collect()
+}
+
 /// The minimum block sizes Figures 6.1/6.2 sweep.
 pub const MIN_BLOCK_SWEEP: &[usize] = &[8, 16, 32, 64, 128, 256];
 
@@ -425,7 +430,6 @@ pub fn restricted(scale: f64) -> Report {
 /// be adaptive") vs the fixed presets, across all three corpora.
 pub fn adaptive(scale: f64) -> Report {
     use msync_core::adaptive::sync_collection_adaptive;
-    use msync_core::FileEntry;
 
     let gcc = release_pair(&gcc_like(scale));
     let emacs = release_pair(&emacs_like(scale));
@@ -435,10 +439,6 @@ pub fn adaptive(scale: f64) -> Report {
         ("emacs", &emacs.versions[0], &emacs.versions[1]),
         ("web 2d", &web.versions[0], &web.versions[2]),
     ];
-
-    let entries = |c: &Collection| -> Vec<FileEntry> {
-        c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
-    };
 
     let mut rows = Vec::new();
     for (name, old, new) in corpora {
@@ -595,6 +595,71 @@ pub fn recon(scale: f64) -> Report {
     }
 }
 
+/// The caps on files in flight `window` sweeps; `None` is the default
+/// (no cap: the byte budget alone sets the window).
+pub const WINDOW_DEPTHS: &[Option<usize>] = &[Some(1), Some(8), Some(32), None];
+
+/// Extension (ROADMAP item 4, "decide the window with the table as
+/// judge"): what the pipeline window costs on the wire the daemon
+/// speaks — `sync_collection_client` against `serve_collection` over an
+/// in-process channel — per corpus and cap on files in flight:
+/// roundtrips, wire bytes, and modelled time on the paper's slow links.
+pub fn window(scale: f64) -> Report {
+    use msync_core::{serve_collection, sync_collection_client, PipelineOptions};
+    use msync_protocol::{Endpoint, LinkModel, RetryPolicy};
+
+    let gcc = release_pair(&gcc_like(scale));
+    let emacs = release_pair(&emacs_like(scale));
+    let web = web_collection(&web_params(scale / 5.0), 1);
+    let corpora =
+        [("gcc", gcc.pair(0, 1)), ("emacs", emacs.pair(0, 1)), ("web 1d", web.pair(0, 1))];
+    // A clean in-process link only times out if the machine stalls; a
+    // long deadline keeps a stall from adding a retransmission.
+    let retry = RetryPolicy { timeout: std::time::Duration::from_secs(30), ..Default::default() };
+    let cfg = ProtocolConfig::default();
+    let links = [LinkModel::dialup(), LinkModel::dsl(), LinkModel::cable(), LinkModel::t1()];
+
+    let mut rows = Vec::new();
+    let mut notes = Vec::new();
+    for (name, (old, new)) in corpora {
+        notes.push(format!("{name}: {} files, {} KB total", new.len(), new.total_bytes() / 1024));
+        let (old, new) = (entries(old), entries(new));
+        let mut want = new.clone();
+        want.sort_by(|a, b| a.name.cmp(&b.name));
+        for &depth in WINDOW_DEPTHS {
+            let opts = PipelineOptions { depth: depth.unwrap_or(usize::MAX), retry };
+            let (mut client_ep, mut server_ep) = Endpoint::pair();
+            let out = std::thread::scope(|s| {
+                s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, retry));
+                let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
+                drop(client_ep);
+                out.expect("wire sync succeeds")
+            });
+            assert_eq!(out.files, want, "{name}: reconstruction must be exact");
+            let window = depth.map_or("default".to_owned(), |d| format!("depth {d}"));
+            let mut cells = vec![out.traffic.roundtrips.to_string(), kb(out.traffic.total_bytes())];
+            cells.extend(
+                links.iter().map(|l| format!("{:.1}s", l.estimate(&out.traffic).as_secs_f64())),
+            );
+            rows.push(ReportRow { label: format!("{name}, {window}"), cells });
+        }
+    }
+    notes.push(format!("corpus scale {scale} (web at {})", scale / 5.0));
+    notes.push(format!(
+        "default = no cap on files, {} MiB of file content in flight",
+        msync_core::WINDOW_BUDGET_BYTES >> 20
+    ));
+    Report {
+        id: "window".into(),
+        title: "pipeline window on the wire: roundtrips, bytes and modelled link time".into(),
+        columns: ["corpus, window", "rt", "wire KB", "dial-up", "DSL", "cable", "T1"]
+            .map(String::from)
+            .to_vec(),
+        rows,
+        notes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,6 +708,17 @@ mod tests {
         // Cost grows with the interval but sublinearly.
         assert!(msync[2] > msync[0]);
         assert!(msync[2] < msync[0] * 7.0);
+    }
+
+    #[test]
+    fn window_roundtrips_fall_as_the_cap_lifts() {
+        let r = window(0.02);
+        assert_eq!(r.rows.len(), 3 * WINDOW_DEPTHS.len());
+        for corpus in r.rows.chunks(WINDOW_DEPTHS.len()) {
+            let rt: Vec<u32> = corpus.iter().map(|row| row.cells[0].parse().unwrap()).collect();
+            assert!(rt.windows(2).all(|w| w[0] >= w[1]), "{}: {rt:?}", corpus[0].label);
+            assert!(rt[0] > 4 * rt[3], "{}: {rt:?}", corpus[0].label);
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub enum Command {
         fault_seed: u64,
         /// Address of an `msync serve` daemon to sync against.
         remote: Option<String>,
-        /// Files in flight per batched flush when syncing remotely.
-        pipeline_depth: usize,
+        /// Cap on files in flight per batched flush when syncing
+        /// remotely; `None` leaves the window to the byte budget.
+        pipeline_depth: Option<usize>,
         /// Explicit opt-in to wrapping the *real socket* in the fault
         /// injector; required to combine `--remote` with
         /// `--fault-profile`.
@@ -184,11 +185,12 @@ Remote mode: `msync serve <ROOT> --listen ADDR` starts a daemon serving
 event-loop threads, default available parallelism; --max-sessions N
 refuses clients over the cap with a typed capacity error), and `msync
 sync <OLD> --remote ADDR` updates the local directory against it over
-real TCP, batching up to --pipeline-depth files (default 32) into one
-frame per direction per round. --compare needs both sides locally and
-cannot combine with --remote. Injecting faults into a real socket is
-opt-in: --remote with --fault-profile additionally requires
---fault-wrap.
+real TCP, batching every file's message of a round into one frame per
+direction: all files within a 16 MiB window of content by default, at
+most N of them under --pipeline-depth N (1 = one file at a time).
+--compare needs both sides locally and cannot combine with --remote.
+Injecting faults into a real socket is opt-in: --remote with
+--fault-profile additionally requires --fault-wrap.
 
 Collections: one daemon serves many named trees. A bare <ROOT> is the
 collection `default`; `--collection name=path` (repeatable) adds named
@@ -385,7 +387,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     fault_profile,
                     fault_seed,
                     remote,
-                    pipeline_depth: pipeline_depth.unwrap_or(32),
+                    pipeline_depth,
                     fault_wrap,
                     trace_out,
                     state_dir,
@@ -656,7 +658,7 @@ mod tests {
                 assert!(fault_profile.is_none());
                 assert_eq!(fault_seed, 0);
                 assert!(remote.is_none());
-                assert_eq!(pipeline_depth, 32);
+                assert_eq!(pipeline_depth, None);
                 assert!(!fault_wrap);
                 assert!(trace_out.is_none());
                 assert!(state_dir.is_none());
@@ -908,7 +910,7 @@ mod tests {
                 assert_eq!(old, PathBuf::from("mirror"));
                 assert!(new.is_none());
                 assert_eq!(remote.as_deref(), Some("host:9631"));
-                assert_eq!(pipeline_depth, 64);
+                assert_eq!(pipeline_depth, Some(64));
             }
             other => panic!("wrong command {other:?}"),
         }

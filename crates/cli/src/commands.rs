@@ -5,6 +5,7 @@ use crate::args::{preset_config, Cli, Command, ConfigSource, USAGE};
 use msync_core::{
     atomic_write_file, load_checkpoint, sync_collection_channel, sync_collection_traced, sync_file,
     AtomicApplier, CacheEntry, CheckpointLog, FileEntry, MetadataCache, ProtocolConfig, ResumePlan,
+    WINDOW_BUDGET_BYTES,
 };
 use msync_corpus::fsload::load_dir;
 use msync_corpus::Collection;
@@ -380,7 +381,7 @@ fn remote_sync_cmd(
     old: &Path,
     addr: &str,
     config: &ConfigSource,
-    pipeline_depth: usize,
+    pipeline_depth: Option<usize>,
     fault_profile: Option<&str>,
     fault_seed: u64,
     write: Option<&Path>,
@@ -401,7 +402,9 @@ fn remote_sync_cmd(
 
     let recorder = trace_recorder(trace_out);
     let mut opts = msync_net::RemoteOptions { cfg, ..Default::default() };
-    opts.pipeline.depth = pipeline_depth;
+    if let Some(depth) = pipeline_depth {
+        opts.pipeline.depth = depth;
+    }
     opts.recorder = recorder.clone();
     opts.collection = collection.map(str::to_owned);
     if let Some(profile) = fault_profile {
@@ -462,11 +465,13 @@ fn remote_sync_cmd(
     let t = &out.traffic;
     let raw: u64 = out.files.iter().map(|f| f.data.len() as u64).sum();
 
+    let window = pipeline_depth.map_or("all files".to_owned(), |depth| format!("{depth} file(s)"));
     let _ = writeln!(
         report,
-        "synchronized {} file(s), {} total, against {addr} (pipeline depth {pipeline_depth})",
+        "synchronized {} file(s), {} total, against {addr} (pipeline window: {window} within {} MiB)",
         out.files.len(),
-        human(raw)
+        human(raw),
+        WINDOW_BUDGET_BYTES >> 20,
     );
     let changed = out.files.len().saturating_sub(out.unchanged + out.created + out.resumed);
     let _ = writeln!(

@@ -297,9 +297,15 @@ pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
                     return Err(DeltaError::Corrupt);
                 }
                 let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping copy: the source runs into bytes this
+                    // very copy produces, so it goes byte by byte.
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
                 }
             }
         }
@@ -384,6 +390,21 @@ mod tests {
         let d = encode(&reference, &target);
         assert_eq!(decode(&reference, &d).unwrap(), target);
         assert!(d.len() < insert.len() + 200);
+    }
+
+    #[test]
+    fn self_copies_roundtrip_overlapping_or_not() {
+        let block: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        // Distance 2 under a long length: the copy feeds on itself.
+        let mut target = b"ab".repeat(200);
+        // The same 300 bytes again, 340 back: source and output disjoint.
+        target.extend_from_slice(&block);
+        target.extend_from_slice(&[7u8; 40]);
+        target.extend_from_slice(&block);
+        let d = encode(b"", &target);
+        assert!(d.len() < target.len() / 2, "self-matches unused: {} B", d.len());
+        assert_eq!(decode(b"", &d).unwrap(), target);
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! [`CollectionClientMachine`] and [`CollectionServeMachine`] carry the
 //! wire schedule documented in [`crate::pipeline`]: a sorted roster
-//! exchange, then windowed batch frames holding one round message per
-//! in-flight file, one ARQ message per direction per flush. The
+//! exchange, then batch frames holding one round message per file in
+//! the window, one ARQ message per direction per flush. The window is
+//! the client's alone: it admits files in roster order while the
+//! content bytes of open sessions fit
+//! [`WINDOW_BUDGET_BYTES`]. The
 //! blocking [`sync_collection_client`](crate::pipeline) /
 //! [`serve_collection`](crate::pipeline) drivers pump these machines
 //! over a `Transport`; the `msync-net` daemon multiplexes many
 //! [`CollectionServeMachine`]s on a fixed worker pool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use msync_hash::{file_fingerprint, Fingerprint};
@@ -23,6 +26,7 @@ use crate::config::ProtocolConfig;
 use crate::pipeline::{
     decode_batch, decode_resume_offer, decode_resume_verdict, decode_roster, encode_batch,
     encode_resume_offer, encode_resume_verdict, encode_roster, ResumeVerdict, ServeOutcome,
+    WINDOW_BUDGET_BYTES,
 };
 use crate::resume::{config_digest, ResumePlan};
 use crate::session::{ClientAction, ClientSession, Part, SState, ServerSession, SyncError};
@@ -39,8 +43,10 @@ pub struct CompletedFile {
     pub file_id: usize,
     /// Collection-relative name.
     pub name: String,
-    /// Final file content.
-    pub data: Vec<u8>,
+    /// Final file content: the one allocation the machine also keeps
+    /// for [`CollectionClientMachine::finish`], which takes it back
+    /// without a copy once every `CompletedFile` has been dropped.
+    pub data: Arc<Vec<u8>>,
     /// Whether the session fell back to a full transfer.
     pub fell_back: bool,
     /// Confirmed by a resume verdict rather than synced: the content
@@ -58,11 +64,26 @@ struct Slot<'a> {
     old_data: &'a [u8],
     existed: bool,
     traffic: TrafficStats,
-    done: Option<(Vec<u8>, bool)>,
+    /// Final content and the fell-back flag. An `Arc<Vec<u8>>`, not an
+    /// `Arc<[u8]>`: `finish` unwraps it into the `Vec` the outcome owns.
+    #[allow(clippy::rc_buffer)]
+    done: Option<(Arc<Vec<u8>>, bool)>,
+    /// Content bytes this session holds of the window budget: 0 until
+    /// admitted, while parked, and once done.
+    charged: u64,
     /// Confirmed complete by the server's resume verdict (no session).
     resumed: bool,
     /// Recorder timestamp at admission (0 when tracing is off).
     t0_us: u64,
+}
+
+impl Slot<'_> {
+    /// What the session counts against the window budget: the local
+    /// copy until the setup reply reveals the server's length, then the
+    /// larger of the two (a delta is decoded against one into the other).
+    fn content_bytes(&self) -> u64 {
+        (self.old_data.len() as u64).max(self.session.new_len).max(1)
+    }
 }
 
 enum ClientState {
@@ -75,16 +96,25 @@ enum ClientState {
 pub struct CollectionClientMachine<'a> {
     old: &'a [FileEntry],
     cfg: &'a ProtocolConfig,
+    /// Cap on open sessions (`usize::MAX`: the byte budget alone).
     depth: usize,
+    /// Cap on the content bytes of sessions in the window.
+    budget: u64,
     rec: Recorder,
     arq: ArqCore,
     state: ClientState,
     server_names: Vec<String>,
     slots: Vec<Slot<'a>>,
     outbox: Vec<(usize, Vec<Part>)>,
+    /// Replies held back because the setup reply revealed a length the
+    /// window had no room for; they rejoin it first, in arrival order.
+    parked: VecDeque<(usize, Vec<Part>)>,
     expected: HashSet<usize>,
     next_admit: usize,
+    /// Open sessions, parked ones included.
     in_flight: usize,
+    /// Sum of [`Slot::charged`].
+    in_flight_bytes: u64,
     done_count: usize,
     deleted: usize,
     /// Resume entries offered to the server (sorted by name). Empty
@@ -149,15 +179,18 @@ impl<'a> CollectionClientMachine<'a> {
             old,
             cfg,
             depth: depth.max(1),
+            budget: WINDOW_BUDGET_BYTES,
             rec,
             arq,
             state: ClientState::AwaitRoster,
             server_names: Vec::new(),
             slots: Vec::new(),
             outbox: Vec::new(),
+            parked: VecDeque::new(),
             expected: HashSet::new(),
             next_admit: 0,
             in_flight: 0,
+            in_flight_bytes: 0,
             done_count: 0,
             deleted: 0,
             offered,
@@ -171,6 +204,15 @@ impl<'a> CollectionClientMachine<'a> {
         self.arq.set_pool(pool);
     }
 
+    /// The machine under a window budget small enough for a test
+    /// collection to exceed (nothing is admitted before the roster
+    /// reply, so setting it after `new` is setting it at construction).
+    #[cfg(test)]
+    fn with_budget(mut self, budget: u64) -> Self {
+        self.budget = budget;
+        self
+    }
+
     /// Files completed since the last call, in completion order. The
     /// driver's durability hook applies and checkpoints them while the
     /// session keeps running; resumed files appear here too so a fresh
@@ -179,16 +221,48 @@ impl<'a> CollectionClientMachine<'a> {
         std::mem::take(&mut self.pending_completed)
     }
 
-    /// Admit unstarted files into freed window slots, in roster order.
-    /// Slots pre-completed by a resume verdict are skipped.
+    /// Whether a session of `charge` content bytes fits the window: the
+    /// budget holds, or the window is empty (a file larger than the
+    /// whole budget runs alone).
+    fn fits(&self, charge: u64) -> bool {
+        self.in_flight_bytes == 0 || self.in_flight_bytes.saturating_add(charge) <= self.budget
+    }
+
+    fn charge(&mut self, id: usize, charge: u64) {
+        self.slots[id].charged = charge;
+        self.in_flight_bytes += charge;
+    }
+
+    fn release(&mut self, id: usize) {
+        self.in_flight_bytes -= std::mem::take(&mut self.slots[id].charged);
+    }
+
+    /// Fill the window: parked sessions first, then unstarted files in
+    /// roster order, while the byte budget (and the `depth` cap on open
+    /// sessions) has room. Slots pre-completed by a resume verdict are
+    /// skipped.
     fn admit(&mut self) {
+        while let Some(&(id, _)) = self.parked.front() {
+            let charge = self.slots[id].content_bytes();
+            if !self.fits(charge) {
+                return;
+            }
+            self.charge(id, charge);
+            self.outbox.extend(self.parked.pop_front());
+        }
         while self.next_admit < self.slots.len() && self.in_flight < self.depth {
             let id = self.next_admit;
-            self.next_admit += 1;
             if self.slots[id].done.is_some() {
+                self.next_admit += 1;
                 continue;
             }
+            let charge = self.slots[id].content_bytes();
+            if !self.fits(charge) {
+                return;
+            }
+            self.next_admit += 1;
             self.in_flight += 1;
+            self.charge(id, charge);
             self.rec.record(EventKind::SessionStart { file_id: id as u64 });
             self.slots[id].t0_us = self.rec.now_micros();
             let part = self.slots[id].session.request();
@@ -235,7 +309,8 @@ impl<'a> CollectionClientMachine<'a> {
                         return Err(SyncError::Desync("resume verdict for unknown file"));
                     };
                     let slot = &mut self.slots[id];
-                    slot.done = Some((slot.old_data.to_vec(), false));
+                    let data = Arc::new(slot.old_data.to_vec());
+                    slot.done = Some((Arc::clone(&data), false));
                     slot.resumed = true;
                     self.done_count += 1;
                     accepted += 1;
@@ -243,7 +318,7 @@ impl<'a> CollectionClientMachine<'a> {
                     self.pending_completed.push(CompletedFile {
                         file_id: id,
                         name: name.clone(),
-                        data: slot.old_data.to_vec(),
+                        data,
                         fell_back: false,
                         resumed: true,
                         round: 0,
@@ -286,6 +361,7 @@ impl<'a> CollectionClientMachine<'a> {
                     existed: old_entry.is_some(),
                     traffic: TrafficStats::new(),
                     done: None,
+                    charged: 0,
                     resumed: false,
                     t0_us: 0,
                 }
@@ -298,16 +374,22 @@ impl<'a> CollectionClientMachine<'a> {
                 .ok_or(SyncError::Desync("missing resume verdict"))?;
             self.on_verdict(&verdict.payload)?;
         }
+        self.advance(now_us);
+        Ok(())
+    }
+
+    /// Refill the window, report it, and send the next batch.
+    fn advance(&mut self, now_us: u64) {
         self.admit();
         if self.rec.is_enabled() && !self.slots.is_empty() {
             self.rec.record(EventKind::WindowAdvance {
                 in_flight: self.in_flight as u64,
+                in_flight_bytes: self.in_flight_bytes,
                 admitted: self.next_admit as u64,
                 done: self.done_count as u64,
             });
         }
         self.flush(now_us);
-        Ok(())
     }
 
     fn on_batch(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
@@ -333,15 +415,17 @@ impl<'a> CollectionClientMachine<'a> {
                             fell_back,
                         });
                     }
+                    let data = Arc::new(data);
                     self.pending_completed.push(CompletedFile {
                         file_id: id,
                         name: self.server_names[id].clone(),
-                        data: data.clone(),
+                        data: Arc::clone(&data),
                         fell_back,
                         resumed: false,
                         round: self.round,
                     });
                     slot.done = Some((data, fell_back));
+                    self.release(id);
                     self.in_flight -= 1;
                     self.done_count += 1;
                 }
@@ -356,22 +440,25 @@ impl<'a> CollectionClientMachine<'a> {
                             p.payload.len() as u64,
                         );
                     }
-                    self.outbox.push((id, cparts));
+                    // The first reply reveals the server's length;
+                    // a session the window has no room for at its real
+                    // size waits its turn (the server just sees no
+                    // message for that file in the meantime).
+                    let charge = slot.content_bytes();
+                    self.release(id);
+                    if self.fits(charge) {
+                        self.charge(id, charge);
+                        self.outbox.push((id, cparts));
+                    } else {
+                        self.parked.push_back((id, cparts));
+                    }
                 }
             }
         }
         if !self.expected.is_empty() {
             return Err(SyncError::Desync("batch reply missing an in-flight file"));
         }
-        self.admit();
-        if self.rec.is_enabled() {
-            self.rec.record(EventKind::WindowAdvance {
-                in_flight: self.in_flight as u64,
-                admitted: self.next_admit as u64,
-                done: self.done_count as u64,
-            });
-        }
-        self.flush(now_us);
+        self.advance(now_us);
         Ok(())
     }
 
@@ -384,6 +471,9 @@ impl<'a> CollectionClientMachine<'a> {
         if !matches!(self.state, ClientState::Finished) {
             return Err(SyncError::Desync("collection machine not finished"));
         }
+        // Whatever the caller never drained would keep every
+        // allocation shared and force the copy below.
+        drop(self.pending_completed);
         let n = self.server_names.len();
         let mut files = Vec::with_capacity(n);
         let mut per_file = Vec::with_capacity(n);
@@ -412,6 +502,8 @@ impl<'a> CollectionClientMachine<'a> {
                 delta_bytes: slot.session.delta_bytes,
             };
             per_file.push((name.clone(), stats));
+            // Sole owner unless a sink kept its `CompletedFile`.
+            let data = Arc::try_unwrap(data).unwrap_or_else(|shared| shared.as_ref().clone());
             files.push(FileEntry { name: name.clone(), data });
         }
         Ok(CollectionOutcome {
@@ -797,5 +889,183 @@ impl Machine for CollectionServeMachine {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msync_hash::file_fingerprint;
+
+    /// Deterministic incompressible bytes.
+    fn blob(n: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(2).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn edited(data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        let at = out.len() / 2;
+        out.splice(at..at + 8, *b"EDITED");
+        out
+    }
+
+    fn transmissions<M: Machine>(m: &mut M) -> (bool, Vec<FrameBuf>) {
+        let mut frames = Vec::new();
+        loop {
+            match m.poll_output(0).expect("machine healthy") {
+                Output::Transmit { frame, .. } => frames.push(frame),
+                Output::Attribute { .. } => {}
+                Output::Wait { .. } => return (false, frames),
+                Output::Done => return (true, frames),
+            }
+        }
+    }
+
+    /// Shuttle frames between `client` and a fresh server for `new`
+    /// until the client finishes, calling `after_frame` once per frame
+    /// the client absorbed (where the blocking driver drains completed
+    /// files). Returns how many batches the client sent.
+    fn drive(
+        client: &mut CollectionClientMachine<'_>,
+        new: &[FileEntry],
+        cfg: &ProtocolConfig,
+        mut after_frame: impl FnMut(&mut CollectionClientMachine<'_>),
+    ) -> usize {
+        let snap = CollectionSnapshot::new(new.to_vec());
+        let mut server =
+            CollectionServeMachine::new(cfg, RetryPolicy::default(), Recorder::off(), 0).unwrap();
+        let mut client_frames = 0;
+        for _ in 0..10_000 {
+            let (done, to_server) = transmissions(client);
+            client_frames += to_server.len();
+            for frame in &to_server {
+                server.on_frame(&snap, frame, 0).expect("server accepts frame");
+            }
+            if done {
+                // The roster is the first frame; the rest are batches.
+                return client_frames - 1;
+            }
+            for frame in &transmissions(&mut server).1 {
+                client.on_frame(&(), frame, 0).expect("client accepts frame");
+                after_frame(client);
+            }
+        }
+        panic!("session did not converge");
+    }
+
+    fn client<'a>(
+        old: &'a [FileEntry],
+        cfg: &'a ProtocolConfig,
+        rec: Recorder,
+        resume: Option<&ResumePlan>,
+    ) -> CollectionClientMachine<'a> {
+        CollectionClientMachine::new(old, cfg, usize::MAX, RetryPolicy::default(), rec, resume, 0)
+            .unwrap()
+    }
+
+    #[test]
+    fn byte_budget_bounds_the_window_and_an_oversized_file_runs_alone() {
+        const BUDGET: u64 = 10_000;
+        const BIG: usize = 24_000;
+        // 51 KB against a 10 KB budget: nine 3 KB files the client has
+        // stale copies of, one file larger than the whole budget, and
+        // three the client lacks, whose 4 KB only the setup reply
+        // reveals (they are admitted at one byte each and must park).
+        let mut old = Vec::new();
+        let mut new = Vec::new();
+        for i in 0..9 {
+            let data = blob(3_000, i);
+            new.push(FileEntry::new(format!("a{i}"), edited(&data)));
+            old.push(FileEntry::new(format!("a{i}"), data));
+        }
+        let big = blob(BIG, 50);
+        new.push(FileEntry::new("b-big", edited(&big)));
+        old.push(FileEntry::new("b-big", big));
+        for i in 0..3 {
+            new.push(FileEntry::new(format!("c{i}"), blob(4_000, 60 + i)));
+        }
+        let cfg = ProtocolConfig::default();
+
+        let rec = Recorder::system();
+        let mut bounded = client(&old, &cfg, rec.clone(), None).with_budget(BUDGET);
+        let batches = drive(&mut bounded, &new, &cfg, |_| {});
+        assert_eq!(bounded.finish(TrafficStats::new()).unwrap().files, new);
+
+        let windows: Vec<(u64, u64)> = rec
+            .drain_events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::WindowAdvance { in_flight, in_flight_bytes, .. } => {
+                    Some((in_flight, in_flight_bytes))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(windows.len(), batches + 1, "one window report per flush, and the final one");
+        // Never more than the budget, except the one file that is
+        // larger than the budget — and then that file alone.
+        for &(_, bytes) in &windows {
+            assert!(bytes <= BUDGET || bytes == BIG as u64, "window held {bytes} B: {windows:?}");
+        }
+        assert!(windows.contains(&(1, BIG as u64)), "the big file runs alone: {windows:?}");
+        // Three sessions open at a byte each; at their revealed 4 KB two
+        // fit and the third waits outside the window.
+        assert!(windows.contains(&(3, 3)) && windows.contains(&(3, 8_000)), "{windows:?}");
+        assert_eq!(windows.last(), Some(&(0, 0)), "everything is released at the end");
+
+        // The budget, not the protocol, set that batch count: with room
+        // for the whole roster the same sync needs far fewer.
+        let mut roomy = client(&old, &cfg, Recorder::off(), None);
+        let lockstep_batches = drive(&mut roomy, &new, &cfg, |_| {});
+        assert_eq!(roomy.finish(TrafficStats::new()).unwrap().files, new);
+        assert!(batches >= 3 * lockstep_batches, "{batches} batches vs {lockstep_batches}");
+    }
+
+    #[test]
+    fn completed_bytes_and_kept_bytes_are_one_allocation() {
+        let (synced, same, resumed) = (blob(6_000, 1), blob(5_000, 2), blob(4_000, 3));
+        let old = vec![
+            FileEntry::new("resumed", resumed.clone()),
+            FileEntry::new("same", same.clone()),
+            FileEntry::new("synced", synced.clone()),
+        ];
+        let new = vec![
+            FileEntry::new("resumed", resumed.clone()),
+            FileEntry::new("same", same),
+            FileEntry::new("synced", edited(&synced)),
+        ];
+        let cfg = ProtocolConfig::default();
+        let mut plan = ResumePlan::new(&cfg);
+        plan.add("resumed", file_fingerprint(&resumed));
+
+        let mut machine = client(&old, &cfg, Recorder::off(), Some(&plan));
+        let mut completed: Vec<CompletedFile> = Vec::new();
+        drive(&mut machine, &new, &cfg, |m| completed.extend(m.drain_completed()));
+        completed.sort_by_key(|f| f.file_id);
+        assert_eq!(
+            completed.iter().map(|f| (f.name.as_str(), f.resumed)).collect::<Vec<_>>(),
+            [("resumed", true), ("same", false), ("synced", false)]
+        );
+        let mut kept = Vec::new();
+        for f in &completed {
+            let (data, _) = machine.slots[f.file_id].done.as_ref().expect("completed");
+            assert!(Arc::ptr_eq(&f.data, data), "{}: the sink's bytes were copied", f.name);
+            kept.push(data.as_ptr());
+        }
+        // With the sink's handles gone, `finish` hands the same
+        // allocations out instead of copying them.
+        drop(completed);
+        let out = machine.finish(TrafficStats::new()).unwrap();
+        assert_eq!(out.files, new);
+        assert_eq!((out.resumed, out.unchanged), (1, 1));
+        assert_eq!(out.files.iter().map(|f| f.data.as_ptr()).collect::<Vec<_>>(), kept);
     }
 }

@@ -77,7 +77,7 @@ pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile,
 pub use map::{FileMap, Segment};
 pub use pipeline::{
     serve_collection, sync_collection_channel, sync_collection_client, PipelineOptions,
-    ServeOutcome,
+    ServeOutcome, WINDOW_BUDGET_BYTES,
 };
 pub use resume::{
     config_digest, load_checkpoint, CacheEntry, CheckpointLog, MetadataCache, ResumePlan,

@@ -9,11 +9,13 @@
 //!
 //! The paper's observation (§1) is that roundtrip latencies need not be
 //! paid per file "since many files can be processed simultaneously".
-//! The scheduler here realizes that: up to `depth` files are in flight
-//! at once, and each ARQ exchange carries **one batch frame per
-//! direction** holding the current round message of every in-flight
-//! file. A 1,000-file collection at depth 32 therefore pays roughly
-//! `ceil(1000/32) × rounds` flushes instead of `1000 × rounds`.
+//! The scheduler here realizes that: each ARQ exchange carries **one
+//! batch frame per direction** holding the current round message of
+//! every file in the window, and the window is a byte budget
+//! ([`WINDOW_BUDGET_BYTES`]), not a file count. A collection that fits
+//! it runs every file's round *k* in the same exchange and pays the
+//! roundtrips of its longest session, however many files it has; a
+//! larger one pays that once per budget's worth of content.
 //!
 //! ## Wire schedule
 //!
@@ -24,7 +26,7 @@
 //!    message per in-flight file into a batch frame; server feeds each
 //!    file's message to that file's `ServerSession` and packs the
 //!    replies into the mirror batch. Files finish at their own pace;
-//!    freed slots admit the next unstarted file in roster order.
+//!    freed budget admits the next unstarted files in roster order.
 //! 4. The client hangs up; the server treats the peer-gone condition
 //!    as the normal end of service and lingers briefly for stragglers.
 //!
@@ -55,12 +57,23 @@ const MAX_COLLECTION_FILES: u64 = 1 << 20;
 /// Upper bound on a single file name in a roster.
 const MAX_NAME_BYTES: u64 = 4096;
 
+/// Content bytes the pipelined client keeps in open file sessions. A
+/// file counts its local copy when admitted and the larger of that and
+/// the server's length once the setup reply reveals it; files join in
+/// roster order while the sum stays within this budget, and a file
+/// larger than the whole budget runs alone. It bounds what the window
+/// costs — session state, the size of a batch frame, the work lost to a
+/// crash — without putting the window between a collection and the
+/// roundtrip count of its longest session: 16 MiB is every corpus in
+/// EXPERIMENTS.md many times over.
+pub const WINDOW_BUDGET_BYTES: u64 = 16 << 20;
+
 /// Knobs for the pipelined client.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Maximum files in flight at once (minimum 1). Each wire flush
-    /// carries one round message for every in-flight file, so depth
-    /// trades memory for fewer roundtrips.
+    /// Cap on files in flight at once (minimum 1), on top of
+    /// [`WINDOW_BUDGET_BYTES`]. The default is no cap: the byte budget
+    /// alone sets the window. Depth 1 serializes the sessions.
     pub depth: usize,
     /// ARQ retry policy for the underlying link.
     pub retry: RetryPolicy,
@@ -68,7 +81,7 @@ pub struct PipelineOptions {
 
 impl Default for PipelineOptions {
     fn default() -> Self {
-        Self { depth: 32, retry: RetryPolicy::default() }
+        Self { depth: usize::MAX, retry: RetryPolicy::default() }
     }
 }
 
@@ -351,7 +364,8 @@ fn pump<M: Machine>(
 }
 
 /// Sync the local `old` collection against a remote server over `t`,
-/// with up to [`PipelineOptions::depth`] files in flight per flush.
+/// with every file that fits [`WINDOW_BUDGET_BYTES`] (and
+/// [`PipelineOptions::depth`], when set) in flight per flush.
 ///
 /// The returned outcome's `traffic` is the transport's own wire
 /// accounting (framing and ARQ retransmits included); `per_file`
@@ -700,7 +714,7 @@ mod tests {
         let resumed = completed.iter().find(|f| f.name == "done.bin").unwrap();
         assert!(resumed.resumed);
         assert_eq!(resumed.round, 0);
-        assert_eq!(resumed.data, big);
+        assert_eq!(*resumed.data, big);
         let synced = completed.iter().find(|f| f.name == "wip.bin").unwrap();
         assert!(!synced.resumed);
         assert!(synced.round > 0);

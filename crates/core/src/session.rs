@@ -515,7 +515,8 @@ pub(crate) struct ClientSession<'a> {
     hash_store: HashMap<(u64, u64), u64>,
     pub(crate) map: FileMap,
     global_bits: u32,
-    new_len: u64,
+    /// The server's file length (0 until the setup reply reveals it).
+    pub(crate) new_len: u64,
     new_fp: Vec<u8>,
     items: Vec<Item>,
     candidates: Vec<Candidate>,
@@ -1218,11 +1219,13 @@ mod channel_tests {
 
     #[test]
     fn channel_run_disconnect_surfaces_typed_error() {
-        // The profile cuts the link after 20 server frames and one
-        // window of files is done in fewer, so sync three windows'
-        // worth (32 server frames on a clean link).
+        use crate::pipeline::{serve_collection, sync_collection_client, PipelineOptions};
+        // The profile cuts the link after 20 server frames. A changed
+        // file takes at least two (its first reply and its delta), so
+        // 24 of them one at a time is at least 48: the cut lands by
+        // construction, whatever the default window admits.
         let old: Vec<FileEntry> =
-            (0..66).map(|i| FileEntry::new(format!("f{i:02}"), blob(3_000, 100 + i))).collect();
+            (0..24).map(|i| FileEntry::new(format!("f{i:02}"), blob(3_000, 100 + i))).collect();
         let new: Vec<FileEntry> = old
             .iter()
             .map(|f| {
@@ -1232,8 +1235,16 @@ mod channel_tests {
             })
             .collect();
         let plan = msync_protocol::FaultPlan::profile("disconnect").unwrap();
-        let opts = ChannelOptions { retry: short_retry(), fault_plan: Some(plan), fault_seed: 1 };
-        match over_channel(&old, &new, opts) {
+        let cfg = ProtocolConfig::default();
+        let (mut client_ep, mut server_ep) = msync_protocol::Endpoint::pair_with_faults(&plan, 1);
+        let result = std::thread::scope(|s| {
+            s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, short_retry()));
+            let opts = PipelineOptions { depth: 1, retry: short_retry() };
+            let result = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
+            drop(client_ep);
+            result
+        });
+        match result {
             // Severed before the session finished: must be a typed
             // transport error, never a hang or a panic.
             Err(SyncError::PeerGone | SyncError::Timeout | SyncError::FrameCorrupt) => {}

@@ -23,7 +23,8 @@ use crate::tcp::TcpTransport;
 pub struct RemoteOptions {
     /// Protocol configuration proposed to (and confirmed by) the daemon.
     pub cfg: ProtocolConfig,
-    /// Pipelining depth and ARQ retry policy.
+    /// Optional cap on files in flight (default: none, the byte-budget
+    /// window alone) and the ARQ retry policy.
     pub pipeline: PipelineOptions,
     /// How long to wait for the daemon's handshake reply.
     pub handshake_timeout: Duration,
@@ -90,8 +91,11 @@ pub fn sync_remote(
 /// [`sync_remote`] with a durability sink: `on_complete` fires for
 /// every file the moment the scheduler finishes it (including files
 /// confirmed by a resume verdict), so the caller can apply it
-/// atomically and checkpoint it before the session moves on. A sink
-/// error aborts the sync as [`NetError::Sync`].
+/// atomically and checkpoint it before the session moves on. The sink
+/// borrows the bytes the outcome will own ([`CompletedFile::data`] is a
+/// shared handle, not a copy); a sink that keeps the handle past the
+/// call costs one copy of that file when the outcome is assembled. A
+/// sink error aborts the sync as [`NetError::Sync`].
 ///
 /// # Errors
 /// As [`sync_remote`].

@@ -227,6 +227,8 @@ pub enum EventKind {
     WindowAdvance {
         /// Sessions currently in flight.
         in_flight: u64,
+        /// Content bytes those sessions hold of the window's byte budget.
+        in_flight_bytes: u64,
         /// Files admitted so far.
         admitted: u64,
         /// Files finished so far.

@@ -1,4 +1,4 @@
-//! The JSONL journal sink: schema v5.
+//! The JSONL journal sink: schema v6.
 //!
 //! One event per line, each line a flat JSON object that is fully
 //! self-describing: `{"v":3,"t_us":<clock>,"kind":"<token>",...}` with
@@ -19,8 +19,9 @@ use std::fmt::Write as _;
 /// `cache_hit`); v3 added the server hash-cache tokens
 /// (`hash_cache_hit`/`hash_cache_miss`); v4 added the watchdog token
 /// (`slow_session`); v5 added the sibling-decomposition token
-/// (`hash_cache_derived`).
-pub const SCHEMA_VERSION: u32 = 5;
+/// (`hash_cache_derived`); v6 added `in_flight_bytes` to
+/// `window_advance`.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Render one event as its JSONL line (no trailing newline).
 #[must_use]
@@ -75,8 +76,12 @@ pub fn render_line(ev: &TraceEvent) -> String {
         EventKind::Handshake { ok } => {
             let _ = write!(s, ",\"ok\":{ok}");
         }
-        EventKind::WindowAdvance { in_flight, admitted, done } => {
-            let _ = write!(s, ",\"in_flight\":{in_flight},\"admitted\":{admitted},\"done\":{done}");
+        EventKind::WindowAdvance { in_flight, in_flight_bytes, admitted, done } => {
+            let _ = write!(
+                s,
+                ",\"in_flight\":{in_flight},\"in_flight_bytes\":{in_flight_bytes},\
+                 \"admitted\":{admitted},\"done\":{done}"
+            );
         }
         EventKind::ResumeOffer { files } => {
             let _ = write!(s, ",\"files\":{files}");
@@ -315,7 +320,12 @@ mod tests {
             EventKind::Backoff { attempt: 1, timeout_us: 500_000 },
             EventKind::FaultInjected { dir: DirTag::S2c, kind: FaultKind::Corrupt, seq: 17 },
             EventKind::Handshake { ok: false },
-            EventKind::WindowAdvance { in_flight: 32, admitted: 40, done: 8 },
+            EventKind::WindowAdvance {
+                in_flight: 32,
+                in_flight_bytes: 65_536,
+                admitted: 40,
+                done: 8,
+            },
             EventKind::ResumeOffer { files: 12 },
             EventKind::ResumeAccept { accepted: 10, declined: 2 },
             EventKind::ResumeReject { reason: ResumeRejectTag::ConfigMismatch },

@@ -39,6 +39,9 @@ pub struct SessionStatus {
     /// Files known to be in play (0 when the roster size is unknown,
     /// e.g. server-side sessions before any window report).
     pub files_total: u64,
+    /// Content bytes the pipeline window holds in open file sessions
+    /// (the latest window report; 0 on sessions that report none).
+    pub in_flight_bytes: u64,
     /// Wire bytes received from the peer.
     pub bytes_in: u64,
     /// Wire bytes sent to the peer.
@@ -66,6 +69,7 @@ impl SessionStatus {
             phase: PhaseTag::Setup,
             files_done: 0,
             files_total: 0,
+            in_flight_bytes: 0,
             bytes_in: 0,
             bytes_out: 0,
             retransmits: 0,
@@ -104,9 +108,10 @@ impl SessionStatus {
                 self.files_total = self.files_total.max(file_id + 1);
             }
             EventKind::SessionEnd { .. } => self.files_done += 1,
-            EventKind::WindowAdvance { admitted, done, .. } => {
+            EventKind::WindowAdvance { in_flight_bytes, admitted, done, .. } => {
                 self.files_total = self.files_total.max(admitted);
                 self.files_done = self.files_done.max(done);
+                self.in_flight_bytes = in_flight_bytes;
             }
             EventKind::ResumeAccept { accepted, .. } => self.files_done += accepted,
             EventKind::CacheHit { .. } | EventKind::HashCacheHit { .. } => self.cache_hits += 1,
@@ -245,14 +250,16 @@ pub fn render_sessions(sessions: &[SessionStatus], now_us: u64) -> String {
     for s in sessions {
         let _ = writeln!(
             out,
-            "id={} collection={} peer={} phase={} files_done={} files_total={} bytes_in={} \
-             bytes_out={} retransmits={} cache_hits={} age_us={} phase_age_us={} slow={}",
+            "id={} collection={} peer={} phase={} files_done={} files_total={} \
+             in_flight_bytes={} bytes_in={} bytes_out={} retransmits={} cache_hits={} age_us={} \
+             phase_age_us={} slow={}",
             s.id,
             if s.collection.is_empty() { "-" } else { &s.collection },
             if s.peer.is_empty() { "-" } else { &s.peer },
             s.phase.as_str(),
             s.files_done,
             s.files_total,
+            s.in_flight_bytes,
             s.bytes_in,
             s.bytes_out,
             s.retransmits,
@@ -289,6 +296,15 @@ mod tests {
         h.apply(1_030, &EventKind::Retransmit { frames: 2 });
         h.apply(1_040, &EventKind::HashCacheHit { bytes: 4096 });
         h.apply(1_050, &EventKind::ResumeAccept { accepted: 3, declined: 1 });
+        h.apply(
+            1_050,
+            &EventKind::WindowAdvance {
+                in_flight: 2,
+                in_flight_bytes: 9_000,
+                admitted: 5,
+                done: 3,
+            },
+        );
         let s = h.snapshot();
         assert_eq!(s.collection, "crawl");
         assert_eq!(s.peer, "127.0.0.1:9");
@@ -299,6 +315,8 @@ mod tests {
         assert_eq!(s.retransmits, 2);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.files_done, 3);
+        assert_eq!(s.files_total, 5);
+        assert_eq!(s.in_flight_bytes, 9_000);
         assert_eq!(s.last_event_us, 1_050);
     }
 
@@ -348,6 +366,7 @@ mod tests {
         assert!(line.contains("collection=docs"), "{line}");
         assert!(line.contains("peer=127.0.0.1:5000"), "{line}");
         assert!(line.contains("phase=map"), "{line}");
+        assert!(line.contains("in_flight_bytes=0"), "{line}");
         assert!(line.contains("bytes_out=9"), "{line}");
         assert!(line.contains("age_us=1000"), "{line}");
         assert!(line.contains("phase_age_us=500"), "{line}");

@@ -443,7 +443,7 @@ fn killed_run(
     };
     let mut completed = Vec::new();
     match sync_remote_with(addr, old, &opts, &mut |f| {
-        completed.push((f.name.clone(), f.data.clone()));
+        completed.push((f.name.clone(), f.data.to_vec()));
         Ok(())
     }) {
         Ok(got) => {

@@ -30,8 +30,9 @@ fn patient() -> RetryPolicy {
     RetryPolicy { timeout: Duration::from_secs(30), ..RetryPolicy::default() }
 }
 
-/// The wire at an explicit pipeline depth (`sync_collection_channel`
-/// always runs at the default).
+/// The wire under an explicit cap on files in flight
+/// (`sync_collection_channel` always runs at the default: no cap, the
+/// byte budget alone).
 fn wire_at_depth(
     old: &[FileEntry],
     new: &[FileEntry],
@@ -70,7 +71,7 @@ fn wire_and_lockstep_prices_stay_the_pinned_distance_apart() {
         let deep = wire_at_depth(&old, &new, &cfg, new.len());
         let opts = ChannelOptions { retry: patient(), ..ChannelOptions::default() };
         let default = sync_collection_channel(&old, &new, &cfg, &opts, &Recorder::off())
-            .expect("wire sync at the default depth");
+            .expect("wire sync at the default window");
         let mut per_file = TrafficStats::new();
         for (_, stats) in &deep.per_file {
             per_file.merge(&stats.traffic);
@@ -83,7 +84,7 @@ fn wire_and_lockstep_prices_stay_the_pinned_distance_apart() {
         );
         print_row("lockstep", &lockstep.traffic);
         print_row("wire, depth ≥ files", &deep.traffic);
-        print_row("wire, depth 32", &default.traffic);
+        print_row("wire, default", &default.traffic);
         print_row("wire, per_file sum", &per_file);
         let old_names: Vec<&str> = old.iter().map(|f| f.name.as_str()).collect();
         let new_names: Vec<&str> = new.iter().map(|f| f.name.as_str()).collect();
@@ -99,10 +100,12 @@ fn wire_and_lockstep_prices_stay_the_pinned_distance_apart() {
 
         // With every file in one window the wire needs exactly the
         // roundtrips the lockstep model assumes (name exchange + the
-        // longest session); a narrower window serializes windows.
+        // longest session) — and the default window is that window:
+        // each corpus fits the byte budget, so no cap on files is the
+        // same schedule, byte for byte, as a cap of all of them.
         assert_eq!(deep.traffic.roundtrips, lockstep.traffic.roundtrips, "{name}");
-        assert!(default.traffic.roundtrips >= deep.traffic.roundtrips, "{name}");
-        assert_eq!(deep.traffic.retransmits + default.traffic.retransmits, 0, "{name}");
+        assert_eq!(default.traffic, deep.traffic, "{name}");
+        assert_eq!(deep.traffic.retransmits, 0, "{name}");
 
         // Batch frames are all labelled `Phase::Map`, so the collection
         // total shows no delta bytes although the sessions sent one each.
