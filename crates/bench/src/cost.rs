@@ -1,6 +1,6 @@
 //! Wire-cost measurement of every method the paper compares.
 
-use msync_core::{name_exchange_bytes, sync_collection, FileEntry, ProtocolConfig};
+use msync_core::{roster_frame_bytes, sync_collection, FileEntry, ProtocolConfig};
 use msync_corpus::Collection;
 use msync_protocol::Phase;
 
@@ -88,15 +88,15 @@ fn entries(c: &Collection) -> Vec<FileEntry> {
 /// unchanged files are still skipped (any such tool would be driven by a
 /// file-level change detector; the paper's Table 6.2 assumes the same).
 ///
-/// Every method is charged the collection's name exchange: whatever
+/// Every method is charged the collection's roster exchange: whatever
 /// moves the bytes, both sides first have to agree which files exist.
-/// msync's traffic already contains it; the baselines, measured file by
-/// file, get the same bytes added here. Roundtrips stay per-method.
+/// msync's wire traffic already contains the two roster frames; the
+/// baselines, measured file by file, get the same frames added here.
+/// Roundtrips stay per-method.
 pub fn measure(old: &Collection, new: &Collection, method: &Method) -> Cost {
     let mut cost = measure_files(old, new, method);
     if !matches!(method, Method::Msync(_)) {
-        let (c2s, s2c) = name_exchange_bytes(&names(old), &names(new));
-        cost.setup += c2s + s2c;
+        cost.setup += roster_frame_bytes(&names(old)) + roster_frame_bytes(&names(new));
     }
     cost
 }

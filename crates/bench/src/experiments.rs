@@ -719,6 +719,23 @@ mod tests {
             assert!(rt.windows(2).all(|w| w[0] >= w[1]), "{}: {rt:?}", corpus[0].label);
             assert!(rt[0] > 4 * rt[3], "{}: {rt:?}", corpus[0].label);
         }
+        // A corpus that fits the byte budget runs the same schedule with
+        // no cap on files as with a cap of all of them: the in-process
+        // pump at the default window charges what the channel does at
+        // depth = files, byte for byte.
+        use msync_core::{serve_collection, sync_collection, sync_collection_client};
+        let (cfg, retry) = (ProtocolConfig::default(), msync_protocol::RetryPolicy::default());
+        let gcc = release_pair(&gcc_like(0.02));
+        let (old, new) = (entries(gcc.pair(0, 1).0), entries(gcc.pair(0, 1).1));
+        let (mut client_ep, mut server_ep) = msync_protocol::Endpoint::pair();
+        let deep = std::thread::scope(|s| {
+            s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, retry));
+            let opts = msync_core::PipelineOptions { depth: new.len(), retry };
+            let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
+            drop(client_ep);
+            out.unwrap()
+        });
+        assert_eq!(sync_collection(&old, &new, &cfg).unwrap().traffic, deep.traffic);
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn serve_cmd(
             summary,
             "serving collection {name}{}: {} file(s), {}",
             if name == registry.default_name() { " (default)" } else { "" },
-            snap.len(),
+            snap.files().len(),
             human(bytes)
         );
     }
@@ -623,8 +623,8 @@ fn sync_cmd(
     let changed = out.files.len().saturating_sub(out.unchanged + out.created);
     let _ = writeln!(
         report,
-        "  unchanged {} · changed {} · created {} ({} renamed) · deleted {}",
-        out.unchanged, changed, out.created, out.renamed, out.deleted
+        "  unchanged {} · changed {} · created {} · deleted {}",
+        out.unchanged, changed, out.created, out.deleted
     );
     let _ = writeln!(
         report,

@@ -16,8 +16,9 @@
 //!    recursion + continuation (similar files), the balanced default,
 //!    and a shallow cheap-map variant (heavily-changed files).
 
-use crate::collection::{sync_collection, CollectionOutcome, FileEntry};
+use crate::collection::{CollectionOutcome, FileEntry};
 use crate::config::{ProtocolConfig, VerifyStrategy};
+use crate::pipeline::sync_collection;
 use crate::session::{sync_file, SyncError, SyncOutcome};
 
 /// Fit the starting block size (and with it the recursion depth) to a
@@ -183,7 +184,6 @@ fn sync_collection_fitted(
                 acc.per_file.extend(out.per_file);
                 acc.unchanged += out.unchanged;
                 acc.created += out.created;
-                acc.renamed += out.renamed;
                 acc.deleted += out.deleted;
                 acc.fell_back += out.fell_back;
                 acc.resumed += out.resumed;
@@ -197,7 +197,6 @@ fn sync_collection_fitted(
         per_file: Vec::new(),
         unchanged: 0,
         created: 0,
-        renamed: 0,
         // `new` was empty so no group ran; every old file is a deletion.
         deleted: deleted.len(),
         fell_back: 0,

@@ -2,24 +2,27 @@
 //!
 //! "We study the problem of maintaining large replicated collections of
 //! files" (§1): a client mirrors thousands of files (web pages, a source
-//! tree) and periodically updates them all. Per file the cost is the
-//! session cost of [`crate::session::sync_file`]; at the collection
-//! level:
+//! tree) and periodically updates them all. The wire schedule lives in
+//! [`crate::pipeline`]:
 //!
+//! * file names are exchanged once, as sorted rosters, so both sides
+//!   agree which files are new, deleted, or shared,
 //! * unchanged files are skipped after the strong-fingerprint exchange
 //!   (handled inside each session),
-//! * file names are exchanged once so both sides agree which files are
-//!   new, deleted, or shared,
 //! * protocol rounds are batched across files, so the *roundtrip* count
 //!   is the maximum any single file needs, not the sum — the paper's
 //!   "the roundtrip latencies are not incurred for each file since many
 //!   files can be processed simultaneously".
+//!
+//! This module holds the collection types and
+//! [`sync_collection_with`], which reconciles changed files first.
 
 use crate::config::ProtocolConfig;
-use crate::session::{sync_file_with, SyncError, SyncOptions};
+use crate::pipeline::sync_in_process;
+use crate::session::SyncError;
 use crate::stats::SyncStats;
-use msync_protocol::{frame_wire_size, Direction, Phase, TrafficStats};
-use msync_trace::{DirTag, EventKind, PhaseTag, Recorder};
+use msync_protocol::{Direction, Phase, TrafficStats};
+use msync_trace::Recorder;
 
 /// A named file in a collection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,24 +40,37 @@ impl FileEntry {
     }
 }
 
+/// A named file borrowed from wherever the caller keeps it: what the
+/// sync machines read, so a sync never copies its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileRef<'a> {
+    /// Collection-relative path.
+    pub name: &'a str,
+    /// File contents.
+    pub data: &'a [u8],
+}
+
+impl<'a> From<&'a FileEntry> for FileRef<'a> {
+    fn from(f: &'a FileEntry) -> Self {
+        Self { name: &f.name, data: &f.data }
+    }
+}
+
 /// Result of synchronizing a collection.
 #[derive(Debug, Clone, Default)]
 pub struct CollectionOutcome {
     /// The client's updated collection (exactly the server's).
     pub files: Vec<FileEntry>,
-    /// Merged traffic over all files plus the name exchange;
-    /// `roundtrips` is the batched (maximum per-file) count.
+    /// Wire traffic of the whole sync: the roster exchange and every
+    /// batch frame, framing included. `roundtrips` is the batched count.
     pub traffic: TrafficStats,
-    /// Per-file session statistics for files that ran the protocol.
+    /// Per-file statistics for files that ran the protocol; their
+    /// `traffic` is the payload bytes of the file's own message parts.
     pub per_file: Vec<(String, SyncStats)>,
     /// Files skipped because their fingerprints matched.
     pub unchanged: usize,
     /// Files that existed only on the server (transferred whole).
     pub created: usize,
-    /// Created files served from a renamed old file (same content under
-    /// a different name, detected by fingerprint — they cost a name
-    /// reference instead of a transfer).
-    pub renamed: usize,
     /// Files that existed only on the client (deleted).
     pub deleted: usize,
     /// Files whose session fell back to a full transfer.
@@ -64,170 +80,10 @@ pub struct CollectionOutcome {
     pub resumed: usize,
 }
 
-/// Wire bytes of the collection-level name exchange, `(c2s, s2c)`: the
-/// client lists its file names; the server answers with the names to
-/// create, one byte per name to delete, and a terminator. Every method
-/// that synchronizes a directory pays this listing, so the paper
-/// harness charges the baselines through this same function.
-pub fn name_exchange_bytes(old_names: &[&str], new_names: &[&str]) -> (u64, u64) {
-    let old_set: std::collections::HashSet<&str> = old_names.iter().copied().collect();
-    let new_set: std::collections::HashSet<&str> = new_names.iter().copied().collect();
-    let c2s = old_names.iter().map(|n| frame_wire_size(n.len())).sum::<u64>().max(1);
-    let created: u64 =
-        new_names.iter().filter(|n| !old_set.contains(*n)).map(|n| frame_wire_size(n.len())).sum();
-    let deleted = old_names.iter().filter(|n| !new_set.contains(*n)).count() as u64;
-    (c2s, created + deleted + 1)
-}
-
-/// Synchronize the client's `old` collection to the server's `new` one.
-///
-/// The name listings are exchanged in sorted order and the outcome's
-/// `files`/`per_file` follow that sorted order, so the result is a pure
-/// function of the two collections' *contents* — callers may present
-/// their entries in any order (directory walks differ across
-/// filesystems) and still get byte-identical outcomes.
-pub fn sync_collection(
-    old: &[FileEntry],
-    new: &[FileEntry],
-    cfg: &ProtocolConfig,
-) -> Result<CollectionOutcome, SyncError> {
-    sync_collection_traced(old, new, cfg, &Recorder::off())
-}
-
-/// [`sync_collection`] with a trace [`Recorder`] attached.
-///
-/// Every byte charged to the outcome's `traffic` is mirrored by exactly
-/// one `frame_send`/`frame_recv` trace event (the collection-level name
-/// listings here, the per-session charges inside each file's driver), so
-/// a journal's per-direction/per-phase byte sums reproduce the returned
-/// [`TrafficStats`] exactly. File ids in events are indices into the
-/// sorted-name order, matching the outcome's `files`/`per_file` order.
-pub fn sync_collection_traced(
-    old: &[FileEntry],
-    new: &[FileEntry],
-    cfg: &ProtocolConfig,
-    recorder: &Recorder,
-) -> Result<CollectionOutcome, SyncError> {
-    let mut new_sorted: Vec<&FileEntry> = new.iter().collect();
-    new_sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut setup = TrafficStats::new();
-
-    // Fingerprints travel inside each per-file session, so only the
-    // name bytes are charged here.
-    let old_names: Vec<&str> = old.iter().map(|f| f.name.as_str()).collect();
-    let new_names: Vec<&str> = new.iter().map(|f| f.name.as_str()).collect();
-    let (c2s_listing, s2c_listing) = name_exchange_bytes(&old_names, &new_names);
-    setup.record(Direction::ClientToServer, Phase::Setup, c2s_listing);
-    recorder.record(EventKind::FrameSend {
-        dir: DirTag::C2s,
-        phase: PhaseTag::Setup,
-        bytes: c2s_listing,
-    });
-    setup.record(Direction::ServerToClient, Phase::Setup, s2c_listing);
-    recorder.record(EventKind::FrameRecv {
-        dir: DirTag::S2c,
-        phase: PhaseTag::Setup,
-        bytes: s2c_listing,
-    });
-
-    let new_names: std::collections::HashSet<&str> = new_names.into_iter().collect();
-    let deleted = old_names.iter().filter(|name| !new_names.contains(*name)).count();
-
-    let old_by_name: std::collections::HashMap<&str, &FileEntry> =
-        old.iter().map(|f| (f.name.as_str(), f)).collect();
-    // Rename detection: the client's name listing already travels with
-    // per-file fingerprints inside the sessions, so the server can spot
-    // a "new" file whose content equals an old file under another name
-    // and answer with a base-file reference instead of a transfer. When
-    // several old files share a fingerprint, the smallest name is the
-    // base so the choice never depends on input order.
-    let mut old_by_fp: std::collections::HashMap<msync_hash::Fingerprint, &FileEntry> =
-        std::collections::HashMap::with_capacity(old.len());
-    for f in old {
-        let fp = msync_hash::file_fingerprint(&f.data);
-        let slot = old_by_fp.entry(fp).or_insert(f);
-        if f.name < slot.name {
-            *slot = f;
-        }
-    }
-    let mut unchanged = 0usize;
-    let mut created = 0usize;
-    let mut renamed = 0usize;
-    let mut pairs = Vec::with_capacity(new.len());
-    for nf in new_sorted {
-        let base: &[u8] = if let Some(own) = old_by_name.get(nf.name.as_str()) {
-            // Equal bytes mean equal fingerprints: that session ends at
-            // the setup exchange without opening a round.
-            unchanged += usize::from(own.data == nf.data);
-            &own.data
-        } else {
-            // Renames are categorized as `created` (+`renamed`), not
-            // `unchanged` — the categories must partition the files.
-            created += 1;
-            match old_by_fp.get(&msync_hash::file_fingerprint(&nf.data)) {
-                Some(base) => {
-                    // Rename: sync against the identical old file; the
-                    // session's fingerprint exchange reduces it to ~20 B.
-                    // Charge the base-name reference the server sends.
-                    renamed += 1;
-                    let base_ref = frame_wire_size(base.name.len());
-                    setup.record(Direction::ServerToClient, Phase::Setup, base_ref);
-                    recorder.record(EventKind::FrameRecv {
-                        dir: DirTag::S2c,
-                        phase: PhaseTag::Setup,
-                        bytes: base_ref,
-                    });
-                    &base.data
-                }
-                None => &[],
-            }
-        };
-        pairs.push((nf, Some(base)));
-    }
-    let mut out = sync_pairs(&pairs, setup, cfg, recorder)?;
-    out.traffic.roundtrips = out.traffic.roundtrips.max(1) + 1; // +1 for the name exchange
-    (out.unchanged, out.created, out.renamed, out.deleted) = (unchanged, created, renamed, deleted);
-    Ok(out)
-}
-
-/// The per-file loop behind both lockstep collection drivers: one
-/// [`sync_file_with`] session per `(server file, client bytes)` pair in
-/// the order given (a pair's index is its trace file id), merged onto
-/// the already-charged `setup` traffic. No client bytes means change
-/// identification already proved the two copies identical: no session,
-/// no cost. Fills `files`, `per_file`, `fell_back` and `traffic` (its
-/// `roundtrips` the longest session's); the other counters are the
-/// caller's.
-fn sync_pairs(
-    pairs: &[(&FileEntry, Option<&[u8]>)],
-    setup: TrafficStats,
-    cfg: &ProtocolConfig,
-    recorder: &Recorder,
-) -> Result<CollectionOutcome, SyncError> {
-    let mut out = CollectionOutcome {
-        files: Vec::with_capacity(pairs.len()),
-        traffic: setup,
-        ..CollectionOutcome::default()
-    };
-    for (file_id, &(nf, old_bytes)) in pairs.iter().enumerate() {
-        let Some(old_bytes) = old_bytes else {
-            out.files.push(nf.clone());
-            continue;
-        };
-        let opts = SyncOptions { recorder: recorder.clone(), file_id: file_id as u64 };
-        let outcome = sync_file_with(old_bytes, &nf.data, cfg, &opts)?;
-        debug_assert_eq!(outcome.reconstructed, nf.data);
-        out.fell_back += usize::from(outcome.fell_back);
-        out.traffic.merge(&outcome.stats.traffic);
-        out.files.push(FileEntry { name: nf.name.clone(), data: outcome.reconstructed });
-        out.per_file.push((nf.name.clone(), outcome.stats));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::sync_collection;
 
     fn blob(n: usize, seed: u64) -> Vec<u8> {
         let mut state = seed | 1;
@@ -319,49 +175,10 @@ mod tests {
         assert_eq!(out.created, 2);
         assert_eq!(out.deleted, 2);
         assert_eq!(out.unchanged, 0);
-        assert_eq!(out.renamed, 0);
         let names: Vec<&str> = out.files.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["theirs/a", "theirs/b"]);
         assert_eq!(out.files[0].data, new[1].data);
         assert_eq!(out.files[1].data, new[0].data);
-    }
-
-    #[test]
-    fn rename_mixed_with_creates_and_deletes() {
-        let kept = blob(6_000, 29);
-        let moved = blob(9_000, 31);
-        let old = vec![
-            FileEntry::new("keep.txt", kept.clone()),
-            FileEntry::new("before-rename.bin", moved.clone()),
-            FileEntry::new("victim.txt", blob(500, 37)),
-        ];
-        let new = vec![
-            FileEntry::new("after-rename.bin", moved.clone()),
-            FileEntry::new("keep.txt", kept.clone()),
-            FileEntry::new("extra.txt", blob(700, 43)),
-        ];
-        let out = sync_collection(&old, &new, &small_cfg()).unwrap();
-        assert_eq!(out.renamed, 1);
-        assert_eq!(out.created, 2); // rename counts as created + renamed
-        assert_eq!(out.deleted, 2); // both vanished names, incl. the rename source
-        assert_eq!(out.unchanged, 1);
-        let by_name: std::collections::HashMap<&str, &[u8]> =
-            out.files.iter().map(|f| (f.name.as_str(), f.data.as_slice())).collect();
-        assert_eq!(by_name["after-rename.bin"], moved.as_slice());
-        assert_eq!(by_name["keep.txt"], kept.as_slice());
-    }
-
-    #[test]
-    fn rename_detected_by_fingerprint() {
-        let content = blob(20_000, 41);
-        let old = vec![FileEntry::new("old-name.bin", content.clone())];
-        let new = vec![FileEntry::new("new-name.bin", content.clone())];
-        let out = sync_collection(&old, &new, &small_cfg()).unwrap();
-        assert_eq!(out.files[0].data, content);
-        assert_eq!(out.renamed, 1);
-        assert_eq!(out.created, 1);
-        // A rename costs names + fingerprints, never a transfer.
-        assert!(out.traffic.total_bytes() < 128, "rename cost {} bytes", out.traffic.total_bytes());
     }
 
     #[test]
@@ -381,11 +198,14 @@ mod tests {
         };
         let (a_old, a_new) = mk(21);
         let (b_old, b_new) = mk(23);
-        let old = vec![FileEntry::new("a", a_old), FileEntry::new("b", b_old)];
-        let new = vec![FileEntry::new("a", a_new), FileEntry::new("b", b_new)];
-        let out = sync_collection(&old, &new, &small_cfg()).unwrap();
-        let per_file_max = out.per_file.iter().map(|(_, s)| s.traffic.roundtrips).max().unwrap();
-        assert_eq!(out.traffic.roundtrips, per_file_max + 1);
+        let (a_old, a_new) = (FileEntry::new("a", a_old), FileEntry::new("a", a_new));
+        let (b_old, b_new) = (FileEntry::new("b", b_old), FileEntry::new("b", b_new));
+        let rt = |old: &[FileEntry], new: &[FileEntry]| {
+            sync_collection(old, new, &small_cfg()).unwrap().traffic.roundtrips
+        };
+        let (a, b) =
+            (rt(&[a_old.clone()], &[a_new.clone()]), rt(&[b_old.clone()], &[b_new.clone()]));
+        assert_eq!(rt(&[a_old, b_old], &[a_new, b_new]), a.max(b));
     }
 }
 
@@ -404,17 +224,14 @@ pub enum ReconStrategy {
 
 /// Collection sync with an explicit change-identification phase: the
 /// reconciliation runs first (its bytes charged to setup), and only the
-/// differing files run per-file sessions. With few changes in a large
-/// collection, [`ReconStrategy::Merkle`] or
+/// differing files then sync, as one collection. With few changes in a
+/// large collection, [`ReconStrategy::Merkle`] or
 /// [`ReconStrategy::GroupTesting`] cut the setup cost from `O(n)` to
 /// `O(d·log n)`.
 ///
-/// Differences from [`sync_collection`]: renamed files are **not**
-/// detected here — a file appearing under a new name reconciles as
-/// created and transfers as a delta against empty — and unchanged files
-/// cost zero instead of a fingerprint pair. Prefer this variant for
-/// large mostly-unchanged collections, the plain one when renames are
-/// common.
+/// Unlike [`sync_collection`](crate::sync_collection), unchanged files
+/// cost nothing beyond the reconciliation: they never enter the
+/// roster exchange.
 pub fn sync_collection_with(
     old: &[FileEntry],
     new: &[FileEntry],
@@ -434,42 +251,33 @@ pub fn sync_collection_with(
         recon::canonicalize(&mut v);
         v
     };
-    let client_items = items(old);
-    let server_items = items(new);
     let rec = match strategy {
-        ReconStrategy::Flat => recon::flat_exchange(&client_items, &server_items),
-        ReconStrategy::Merkle => recon::merkle::reconcile(&client_items, &server_items),
-        ReconStrategy::GroupTesting => {
-            recon::group_testing::reconcile(&client_items, &server_items)
-        }
+        ReconStrategy::Flat => recon::flat_exchange(&items(old), &items(new)),
+        ReconStrategy::Merkle => recon::merkle::reconcile(&items(old), &items(new)),
+        ReconStrategy::GroupTesting => recon::group_testing::reconcile(&items(old), &items(new)),
     };
     let differing: std::collections::HashSet<&str> =
         rec.differing.iter().map(String::as_str).collect();
-
-    let mut setup = TrafficStats::new();
-    setup.record(Direction::ClientToServer, Phase::Setup, rec.c2s);
-    setup.record(Direction::ServerToClient, Phase::Setup, rec.s2c);
-
-    let old_by_name: std::collections::HashMap<&str, &FileEntry> =
-        old.iter().map(|f| (f.name.as_str(), f)).collect();
+    fn refs<'a>(files: &'a [FileEntry], keep: impl Fn(&str) -> bool) -> Vec<FileRef<'a>> {
+        files.iter().filter(|f| keep(&f.name)).map(FileRef::from).collect()
+    }
     let new_names: std::collections::HashSet<&str> = new.iter().map(|f| f.name.as_str()).collect();
-    let deleted = old.iter().filter(|f| !new_names.contains(f.name.as_str())).count();
+    // Files only the client has are deleted locally; they never sync.
+    let old_refs = refs(old, |name| differing.contains(name) && new_names.contains(name));
+    let new_refs = refs(new, |name| differing.contains(name));
+    let mut out = sync_in_process(old_refs, &new_refs, cfg, &Recorder::off())?;
 
-    // A name only the server has always reconciles as differing.
-    let created = new.iter().filter(|f| !old_by_name.contains_key(f.name.as_str())).count();
-    let pairs: Vec<(&FileEntry, Option<&[u8]>)> = new
-        .iter()
-        .map(|nf| {
-            let name = nf.name.as_str();
-            let base = || old_by_name.get(name).map_or(&[][..], |f| f.data.as_slice());
-            (nf, differing.contains(name).then(base))
-        })
-        .collect();
-    let mut out = sync_pairs(&pairs, setup, cfg, &Recorder::off())?;
-    out.traffic.roundtrips += rec.roundtrips;
-    // Reconciliation proved every other file unchanged: zero marginal cost.
+    let mut traffic = TrafficStats::new();
+    traffic.record(Direction::ClientToServer, Phase::Setup, rec.c2s);
+    traffic.record(Direction::ServerToClient, Phase::Setup, rec.s2c);
+    traffic.merge(&out.traffic);
+    traffic.roundtrips = rec.roundtrips + out.traffic.roundtrips;
+    out.traffic = traffic;
+    // Reconciliation proved every other file unchanged.
+    out.files.extend(new.iter().filter(|f| !differing.contains(f.name.as_str())).cloned());
+    out.files.sort_by(|a, b| a.name.cmp(&b.name));
     out.unchanged = new.len() - out.per_file.len();
-    (out.created, out.deleted) = (created, deleted);
+    out.deleted = old.iter().filter(|f| !new_names.contains(f.name.as_str())).count();
     Ok(out)
 }
 

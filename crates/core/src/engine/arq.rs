@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use msync_hash::{BitReader, BitWriter};
-use msync_protocol::{BufferPool, FrameBuf, Phase, RetryPolicy};
+use msync_protocol::{BufferPool, FrameBuf, Phase, PhaseSplit, RetryPolicy};
 use msync_trace::{EventKind, HistKind, Recorder};
 
 use super::Output;
@@ -71,6 +71,16 @@ pub(crate) fn parse_part_header(b: u8) -> Option<(Phase, bool)> {
         _ => return None,
     };
     Some((phase, b & 1 == 1))
+}
+
+/// How the frame of a message part divides across phases. Every
+/// map-phase message of the collection protocol is one batch frame, and
+/// the files' parts inside it each carry their own phase.
+pub(crate) fn split_of(part: &Part) -> PhaseSplit {
+    match part.phase {
+        Phase::Map => crate::pipeline::batch_split(&part.payload),
+        phase @ (Phase::Setup | Phase::Delta | Phase::Resume) => phase.into(),
+    }
 }
 
 /// A decoded ARQ frame.
@@ -135,9 +145,9 @@ pub(crate) struct ArqCore {
     /// Sequence number of the next message expected from the peer.
     recv_seq: u64,
     /// The last message sent, kept as encoded frames (with their
-    /// accounting phases) for retransmission: a resend is a refcount
+    /// accounting splits) for retransmission: a resend is a refcount
     /// bump of each cached [`FrameBuf`], never a re-encode.
-    cached: Vec<(FrameBuf, Phase)>,
+    cached: Vec<(FrameBuf, PhaseSplit)>,
     /// Pool the encoded frames draw their buffers from (optional — the
     /// blocking one-shot drivers don't bother; the daemon multiplexer
     /// installs its shared pool via `set_pool`).
@@ -257,12 +267,13 @@ impl ArqCore {
         self.cached.clear();
         for (i, part) in parts.iter().enumerate() {
             let frame = self.encode_frame_buf(seq, i, i + 1 < n, part);
+            let split = split_of(part);
             self.effects.push_back(Output::Transmit {
                 frame: frame.share(),
-                phase: part.phase,
+                split,
                 retransmit: false,
             });
-            self.cached.push((frame, part.phase));
+            self.cached.push((frame, split));
         }
         self.last_send_us = now_us;
     }
@@ -270,10 +281,10 @@ impl ArqCore {
     /// Queue the whole cached message again as recovery traffic — the
     /// identical encoded frames, shared by refcount.
     pub(crate) fn queue_retransmit(&mut self) {
-        for (frame, phase) in &self.cached {
+        for (frame, split) in &self.cached {
             self.effects.push_back(Output::Transmit {
                 frame: frame.share(),
-                phase: *phase,
+                split: *split,
                 retransmit: true,
             });
         }
@@ -282,8 +293,8 @@ impl ArqCore {
 
     /// Queue an inbound-byte attribution (used by lingering machines
     /// that parse frames outside an active wait).
-    pub(crate) fn queue_attribute(&mut self, phase: Phase) {
-        self.effects.push_back(Output::Attribute { phase });
+    pub(crate) fn queue_attribute(&mut self, split: PhaseSplit) {
+        self.effects.push_back(Output::Attribute { split });
     }
 
     /// Start waiting for the peer's next message: fresh retry budget,
@@ -327,9 +338,9 @@ impl ArqCore {
             self.saw_corrupt = true;
             return Ok(None);
         };
-        // The transport cannot know an inbound frame's phase until the
-        // ARQ header is parsed; attribute it now.
-        self.queue_attribute(frame.part.phase);
+        // The transport cannot know an inbound frame's phases until the
+        // ARQ header is parsed; attribute them now.
+        self.queue_attribute(split_of(&frame.part));
         if frame.seq != self.recv_seq {
             // A stale frame means the peer missed our last message's
             // effect — on the server, when its final part shows up,

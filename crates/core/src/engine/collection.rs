@@ -13,15 +13,16 @@
 //! [`CollectionServeMachine`]s on a fixed worker pool.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use msync_hash::{file_fingerprint, Fingerprint};
 use msync_protocol::{BufferPool, Direction, FrameBuf, Phase, RetryPolicy, TrafficStats};
 use msync_trace::{EventKind, HistKind, Recorder, ResumeRejectTag};
 
-use super::arq::{micros_of, parse_frame, ArqCore, MAX_FRAMES_PER_EXCHANGE};
+use super::arq::{micros_of, parse_frame, split_of, ArqCore, MAX_FRAMES_PER_EXCHANGE};
 use super::{Machine, Output};
-use crate::collection::{CollectionOutcome, FileEntry};
+use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::ProtocolConfig;
 use crate::pipeline::{
     decode_batch, decode_resume_offer, decode_resume_verdict, decode_roster, encode_batch,
@@ -30,7 +31,7 @@ use crate::pipeline::{
 };
 use crate::resume::{config_digest, ResumePlan};
 use crate::session::{ClientAction, ClientSession, Part, SState, ServerSession, SyncError};
-use crate::snapshot::{CollectionSnapshot, SessionCache};
+use crate::snapshot::{CollectionSnapshot, ServedFiles, SessionCache};
 use crate::stats::SyncStats;
 
 /// One file the pipelined client has fully completed, surfaced through
@@ -60,10 +61,14 @@ pub struct CompletedFile {
 
 /// Per-file client state while the pipeline runs.
 struct Slot<'a> {
-    session: ClientSession<'a>,
+    /// The open session: `None` until admitted, and again once done —
+    /// a finished file keeps only its [`SyncStats`].
+    session: Option<ClientSession<'a>>,
     old_data: &'a [u8],
     existed: bool,
-    traffic: TrafficStats,
+    /// Payload bytes by phase as this file's parts carried them; the
+    /// session's levels and byte counts join them when it finishes.
+    stats: SyncStats,
     /// Final content and the fell-back flag. An `Arc<Vec<u8>>`, not an
     /// `Arc<[u8]>`: `finish` unwraps it into the `Vec` the outcome owns.
     #[allow(clippy::rc_buffer)]
@@ -82,7 +87,8 @@ impl Slot<'_> {
     /// copy until the setup reply reveals the server's length, then the
     /// larger of the two (a delta is decoded against one into the other).
     fn content_bytes(&self) -> u64 {
-        (self.old_data.len() as u64).max(self.session.new_len).max(1)
+        let new_len = self.session.as_ref().map_or(0, |s| s.new_len);
+        (self.old_data.len() as u64).max(new_len).max(1)
     }
 }
 
@@ -94,7 +100,7 @@ enum ClientState {
 
 /// The client half of a pipelined collection sync as a sans-IO machine.
 pub struct CollectionClientMachine<'a> {
-    old: &'a [FileEntry],
+    old: Vec<FileRef<'a>>,
     cfg: &'a ProtocolConfig,
     /// Cap on open sessions (`usize::MAX`: the byte budget alone).
     depth: usize,
@@ -127,9 +133,11 @@ pub struct CollectionClientMachine<'a> {
 }
 
 impl<'a> CollectionClientMachine<'a> {
-    /// Build the machine and queue the roster message — plus a resume
-    /// offer when `resume` holds a usable plan. `now_us` is the
-    /// caller's clock reading, the origin for the first ARQ deadline.
+    /// Build the machine over the client's files `old` (a slice of
+    /// entries, or [`FileRef`]s borrowed from wherever they live) and
+    /// queue the roster message — plus a resume offer when `resume`
+    /// holds a usable plan. `now_us` is the caller's clock reading, the
+    /// origin for the first ARQ deadline.
     ///
     /// Plan entries are verified against `old` before being offered:
     /// only names whose local content actually carries the claimed
@@ -138,8 +146,8 @@ impl<'a> CollectionClientMachine<'a> {
     ///
     /// # Errors
     /// [`SyncError::Config`] when `cfg` fails validation.
-    pub fn new(
-        old: &'a [FileEntry],
+    pub fn new<F: Into<FileRef<'a>>>(
+        old: impl IntoIterator<Item = F>,
         cfg: &'a ProtocolConfig,
         depth: usize,
         retry: RetryPolicy,
@@ -147,21 +155,21 @@ impl<'a> CollectionClientMachine<'a> {
         resume: Option<&ResumePlan>,
         now_us: u64,
     ) -> Result<Self, SyncError> {
+        let old: Vec<FileRef<'a>> = old.into_iter().map(Into::into).collect();
         cfg.validate().map_err(SyncError::Config)?;
         let mut arq = ArqCore::client(retry, rec.clone());
-        let mut my_names: Vec<&str> = old.iter().map(|f| f.name.as_str()).collect();
+        let mut my_names: Vec<&str> = old.iter().map(|f| f.name).collect();
         my_names.sort_unstable();
         let mut message =
             vec![Part { phase: Phase::Setup, payload: encode_roster(&my_names).into() }];
         let mut offered: Vec<(String, Fingerprint)> = Vec::new();
         if let Some(plan) = resume {
-            let by_name: HashMap<&str, &FileEntry> =
-                old.iter().map(|f| (f.name.as_str(), f)).collect();
+            let by_name: HashMap<&str, &[u8]> = old.iter().map(|f| (f.name, f.data)).collect();
             offered = plan
                 .entries
                 .iter()
                 .filter(|(name, digest)| {
-                    by_name.get(name.as_str()).is_some_and(|f| file_fingerprint(&f.data) == *digest)
+                    by_name.get(name.as_str()).is_some_and(|data| file_fingerprint(data) == *digest)
                 })
                 .cloned()
                 .collect();
@@ -264,9 +272,14 @@ impl<'a> CollectionClientMachine<'a> {
             self.in_flight += 1;
             self.charge(id, charge);
             self.rec.record(EventKind::SessionStart { file_id: id as u64 });
-            self.slots[id].t0_us = self.rec.now_micros();
-            let part = self.slots[id].session.request();
-            self.slots[id].traffic.record(
+            let slot = &mut self.slots[id];
+            slot.t0_us = self.rec.now_micros();
+            let mut session = ClientSession::new(slot.old_data, self.cfg);
+            session.recorder = self.rec.clone();
+            session.file_id = id as u64;
+            let part = session.request();
+            slot.session = Some(session);
+            slot.stats.traffic.record(
                 Direction::ClientToServer,
                 part.phase,
                 part.payload.len() as u64,
@@ -339,27 +352,21 @@ impl<'a> CollectionClientMachine<'a> {
     fn on_roster(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let roster_part = parts.first().ok_or(SyncError::Desync("missing server roster"))?;
         self.server_names = decode_roster(&roster_part.payload)?;
-        let old_by_name: HashMap<&str, &FileEntry> =
-            self.old.iter().map(|f| (f.name.as_str(), f)).collect();
+        let old_by_name: HashMap<&str, &'a [u8]> =
+            self.old.iter().map(|f| (f.name, f.data)).collect();
         let server_set: HashSet<&str> = self.server_names.iter().map(String::as_str).collect();
-        self.deleted = self.old.iter().filter(|f| !server_set.contains(f.name.as_str())).count();
+        self.deleted = self.old.iter().filter(|f| !server_set.contains(f.name)).count();
 
-        const EMPTY: &[u8] = &[];
         self.slots = self
             .server_names
             .iter()
-            .enumerate()
-            .map(|(id, name)| {
-                let old_entry = old_by_name.get(name.as_str()).copied();
-                let old_data = old_entry.map_or(EMPTY, |f| f.data.as_slice());
-                let mut session = ClientSession::new(old_data, self.cfg);
-                session.recorder = self.rec.clone();
-                session.file_id = id as u64;
+            .map(|name| {
+                let old_data = old_by_name.get(name.as_str()).copied();
                 Slot {
-                    session,
-                    old_data,
-                    existed: old_entry.is_some(),
-                    traffic: TrafficStats::new(),
+                    session: None,
+                    old_data: old_data.unwrap_or_default(),
+                    existed: old_data.is_some(),
+                    stats: SyncStats::default(),
                     done: None,
                     charged: 0,
                     resumed: false,
@@ -400,9 +407,14 @@ impl<'a> CollectionClientMachine<'a> {
             }
             let slot = self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
             for p in &parts {
-                slot.traffic.record(Direction::ServerToClient, p.phase, p.payload.len() as u64);
+                slot.stats.traffic.record(
+                    Direction::ServerToClient,
+                    p.phase,
+                    p.payload.len() as u64,
+                );
             }
-            match slot.session.handle(parts)? {
+            let session = slot.session.as_mut().ok_or(SyncError::Desync("batch id not open"))?;
+            match session.handle(parts)? {
                 ClientAction::Done { data, fell_back } => {
                     if self.rec.is_enabled() {
                         self.rec.observe(
@@ -425,6 +437,11 @@ impl<'a> CollectionClientMachine<'a> {
                         round: self.round,
                     });
                     slot.done = Some((data, fell_back));
+                    // Close the session, keeping only its statistics.
+                    let session = slot.session.take().ok_or(SyncError::Desync("no session"))?;
+                    slot.stats.levels = session.levels;
+                    slot.stats.known_bytes = session.map.known_bytes();
+                    slot.stats.delta_bytes = session.delta_bytes;
                     self.release(id);
                     self.in_flight -= 1;
                     self.done_count += 1;
@@ -434,7 +451,7 @@ impl<'a> CollectionClientMachine<'a> {
                         return Err(SyncError::Desync("session yielded no reply"));
                     }
                     for p in &cparts {
-                        slot.traffic.record(
+                        slot.stats.traffic.record(
                             Direction::ClientToServer,
                             p.phase,
                             p.payload.len() as u64,
@@ -489,19 +506,12 @@ impl<'a> CollectionClientMachine<'a> {
             if fb {
                 fell_back += 1;
             }
-            let levels = slot.session.levels;
             if slot.resumed {
                 resumed += 1;
-            } else if slot.existed && levels.is_empty() && data.as_slice() == slot.old_data {
+            } else if slot.existed && slot.stats.levels.is_empty() && *data == slot.old_data {
                 unchanged += 1;
             }
-            let stats = SyncStats {
-                traffic: slot.traffic,
-                levels,
-                known_bytes: slot.session.map.known_bytes(),
-                delta_bytes: slot.session.delta_bytes,
-            };
-            per_file.push((name.clone(), stats));
+            per_file.push((name.clone(), slot.stats));
             // Sole owner unless a sink kept its `CompletedFile`.
             let data = Arc::try_unwrap(data).unwrap_or_else(|shared| shared.as_ref().clone());
             files.push(FileEntry { name: name.clone(), data });
@@ -512,7 +522,6 @@ impl<'a> CollectionClientMachine<'a> {
             per_file,
             unchanged,
             created,
-            renamed: 0,
             deleted: self.deleted,
             fell_back,
             resumed,
@@ -582,17 +591,19 @@ enum ServeState {
 }
 
 /// The server half of a pipelined collection sync as a sans-IO machine.
-/// The served collection is the per-call context
-/// (`Ctx = CollectionSnapshot`), so a daemon shares one immutable
+/// The served collection is the per-call context (`Ctx = S`): by
+/// default a [`CollectionSnapshot`], so a daemon shares one immutable
 /// snapshot read-only across every concurrent session — and can swap
 /// its registry entry for a new snapshot without disturbing machines
-/// already bound to the old one.
+/// already bound to the old one. A one-shot sync serves its caller's
+/// files borrowed as they are (`S = [FileRef]`), with no copy and no
+/// cross-session cache.
 ///
 /// The context must be identical on every call: the machine captures
 /// the sorted roster order on the first message and indexes the
-/// snapshot by it thereafter. The daemon guarantees this by binding
+/// collection by it thereafter. The daemon guarantees this by binding
 /// each connection to one `Arc<CollectionSnapshot>` at handshake time.
-pub struct CollectionServeMachine {
+pub struct CollectionServeMachine<S: ServedFiles + ?Sized = CollectionSnapshot> {
     cfg: ProtocolConfig,
     /// [`config_digest`] of `cfg`, computed once: half of every
     /// session's hash-cache key.
@@ -607,9 +618,10 @@ pub struct CollectionServeMachine {
     sessions: usize,
     quiet: u32,
     linger_frames: u32,
+    served: PhantomData<fn(&S)>,
 }
 
-impl CollectionServeMachine {
+impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
     /// Build the machine, waiting for a client roster from `now_us`.
     ///
     /// # Errors
@@ -635,6 +647,7 @@ impl CollectionServeMachine {
             sessions: 0,
             quiet: 0,
             linger_frames: 0,
+            served: PhantomData,
         })
     }
 
@@ -665,12 +678,7 @@ impl CollectionServeMachine {
     /// finished without ever running a session. Malformed or
     /// incompatible offers produce a typed rejection, never an error —
     /// the client falls back to a full sync.
-    fn eval_offer(
-        &mut self,
-        snap: &CollectionSnapshot,
-        names: &[&str],
-        payload: &[u8],
-    ) -> ResumeVerdict {
+    fn eval_offer(&mut self, snap: &S, names: &[&str], payload: &[u8]) -> ResumeVerdict {
         let (their_digest, entries) = match decode_resume_offer(payload) {
             Ok(decoded) => decoded,
             Err(reason) => {
@@ -705,20 +713,14 @@ impl CollectionServeMachine {
         ResumeVerdict::Accept(bits)
     }
 
-    fn on_roster(
-        &mut self,
-        snap: &CollectionSnapshot,
-        parts: &[Part],
-        now_us: u64,
-    ) -> Result<(), SyncError> {
+    fn on_roster(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let roster_part = parts.first().ok_or(SyncError::Desync("empty client roster"))?;
         // The client's roster is advisory (it computes creates and
         // deletes itself); decoding it validates the handshake.
         decode_roster(&roster_part.payload)?;
-        let new = snap.files();
-        let mut order: Vec<usize> = (0..new.len()).collect();
-        order.sort_by(|&a, &b| new[a].name.cmp(&new[b].name));
-        let names: Vec<&str> = order.iter().map(|&i| new[i].name.as_str()).collect();
+        let mut order: Vec<usize> = (0..snap.file_count()).collect();
+        order.sort_by_key(|&i| snap.file(i).name);
+        let names: Vec<&str> = order.iter().map(|&i| snap.file(i).name).collect();
         self.slots = (0..order.len()).map(|_| ServeSlot::Idle).collect();
         self.order = order;
         let mut reply = vec![Part { phase: Phase::Setup, payload: encode_roster(&names).into() }];
@@ -736,34 +738,37 @@ impl CollectionServeMachine {
         Ok(())
     }
 
-    fn on_batch(
-        &mut self,
-        snap: &CollectionSnapshot,
-        parts: &[Part],
-        now_us: u64,
-    ) -> Result<(), SyncError> {
+    fn on_batch(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let part = parts.first().ok_or(SyncError::Desync("empty batch message"))?;
         let mut out: Vec<(usize, Vec<Part>)> = Vec::new();
         for (id, parts) in decode_batch(&part.payload)? {
             let slot = self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
             let file_idx = *self.order.get(id).ok_or(SyncError::Desync("batch id"))?;
-            let entry = snap.files().get(file_idx).ok_or(SyncError::Desync("collection shrank"))?;
+            if file_idx >= snap.file_count() {
+                return Err(SyncError::Desync("collection shrank"));
+            }
+            let data = snap.file(file_idx).data;
             let reply = match slot {
                 ServeSlot::Idle => {
-                    let cache = SessionCache::new(
-                        Arc::clone(snap.cache()),
-                        snap.fingerprint(file_idx),
-                        self.cfg_digest,
-                        self.rec.clone(),
-                    );
-                    let mut session = ServerSession::with_cache(self.cfg.clone(), cache);
+                    let mut session = match snap.hash_cache() {
+                        Some(cache) => ServerSession::with_cache(
+                            self.cfg.clone(),
+                            SessionCache::new(
+                                Arc::clone(cache),
+                                snap.fingerprint(file_idx),
+                                self.cfg_digest,
+                                self.rec.clone(),
+                            ),
+                        ),
+                        None => ServerSession::new(self.cfg.clone()),
+                    };
                     let p0 = parts.first().ok_or(SyncError::Desync("empty file message"))?;
-                    let reply = session.on_request(&entry.data, &p0.payload)?;
+                    let reply = session.on_request(data, &p0.payload)?;
                     self.sessions += 1;
                     *slot = ServeSlot::Running(session);
                     reply
                 }
-                ServeSlot::Running(session) => session.on_client(&entry.data, &parts)?,
+                ServeSlot::Running(session) => session.on_client(data, &parts)?,
                 ServeSlot::Finished => {
                     return Err(SyncError::Desync("message for a finished file"))
                 }
@@ -788,7 +793,7 @@ impl CollectionServeMachine {
         self.linger_frames += 1;
         self.quiet = 0;
         if let Some(frame) = bytes.and_then(parse_frame) {
-            self.arq.queue_attribute(frame.part.phase);
+            self.arq.queue_attribute(split_of(&frame.part));
             if frame.seq < self.arq.recv_seq() && !frame.more && self.arq.has_cached() {
                 self.arq.queue_retransmit();
             }
@@ -802,15 +807,10 @@ impl CollectionServeMachine {
     }
 }
 
-impl Machine for CollectionServeMachine {
-    type Ctx = CollectionSnapshot;
+impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
+    type Ctx = S;
 
-    fn on_frame(
-        &mut self,
-        snap: &CollectionSnapshot,
-        bytes: &FrameBuf,
-        now_us: u64,
-    ) -> Result<(), SyncError> {
+    fn on_frame(&mut self, snap: &S, bytes: &FrameBuf, now_us: u64) -> Result<(), SyncError> {
         match self.state {
             ServeState::AwaitRoster | ServeState::Await => {
                 let Some(parts) = self.arq.on_frame(bytes, now_us)? else {
@@ -895,7 +895,9 @@ impl Machine for CollectionServeMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::decode_batch;
     use msync_hash::file_fingerprint;
+    use msync_protocol::{PhaseSplit, WireMeter};
 
     /// Deterministic incompressible bytes.
     fn blob(n: usize, seed: u64) -> Vec<u8> {
@@ -917,11 +919,11 @@ mod tests {
         out
     }
 
-    fn transmissions<M: Machine>(m: &mut M) -> (bool, Vec<FrameBuf>) {
+    fn transmissions<M: Machine>(m: &mut M) -> (bool, Vec<(FrameBuf, PhaseSplit)>) {
         let mut frames = Vec::new();
         loop {
             match m.poll_output(0).expect("machine healthy") {
-                Output::Transmit { frame, .. } => frames.push(frame),
+                Output::Transmit { frame, split, .. } => frames.push((frame, split)),
                 Output::Attribute { .. } => {}
                 Output::Wait { .. } => return (false, frames),
                 Output::Done => return (true, frames),
@@ -929,33 +931,39 @@ mod tests {
         }
     }
 
+    /// Every frame of a drive, in wire order, with its direction and
+    /// the split its sender charged.
+    type Frames = Vec<(Direction, FrameBuf, PhaseSplit)>;
+
     /// Shuttle frames between `client` and a fresh server for `new`
     /// until the client finishes, calling `after_frame` once per frame
     /// the client absorbed (where the blocking driver drains completed
-    /// files). Returns how many batches the client sent.
+    /// files). Returns how many batches the client sent, and the frames.
     fn drive(
         client: &mut CollectionClientMachine<'_>,
         new: &[FileEntry],
         cfg: &ProtocolConfig,
         mut after_frame: impl FnMut(&mut CollectionClientMachine<'_>),
-    ) -> usize {
+    ) -> (usize, Frames) {
         let snap = CollectionSnapshot::new(new.to_vec());
         let mut server =
             CollectionServeMachine::new(cfg, RetryPolicy::default(), Recorder::off(), 0).unwrap();
-        let mut client_frames = 0;
+        let mut frames = Frames::new();
         for _ in 0..10_000 {
             let (done, to_server) = transmissions(client);
-            client_frames += to_server.len();
-            for frame in &to_server {
-                server.on_frame(&snap, frame, 0).expect("server accepts frame");
+            for (frame, split) in to_server {
+                server.on_frame(&snap, &frame, 0).expect("server accepts frame");
+                frames.push((Direction::ClientToServer, frame, split));
             }
             if done {
-                // The roster is the first frame; the rest are batches.
-                return client_frames - 1;
+                // The roster is the first client frame; the rest are batches.
+                let sent = frames.iter().filter(|f| f.0 == Direction::ClientToServer).count();
+                return (sent - 1, frames);
             }
-            for frame in &transmissions(&mut server).1 {
-                client.on_frame(&(), frame, 0).expect("client accepts frame");
+            for (frame, split) in transmissions(&mut server).1 {
+                client.on_frame(&(), &frame, 0).expect("client accepts frame");
                 after_frame(client);
+                frames.push((Direction::ServerToClient, frame, split));
             }
         }
         panic!("session did not converge");
@@ -996,7 +1004,7 @@ mod tests {
 
         let rec = Recorder::system();
         let mut bounded = client(&old, &cfg, rec.clone(), None).with_budget(BUDGET);
-        let batches = drive(&mut bounded, &new, &cfg, |_| {});
+        let (batches, _) = drive(&mut bounded, &new, &cfg, |_| {});
         assert_eq!(bounded.finish(TrafficStats::new()).unwrap().files, new);
 
         let windows: Vec<(u64, u64)> = rec
@@ -1024,9 +1032,9 @@ mod tests {
         // The budget, not the protocol, set that batch count: with room
         // for the whole roster the same sync needs far fewer.
         let mut roomy = client(&old, &cfg, Recorder::off(), None);
-        let lockstep_batches = drive(&mut roomy, &new, &cfg, |_| {});
+        let (roomy_batches, _) = drive(&mut roomy, &new, &cfg, |_| {});
         assert_eq!(roomy.finish(TrafficStats::new()).unwrap().files, new);
-        assert!(batches >= 3 * lockstep_batches, "{batches} batches vs {lockstep_batches}");
+        assert!(batches >= 3 * roomy_batches, "{batches} batches vs {roomy_batches}");
     }
 
     #[test]
@@ -1067,5 +1075,62 @@ mod tests {
         assert_eq!(out.files, new);
         assert_eq!((out.resumed, out.unchanged), (1, 1));
         assert_eq!(out.files.iter().map(|f| f.data.as_ptr()).collect::<Vec<_>>(), kept);
+    }
+
+    #[test]
+    fn batch_bytes_go_to_their_parts_phases_and_framing_to_the_largest_share() {
+        // Unchanged, edited, created and deleted files in one sync.
+        let (same, edit) = (blob(5_000, 70), blob(9_000, 71));
+        let old = vec![
+            FileEntry::new("edit", edit.clone()),
+            FileEntry::new("gone", blob(800, 72)),
+            FileEntry::new("same", same.clone()),
+        ];
+        let new = vec![
+            FileEntry::new("edit", edited(&edit)),
+            FileEntry::new("new", blob(3_000, 73)),
+            FileEntry::new("same", same),
+        ];
+        let cfg = ProtocolConfig::default();
+        let mut machine = client(&old, &cfg, Recorder::off(), None);
+        let (_, frames) = drive(&mut machine, &new, &cfg, |_| {});
+        let out = machine.finish(TrafficStats::new()).unwrap();
+        assert_eq!(out.files, new);
+
+        // Frame by frame: each phase is charged its parts' payload, and
+        // the framing goes to one phase holding the largest share.
+        let phases = [Phase::Setup, Phase::Map, Phase::Delta, Phase::Resume];
+        let both = |t: &TrafficStats, p| t.c2s(p) + t.s2c(p);
+        let (mut charged, mut shares) = (WireMeter::default(), TrafficStats::new());
+        for (dir, frame, split) in &frames {
+            let part = parse_frame(frame).expect("well-formed frame").part;
+            let mut parts = TrafficStats::new();
+            if part.phase == Phase::Map {
+                for p in decode_batch(&part.payload).unwrap().into_iter().flat_map(|f| f.1) {
+                    parts.record(*dir, p.phase, p.payload.len() as u64);
+                }
+            }
+            let mut one = WireMeter::default();
+            one.sent(*dir, *split, frame.len());
+            let one = one.stats();
+            let framed: Vec<Phase> =
+                phases.into_iter().filter(|&p| both(&one, p) != both(&parts, p)).collect();
+            let largest = phases.map(|p| both(&parts, p)).into_iter().max();
+            assert_eq!(framed.len(), 1, "framing charged to one phase: {one:?} vs {parts:?}");
+            assert_eq!(Some(both(&parts, framed[0])), largest, "framing off the largest share");
+            charged.sent(*dir, *split, frame.len());
+            shares.merge(&parts);
+        }
+        // Summed, the parts are exactly the files' own payload bytes: a
+        // collection's traffic by phase is Σ per_file plus framing.
+        let mut per_file = TrafficStats::new();
+        for (_, stats) in &out.per_file {
+            per_file.merge(&stats.traffic);
+        }
+        assert_eq!(shares, per_file);
+        assert!(per_file.s2c(Phase::Delta) > 0);
+        // And the in-process pump charges exactly these frames.
+        let pumped = crate::pipeline::sync_collection(&old, &new, &cfg).unwrap().traffic;
+        assert_eq!(pumped, charged.stats());
     }
 }

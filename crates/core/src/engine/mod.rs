@@ -30,7 +30,7 @@ pub mod collection;
 pub use collection::{CollectionClientMachine, CollectionServeMachine, CompletedFile};
 
 use crate::session::SyncError;
-use msync_protocol::{FrameBuf, Phase};
+use msync_protocol::{FrameBuf, PhaseSplit};
 
 /// One effect requested by a machine, drained via
 /// [`Machine::poll_output`]. Effects must be executed in the order they
@@ -38,7 +38,7 @@ use msync_protocol::{FrameBuf, Phase};
 /// drain.
 #[derive(Debug)]
 pub enum Output {
-    /// Put this encoded ARQ frame on the wire, charged to `phase`.
+    /// Put this encoded ARQ frame on the wire, charged across `split`.
     /// `retransmit` marks recovery traffic so the transport's
     /// retransmission counter stays honest.
     Transmit {
@@ -47,17 +47,17 @@ pub enum Output {
         /// carry shares of one allocation, and transports that queue
         /// output keep shares instead of copies.
         frame: FrameBuf,
-        /// Accounting phase of the frame's payload.
-        phase: Phase,
+        /// How the frame's bytes divide across accounting phases.
+        split: PhaseSplit,
         /// Whether this is a retransmission of an earlier frame.
         retransmit: bool,
     },
-    /// Attribute the most recently received frame's wire bytes to
-    /// `phase` (the transport pools inbound bytes until the ARQ header
-    /// has been parsed — which only the machine can do).
+    /// Attribute the most recently received frame's wire bytes across
+    /// `split` (the transport pools inbound bytes until the frame has
+    /// been parsed — which only the machine can do).
     Attribute {
-        /// Accounting phase parsed from the frame's ARQ header.
-        phase: Phase,
+        /// Accounting split parsed from the frame.
+        split: PhaseSplit,
     },
     /// Nothing to do until a frame arrives or `deadline_us` passes
     /// (on the same clock the caller supplies as `now_us`).

@@ -68,21 +68,19 @@ pub mod verify;
 pub use adaptive::{sync_collection_adaptive, sync_file_adaptive, AdaptiveOutcome};
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
 pub use broadcast::{sync_broadcast, BroadcastOutcome};
-pub use collection::{
-    name_exchange_bytes, sync_collection, sync_collection_traced, sync_collection_with,
-    CollectionOutcome, FileEntry, ReconStrategy,
-};
+pub use collection::{sync_collection_with, CollectionOutcome, FileEntry, FileRef, ReconStrategy};
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
 pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};
 pub use map::{FileMap, Segment};
 pub use pipeline::{
-    serve_collection, sync_collection_channel, sync_collection_client, PipelineOptions,
-    ServeOutcome, WINDOW_BUDGET_BYTES,
+    roster_frame_bytes, serve_collection, sync_collection, sync_collection_channel,
+    sync_collection_client, sync_collection_traced, PipelineOptions, ServeOutcome,
+    WINDOW_BUDGET_BYTES,
 };
 pub use resume::{
     config_digest, load_checkpoint, CacheEntry, CheckpointLog, MetadataCache, ResumePlan,
     SessionCheckpoint, STATE_VERSION,
 };
 pub use session::{sync_file, sync_file_with, SyncError, SyncOptions, SyncOutcome};
-pub use snapshot::{CollectionSnapshot, HashCache, SessionCache};
+pub use snapshot::{CollectionSnapshot, HashCache, ServedFiles, SessionCache};
 pub use stats::{LevelStats, SyncStats};

@@ -1,11 +1,19 @@
-//! Pipelined collection synchronization over a real transport.
+//! Pipelined collection synchronization: the one wire protocol and its
+//! drivers.
 //!
-//! [`crate::collection::sync_collection`] models the collection
-//! workload analytically: it runs each file's session in-process and
-//! merges the accounting. This module is the wire version — a client
-//! and a server that only share a [`Transport`], suitable for the
-//! in-memory [`Endpoint`] pair or a TCP
-//! socket.
+//! Every sync runs the same two sans-IO machines,
+//! [`CollectionClientMachine`] and [`CollectionServeMachine`]. Three
+//! drivers move their frames:
+//!
+//! * [`sync_collection`] (and [`sync_file`](crate::sync_file), a
+//!   one-entry collection) pumps both on the caller's thread, handing
+//!   each frame straight to the peer and charging it once to a
+//!   [`WireMeter`] — no thread, no clock, byte-stable journals;
+//! * [`sync_collection_client`] / [`serve_collection`] pump one machine
+//!   each over a [`Transport`] — the in-memory [`Endpoint`] pair
+//!   ([`sync_collection_channel`]) or a TCP socket;
+//! * the `msync-net` daemon multiplexes many serve machines over
+//!   nonblocking sockets.
 //!
 //! The paper's observation (§1) is that roundtrip latencies need not be
 //! paid per file "since many files can be processed simultaneously".
@@ -31,23 +39,30 @@
 //!    as the normal end of service and lingers briefly for stragglers.
 //!
 //! Deletions never cross the wire: the client computes them locally as
-//! its names minus the server roster. Renames are not detected on this
-//! path (the analytic `sync_collection` models them); a renamed file
-//! costs a create plus a delete here.
+//! its names minus the server roster. Renames are not detected: a
+//! renamed file costs a create plus a delete.
+//!
+//! Every byte is charged where it crosses: a batch frame's bytes go to
+//! the phases of the parts inside it, and its framing to the largest
+//! of those shares ([`PhaseSplit`]).
 
 use msync_hash::{BitReader, BitWriter, Fingerprint};
-use msync_protocol::{ChannelError, Endpoint, RetryPolicy, TrafficStats, Transport};
+use msync_protocol::{
+    frame_wire_size, ChannelError, Direction, Endpoint, FrameBuf, Phase, PhaseSplit, RetryPolicy,
+    TrafficStats, Transport, WireMeter,
+};
 use msync_trace::{Clock, Recorder, ResumeRejectTag, SystemClock};
 
-use crate::collection::{CollectionOutcome, FileEntry};
+use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::{ChannelOptions, ProtocolConfig};
-use crate::engine::arq::{parse_part_header, part_header, MAX_PARTS_PER_MESSAGE};
+use crate::engine::arq::{
+    encode_arq_frame_into, parse_part_header, part_header, MAX_PARTS_PER_MESSAGE,
+};
 use crate::engine::{
     CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output,
 };
 use crate::resume::ResumePlan;
 use crate::session::{Part, SyncError};
-use crate::snapshot::CollectionSnapshot;
 
 /// Upper bound on files in one collection roster. A count above this in
 /// a decoded roster or batch is treated as a desync, not an allocation
@@ -146,7 +161,9 @@ pub(crate) fn encode_batch(entries: &[(usize, Vec<Part>)]) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn decode_batch(payload: &[u8]) -> Result<Vec<(usize, Vec<Part>)>, SyncError> {
+/// Decode a batch into its files' messages; every part is a zero-copy
+/// view of `payload`.
+pub(crate) fn decode_batch(payload: &FrameBuf) -> Result<Vec<(usize, Vec<Part>)>, SyncError> {
     let mut r = BitReader::new(payload);
     let count = r.read_varint().map_err(|_| SyncError::Desync("batch count"))?;
     if count > MAX_COLLECTION_FILES {
@@ -173,12 +190,36 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Result<Vec<(usize, Vec<Part>)>, Sy
                 parse_part_header(header).ok_or(SyncError::Desync("batch phase tag"))?;
             let len = r.read_varint().map_err(|_| SyncError::Desync("batch part len"))?;
             let len = usize::try_from(len).map_err(|_| SyncError::Desync("batch part len"))?;
-            let bytes = r.read_bytes(len).map_err(|_| SyncError::Desync("batch part truncated"))?;
-            parts.push(Part { phase, payload: bytes.into() });
+            // Every field before a payload is whole bytes: it starts aligned.
+            let start = payload.len() - r.remaining_bits() / 8;
+            r.skip_bytes(len).map_err(|_| SyncError::Desync("batch part truncated"))?;
+            parts.push(Part { phase, payload: payload.slice(start, start + len) });
         }
         out.push((id, parts));
     }
     Ok(out)
+}
+
+/// How a batch frame divides across its parts' phases; the batch's own
+/// headers are framing. A batch that does not parse is all map phase.
+pub(crate) fn batch_split(payload: &FrameBuf) -> PhaseSplit {
+    let mut split = PhaseSplit::from(Phase::Map);
+    for part in decode_batch(payload).unwrap_or_default().iter().flat_map(|(_, parts)| parts) {
+        split.add(part.phase, part.payload.len() as u64);
+    }
+    split
+}
+
+/// Wire bytes of one roster frame listing `names`: what each side of a
+/// collection sync pays to say which files it holds. The paper harness
+/// charges the per-file baselines the same two listings.
+pub fn roster_frame_bytes(names: &[&str]) -> u64 {
+    let mut sorted = names.to_vec();
+    sorted.sort_unstable();
+    let part = Part { phase: Phase::Setup, payload: encode_roster(&sorted).into() };
+    let mut frame = Vec::new();
+    encode_arq_frame_into(&mut frame, 0, 0, false, &part);
+    frame_wire_size(frame.len())
 }
 
 /// The server's verdict on a resume offer, as it crosses the wire in
@@ -328,10 +369,10 @@ fn pump<M: Machine>(
 ) -> Result<(), SyncError> {
     loop {
         match m.poll_output(clock.now_micros())? {
-            Output::Transmit { frame, phase, retransmit } => {
+            Output::Transmit { frame, split, retransmit } => {
                 // The in-memory channel never fails a send; a TCP
                 // transport reports a closed or wedged socket here.
-                t.send(&frame, phase).map_err(|e| match e {
+                t.send(&frame, split).map_err(|e| match e {
                     ChannelError::Timeout => SyncError::Timeout,
                     ChannelError::Disconnected => SyncError::PeerGone,
                     ChannelError::Corrupt(_) => SyncError::FrameCorrupt,
@@ -340,7 +381,7 @@ fn pump<M: Machine>(
                     t.note_retransmits(1);
                 }
             }
-            Output::Attribute { phase } => t.attribute_inbound(phase),
+            Output::Attribute { split } => t.attribute_inbound(split),
             Output::Wait { deadline_us } => {
                 let remaining = deadline_us.saturating_sub(clock.now_micros()).max(1);
                 match t.recv_timeout(std::time::Duration::from_micros(remaining)) {
@@ -420,10 +461,11 @@ pub fn sync_collection_client_resumable(
 /// Serve the `new` collection to one pipelined client over `t`.
 ///
 /// For one-shot callers (tests, the in-process channel run): the files
-/// are snapshotted — fingerprinted once, given a private hash cache —
-/// and served. The daemon instead shares one [`CollectionSnapshot`]
-/// across every [`CollectionServeMachine`] it multiplexes, so its cache
-/// is warm across sessions.
+/// are served as the caller holds them, each session fingerprinting its
+/// own file, with no cross-session cache. The daemon instead shares one
+/// [`CollectionSnapshot`](crate::CollectionSnapshot) across every
+/// [`CollectionServeMachine`] it multiplexes, so its cache is warm
+/// across sessions.
 ///
 /// A vanished peer after the roster exchange is the normal end of
 /// service (the client simply hangs up once every file is done), not
@@ -434,21 +476,22 @@ pub fn serve_collection(
     cfg: &ProtocolConfig,
     retry: RetryPolicy,
 ) -> Result<ServeOutcome, SyncError> {
-    let snap = CollectionSnapshot::new(new.to_vec());
+    let files: Vec<FileRef<'_>> = new.iter().map(FileRef::from).collect();
     let clock = SystemClock::new();
-    let mut machine = CollectionServeMachine::new(cfg, retry, t.recorder(), clock.now_micros())?;
-    pump(t, &mut machine, &snap, &clock, &mut |_| Ok(()))?;
-    Ok(machine.outcome(snap.len(), t.stats()))
+    let mut machine =
+        CollectionServeMachine::<[FileRef<'_>]>::new(cfg, retry, t.recorder(), clock.now_micros())?;
+    pump(t, &mut machine, files.as_slice(), &clock, &mut |_| Ok(()))?;
+    Ok(machine.outcome(files.len(), t.stats()))
 }
 
 /// Run one collection sync over an in-process duplex channel:
 /// [`sync_collection_client`] and [`serve_collection`] on the two ends
 /// of an [`Endpoint`] pair, the server on its own thread — the
-/// deployment shape of the library without a socket, as opposed to
-/// [`sync_collection`](crate::sync_collection)'s lockstep model. Byte
-/// accounting comes from the channel itself, framing, checksums and
-/// retransmissions included; `opts.fault_plan` puts the seeded fault
-/// injector on the link. A single file is a one-entry collection.
+/// deployment shape of the library without a socket. On a clean link it
+/// costs exactly what [`sync_collection`] does (same machines, same
+/// meter); `opts.fault_plan` puts the seeded fault injector on the link
+/// and the retry timers to work. A single file is a one-entry
+/// collection.
 ///
 /// Whenever this returns `Ok`, every file is byte-exact; link failures
 /// that outlast the retry budget surface as [`SyncError::Timeout`] /
@@ -480,10 +523,101 @@ pub fn sync_collection_channel(
     })
 }
 
+/// The clock reading every in-process exchange runs at: held fixed, so
+/// no retry deadline ever passes — a slow machine cannot fire a spurious
+/// retransmission — and a traced run's journal is byte-stable.
+const IN_PROCESS_NOW_US: u64 = 0;
+
+/// Synchronize the client's `old` collection to the server's `new` one,
+/// in process.
+///
+/// The outcome's `files`/`per_file` follow sorted-name (roster) order,
+/// so the result is a pure function of the two collections' *contents*
+/// — callers may present their entries in any order. `traffic` is what
+/// the wire would carry: the roster exchange, one batch frame per
+/// direction per round, framing and ARQ headers included.
+pub fn sync_collection(
+    old: &[FileEntry],
+    new: &[FileEntry],
+    cfg: &ProtocolConfig,
+) -> Result<CollectionOutcome, SyncError> {
+    sync_collection_traced(old, new, cfg, &Recorder::off())
+}
+
+/// [`sync_collection`] with a trace [`Recorder`] attached: every byte
+/// charged to the outcome's `traffic` is mirrored by `frame_send`
+/// events, so a journal's per-(direction, phase) byte sums reproduce
+/// the returned [`TrafficStats`] exactly, and under a deterministic
+/// clock two runs write the same journal.
+pub fn sync_collection_traced(
+    old: &[FileEntry],
+    new: &[FileEntry],
+    cfg: &ProtocolConfig,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    let new: Vec<FileRef<'_>> = new.iter().map(FileRef::from).collect();
+    sync_in_process(old.iter().map(FileRef::from).collect(), &new, cfg, recorder)
+}
+
+/// Both machines on one thread: every frame either side transmits is
+/// charged once to one [`WireMeter`] and handed straight to the peer.
+pub(crate) fn sync_in_process(
+    old: Vec<FileRef<'_>>,
+    new: &[FileRef<'_>],
+    cfg: &ProtocolConfig,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    let (retry, now) = (RetryPolicy::default(), IN_PROCESS_NOW_US);
+    let mut client =
+        CollectionClientMachine::new(old, cfg, usize::MAX, retry, recorder.clone(), None, now)?;
+    let mut server =
+        CollectionServeMachine::<[FileRef<'_>]>::new(cfg, retry, recorder.clone(), now)?;
+    let mut meter = WireMeter::default();
+    meter.set_recorder(recorder.clone());
+    loop {
+        match hand_over(&mut client, &mut server, new, Direction::ClientToServer, &mut meter)? {
+            None => return client.finish(meter.stats()),
+            Some(0) => return Err(SyncError::Desync("in-process sync stalled")),
+            Some(_) => {
+                hand_over(&mut server, &mut client, &(), Direction::ServerToClient, &mut meter)?
+            }
+        };
+    }
+}
+
+/// Drain `from`'s effects, charging each frame it transmits to `meter`
+/// and feeding it to `to`. Returns the frames handed over, or `None`
+/// once `from` is done.
+fn hand_over<A: Machine, B: Machine>(
+    from: &mut A,
+    to: &mut B,
+    ctx: &B::Ctx,
+    dir: Direction,
+    meter: &mut WireMeter,
+) -> Result<Option<u64>, SyncError> {
+    let mut frames = 0;
+    loop {
+        match from.poll_output(IN_PROCESS_NOW_US)? {
+            Output::Transmit { frame, split, retransmit } => {
+                meter.sent(dir, split, frame.len());
+                if retransmit {
+                    meter.note_retransmits(1);
+                }
+                to.on_frame(ctx, &frame, IN_PROCESS_NOW_US)?;
+                frames += 1;
+            }
+            // Charged on send, as the in-memory channel charges a link.
+            Output::Attribute { .. } => {}
+            Output::Wait { .. } => return Ok(Some(frames)),
+            Output::Done => return Ok(None),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msync_protocol::{Endpoint, Phase};
+    use msync_protocol::Endpoint;
     use std::collections::HashMap;
     use std::thread;
 
@@ -541,14 +675,14 @@ mod tests {
                 ],
             ),
         ];
-        let decoded = decode_batch(&encode_batch(&entries)).unwrap();
+        let decoded = decode_batch(&encode_batch(&entries).into()).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].0, 0);
         assert_eq!(decoded[0].1[0].payload, vec![1, 2, 3]);
         assert_eq!(decoded[1].0, 7);
         assert_eq!(decoded[1].1[1].phase, Phase::Delta);
         assert_eq!(decoded[1].1[1].payload, vec![9; 40]);
-        assert!(decode_batch(&[0xff; 2]).is_err());
+        assert!(decode_batch(&vec![0xff; 2].into()).is_err());
     }
 
     #[test]

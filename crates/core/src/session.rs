@@ -25,18 +25,20 @@
 //! from shared state ([`Coverage`], the known-hash set, results bitmaps),
 //! so messages carry only hash bits and bitmaps, never structure.
 
+use crate::collection::FileRef;
 use crate::config::ProtocolConfig;
 use crate::coverage::Coverage;
 use crate::index::{first_positions, matches_at, scan_neighborhood};
 use crate::items::{self, global_hash_bits, Item, ItemKind, Side};
 use crate::map::{FileMap, Segment};
+use crate::pipeline::sync_in_process;
 use crate::snapshot::SessionCache;
 use crate::stats::{LevelStats, SyncStats};
 use crate::verify::{StepOutcome, VerifyState};
 use msync_hash::decomposable::{prefix_decompose_left, prefix_decompose_right, DecomposableDigest};
 use msync_hash::{file_fingerprint, BitReader, BitWriter, Md5};
-use msync_protocol::{frame_wire_size, Direction, FrameBuf, Phase, TrafficStats};
-use msync_trace::{DirTag, EventKind, HistKind, Recorder};
+use msync_protocol::{FrameBuf, Phase};
+use msync_trace::{EventKind, HistKind, Recorder};
 use std::collections::{HashMap, HashSet};
 
 /// Synchronization failure. A session never panics, never hangs, and
@@ -248,6 +250,10 @@ impl ServerSession {
         let mut payload = w.into_bytes();
         payload.extend_from_slice(&delta);
         self.state = SState::AwaitMaybeResend;
+        // Only a fallback request can follow, and it needs none of the
+        // map phase: a pipelined server holds many such sessions at once.
+        (self.coverage, self.known_hashes, self.items, self.candidates, self.level_digests) =
+            Default::default();
         vec![Part { phase: Phase::Delta, payload: payload.into() }]
     }
 
@@ -906,22 +912,16 @@ impl<'a> ClientSession<'a> {
 // Driver
 // ---------------------------------------------------------------------
 
-/// Options for [`sync_file_with`]. The default is untraced; either way
-/// the two sessions exchange messages in-process with analytic byte
-/// accounting, and a run under a deterministic `ManualClock` produces a
-/// byte-identical journal every time.
+/// Options for [`sync_file_with`]. The default is untraced.
 #[derive(Debug, Clone, Default)]
 pub struct SyncOptions {
     /// Trace recorder; [`Recorder::off()`] (the default) disables
-    /// tracing. When enabled, the driver emits session/round span
+    /// tracing. When enabled, the sync emits session and round span
     /// events and mirrors every byte it charges as a frame event, so
     /// the journal's per-(direction, phase) sums equal the returned
-    /// `TrafficStats` exactly.
+    /// `TrafficStats` exactly, and a run under a deterministic
+    /// `ManualClock` writes a byte-identical journal every time.
     pub recorder: Recorder,
-    /// Roster index stamped on this session's trace events (a
-    /// collection sync runs one session per file; each session's
-    /// events carry its own id).
-    pub file_id: u64,
 }
 
 /// Synchronize one file: the client holds `old`, the server holds `new`;
@@ -930,87 +930,23 @@ pub fn sync_file(old: &[u8], new: &[u8], cfg: &ProtocolConfig) -> Result<SyncOut
     sync_file_with(old, new, cfg, &SyncOptions::default())
 }
 
-/// [`sync_file`] under explicit [`SyncOptions`] (tracing and the trace
-/// file id): the lockstep driver, which hands each side's message to
-/// the other in process and charges it as the frame it would be.
+/// [`sync_file`] under explicit [`SyncOptions`]: a one-entry collection
+/// through [`sync_collection`](crate::sync_collection)'s in-process
+/// pump. The stats' `traffic` is the whole wire cost, the roster
+/// exchange included.
 pub fn sync_file_with(
     old: &[u8],
     new: &[u8],
     cfg: &ProtocolConfig,
     opts: &SyncOptions,
 ) -> Result<SyncOutcome, SyncError> {
-    let (rec, file_id) = (&opts.recorder, opts.file_id);
-    cfg.validate().map_err(SyncError::Config)?;
-    let session_t0 = rec.now_micros();
-    rec.record(EventKind::SessionStart { file_id });
-    let mut client = ClientSession::new(old, cfg);
-    client.recorder = rec.clone();
-    client.file_id = file_id;
-    let mut server = ServerSession::new(cfg.clone());
-    let mut traffic = TrafficStats::new();
-
-    let req = client.request();
-    let req_wire = frame_wire_size(req.payload.len());
-    traffic.record(Direction::ClientToServer, req.phase, req_wire);
-    rec.record(EventKind::FrameSend { dir: DirTag::C2s, phase: req.phase.into(), bytes: req_wire });
-    let mut parts = server.on_request(new, &req.payload)?;
-    let mut roundtrips = 1u32;
-
-    loop {
-        // One loop iteration is one exchange: the server's message plus
-        // (unless the session ends) the client's reply.
-        let mut exchange_bytes = 0u64;
-        for p in &parts {
-            let wire = frame_wire_size(p.payload.len());
-            traffic.record(Direction::ServerToClient, p.phase, wire);
-            rec.record(EventKind::FrameRecv {
-                dir: DirTag::S2c,
-                phase: p.phase.into(),
-                bytes: wire,
-            });
-            exchange_bytes += wire;
-        }
-        match client.handle(parts)? {
-            ClientAction::Done { data, fell_back } => {
-                if rec.is_enabled() {
-                    rec.observe(HistKind::BytesPerRound, exchange_bytes);
-                    rec.observe(
-                        HistKind::SessionDuration,
-                        rec.now_micros().saturating_sub(session_t0),
-                    );
-                }
-                rec.record(EventKind::SessionEnd { file_id, ok: true, fell_back });
-                traffic.roundtrips = roundtrips;
-                let stats = SyncStats {
-                    traffic,
-                    levels: client.levels,
-                    known_bytes: client.map.known_bytes(),
-                    delta_bytes: client.delta_bytes,
-                };
-                return Ok(SyncOutcome { reconstructed: data, stats, fell_back });
-            }
-            ClientAction::Reply(cparts) => {
-                if cparts.is_empty() {
-                    return Err(SyncError::Desync("client had nothing to say"));
-                }
-                for p in &cparts {
-                    let wire = frame_wire_size(p.payload.len());
-                    traffic.record(Direction::ClientToServer, p.phase, wire);
-                    rec.record(EventKind::FrameSend {
-                        dir: DirTag::C2s,
-                        phase: p.phase.into(),
-                        bytes: wire,
-                    });
-                    exchange_bytes += wire;
-                }
-                if rec.is_enabled() {
-                    rec.observe(HistKind::BytesPerRound, exchange_bytes);
-                }
-                roundtrips += 1;
-                parts = server.on_client(new, &cparts)?;
-            }
-        }
-    }
+    let file = |data| FileRef { name: "", data };
+    let mut out = sync_in_process(vec![file(old)], &[file(new)], cfg, &opts.recorder)?;
+    let (Some(entry), Some((_, mut stats))) = (out.files.pop(), out.per_file.pop()) else {
+        return Err(SyncError::Desync("one-file sync lost its file"));
+    };
+    stats.traffic = out.traffic;
+    Ok(SyncOutcome { reconstructed: entry.data, stats, fell_back: out.fell_back > 0 })
 }
 
 #[cfg(test)]
@@ -1102,15 +1038,14 @@ mod digest_batch_tests {
     }
 }
 
-/// The two sessions above, run through the wire instead of the
-/// lockstep driver: a single file over a channel is a one-entry
-/// collection.
+/// The two sessions above over a threaded channel: a single file is a
+/// one-entry collection.
 #[cfg(test)]
 mod channel_tests {
     use super::*;
-    use crate::collection::{sync_collection, CollectionOutcome, FileEntry};
+    use crate::collection::{CollectionOutcome, FileEntry};
     use crate::config::ChannelOptions;
-    use crate::pipeline::sync_collection_channel;
+    use crate::pipeline::{sync_collection, sync_collection_channel};
 
     fn one(data: &[u8]) -> Vec<FileEntry> {
         vec![FileEntry::new("file", data)]
@@ -1145,22 +1080,11 @@ mod channel_tests {
         let b = over_channel(&one(&old), &one(&new), ChannelOptions::default()).unwrap();
         assert_eq!(a.files, one(&new));
         assert_eq!(b.files, one(&new));
-        // Same sessions, so the same rounds, and one exchange per round
-        // after the name exchange on both paths.
+        // Same machines and the same meter: a clean link costs exactly
+        // what the in-process pump charges, frame for frame, and never
+        // needs recovery.
         assert_eq!(b.per_file[0].1.levels, a.per_file[0].1.levels);
-        assert_eq!(b.traffic.roundtrips, a.traffic.roundtrips);
-        // Same protocol content; the wire wraps each message in an ARQ
-        // and a batch header where the driver prices a bare frame per
-        // part, so totals agree within a few bytes per frame.
-        let diff = b.traffic.total_bytes().abs_diff(a.traffic.total_bytes());
-        assert!(
-            diff <= 8 * b.traffic.frames,
-            "channel {} vs driver {} (frames {})",
-            b.traffic.total_bytes(),
-            a.traffic.total_bytes(),
-            b.traffic.frames,
-        );
-        // A clean link never needs recovery.
+        assert_eq!(b.traffic, a.traffic);
         assert_eq!(b.traffic.retransmits, 0);
     }
 

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use msync_hash::{truncate_bits, DecomposableDigest, Fingerprint, Md5};
 use msync_trace::{EventKind, Recorder};
 
-use crate::collection::FileEntry;
+use crate::collection::{FileEntry, FileRef};
 
 /// Key of one file's artifact set: its content fingerprint plus the
 /// digest of the [`crate::ProtocolConfig`] the artifacts were built
@@ -230,6 +230,61 @@ impl SessionCache {
     }
 }
 
+/// What a [`CollectionServeMachine`](crate::CollectionServeMachine)
+/// reads of the collection it serves: a daemon's [`CollectionSnapshot`],
+/// or a caller's files borrowed for one sync (`[FileRef]`).
+pub trait ServedFiles {
+    /// Number of files.
+    fn file_count(&self) -> usize;
+
+    /// File `idx` (`idx < file_count()`).
+    fn file(&self, idx: usize) -> FileRef<'_>;
+
+    /// The fingerprint of file `idx`.
+    fn fingerprint(&self, idx: usize) -> Fingerprint;
+
+    /// The cross-session hash cache its sessions memoize into, if any.
+    fn hash_cache(&self) -> Option<&Arc<HashCache>>;
+}
+
+/// One sync's files as the caller holds them: fingerprints computed on
+/// demand, no cross-session cache.
+impl ServedFiles for [FileRef<'_>] {
+    fn file_count(&self) -> usize {
+        self.len()
+    }
+
+    fn file(&self, idx: usize) -> FileRef<'_> {
+        self[idx]
+    }
+
+    fn fingerprint(&self, idx: usize) -> Fingerprint {
+        msync_hash::file_fingerprint(self[idx].data)
+    }
+
+    fn hash_cache(&self) -> Option<&Arc<HashCache>> {
+        None
+    }
+}
+
+impl ServedFiles for CollectionSnapshot {
+    fn file_count(&self) -> usize {
+        self.files.len()
+    }
+
+    fn file(&self, idx: usize) -> FileRef<'_> {
+        FileRef::from(&self.files[idx])
+    }
+
+    fn fingerprint(&self, idx: usize) -> Fingerprint {
+        self.fps[idx]
+    }
+
+    fn hash_cache(&self) -> Option<&Arc<HashCache>> {
+        Some(&self.cache)
+    }
+}
+
 /// An immutable view of a served collection: the files, one
 /// fingerprint per file (computed once, here), and the shared hash
 /// cache its sessions memoize into.
@@ -261,31 +316,10 @@ impl CollectionSnapshot {
         &self.files
     }
 
-    /// The precomputed fingerprint of file `idx`.
-    ///
-    /// # Panics
-    /// If `idx` is out of bounds.
-    #[must_use]
-    pub fn fingerprint(&self, idx: usize) -> Fingerprint {
-        self.fps[idx]
-    }
-
     /// The shared hash cache.
     #[must_use]
     pub fn cache(&self) -> &Arc<HashCache> {
         &self.cache
-    }
-
-    /// Number of files.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Whether the snapshot is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
     }
 }
 
@@ -304,8 +338,7 @@ mod tests {
             FileEntry::new("a", b"alpha".to_vec()),
             FileEntry::new("b", b"beta".to_vec()),
         ]);
-        assert_eq!(snap.len(), 2);
-        assert!(!snap.is_empty());
+        assert_eq!(snap.files().len(), 2);
         assert_eq!(snap.fingerprint(0), file_fingerprint(b"alpha"));
         assert_eq!(snap.fingerprint(1), file_fingerprint(b"beta"));
     }

@@ -172,6 +172,18 @@ impl<'a> BitReader<'a> {
         Ok(out)
     }
 
+    /// Skip `len` whole bytes, as [`Self::read_bytes`] would consume
+    /// them, without copying them.
+    pub fn skip_bytes(&mut self, len: usize) -> Result<(), BitReadError> {
+        match len.checked_mul(8) {
+            Some(bits) if bits <= self.remaining_bits() => {
+                self.bit_pos += bits;
+                Ok(())
+            }
+            _ => Err(BitReadError),
+        }
+    }
+
     /// Read one boolean bit.
     pub fn read_bit(&mut self) -> Result<bool, BitReadError> {
         Ok(self.read_bits(1)? != 0)

@@ -202,9 +202,9 @@ fn admin_exchange(addr: &str, verb: &str, timeout: Duration) -> Result<String, N
     let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
     let mut t = TcpTransport::client(stream).map_err(NetError::Io)?;
     let cmd = format!("msync-admin {verb}");
-    t.send(&FrameBuf::from(cmd.into_bytes()), Phase::Setup).map_err(NetError::Channel)?;
+    t.send(&FrameBuf::from(cmd.into_bytes()), Phase::Setup.into()).map_err(NetError::Channel)?;
     let reply = t.recv_timeout(timeout).map_err(NetError::Channel)?;
-    t.attribute_inbound(Phase::Setup);
+    t.attribute_inbound(Phase::Setup.into());
     let text = std::str::from_utf8(&reply)
         .map_err(|_| NetError::Handshake("admin reply is not UTF-8".to_owned()))?;
     if let Some(reason) = text.strip_prefix("err ") {

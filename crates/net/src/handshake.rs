@@ -131,9 +131,9 @@ fn client_hello_inner(
         Some(name) => format!("{MAGIC} {PROTOCOL_VERSION} {name}\n{}", params::render(cfg)),
         None => format!("{MAGIC} {PROTOCOL_VERSION}\n{}", params::render(cfg)),
     };
-    t.send(&FrameBuf::from(hello.into_bytes()), Phase::Setup).map_err(NetError::Channel)?;
+    t.send(&FrameBuf::from(hello.into_bytes()), Phase::Setup.into()).map_err(NetError::Channel)?;
     let reply = t.recv_timeout(timeout).map_err(NetError::Channel)?;
-    t.attribute_inbound(Phase::Setup);
+    t.attribute_inbound(Phase::Setup.into());
     let text = text_of(&reply)?;
     if let Some(reason) = text.strip_prefix("err ") {
         if let Some(name) = reason.trim().strip_prefix(UNKNOWN_COLLECTION) {
@@ -360,7 +360,7 @@ mod tests {
             HelloOutcome::Accept { cfg, reply, .. } => (reply, Ok(cfg)),
             HelloOutcome::Reject { reply, error } => (reply, Err(error)),
         };
-        Transport::send(s, &FrameBuf::from(reply), Phase::Setup).unwrap();
+        Transport::send(s, &FrameBuf::from(reply), Phase::Setup.into()).unwrap();
         verdict
     }
 
@@ -389,7 +389,7 @@ mod tests {
     fn version_mismatch_is_refused() {
         let (mut c, mut s) = Endpoint::pair();
         let hello = format!("{MAGIC} 999\n");
-        Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup).unwrap();
+        Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup.into()).unwrap();
         assert!(matches!(answer_hello(&mut s), Err(NetError::Handshake(_))));
         let reply = Transport::recv_timeout(&mut c, T).unwrap();
         assert_eq!(&reply[..3], b"err");
@@ -399,7 +399,7 @@ mod tests {
     fn bad_config_is_refused() {
         let (mut c, mut s) = Endpoint::pair();
         let hello = format!("{MAGIC} {PROTOCOL_VERSION}\nstart_block = nope");
-        Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup).unwrap();
+        Transport::send(&mut c, &FrameBuf::from(hello.into_bytes()), Phase::Setup.into()).unwrap();
         assert!(matches!(answer_hello(&mut s), Err(NetError::Handshake(_))));
         let reply = Transport::recv_timeout(&mut c, T).unwrap();
         assert!(reply.starts_with(b"err "), "{reply:?}");
@@ -466,7 +466,7 @@ mod tests {
             HelloOutcome::Reject { error, .. } => panic!("{error}"),
         }
         let (reply, _) = unknown_collection_reject("ghost");
-        Transport::send(&mut s, &FrameBuf::from(reply), Phase::Setup).unwrap();
+        Transport::send(&mut s, &FrameBuf::from(reply), Phase::Setup.into()).unwrap();
         match client.join().unwrap() {
             Err(NetError::UnknownCollection(name)) => assert_eq!(name, "ghost"),
             other => panic!("expected UnknownCollection, got {other:?}"),

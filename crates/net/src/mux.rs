@@ -29,7 +29,7 @@ use std::time::Duration;
 use msync_core::pipeline::ServeOutcome;
 use msync_core::{CollectionServeMachine, CollectionSnapshot, Machine, Output, SyncError};
 use msync_protocol::{
-    frame_header, BufferPool, ChannelError, Direction, FrameBuf, Phase, WireMeter,
+    frame_header, BufferPool, ChannelError, Direction, FrameBuf, Phase, PhaseSplit, WireMeter,
 };
 use msync_trace::{
     render_sessions, Clock, EventKind, MetricsSnapshot, PhaseTag, RateWindows, Recorder,
@@ -416,9 +416,9 @@ impl MuxConn {
     }
 
     /// Queue one frame for sending, charged to `phase` when queued.
-    fn queue_send(&mut self, payload: &FrameBuf, phase: Phase, retransmit: bool) {
+    fn queue_send(&mut self, payload: &FrameBuf, split: PhaseSplit, retransmit: bool) {
         self.outq.push_back((frame_header(payload), payload.share()));
-        self.meter.sent(Direction::ServerToClient, phase, payload.len());
+        self.meter.sent(Direction::ServerToClient, split, payload.len());
         if retransmit {
             self.meter.note_retransmits(1);
         }
@@ -439,15 +439,15 @@ impl MuxConn {
         let Some(mut m) = self.machine.take() else {
             return false;
         };
-        let files = self.snapshot.as_ref().map_or(0, |s| s.len());
+        let files = self.snapshot.as_ref().map_or(0, |s| s.files().len());
         let mut progressed = false;
         loop {
             match m.poll_output(now_us) {
-                Ok(Output::Transmit { frame, phase, retransmit }) => {
-                    self.queue_send(&frame, phase, retransmit);
+                Ok(Output::Transmit { frame, split, retransmit }) => {
+                    self.queue_send(&frame, split, retransmit);
                     progressed = true;
                 }
-                Ok(Output::Attribute { phase }) => self.meter.attribute(phase),
+                Ok(Output::Attribute { split }) => self.meter.attribute(split),
                 Ok(Output::Wait { .. }) => break,
                 Ok(Output::Done) => {
                     let outcome = m.outcome(files, self.meter.stats());
@@ -477,7 +477,7 @@ impl MuxConn {
         F: Fn(SessionReport) + Send + Sync + 'static,
     {
         let retry = shared.opts.retry;
-        self.meter.attribute(Phase::Setup);
+        self.meter.attribute(Phase::Setup.into());
         if let Some(cmd) = parse_admin(payload) {
             self.on_admin(cmd, shared);
             return;
@@ -507,7 +507,7 @@ impl MuxConn {
         };
         match outcome {
             HelloOutcome::Accept { cfg, reply, .. } => {
-                self.queue_send(&FrameBuf::from(reply), Phase::Setup, false);
+                self.queue_send(&FrameBuf::from(reply), Phase::Setup.into(), false);
                 self.recorder.record(EventKind::Handshake { ok: true });
                 match CollectionServeMachine::new(&cfg, retry, self.recorder.clone(), now_us) {
                     Ok(mut m) => {
@@ -519,7 +519,7 @@ impl MuxConn {
                 }
             }
             HelloOutcome::Reject { reply, error } => {
-                self.queue_send(&FrameBuf::from(reply), Phase::Setup, false);
+                self.queue_send(&FrameBuf::from(reply), Phase::Setup.into(), false);
                 self.recorder.record(EventKind::Handshake { ok: false });
                 self.fail(error);
             }
@@ -538,7 +538,7 @@ impl MuxConn {
         self.status = None;
         match cmd.and_then(|cmd| shared.execute_admin(cmd)) {
             Ok((reply, files)) => {
-                self.queue_send(&FrameBuf::from(reply.into_bytes()), Phase::Setup, false);
+                self.queue_send(&FrameBuf::from(reply.into_bytes()), Phase::Setup.into(), false);
                 self.recorder.record(EventKind::Handshake { ok: true });
                 self.result =
                     Some(Ok(ServeOutcome { files, sessions: 0, traffic: self.meter.stats() }));
@@ -546,7 +546,7 @@ impl MuxConn {
             }
             Err(reason) => {
                 let reply = format!("err {reason}").into_bytes();
-                self.queue_send(&FrameBuf::from(reply), Phase::Setup, false);
+                self.queue_send(&FrameBuf::from(reply), Phase::Setup.into(), false);
                 self.recorder.record(EventKind::Handshake { ok: false });
                 self.fail(NetError::Handshake(format!("admin command failed: {reason}")));
             }
@@ -556,9 +556,9 @@ impl MuxConn {
     /// The hello of an over-capacity connection arrived: answer with
     /// the typed refusal and drain.
     fn on_refused_hello(&mut self) {
-        self.meter.attribute(Phase::Setup);
+        self.meter.attribute(Phase::Setup.into());
         let reply = format!("err {REFUSAL_REASON}").into_bytes();
-        self.queue_send(&FrameBuf::from(reply), Phase::Setup, false);
+        self.queue_send(&FrameBuf::from(reply), Phase::Setup.into(), false);
         self.recorder.record(EventKind::Handshake { ok: false });
         self.fail(NetError::Handshake(format!("refused client: {REFUSAL_REASON}")));
     }

@@ -342,6 +342,6 @@ mod tests {
         let reg = RegistryBuilder::new().build();
         let (name, snap) = reg.resolve(None).unwrap();
         assert_eq!(name, DEFAULT_COLLECTION);
-        assert!(snap.is_empty());
+        assert!(snap.files().is_empty());
     }
 }

@@ -27,15 +27,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use msync_protocol::{
-    decode_frame, frame_header, BufferPool, ChannelError, Direction, FrameBuf, FrameError, Phase,
-    TrafficStats, Transport, WireMeter,
+    decode_frame, frame_header, BufferPool, ChannelError, Direction, FrameBuf, FrameError,
+    PhaseSplit, TrafficStats, Transport, WireMeter, MAX_FRAME_PAYLOAD,
 };
 use msync_trace::Recorder;
-
-/// Hard cap on a decoded payload length. A length word above this is
-/// rejected as corrupt before any buffering: no real payload approaches
-/// a gigabyte, so a flipped length bit cannot demand unbounded memory.
-const MAX_PAYLOAD: u64 = 1 << 30;
 
 /// Bytes requested from the socket per read call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -97,7 +92,7 @@ impl FrameBuffer {
             }
             shift += 7;
         }
-        if len > MAX_PAYLOAD {
+        if len > MAX_FRAME_PAYLOAD {
             return Err(ChannelError::Corrupt(FrameError::Length));
         }
         let len = usize::try_from(len).map_err(|_| ChannelError::Corrupt(FrameError::Length))?;
@@ -228,7 +223,7 @@ fn map_io_error(e: &std::io::Error) -> ChannelError {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, payload: &FrameBuf, phase: Phase) -> Result<(), ChannelError> {
+    fn send(&mut self, payload: &FrameBuf, split: PhaseSplit) -> Result<(), ChannelError> {
         // Vectored write of [header, payload]: the payload bytes go to
         // the socket straight from the shared allocation, never copied
         // into a contiguous frame image.
@@ -249,7 +244,7 @@ impl Transport for TcpTransport {
             }
         }
         self.socket_sent += total as u64;
-        self.meter.sent(self.outbound_dir, phase, payload.len());
+        self.meter.sent(self.outbound_dir, split, payload.len());
         Ok(())
     }
 
@@ -277,8 +272,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn attribute_inbound(&mut self, phase: Phase) {
-        self.meter.attribute(phase);
+    fn attribute_inbound(&mut self, split: PhaseSplit) {
+        self.meter.attribute(split);
     }
 
     fn note_retransmits(&mut self, frames: u64) {
@@ -297,6 +292,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msync_protocol::Phase;
     use std::net::TcpListener;
     use std::thread;
 
@@ -316,10 +312,10 @@ mod tests {
     #[test]
     fn frames_cross_the_socket_byte_exact() {
         let (mut c, mut s) = pair();
-        c.send(&fb(b"hello over tcp"), Phase::Setup).unwrap();
+        c.send(&fb(b"hello over tcp"), Phase::Setup.into()).unwrap();
         let got = s.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&got[..], b"hello over tcp");
-        s.attribute_inbound(Phase::Setup);
+        s.attribute_inbound(Phase::Setup.into());
         // Both sides agree on the wire size of what crossed.
         assert_eq!(c.socket_sent(), s.socket_received());
         assert_eq!(c.stats().c2s(Phase::Setup), s.stats().c2s(Phase::Setup));
@@ -333,8 +329,8 @@ mod tests {
         let big2 = big.clone();
         let join = thread::spawn(move || {
             let mut c = c;
-            c.send(&fb(&big2), Phase::Delta).unwrap();
-            c.send(&fb(b"tail"), Phase::Delta).unwrap();
+            c.send(&fb(&big2), Phase::Delta.into()).unwrap();
+            c.send(&fb(b"tail"), Phase::Delta.into()).unwrap();
             c
         });
         let got = s.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -363,15 +359,25 @@ mod tests {
     }
 
     #[test]
+    fn length_word_one_past_the_shared_cap_is_rejected() {
+        // LEB128 of 2^30 + 1, one over the cap: rejected as a length
+        // error before a byte of payload is awaited or buffered.
+        assert_eq!(MAX_FRAME_PAYLOAD, 1 << 30);
+        let mut inbound = FrameBuffer::default();
+        inbound.extend(&[0x81, 0x80, 0x80, 0x80, 0x04]);
+        assert_eq!(inbound.take_frame(), Err(ChannelError::Corrupt(FrameError::Length)));
+    }
+
+    #[test]
     fn roundtrips_count_direction_reversals() {
         let (mut c, mut s) = pair();
         for _ in 0..3 {
-            c.send(&fb(b"ping"), Phase::Map).unwrap();
+            c.send(&fb(b"ping"), Phase::Map.into()).unwrap();
             s.recv_timeout(Duration::from_secs(5)).unwrap();
-            s.attribute_inbound(Phase::Map);
-            s.send(&fb(b"pong"), Phase::Map).unwrap();
+            s.attribute_inbound(Phase::Map.into());
+            s.send(&fb(b"pong"), Phase::Map.into()).unwrap();
             c.recv_timeout(Duration::from_secs(5)).unwrap();
-            c.attribute_inbound(Phase::Map);
+            c.attribute_inbound(Phase::Map.into());
         }
         assert_eq!(c.stats().roundtrips, 3);
         assert_eq!(s.stats().roundtrips, 3);

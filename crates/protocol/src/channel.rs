@@ -35,7 +35,7 @@
 use crate::bufpool::FrameBuf;
 use crate::crc::crc32;
 use crate::fault::{copy_for_mutation, FaultInjector, FaultPlan};
-use crate::stats::{Direction, Phase, TrafficStats, WireMeter};
+use crate::stats::{Direction, Phase, PhaseSplit, TrafficStats, WireMeter};
 use crate::transport::record_fate;
 use msync_trace::Recorder;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -71,10 +71,12 @@ impl Frame {
 /// Bytes of CRC32 carried by every frame.
 const CRC_LEN: u64 = 4;
 
-/// Frames larger than this are rejected as corrupt before any
-/// allocation: no real payload approaches it, so an inflated length
-/// word from a bit flip cannot demand unbounded memory.
-const MAX_FRAME_PAYLOAD: u64 = 1 << 32;
+/// The largest payload a frame may announce, 1 GiB, on every transport:
+/// a longer length word is rejected as corrupt before anything is
+/// buffered, so an inflated length from a bit flip or a hostile peer
+/// cannot demand unbounded memory. No real payload approaches it: a
+/// batch frame carries at most a window's worth of file content.
+pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
 
 /// Size in bytes a frame occupies on the wire: LEB128 length word +
 /// 4-byte CRC32 + payload. This is the documented fixed per-frame
@@ -282,7 +284,7 @@ pub struct Endpoint {
     tx: Sender<Frame>,
     rx: Receiver<Frame>,
     shared: Arc<Mutex<Shared>>,
-    phase: Phase,
+    split: PhaseSplit,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -320,21 +322,22 @@ impl Endpoint {
             tx: tx_c2s,
             rx: rx_s2c,
             shared: Arc::clone(&shared),
-            phase: Phase::Setup,
+            split: Phase::Setup.into(),
         };
         let server = Endpoint {
             dir: Direction::ServerToClient,
             tx: tx_s2c,
             rx: rx_c2s,
             shared,
-            phase: Phase::Setup,
+            split: Phase::Setup.into(),
         };
         (client, server)
     }
 
-    /// Set the phase subsequent sends from this endpoint are charged to.
-    pub fn set_phase(&mut self, phase: Phase) {
-        self.phase = phase;
+    /// Set the phase (or the split across phases) subsequent sends from
+    /// this endpoint are charged to.
+    pub fn set_phase(&mut self, split: impl Into<PhaseSplit>) {
+        self.split = split.into();
     }
 
     /// Lock the shared statistics. A poisoned mutex (a peer thread that
@@ -369,7 +372,7 @@ impl Endpoint {
                 shared.cut = true;
                 return;
             }
-            shared.meter.sent(self.dir, self.phase, payload.len());
+            shared.meter.sent(self.dir, self.split, payload.len());
             // A previously delayed frame is released by the next send in
             // the same direction: it travels ahead of the new frame.
             if let Some(held) = shared.held_mut(self.dir).take() {
@@ -395,7 +398,7 @@ impl Endpoint {
                 Frame::Clean(payload.share())
             };
             if fate.duplicate {
-                shared.meter.sent(self.dir, self.phase, payload.len());
+                shared.meter.sent(self.dir, self.split, payload.len());
                 deliveries.push(frame.share());
             }
             if fate.drop {
@@ -541,6 +544,12 @@ mod tests {
         // A length word claiming ~2^62 bytes must be rejected up front.
         let huge = [0xFFu8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x3F, 0, 0, 0, 0];
         assert_eq!(decode_frame(&huge), Err(FrameError::Length));
+        // One byte over the cap (LEB128 of 2^30 + 1) is as corrupt.
+        assert_eq!(MAX_FRAME_PAYLOAD, 1 << 30);
+        assert_eq!(
+            decode_frame(&[0x81, 0x80, 0x80, 0x80, 0x04, 0, 0, 0, 0]),
+            Err(FrameError::Length)
+        );
     }
 
     #[test]

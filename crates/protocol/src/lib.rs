@@ -29,10 +29,10 @@ pub mod transport;
 pub use bufpool::{frame_copy_bytes, note_frame_copy, BufferPool, FrameBuf, PoolStats};
 pub use channel::{
     decode_frame, decode_frame_shared, encode_frame, frame_header, frame_wire_size, ChannelError,
-    Endpoint, Frame, FrameError, RetryPolicy,
+    Endpoint, Frame, FrameError, RetryPolicy, MAX_FRAME_PAYLOAD,
 };
 pub use crc::crc32;
 pub use fault::{FaultPlan, FaultRates};
 pub use link::LinkModel;
-pub use stats::{Direction, Phase, TrafficStats, WireMeter};
+pub use stats::{Direction, Phase, PhaseSplit, TrafficStats, WireMeter};
 pub use transport::{FaultTransport, Transport};

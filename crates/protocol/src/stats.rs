@@ -60,6 +60,9 @@ impl From<Phase> for PhaseTag {
 
 const PHASES: usize = 4;
 
+/// The phases in [`phase_idx`] order.
+const PHASE_ORDER: [Phase; PHASES] = [Phase::Setup, Phase::Map, Phase::Delta, Phase::Resume];
+
 #[inline]
 fn phase_idx(p: Phase) -> usize {
     match p {
@@ -67,6 +70,58 @@ fn phase_idx(p: Phase) -> usize {
         Phase::Map => 1,
         Phase::Delta => 2,
         Phase::Resume => 3,
+    }
+}
+
+/// How one frame's bytes divide across phases. A frame carrying one
+/// message part belongs to that part's phase (`PhaseSplit::from`); a
+/// batch frame carries many files' parts, each of its own phase
+/// ([`PhaseSplit::add`]). A [`WireMeter`] charges every phase its parts'
+/// payload bytes and the rest of the frame — headers, length word,
+/// CRC — to the largest share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSplit {
+    shares: [u64; PHASES],
+    /// The largest share. A tie keeps the earlier leader, so both ends
+    /// of a link, adding the same parts in the same order, agree.
+    lead: Phase,
+}
+
+impl From<Phase> for PhaseSplit {
+    fn from(lead: Phase) -> Self {
+        Self { shares: [0; PHASES], lead }
+    }
+}
+
+impl PhaseSplit {
+    /// Count `bytes` of part payload in `phase`.
+    pub fn add(&mut self, phase: Phase, bytes: u64) {
+        let i = phase_idx(phase);
+        self.shares[i] += bytes;
+        if self.shares[i] > self.shares[phase_idx(self.lead)] {
+            self.lead = phase;
+        }
+    }
+
+    /// The phase framing is charged to.
+    #[must_use]
+    pub fn lead(&self) -> Phase {
+        self.lead
+    }
+
+    /// `wire` bytes by phase: every share (never more than the frame
+    /// holds), and the remainder to the lead.
+    fn charges(&self, wire: u64) -> [(Phase, u64); PHASES] {
+        let mut rest = wire;
+        let mut out = PHASE_ORDER.map(|p| (p, 0));
+        for (phase, bytes) in &mut out {
+            if *phase != self.lead {
+                *bytes = self.shares[phase_idx(*phase)].min(rest);
+                rest -= *bytes;
+            }
+        }
+        out[phase_idx(self.lead)].1 = rest;
+        out
     }
 }
 
@@ -180,13 +235,14 @@ impl TrafficStats {
 /// journal's per-(direction, phase) byte sums equal the stats by
 /// construction:
 ///
-/// * a sent frame is charged to its phase at [`frame_wire_size`] and
-///   mirrored as one `FrameSend` event;
+/// * a sent frame is charged at [`frame_wire_size`] across its
+///   [`PhaseSplit`] and mirrored as one `FrameSend` event per phase it
+///   charges;
 /// * a received frame's wire bytes pool until the session layer has
-///   parsed the frame and named its phase, and are then charged and
-///   mirrored as one `FrameRecv` event; bytes never attributed (a frame
-///   that failed its CRC) are charged to the map phase in the snapshot,
-///   so totals always match the socket;
+///   parsed the frame and named its split, and are then charged and
+///   mirrored the same way as `FrameRecv` events; bytes never
+///   attributed (a frame that failed its CRC) are charged to the map
+///   phase in the snapshot, so totals always match the socket;
 /// * a change of traffic direction is a half-trip, and two half-trips
 ///   are one roundtrip.
 #[derive(Debug, Default)]
@@ -214,14 +270,14 @@ impl WireMeter {
     /// Charge one transmission of a `payload_len`-byte frame. Every
     /// actual transmission is charged, retransmissions and injected
     /// duplicates included: the sender paid for them either way.
-    pub fn sent(&mut self, dir: Direction, phase: Phase, payload_len: usize) {
-        let wire = frame_wire_size(payload_len);
-        self.stats.record(dir, phase, wire);
-        self.recorder.record(EventKind::FrameSend {
-            dir: dir.into(),
-            phase: phase.into(),
-            bytes: wire,
-        });
+    pub fn sent(&mut self, dir: Direction, split: PhaseSplit, payload_len: usize) {
+        for (phase, bytes) in split.charges(frame_wire_size(payload_len)) {
+            if bytes > 0 {
+                self.stats.record(dir, phase, bytes);
+                let (dir, phase) = (dir.into(), phase.into());
+                self.recorder.record(EventKind::FrameSend { dir, phase, bytes });
+            }
+        }
         self.frame(dir);
     }
 
@@ -232,15 +288,15 @@ impl WireMeter {
         self.frame(dir);
     }
 
-    /// Charge the pooled inbound bytes to `phase`.
-    pub fn attribute(&mut self, phase: Phase) {
-        if let Some((dir, bytes)) = self.unattributed.take() {
-            self.stats.record(dir, phase, bytes);
-            self.recorder.record(EventKind::FrameRecv {
-                dir: dir.into(),
-                phase: phase.into(),
-                bytes,
-            });
+    /// Charge the pooled inbound bytes across `split`.
+    pub fn attribute(&mut self, split: PhaseSplit) {
+        let Some((dir, wire)) = self.unattributed.take() else { return };
+        for (phase, bytes) in split.charges(wire) {
+            if bytes > 0 {
+                self.stats.record(dir, phase, bytes);
+                let (dir, phase) = (dir.into(), phase.into());
+                self.recorder.record(EventKind::FrameRecv { dir, phase, bytes });
+            }
         }
     }
 
@@ -395,16 +451,16 @@ mod tests {
         let rec = Recorder::system();
         let mut m = WireMeter::default();
         m.set_recorder(rec.clone());
-        m.sent(Direction::ClientToServer, Phase::Setup, 10);
-        m.sent(Direction::ClientToServer, Phase::Map, 0);
+        m.sent(Direction::ClientToServer, Phase::Setup.into(), 10);
+        m.sent(Direction::ClientToServer, Phase::Map.into(), 0);
         m.received(Direction::ServerToClient, 40);
         m.received(Direction::ServerToClient, 2);
         // Unattributed bytes already show, under the map phase.
         assert_eq!(m.stats().s2c(Phase::Map), 42);
-        m.attribute(Phase::Delta);
-        m.attribute(Phase::Setup); // nothing pooled: charges nothing
+        m.attribute(Phase::Delta.into());
+        m.attribute(Phase::Setup.into()); // nothing pooled: charges nothing
         m.received(Direction::ServerToClient, 7);
-        m.sent(Direction::ClientToServer, Phase::Map, 1);
+        m.sent(Direction::ClientToServer, Phase::Map.into(), 1);
         m.note_retransmits(1);
         let s = m.stats();
         assert_eq!((s.c2s(Phase::Setup), s.c2s(Phase::Map)), (15, 5 + 6));
@@ -414,6 +470,35 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.total_bytes(), s.total_bytes() - 7);
         assert_eq!(snap.dir_phase_bytes(DirTag::S2c, PhaseTag::Delta), 42);
+    }
+
+    #[test]
+    fn split_frames_charge_each_phase_its_parts_and_framing_to_the_largest() {
+        let rec = Recorder::system();
+        let mut m = WireMeter::default();
+        m.set_recorder(rec.clone());
+        // 10 B setup, 20 B map and 60 B delta parts in a 100-byte frame:
+        // the other 10 B and the 5 B of length word and CRC go to delta.
+        let mut split = PhaseSplit::from(Phase::Map);
+        for (phase, bytes) in [(Phase::Setup, 10), (Phase::Map, 20), (Phase::Delta, 60)] {
+            split.add(phase, bytes);
+        }
+        m.sent(Direction::ServerToClient, split, 100);
+        let s = m.stats();
+        assert_eq!((s.s2c(Phase::Setup), s.s2c(Phase::Map), s.s2c(Phase::Delta)), (10, 20, 75));
+        // The receiver charges the same split the same way; the journal
+        // mirrors the sender with one event per charged phase.
+        let mut r = WireMeter::default();
+        r.received(Direction::ServerToClient, frame_wire_size(100));
+        r.attribute(split);
+        assert_eq!(r.stats(), s);
+        assert_eq!((rec.snapshot().frames_sent, rec.snapshot().total_bytes()), (3, 105));
+        // A tie keeps the earlier leader; shares never exceed the frame.
+        let mut tie = PhaseSplit::from(Phase::Map);
+        tie.add(Phase::Setup, 4);
+        tie.add(Phase::Map, 4);
+        assert_eq!(tie.lead(), Phase::Setup);
+        assert_eq!(tie.charges(6).map(|(_, b)| b), [2, 4, 0, 0]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::bufpool::FrameBuf;
 use crate::channel::{ChannelError, Endpoint, FrameError};
 use crate::fault::{FaultInjector, FaultPlan, FaultRates, FrameFate};
-use crate::stats::{Phase, TrafficStats};
+use crate::stats::{PhaseSplit, TrafficStats};
 use msync_trace::{DirTag, EventKind, FaultKind, Recorder};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -40,7 +40,7 @@ use std::time::Duration;
 /// so in-memory channels, faulty channels, and real sockets compose
 /// with the same ARQ recovery machinery.
 pub trait Transport: Send {
-    /// Send one frame carrying `payload`, charged to `phase` at its
+    /// Send one frame carrying `payload`, charged across `split` at its
     /// full wire size. Errors are transport failures (a peer that is
     /// already gone); in-memory channels report those on the next
     /// receive instead and always return `Ok`.
@@ -48,18 +48,18 @@ pub trait Transport: Send {
     /// The payload arrives as a refcounted [`FrameBuf`]: a transport
     /// that needs to keep it (a delay fault, an output queue) shares it
     /// by refcount instead of copying the bytes.
-    fn send(&mut self, payload: &FrameBuf, phase: Phase) -> Result<(), ChannelError>;
+    fn send(&mut self, payload: &FrameBuf, split: PhaseSplit) -> Result<(), ChannelError>;
 
     /// Receive the next frame's payload, waiting at most `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<FrameBuf, ChannelError>;
 
     /// Attribute the wire bytes of frames received since the last call
-    /// to `phase`. Transports that learn phases from the sender (the
+    /// across `split`. Transports that learn splits from the sender (the
     /// shared-stats in-memory channel) ignore this; a real socket
-    /// cannot know a frame's phase until the session layer has parsed
+    /// cannot know a frame's phases until the session layer has parsed
     /// it, so the ARQ layer calls this after each successful parse.
-    fn attribute_inbound(&mut self, phase: Phase) {
-        let _ = phase;
+    fn attribute_inbound(&mut self, split: PhaseSplit) {
+        let _ = split;
     }
 
     /// Record `frames` retransmitted frames in the statistics (their
@@ -78,8 +78,8 @@ pub trait Transport: Send {
 }
 
 impl Transport for Endpoint {
-    fn send(&mut self, payload: &FrameBuf, phase: Phase) -> Result<(), ChannelError> {
-        self.set_phase(phase);
+    fn send(&mut self, payload: &FrameBuf, split: PhaseSplit) -> Result<(), ChannelError> {
+        self.set_phase(split);
         Endpoint::send(self, payload.share());
         Ok(())
     }
@@ -142,8 +142,8 @@ pub struct FaultTransport<T: Transport> {
     pending: VecDeque<FrameBuf>,
     /// Inbound frame held back by a delay fault.
     delayed: Option<FrameBuf>,
-    /// Outbound frame (with its phase) held back by a delay fault.
-    held_out: Option<(FrameBuf, Phase)>,
+    /// Outbound frame (with its split) held back by a delay fault.
+    held_out: Option<(FrameBuf, PhaseSplit)>,
     cut: bool,
 }
 
@@ -214,7 +214,7 @@ pub(crate) fn record_fate(rec: &Recorder, dir: DirTag, fate: &FrameFate, seq: u6
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
-    fn send(&mut self, payload: &FrameBuf, phase: Phase) -> Result<(), ChannelError> {
+    fn send(&mut self, payload: &FrameBuf, split: PhaseSplit) -> Result<(), ChannelError> {
         if self.cut {
             return Ok(());
         }
@@ -225,21 +225,21 @@ impl<T: Transport> Transport for FaultTransport<T> {
             return Ok(());
         }
         // A held-back frame is released ahead of the new one.
-        if let Some((held, held_phase)) = self.held_out.take() {
-            self.inner.send(&held, held_phase)?;
+        if let Some((held, held_split)) = self.held_out.take() {
+            self.inner.send(&held, held_split)?;
         }
         if fate.drop || fate.corrupt || fate.truncate {
             // Swallowed: below-CRC damage is externally a loss.
             return Ok(());
         }
         if fate.duplicate {
-            self.inner.send(payload, phase)?;
+            self.inner.send(payload, split)?;
         }
         if fate.delay {
-            self.held_out = Some((payload.share(), phase));
+            self.held_out = Some((payload.share(), split));
             return Ok(());
         }
-        self.inner.send(payload, phase)
+        self.inner.send(payload, split)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<FrameBuf, ChannelError> {
@@ -296,8 +296,8 @@ impl<T: Transport> Transport for FaultTransport<T> {
         }
     }
 
-    fn attribute_inbound(&mut self, phase: Phase) {
-        self.inner.attribute_inbound(phase);
+    fn attribute_inbound(&mut self, split: PhaseSplit) {
+        self.inner.attribute_inbound(split);
     }
 
     fn note_retransmits(&mut self, frames: u64) {
@@ -316,6 +316,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Phase;
 
     const TICK: Duration = Duration::from_millis(200);
     const BLINK: Duration = Duration::from_millis(10);
@@ -334,9 +335,9 @@ mod tests {
     fn endpoint_satisfies_the_trait() {
         let (mut c, mut s) = pair();
         let (ct, st): (&mut dyn Transport, &mut dyn Transport) = (&mut c, &mut s);
-        ct.send(&fb(&[1, 2, 3]), Phase::Map).unwrap();
+        ct.send(&fb(&[1, 2, 3]), Phase::Map.into()).unwrap();
         assert_eq!(st.recv_timeout(TICK).unwrap(), vec![1, 2, 3]);
-        st.send(&fb(&[4]), Phase::Delta).unwrap();
+        st.send(&fb(&[4]), Phase::Delta.into()).unwrap();
         assert_eq!(ct.recv_timeout(TICK).unwrap(), vec![4]);
         assert_eq!(ct.stats().roundtrips, 1);
     }
@@ -345,9 +346,9 @@ mod tests {
     fn clean_wrapper_is_transparent() {
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::client(c, &FaultPlan::none(), 7);
-        wrapped.send(&fb(&[9; 32]), Phase::Setup).unwrap();
+        wrapped.send(&fb(&[9; 32]), Phase::Setup.into()).unwrap();
         assert_eq!(Transport::recv_timeout(&mut s, TICK).unwrap(), vec![9; 32]);
-        Transport::send(&mut s, &fb(&[1]), Phase::Setup).unwrap();
+        Transport::send(&mut s, &fb(&[1]), Phase::Setup.into()).unwrap();
         assert_eq!(wrapped.recv_timeout(TICK).unwrap(), vec![1]);
     }
 
@@ -356,7 +357,7 @@ mod tests {
         let rates = FaultRates { drop: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, FaultRates::none(), rates, 1);
-        Transport::send(&mut s, &fb(&[5; 8]), Phase::Map).unwrap();
+        Transport::send(&mut s, &fb(&[5; 8]), Phase::Map.into()).unwrap();
         assert_eq!(wrapped.recv_timeout(BLINK), Err(ChannelError::Timeout));
     }
 
@@ -365,7 +366,7 @@ mod tests {
         let rates = FaultRates { corrupt: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, FaultRates::none(), rates, 2);
-        Transport::send(&mut s, &fb(&[5; 8]), Phase::Map).unwrap();
+        Transport::send(&mut s, &fb(&[5; 8]), Phase::Map.into()).unwrap();
         assert!(matches!(wrapped.recv_timeout(TICK), Err(ChannelError::Corrupt(_))));
     }
 
@@ -374,7 +375,7 @@ mod tests {
         let rates = FaultRates { duplicate: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, FaultRates::none(), rates, 3);
-        Transport::send(&mut s, &fb(&[7; 4]), Phase::Map).unwrap();
+        Transport::send(&mut s, &fb(&[7; 4]), Phase::Map.into()).unwrap();
         assert_eq!(wrapped.recv_timeout(TICK).unwrap(), vec![7; 4]);
         assert_eq!(wrapped.recv_timeout(BLINK).unwrap(), vec![7; 4]);
     }
@@ -384,7 +385,7 @@ mod tests {
         let rates = FaultRates { delay: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, FaultRates::none(), rates, 4);
-        Transport::send(&mut s, &fb(&[1]), Phase::Map).unwrap();
+        Transport::send(&mut s, &fb(&[1]), Phase::Map.into()).unwrap();
         // Held back: first receive times out, second delivers it.
         assert_eq!(wrapped.recv_timeout(BLINK), Err(ChannelError::Timeout));
         assert_eq!(wrapped.recv_timeout(BLINK).unwrap(), vec![1]);
@@ -395,7 +396,7 @@ mod tests {
         let rates = FaultRates { drop: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, rates, FaultRates::none(), 5);
-        wrapped.send(&fb(&[1; 16]), Phase::Map).unwrap();
+        wrapped.send(&fb(&[1; 16]), Phase::Map.into()).unwrap();
         assert_eq!(Transport::recv_timeout(&mut s, BLINK), Err(ChannelError::Timeout));
     }
 
@@ -404,7 +405,7 @@ mod tests {
         let rates = FaultRates { duplicate: 1.0, ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, rates, FaultRates::none(), 6);
-        wrapped.send(&fb(&[2; 4]), Phase::Map).unwrap();
+        wrapped.send(&fb(&[2; 4]), Phase::Map.into()).unwrap();
         assert_eq!(Transport::recv_timeout(&mut s, TICK).unwrap(), vec![2; 4]);
         assert_eq!(Transport::recv_timeout(&mut s, TICK).unwrap(), vec![2; 4]);
     }
@@ -414,8 +415,8 @@ mod tests {
         let rates = FaultRates { disconnect_after: Some(1), ..FaultRates::none() };
         let (c, mut s) = pair();
         let mut wrapped = FaultTransport::new(c, rates, FaultRates::none(), 7);
-        wrapped.send(&fb(&[1]), Phase::Map).unwrap();
-        wrapped.send(&fb(&[2]), Phase::Map).unwrap();
+        wrapped.send(&fb(&[1]), Phase::Map.into()).unwrap();
+        wrapped.send(&fb(&[2]), Phase::Map.into()).unwrap();
         assert_eq!(Transport::recv_timeout(&mut s, TICK).unwrap(), vec![1]);
         assert_eq!(wrapped.recv_timeout(BLINK), Err(ChannelError::Disconnected));
     }
@@ -428,7 +429,7 @@ mod tests {
             let mut wrapped = FaultTransport::new(c, FaultRates::none(), rates, 99);
             (0..16u8)
                 .map(|i| {
-                    Transport::send(&mut s, &fb(&[i; 4]), Phase::Map).unwrap();
+                    Transport::send(&mut s, &fb(&[i; 4]), Phase::Map.into()).unwrap();
                     wrapped.recv_timeout(BLINK)
                 })
                 .collect::<Vec<_>>()

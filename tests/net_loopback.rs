@@ -373,6 +373,11 @@ fn daemon_metrics_equal_summed_session_stats() {
         }
     }
     assert!(aggregate.total_bytes() > 0, "loopback sessions must move bytes");
+    // Batch frames are charged to their parts' own phases: every
+    // session's deltas show as delta bytes, not as map traffic.
+    for (_, m) in reports.iter() {
+        assert!(m.dir_phase_bytes(DirTag::S2c, PhaseTag::Delta) > 0, "no delta bytes: {m:?}");
+    }
 
     // The aggregate is also the merge of the per-session snapshots.
     let mut merged = MetricsSnapshot::new();

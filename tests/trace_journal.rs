@@ -2,14 +2,16 @@
 //!
 //! Three invariants, checked end-to-end through the public facade:
 //!
-//! 1. **Determinism** — two runs of the single-threaded driver over the
-//!    same inputs under the same [`ManualClock`] schedule produce
-//!    byte-identical journals (so a journal can be diffed across
-//!    commits like any other golden file).
+//! 1. **Determinism** — two runs of the in-process pump (both wire
+//!    machines on one thread, the clock held fixed) over the same inputs
+//!    under the same [`ManualClock`] schedule produce byte-identical
+//!    journals (so a journal can be diffed across commits like any other
+//!    golden file).
 //! 2. **Charge-point mirroring** — the journal's per-(direction, phase)
 //!    frame-byte sums equal the returned [`TrafficStats`] exactly: the
-//!    recorder emits its frame events at the same call sites where the
-//!    stats are charged, never from a parallel estimate.
+//!    one `WireMeter` emits its frame events where it charges the stats,
+//!    never from a parallel estimate, and splits a batch frame across
+//!    its parts' phases in both.
 //! 3. **Schema** — every line round-trips through the strict v1 parser.
 
 use std::sync::Arc;
@@ -115,6 +117,8 @@ fn journal_byte_sums_equal_traffic_stats() {
     }
     let _ = Direction::ClientToServer; // imported for the doc-reader: dirs map 0 = c2s, 1 = s2c
     assert_eq!(map_rounds, outcome.stats.levels.len(), "one map_round event per executed level");
+    // The delta rides a batch frame and is still charged as delta.
+    assert!(bytes[1][2] >= outcome.stats.delta_bytes && outcome.stats.delta_bytes > 0);
 }
 
 #[test]
