@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! exp <id> [--scale S] [--json]
-//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon window all
+//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines broadcast recon window all
 //! ```
 
 use std::process::ExitCode;
@@ -67,7 +67,6 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
         "table6-2" => vec![exp::table6_2(s_web)],
         "ablation" => vec![exp::ablation(s_src)],
         "restricted" => vec![exp::restricted(s_src)],
-        "adaptive" => vec![exp::adaptive(s_src)],
         "baselines" => vec![exp::baselines(s_src)],
         "broadcast" => vec![exp::broadcast(s_src)],
         "recon" => vec![exp::recon(s_web * 5.0)],
@@ -81,7 +80,6 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
             exp::table6_2(s_web),
             exp::ablation(s_src),
             exp::restricted(s_src),
-            exp::adaptive(s_src),
             exp::baselines(s_src),
             exp::broadcast(s_src),
             exp::recon(s_web * 5.0),
@@ -92,7 +90,7 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
 }
 
 const USAGE: &str = "usage: exp <id> [--scale S] [--json]\n\
-    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted adaptive baselines broadcast recon window all\n\
+    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines broadcast recon window all\n\
     scale: corpus size fraction (1.0 = the paper's full size)";
 
 // Hand-rolled JSON: a report is strings in two levels of arrays, and

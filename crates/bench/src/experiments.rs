@@ -342,8 +342,6 @@ pub fn ablation(scale: f64) -> Report {
             },
         ),
         ("− sibling skip", ProtocolConfig { skip_sibling_of_matched: false, ..full.clone() }),
-        ("+ local hashes", ProtocolConfig { use_local: true, ..full.clone() }),
-        ("+ two-phase rounds (§5.4)", ProtocolConfig { cont_first_phase: true, ..full.clone() }),
         (
             "− group testing (16-bit per cand.)",
             ProtocolConfig { verify: VerifyStrategy::PerCandidate { bits: 16 }, ..full.clone() },
@@ -423,42 +421,6 @@ pub fn restricted(scale: f64) -> Report {
             format!("corpus scale {scale}"),
             "time = bytes at DSL bandwidth + 40 ms per roundtrip (all files batched)".into(),
         ],
-    }
-}
-
-/// Extension: the adaptive mode (paper §7: "ideally, such a tool would
-/// be adaptive") vs the fixed presets, across all three corpora.
-pub fn adaptive(scale: f64) -> Report {
-    use msync_core::adaptive::sync_collection_adaptive;
-
-    let gcc = release_pair(&gcc_like(scale));
-    let emacs = release_pair(&emacs_like(scale));
-    let web = web_collection(&web_params(scale / 5.0), 2);
-    let corpora: Vec<(&str, &Collection, &Collection)> = vec![
-        ("gcc", &gcc.versions[0], &gcc.versions[1]),
-        ("emacs", &emacs.versions[0], &emacs.versions[1]),
-        ("web 2d", &web.versions[0], &web.versions[2]),
-    ];
-
-    let mut rows = Vec::new();
-    for (name, old, new) in corpora {
-        let fixed = measure(old, new, &Method::Msync(ProtocolConfig::default())).total();
-        let out = sync_collection_adaptive(&entries(old), &entries(new), 3)
-            .expect("adaptive sync succeeds");
-        let adaptive_total = out.outcome.traffic.total_bytes() + out.probe_overhead;
-        rows.push(ReportRow {
-            label: name.into(),
-            cells: vec![kb(fixed), kb(adaptive_total), out.chosen.into(), kb(out.probe_overhead)],
-        });
-    }
-    Report {
-        id: "adaptive".into(),
-        title: "adaptive parameter choice vs the fixed default (total KB)".into(),
-        columns: ["corpus", "fixed KB", "adaptive KB", "chosen", "probe KB"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-        notes: vec![format!("corpus scale {scale} (web at {})", scale / 5.0)],
     }
 }
 

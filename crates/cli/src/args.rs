@@ -198,9 +198,8 @@ trees, and `--registry-dir DIR` registers every immediate subdirectory
 of DIR under its own name. Repeated or invalid names are refused when
 the command line is parsed, not silently last-one-wins. Clients pick a
 tree with `msync sync <OLD> --remote ADDR --collection NAME`; clients
-that name nothing (including all v2 clients) get the default
-collection, and an unknown name gets a typed unknown-collection
-refusal. `msync reload NAME --remote ADDR` asks a running daemon to
+that name nothing get the default collection, and an unknown name gets
+a typed unknown-collection refusal. `msync reload NAME --remote ADDR` asks a running daemon to
 re-read that collection's source tree from disk and swap it in
 atomically: in-flight sessions finish against the snapshot they
 started with, new sessions see the new tree.

@@ -234,6 +234,13 @@ pub fn encode(reference: &[u8], target: &[u8]) -> Vec<u8> {
     dynamic
 }
 
+/// The target length a delta's header announces, read without decoding
+/// the delta. A receiver that knows the length to expect compares the
+/// two before [`decode`] may allocate.
+pub fn announced_len(delta: &[u8]) -> Result<u64, DeltaError> {
+    BitReader::new(delta).read_varint().map_err(|_| DeltaError::Corrupt)
+}
+
 /// Decode a delta produced by [`encode`] against the same `reference`.
 pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
     let mut r = BitReader::new(delta);
@@ -328,6 +335,14 @@ pub fn delta_size(reference: &[u8], target: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn announced_len_reads_the_header_only() {
+        let reference = b"abcdefgh".repeat(50);
+        let target = b"abcdefgh-changed".repeat(30);
+        assert_eq!(announced_len(&encode(&reference, &target)), Ok(target.len() as u64));
+        assert_eq!(announced_len(&[]), Err(DeltaError::Corrupt));
+    }
 
     #[test]
     fn roundtrip_similar_files() {

@@ -171,6 +171,13 @@ fn stored_overhead(len: usize) -> usize {
     1 + (64 - (len as u64 | 1).leading_zeros() as usize) / 7
 }
 
+/// The decompressed length a [`compress`] stream's header announces,
+/// read without decoding the stream. A receiver that knows the length
+/// to expect compares the two before [`decompress`] may allocate.
+pub fn announced_len(input: &[u8]) -> Result<u64, LzError> {
+    BitReader::new(input).read_varint().map_err(|_| LzError::Corrupt)
+}
+
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
     let mut r = BitReader::new(input);
@@ -225,6 +232,14 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn announced_len_reads_the_header_only() {
+        for input in [b"".to_vec(), b"tiny".to_vec(), b"compressible text ".repeat(100)] {
+            assert_eq!(announced_len(&compress(&input)), Ok(input.len() as u64));
+        }
+        assert_eq!(announced_len(&[]), Err(LzError::Corrupt));
+    }
 
     #[test]
     fn roundtrip_text() {

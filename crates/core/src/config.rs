@@ -4,8 +4,8 @@
 //!
 //! Every technique of §5 is individually switchable so the experiments
 //! can reproduce each figure's ablation: recursive splitting depth, hash
-//! bit budgets, decomposable-hash suppression, continuation and local
-//! hashes, and the verification strategy.
+//! bit budgets, decomposable-hash suppression, continuation hashes,
+//! sibling skipping, and the verification strategy.
 
 /// How candidate matches are verified (paper §5.3, Figure 6.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,27 +59,12 @@ pub struct ProtocolConfig {
     pub cont_bits: u32,
     /// Enable continuation hashes at all.
     pub use_continuation: bool,
-    /// Enable local hashes: global-hash blocks near a confirmed anchor
-    /// are checked only against a predicted neighborhood in the old file
-    /// and therefore get a reduced bit budget.
-    pub use_local: bool,
-    /// Bits per local hash (only meaningful with `use_local`).
-    pub local_bits: u32,
-    /// Neighborhood half-width for local hashes, in units of the current
-    /// block size.
-    pub local_range_blocks: u64,
     /// Suppress every derivable sibling hash (decomposable hashes, §5.5).
     pub use_decomposable: bool,
-    /// Skip the global hash of a block whose sibling was confirmed in the
-    /// continuation phase of the same round (§5.4's phase-split
-    /// optimization).
+    /// Skip the global hash of a block whose sibling is already fully
+    /// known (§5.4: its content would usually have been found with the
+    /// parent).
     pub skip_sibling_of_matched: bool,
-    /// Run each level as two subrounds — continuation probes first,
-    /// then global hashes informed by their results (§5.4: "first
-    /// sending continuation hashes, and then global hashes in the next
-    /// roundtrip ... observed some moderate benefits"). Costs one extra
-    /// roundtrip per level with probes.
-    pub cont_first_phase: bool,
     /// Verification strategy.
     pub verify: VerifyStrategy,
     /// Ignored by the sync, which takes the lowest matching position of
@@ -101,12 +86,8 @@ impl Default for ProtocolConfig {
             global_extra_bits: 8,
             cont_bits: 4,
             use_continuation: true,
-            use_local: false,
-            local_bits: 10,
-            local_range_blocks: 4,
             use_decomposable: true,
             skip_sibling_of_matched: true,
-            cont_first_phase: false,
             verify: VerifyStrategy::GroupTesting {
                 batches: vec![
                     BatchConfig { group_size: 4, bits: 20 },
@@ -121,13 +102,12 @@ impl Default for ProtocolConfig {
 impl ProtocolConfig {
     /// The *basic protocol* of Figures 6.1/6.2: recursive halving +
     /// decomposable hashes + one verification hash per candidate, no
-    /// continuation/local hashes.
+    /// continuation hashes.
     pub fn basic(min_block: usize) -> Self {
         Self {
             min_block_global: min_block,
             min_block_cont: min_block,
             use_continuation: false,
-            use_local: false,
             skip_sibling_of_matched: false,
             verify: VerifyStrategy::PerCandidate { bits: 16 },
             ..Self::default()

@@ -83,28 +83,6 @@ impl Coverage {
             None => false,
         }
     }
-
-    /// Distance in bytes from the range `[start, start+len)` to the
-    /// nearest covered interval (0 when touching or overlapping), or
-    /// `None` when nothing is covered. Used to decide which blocks
-    /// qualify for *local* hashes.
-    pub fn distance_to_nearest(&self, start: u64, len: u64) -> Option<u64> {
-        if self.ivals.is_empty() {
-            return None;
-        }
-        let end = start + len;
-        let idx = self.ivals.partition_point(|&(_, e)| e <= start);
-        let mut best = u64::MAX;
-        if idx < self.ivals.len() {
-            let (s, _) = self.ivals[idx];
-            best = best.min(s.saturating_sub(end));
-        }
-        if idx > 0 {
-            let (_, e) = self.ivals[idx - 1];
-            best = best.min(start.saturating_sub(e));
-        }
-        Some(best)
-    }
 }
 
 #[cfg(test)]

@@ -203,33 +203,6 @@ pub fn matches_at(old: &[u8], pos: i64, len: usize, bits: u32, target: u64) -> b
     d.prefix(bits) == target
 }
 
-/// Scan the neighborhood `[lo, hi)` of the old file for a window whose
-/// `bits`-bit hash equals `target` (local hashes). Returns the first
-/// matching position.
-pub fn scan_neighborhood(
-    old: &[u8],
-    lo: i64,
-    hi: i64,
-    len: usize,
-    bits: u32,
-    target: u64,
-) -> Option<u64> {
-    let lo = lo.max(0) as usize;
-    let hi = (hi.max(0) as usize).min(old.len());
-    if len == 0 || lo + len > hi {
-        return None;
-    }
-    let region = &old[lo..hi];
-    let mut found = None;
-    let mut h = DecomposableAdler::new();
-    scan_rolling(&mut h, region, len, |pos, value| {
-        if found.is_none() && truncate_bits(value, bits) == target {
-            found = Some((lo + pos) as u64);
-        }
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,23 +363,5 @@ mod tests {
         assert!(matches_at(&old, 100, 32, 4, target));
         assert!(!matches_at(&old, -1, 32, 4, target));
         assert!(!matches_at(&old, 500, 32, 4, target)); // out of bounds
-    }
-
-    #[test]
-    fn neighborhood_scan_finds_shifted_match() {
-        let old = data(1024);
-        let target = DecomposableDigest::of(&old[300..364]).prefix(24);
-        let pos = scan_neighborhood(&old, 250, 420, 64, 24, target);
-        assert_eq!(pos, Some(300));
-        // Outside the window: not found.
-        assert_eq!(scan_neighborhood(&old, 0, 200, 64, 24, target), None);
-    }
-
-    #[test]
-    fn neighborhood_degenerate_ranges() {
-        let old = data(128);
-        assert_eq!(scan_neighborhood(&old, 100, 50, 16, 8, 0), None);
-        assert_eq!(scan_neighborhood(&old, -50, -10, 16, 8, 0), None);
-        assert_eq!(scan_neighborhood(&old, 0, 128, 0, 8, 0), None);
     }
 }

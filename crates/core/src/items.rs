@@ -47,9 +47,6 @@ pub enum ItemKind {
         /// The coverage boundary being extended.
         anchor_edge: u64,
     },
-    /// Local hash: compared only within a predicted neighborhood, so
-    /// `local_bits` wide.
-    Local,
     /// Global hash: compared against every old-file position;
     /// `log2(old_len) + extra` bits, unless derivable and suppressed.
     Global {
@@ -74,7 +71,6 @@ impl Item {
     pub fn wire_bits(&self, cfg: &ProtocolConfig, global_bits: u32) -> u32 {
         match self.kind {
             ItemKind::Cont { .. } => cfg.cont_bits,
-            ItemKind::Local => cfg.local_bits,
             ItemKind::Global { suppressed: Some(_) } => 0,
             ItemKind::Global { suppressed: None } => global_bits,
         }
@@ -86,22 +82,6 @@ impl Item {
 pub fn global_hash_bits(old_len: u64, extra: u32) -> u32 {
     let log_n = 64 - old_len.max(2).leading_zeros();
     (log_n + extra).min(60)
-}
-
-/// Which slice of a round's items to enumerate. With the paper's §5.4
-/// phase split ("first a search for matches using continuation hashes
-/// on blocks adjacent to confirmed matches, and then a search using
-/// global or local hashes") a level runs as two subrounds: `ContOnly`
-/// first, then `Global` with the probed regions excluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundPhase {
-    /// Probes and blocks together (single-phase rounds).
-    Combined,
-    /// Continuation probes only.
-    ContOnly,
-    /// Partition blocks only, excluding regions the continuation
-    /// subround already probed (matched or not).
-    Global,
 }
 
 /// Enumerate the items of one round.
@@ -117,34 +97,12 @@ pub fn enumerate(
     new_len: u64,
     level: u32,
 ) -> Vec<Item> {
-    enumerate_phase(
-        cfg,
-        coverage,
-        known_hashes,
-        new_len,
-        level,
-        RoundPhase::Combined,
-        &Coverage::new(),
-    )
-}
-
-/// Phase-aware variant of [`enumerate`]; `excluded` carries the regions
-/// a preceding continuation subround already probed.
-pub fn enumerate_phase(
-    cfg: &ProtocolConfig,
-    coverage: &Coverage,
-    known_hashes: &HashSet<(u64, u64)>,
-    new_len: u64,
-    level: u32,
-    phase: RoundPhase,
-    excluded: &Coverage,
-) -> Vec<Item> {
     let d = cfg.block_size_at(level) as u64;
     let mut items = Vec::new();
-    let mut claimed = excluded.clone();
+    let mut claimed = Coverage::new();
 
     // Phase 1: continuation probes, extending every known interval.
-    if phase != RoundPhase::Global && cfg.use_continuation && d >= cfg.min_block_cont as u64 {
+    if cfg.use_continuation && d >= cfg.min_block_cont as u64 {
         for &(a, b) in coverage.intervals() {
             if a >= d && coverage.is_free(a - d, d) && claimed.is_free(a - d, d) {
                 claimed.insert(a - d, d);
@@ -167,8 +125,7 @@ pub fn enumerate_phase(
     }
 
     // Phase 2: the recursive partition's active blocks.
-    if phase != RoundPhase::ContOnly && d >= cfg.min_block_global as u64 && new_len > 0 {
-        let local_reach = cfg.local_range_blocks * d;
+    if d >= cfg.min_block_global as u64 && new_len > 0 {
         let mut globals: Vec<Item> = Vec::new();
         let n_blocks = new_len.div_ceil(d);
         for i in 0..n_blocks {
@@ -193,27 +150,14 @@ pub fn enumerate_phase(
                     }
                 }
             }
-            let is_local = cfg.use_local
-                && coverage.distance_to_nearest(off, len).is_some_and(|dist| dist <= local_reach);
-            globals.push(Item {
-                new_off: off,
-                len,
-                kind: if is_local {
-                    ItemKind::Local
-                } else {
-                    ItemKind::Global { suppressed: None }
-                },
-            });
+            globals.push(Item { new_off: off, len, kind: ItemKind::Global { suppressed: None } });
         }
 
         // Phase 3: decomposable-hash suppression over full-size global
         // blocks whose full-size parent hash the client knows.
         if cfg.use_decomposable {
-            let active: HashSet<u64> = globals
-                .iter()
-                .filter(|it| matches!(it.kind, ItemKind::Global { .. }) && it.len == d)
-                .map(|it| it.new_off)
-                .collect();
+            let active: HashSet<u64> =
+                globals.iter().filter(|it| it.len == d).map(|it| it.new_off).collect();
             for it in globals.iter_mut() {
                 if it.len != d {
                     continue;
@@ -272,7 +216,6 @@ mod tests {
             min_block_global: 16,
             min_block_cont: 8,
             use_continuation: true,
-            use_local: false,
             use_decomposable: true,
             skip_sibling_of_matched: false,
             ..ProtocolConfig::default()
@@ -449,7 +392,6 @@ mod tests {
             mk(ItemKind::Cont { side: Side::Left, anchor_edge: 16 }).wire_bits(&cfg, g),
             cfg.cont_bits
         );
-        assert_eq!(mk(ItemKind::Local).wire_bits(&cfg, g), cfg.local_bits);
         assert_eq!(mk(ItemKind::Global { suppressed: None }).wire_bits(&cfg, g), g);
         let der = Derivation { parent_off: 0, sibling_off: 16, is_right: true };
         assert_eq!(mk(ItemKind::Global { suppressed: Some(der) }).wire_bits(&cfg, g), 0);

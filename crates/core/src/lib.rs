@@ -14,8 +14,7 @@
 //! * optimized match verification via group testing with salvage
 //!   ([`verify`]),
 //! * continuation hashes that extend confirmed matches with 3–4-bit
-//!   hashes, and local hashes scanned in a predicted neighborhood
-//!   ([`items`], [`index`]),
+//!   hashes, checked at one predicted position ([`items`], [`index`]),
 //! * decomposable hash functions that let every other sibling hash be
 //!   derived instead of transmitted
 //!   ([`msync_hash::decomposable`]).
@@ -47,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod adaptive;
 pub mod apply;
 pub mod broadcast;
 pub mod collection;
@@ -65,7 +63,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod verify;
 
-pub use adaptive::{sync_collection_adaptive, sync_file_adaptive, AdaptiveOutcome};
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
 pub use broadcast::{sync_broadcast, BroadcastOutcome};
 pub use collection::{sync_collection_with, CollectionOutcome, FileEntry, FileRef, ReconStrategy};

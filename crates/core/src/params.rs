@@ -51,25 +51,17 @@ pub fn parse(text: &str) -> Result<ProtocolConfig, String> {
                 cfg.global_extra_bits = value.parse().map_err(|_| bad("integer"))?
             }
             "cont_bits" => cfg.cont_bits = value.parse().map_err(|_| bad("integer"))?,
-            "local_bits" => cfg.local_bits = value.parse().map_err(|_| bad("integer"))?,
-            "local_range_blocks" => {
-                cfg.local_range_blocks = value.parse().map_err(|_| bad("integer"))?
-            }
             "max_positions_per_hash" => {
                 cfg.max_positions_per_hash = value.parse().map_err(|_| bad("integer"))?
             }
             "use_continuation" => {
                 cfg.use_continuation = parse_bool(value).ok_or_else(|| bad("bool"))?
             }
-            "use_local" => cfg.use_local = parse_bool(value).ok_or_else(|| bad("bool"))?,
             "use_decomposable" => {
                 cfg.use_decomposable = parse_bool(value).ok_or_else(|| bad("bool"))?
             }
             "skip_sibling_of_matched" => {
                 cfg.skip_sibling_of_matched = parse_bool(value).ok_or_else(|| bad("bool"))?
-            }
-            "cont_first_phase" => {
-                cfg.cont_first_phase = parse_bool(value).ok_or_else(|| bad("bool"))?
             }
             "verify" => cfg.verify = parse_verify(value).ok_or_else(|| bad("verify spec"))?,
             other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
@@ -123,23 +115,18 @@ pub fn render(cfg: &ProtocolConfig) -> String {
     };
     format!(
         "start_block = {}\nmin_block_global = {}\nmin_block_cont = {}\n\
-         global_extra_bits = {}\ncont_bits = {}\nlocal_bits = {}\n\
-         local_range_blocks = {}\nmax_positions_per_hash = {}\n\
-         use_continuation = {}\nuse_local = {}\nuse_decomposable = {}\n\
-         skip_sibling_of_matched = {}\ncont_first_phase = {}\nverify = {}\n",
+         global_extra_bits = {}\ncont_bits = {}\nmax_positions_per_hash = {}\n\
+         use_continuation = {}\nuse_decomposable = {}\n\
+         skip_sibling_of_matched = {}\nverify = {}\n",
         cfg.start_block,
         cfg.min_block_global,
         cfg.min_block_cont,
         cfg.global_extra_bits,
         cfg.cont_bits,
-        cfg.local_bits,
-        cfg.local_range_blocks,
         cfg.max_positions_per_hash,
         cfg.use_continuation,
-        cfg.use_local,
         cfg.use_decomposable,
         cfg.skip_sibling_of_matched,
-        cfg.cont_first_phase,
         verify,
     )
 }

@@ -28,7 +28,7 @@
 use crate::collection::FileRef;
 use crate::config::ProtocolConfig;
 use crate::coverage::Coverage;
-use crate::index::{first_positions, matches_at, scan_neighborhood};
+use crate::index::{first_positions, matches_at};
 use crate::items::{self, global_hash_bits, Item, ItemKind, Side};
 use crate::map::{FileMap, Segment};
 use crate::pipeline::sync_in_process;
@@ -123,14 +123,8 @@ pub(crate) struct ServerSession {
     coverage: Coverage,
     known_hashes: HashSet<(u64, u64)>,
     global_bits: u32,
-    /// Virtual round index: `level * 2 + subround` (subround 0 = the
-    /// continuation phase of two-phase rounds, 1 = the global phase or
-    /// the whole single-phase round).
-    vidx: u32,
-    /// Probe regions of the pending continuation subround, excluded
-    /// from the same level's global subround (paper §5.4).
-    excluded: Coverage,
-    excluded_level: Option<u32>,
+    /// The next level to enumerate.
+    level: u32,
     items: Vec<Item>,
     /// Item indices the client flagged as candidates, in item order.
     candidates: Vec<usize>,
@@ -154,9 +148,7 @@ impl ServerSession {
             coverage: Coverage::new(),
             known_hashes: HashSet::new(),
             global_bits: 0,
-            vidx: 0,
-            excluded: Coverage::new(),
-            excluded_level: None,
+            level: 0,
             items: Vec::new(),
             candidates: Vec::new(),
             verify: None,
@@ -203,37 +195,25 @@ impl ServerSession {
         Ok(parts)
     }
 
-    /// Move to the next (sub)round with items, or the delta phase, and
-    /// emit the corresponding part.
+    /// Move to the next level with items, or the delta phase, and emit
+    /// the corresponding part.
     fn advance(&mut self, new: &[u8]) -> Vec<Part> {
-        let total = self.cfg.total_levels() * 2;
-        while self.vidx < total {
-            let vidx = self.vidx;
-            self.vidx += 1;
-            let Some((items, level, sub)) = round_items(
+        while self.level < self.cfg.total_levels() {
+            let level = self.level;
+            self.level += 1;
+            let items = items::enumerate(
                 &self.cfg,
                 &self.coverage,
                 &self.known_hashes,
                 new.len() as u64,
-                vidx,
-                &self.excluded,
-                self.excluded_level,
-            ) else {
+                level,
+            );
+            if items.is_empty() {
                 continue;
-            };
-            items::extend_known_hashes(&mut self.known_hashes, &items);
-            if self.cfg.cont_first_phase && sub == 0 {
-                // Remember this subround's probe regions for the global
-                // subround of the same level.
-                let mut excl = Coverage::new();
-                for it in &items {
-                    excl.insert(it.new_off, it.len);
-                }
-                self.excluded = excl;
-                self.excluded_level = Some(level);
             }
+            items::extend_known_hashes(&mut self.known_hashes, &items);
             let mut w = BitWriter::new();
-            w.write_varint(vidx as u64 + 1);
+            w.write_varint(u64::from(level) + 1);
             self.write_round_hashes(new, &items, &mut w);
             self.items = items;
             self.state = SState::AwaitCandidates;
@@ -300,11 +280,7 @@ impl ServerSession {
                 level.insert((it.new_off, it.len), d);
             }
         }
-        // Continuation-only subrounds leave `level` empty and must not
-        // wipe the parents the same level's global subround will need.
-        if !level.is_empty() {
-            self.level_digests = level;
-        }
+        self.level_digests = level;
     }
 
     /// Digest of one partition block: sibling derivation first (free),
@@ -456,38 +432,6 @@ impl ServerSession {
     }
 }
 
-/// Items of virtual round `vidx`, or `None` when the subround is empty
-/// or skipped. Pure function of shared state — both sides call it.
-#[allow(clippy::too_many_arguments)]
-fn round_items(
-    cfg: &ProtocolConfig,
-    coverage: &Coverage,
-    known_hashes: &HashSet<(u64, u64)>,
-    new_len: u64,
-    vidx: u32,
-    excluded: &Coverage,
-    excluded_level: Option<u32>,
-) -> Option<(Vec<Item>, u32, u32)> {
-    let level = vidx / 2;
-    let sub = vidx % 2;
-    let empty = Coverage::new();
-    let (phase, excl) = if cfg.cont_first_phase {
-        if sub == 0 {
-            (items::RoundPhase::ContOnly, &empty)
-        } else {
-            let excl = if excluded_level == Some(level) { excluded } else { &empty };
-            (items::RoundPhase::Global, excl)
-        }
-    } else {
-        if sub == 0 {
-            return None; // single-phase rounds use only subround 1
-        }
-        (items::RoundPhase::Combined, &empty)
-    };
-    let items = items::enumerate_phase(cfg, coverage, known_hashes, new_len, level, phase, excl);
-    (!items.is_empty()).then_some((items, level, sub))
-}
-
 // ---------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------
@@ -530,9 +474,6 @@ pub(crate) struct ClientSession<'a> {
     state: CState,
     pub(crate) levels: Vec<LevelStats>,
     pub(crate) delta_bytes: u64,
-    /// Mirror of the server's §5.4 subround bookkeeping.
-    excluded: Coverage,
-    excluded_level: Option<u32>,
     /// Trace recorder (off unless the driver attached one) and the
     /// session's roster index for event attribution.
     pub(crate) recorder: Recorder,
@@ -557,8 +498,6 @@ impl<'a> ClientSession<'a> {
             state: CState::AwaitSetup,
             levels: Vec::new(),
             delta_bytes: 0,
-            excluded: Coverage::new(),
-            excluded_level: None,
             recorder: Recorder::off(),
             file_id: 0,
         }
@@ -595,6 +534,11 @@ impl<'a> ClientSession<'a> {
                         // Delta: the rest of the payload (byte-aligned —
                         // a zero varint is exactly one byte).
                         let delta = &part.payload[1..];
+                        // The decoder trusts its own header up to 4 GiB;
+                        // only the length the setup announced may pass.
+                        if msync_compress::delta::announced_len(delta) != Ok(self.new_len) {
+                            return Err(SyncError::Desync("delta length differs from setup"));
+                        }
                         self.delta_bytes = delta.len() as u64;
                         self.recorder.record(EventKind::DeltaPhase {
                             file_id: self.file_id,
@@ -619,11 +563,11 @@ impl<'a> ClientSession<'a> {
                             }
                         }
                     }
-                    let vidx = (tag - 1) as u32;
-                    if vidx >= self.cfg.total_levels() * 2 {
-                        return Err(SyncError::Desync("round out of range"));
-                    }
-                    reply.push(self.process_round(vidx, &mut r)?);
+                    let level = u32::try_from(tag - 1)
+                        .ok()
+                        .filter(|&l| l < self.cfg.total_levels())
+                        .ok_or(SyncError::Desync("round out of range"))?;
+                    reply.push(self.process_round(level, &mut r)?);
                     self.state = if self.verify.as_ref().is_some_and(|v| !v.is_trivially_done()) {
                         CState::AwaitResults
                     } else {
@@ -679,6 +623,9 @@ impl<'a> ClientSession<'a> {
                     }
                 }
                 CState::AwaitFull => {
+                    if msync_compress::lz::announced_len(&part.payload) != Ok(self.new_len) {
+                        return Err(SyncError::Desync("fallback length differs from setup"));
+                    }
                     let data = msync_compress::decompress(&part.payload)
                         .map_err(|_| SyncError::Desync("fallback stream"))?;
                     return Ok(ClientAction::Done { data, fell_back: true });
@@ -688,32 +635,17 @@ impl<'a> ClientSession<'a> {
         Ok(ClientAction::Reply(reply))
     }
 
-    /// Parse one (sub)round's hashes, find candidates, and compose the
+    /// Parse one level's hashes, find candidates, and compose the
     /// candidate bitmap + first verification batch.
-    fn process_round(&mut self, vidx: u32, r: &mut BitReader<'_>) -> Result<Part, SyncError> {
+    fn process_round(&mut self, level: u32, r: &mut BitReader<'_>) -> Result<Part, SyncError> {
         let round_t0 = self.recorder.now_micros();
-        let level = vidx / 2;
         let d = self.cfg.block_size_at(level) as u64;
-        let Some((items, _, sub)) = round_items(
-            self.cfg,
-            &self.coverage,
-            &self.known_hashes,
-            self.new_len,
-            vidx,
-            &self.excluded,
-            self.excluded_level,
-        ) else {
+        let items =
+            items::enumerate(self.cfg, &self.coverage, &self.known_hashes, self.new_len, level);
+        if items.is_empty() {
             return Err(SyncError::Desync("server sent hashes for an empty round"));
-        };
-        items::extend_known_hashes(&mut self.known_hashes, &items);
-        if self.cfg.cont_first_phase && sub == 0 {
-            let mut excl = Coverage::new();
-            for it in &items {
-                excl.insert(it.new_off, it.len);
-            }
-            self.excluded = excl;
-            self.excluded_level = Some(level);
         }
+        items::extend_known_hashes(&mut self.known_hashes, &items);
 
         let mut stats = LevelStats {
             block_size: d as usize,
@@ -727,8 +659,8 @@ impl<'a> ClientSession<'a> {
         };
 
         // Pass 1: every item's hash value, read or derived in wire order.
-        // Probes and local hashes resolve on the spot (one predicted
-        // position or neighborhood each); global values wait for pass 2.
+        // Probes resolve on the spot (one predicted position each);
+        // global values wait for pass 2.
         let mut found: Vec<Option<u64>> = Vec::with_capacity(items.len());
         let mut globals: Vec<(usize, u64)> = Vec::new();
         for (i, it) in items.iter().enumerate() {
@@ -741,13 +673,6 @@ impl<'a> ClientSession<'a> {
                     self.probe_position(side, anchor_edge, it.len).filter(|&pos| {
                         matches_at(self.old, pos as i64, it.len as usize, self.cfg.cont_bits, value)
                     })
-                }
-                ItemKind::Local => {
-                    stats.local_items += 1;
-                    let value = r
-                        .read_bits(self.cfg.local_bits)
-                        .map_err(|_| SyncError::Desync("local hash"))?;
-                    self.local_scan(it, value)
                 }
                 ItemKind::Global { suppressed } => {
                     let value = match suppressed {
@@ -852,41 +777,6 @@ impl<'a> ClientSession<'a> {
         }
     }
 
-    /// Neighborhood scan for a local hash.
-    fn local_scan(&self, it: &Item, value: u64) -> Option<u64> {
-        let seg = self.nearest_segment(it.new_off)?;
-        let predicted = seg.old_off as i64 + (it.new_off as i64 - seg.new_off as i64);
-        let w = (self.cfg.local_range_blocks * it.len) as i64;
-        scan_neighborhood(
-            self.old,
-            predicted - w,
-            predicted + w + it.len as i64,
-            it.len as usize,
-            self.cfg.local_bits,
-            value,
-        )
-    }
-
-    fn nearest_segment(&self, new_off: u64) -> Option<&Segment> {
-        let segs = self.map.segments();
-        if segs.is_empty() {
-            return None;
-        }
-        let idx = segs.partition_point(|s| s.new_off <= new_off);
-        let after = segs.get(idx);
-        let before = idx.checked_sub(1).and_then(|i| segs.get(i));
-        match (before, after) {
-            (Some(b), Some(a)) => {
-                let db = new_off.saturating_sub(b.new_end());
-                let da = a.new_off.saturating_sub(new_off);
-                Some(if db <= da { b } else { a })
-            }
-            (Some(b), None) => Some(b),
-            (None, Some(a)) => Some(a),
-            (None, None) => None,
-        }
-    }
-
     /// Derive a suppressed sibling hash from the parent's and sibling's
     /// prefixes (paper §5.5). Returns `None` when bookkeeping is missing —
     /// which would be a desync, surfaced as a lost candidate only.
@@ -961,7 +851,6 @@ mod digest_batch_tests {
             min_block_global: 32,
             min_block_cont: 32,
             use_continuation: false,
-            use_local: false,
             skip_sibling_of_matched: false,
             ..ProtocolConfig::default()
         }
@@ -1035,6 +924,66 @@ mod digest_batch_tests {
         assert_eq!(m.hash_cache_derived_bytes, 128 + 128);
         assert_eq!(m.hash_cache_derived, 2 + 4);
         assert_eq!(m.hash_cache_hits, 0, "a single cold session never hits");
+    }
+}
+
+/// A lying server cannot make the client allocate past the length the
+/// setup reply announced.
+#[cfg(test)]
+mod hostile_server_tests {
+    use super::*;
+
+    /// A client session past its setup reply, which announced a
+    /// changed file of `new_len` bytes.
+    fn client_after_setup<'a>(
+        old: &'a [u8],
+        cfg: &'a ProtocolConfig,
+        new_len: u64,
+    ) -> ClientSession<'a> {
+        let mut client = ClientSession::new(old, cfg);
+        let mut setup = BitWriter::new();
+        setup.write_bit(false);
+        setup.write_varint(new_len);
+        setup.write_bytes(&[0; 16]);
+        let part = Part { phase: Phase::Setup, payload: setup.into_bytes().into() };
+        assert!(matches!(client.handle(vec![part]), Ok(ClientAction::Reply(r)) if r.is_empty()));
+        client
+    }
+
+    /// A delta section (tag 0) whose stream header announces `len`.
+    fn delta_part(len: u64) -> Part {
+        let mut w = BitWriter::new();
+        w.write_varint(0);
+        w.write_varint(len);
+        w.write_bytes(&[0xA5; 200]);
+        Part { phase: Phase::Delta, payload: w.into_bytes().into() }
+    }
+
+    #[test]
+    fn delta_announcing_more_than_the_setup_is_a_desync() {
+        let cfg = ProtocolConfig::default();
+        let mut client = client_after_setup(b"old bytes", &cfg, 1000);
+        match client.handle(vec![delta_part(1 << 32)]) {
+            Err(SyncError::Desync(what)) => assert!(what.contains("delta length"), "{what}"),
+            other => panic!("expected a typed desync, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn fallback_announcing_more_than_the_setup_is_a_desync() {
+        let cfg = ProtocolConfig::default();
+        let mut client = client_after_setup(b"old bytes", &cfg, 1000);
+        // A delta of the right length that does not decode: the client
+        // asks for the whole file.
+        assert!(matches!(client.handle(vec![delta_part(1000)]), Ok(ClientAction::Reply(_))));
+        let mut w = BitWriter::new();
+        w.write_varint(1 << 32);
+        w.write_bytes(&[0xA5; 200]);
+        let fallback = Part { phase: Phase::Delta, payload: w.into_bytes().into() };
+        match client.handle(vec![fallback]) {
+            Err(SyncError::Desync(what)) => assert!(what.contains("fallback length"), "{what}"),
+            other => panic!("expected a typed desync, got {:?}", other.map(|_| ())),
+        }
     }
 }
 

@@ -16,7 +16,10 @@ pub struct LevelStats {
     pub items: usize,
     /// Of which continuation probes.
     pub cont_items: usize,
-    /// Of which local-hash blocks.
+    /// Always 0: local hashes were measured to cost more than the
+    /// global hashes they replace and were removed from the protocol.
+    /// The field stays because external per-layer reports still read
+    /// it.
     pub local_items: usize,
     /// Global hashes suppressed via decomposability.
     pub suppressed: usize,

@@ -43,8 +43,8 @@ pub struct RemoteOptions {
     pub resume: Option<ResumePlan>,
     /// Which of the daemon's collections to sync (`msync sync
     /// --collection NAME`). `None` means the daemon's default
-    /// collection, which is also all a v2 daemon can serve. An unknown
-    /// name surfaces as the typed [`NetError::UnknownCollection`].
+    /// collection. An unknown name surfaces as the typed
+    /// [`NetError::UnknownCollection`].
     pub collection: Option<String>,
 }
 

@@ -3,7 +3,7 @@
 //! Before any collection traffic, the connecting client sends one frame:
 //!
 //! ```text
-//! msync-net 3 <collection>\n
+//! msync-net 4 [<collection>]\n
 //! <parameter file, as rendered by msync_core::params::render>
 //! ```
 //!
@@ -16,11 +16,9 @@
 //! disagree on any knob, so the handshake is the one place that is
 //! allowed to be pedantic.
 //!
-//! The `<collection>` token (v3) names which of the daemon's
-//! registered collections this session syncs; it is optional, and a
-//! v2 hello (no token possible) is still accepted — both mean the
-//! registry's default collection, so old clients keep working against
-//! a multi-collection daemon. A name the daemon does not serve gets
+//! The optional `<collection>` token names which of the daemon's
+//! registered collections this session syncs; a hello without it means
+//! the registry's default collection. A name the daemon does not serve gets
 //! the typed `err unknown-collection <name>` refusal, which the
 //! client surfaces as [`NetError::UnknownCollection`] rather than a
 //! generic handshake failure.
@@ -39,12 +37,15 @@ use crate::registry::validate_collection_name;
 /// Version of the wire protocol spoken by this crate. Bumped on any
 /// change to the frame codec, the handshake, or the batch schedule.
 /// v2 added the resume offer/verdict parts to the roster exchange;
-/// v3 added the optional collection-name token to the hello line.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v3 added the optional collection-name token to the hello line;
+/// v4 dropped four parameter-file keys and numbers map rounds by level.
+pub const PROTOCOL_VERSION: u32 = 4;
 
-/// Oldest client version this daemon still accepts. v2 differs only
-/// in never naming a collection, which maps onto "serve the default".
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
+/// Oldest client version this daemon still accepts. An older hello
+/// renders parameter keys this daemon no longer parses and numbers its
+/// rounds differently, so it gets the typed `unsupported version`
+/// refusal instead of a session that desyncs midway.
+pub const MIN_PROTOCOL_VERSION: u32 = 4;
 
 /// Magic line opening every client hello.
 const MAGIC: &str = "msync-net";
@@ -159,8 +160,8 @@ pub(crate) enum HelloOutcome {
     Accept {
         /// The agreed configuration (canonical form of the proposal).
         cfg: ProtocolConfig,
-        /// The collection the client asked for; `None` (v2 client, or
-        /// v3 without the token) means the registry's default. The
+        /// The collection the client asked for; `None` (a hello
+        /// without the token) means the registry's default. The
         /// daemon must still resolve this against its registry and
         /// answer [`unknown_collection_reject`] on a miss — *this*
         /// reply is only correct once the name resolves.
@@ -210,43 +211,30 @@ pub(crate) fn eval_hello(hello: &[u8]) -> HelloOutcome {
         );
     }
     let version = words.next().and_then(|v| v.parse::<u32>().ok());
-    match version {
-        Some(v) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v) => {}
-        _ => {
-            return reject(
-                "unsupported version",
-                NetError::Handshake(format!(
-                    "client speaks version {version:?}, this daemon speaks \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
-                )),
-            );
-        }
+    if !version.is_some_and(|v| (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v)) {
+        return reject(
+            "unsupported version",
+            NetError::Handshake(format!(
+                "client speaks version {version:?}, this daemon speaks \
+                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+            )),
+        );
     }
-    // The collection token exists only from v3 on; a v2 line carries
-    // nothing after the version, and anything there anyway is a
-    // malformed hello rather than a name to guess at.
-    let collection = match version {
-        Some(v) if v >= 3 => {
-            let token = words.next();
-            // The grammar allows exactly one token after the version;
-            // anything beyond it is a name with whitespace in it.
-            let why = match token {
-                Some(_) if words.next().is_some() => Some("contains whitespace"),
-                Some(name) => validate_collection_name(name).err(),
-                None => None,
-            };
-            if let Some(why) = why {
-                return reject(
-                    &format!("bad collection name: {why}"),
-                    NetError::Handshake(format!(
-                        "client requested an invalid collection name: {why}"
-                    )),
-                );
-            }
-            token.map(str::to_owned)
-        }
-        _ => None,
+    let token = words.next();
+    // The grammar allows at most one token after the version; anything
+    // beyond it is a name with whitespace in it.
+    let why = match token {
+        Some(_) if words.next().is_some() => Some("contains whitespace"),
+        Some(name) => validate_collection_name(name).err(),
+        None => None,
     };
+    if let Some(why) = why {
+        return reject(
+            &format!("bad collection name: {why}"),
+            NetError::Handshake(format!("client requested an invalid collection name: {why}")),
+        );
+    }
+    let collection = token.map(str::to_owned);
     let cfg = match params::parse(params_text).and_then(|c| c.validate().map(|()| c)) {
         Ok(cfg) => cfg,
         Err(e) => {
@@ -406,12 +394,19 @@ mod tests {
     }
 
     #[test]
-    fn v2_hello_is_accepted_with_no_collection() {
-        let cfg = ProtocolConfig::default();
-        let hello = format!("{MAGIC} 2\n{}", params::render(&cfg));
-        match eval_hello(hello.as_bytes()) {
-            HelloOutcome::Accept { collection, .. } => assert_eq!(collection, None),
-            HelloOutcome::Reject { error, .. } => panic!("v2 hello rejected: {error}"),
+    fn v2_and_v3_hellos_are_refused_as_unsupported_versions() {
+        // An older client numbers its rounds differently, so even a
+        // parameter file this daemon parses must be refused by version,
+        // up front, rather than run and desynced midway.
+        let render = params::render(&ProtocolConfig::default());
+        for hello in [format!("{MAGIC} 2\n{render}"), format!("{MAGIC} 3 photos\n{render}")] {
+            match eval_hello(hello.as_bytes()) {
+                HelloOutcome::Reject { reply, error } => {
+                    assert_eq!(String::from_utf8(reply).unwrap(), "err unsupported version");
+                    assert!(matches!(error, NetError::Handshake(_)), "{error}");
+                }
+                HelloOutcome::Accept { .. } => panic!("accepted {hello:?}"),
+            }
         }
     }
 
@@ -423,7 +418,7 @@ mod tests {
             HelloOutcome::Accept { collection, .. } => {
                 assert_eq!(collection.as_deref(), Some("photos"));
             }
-            HelloOutcome::Reject { error, .. } => panic!("v3 hello rejected: {error}"),
+            HelloOutcome::Reject { error, .. } => panic!("hello rejected: {error}"),
         }
     }
 
@@ -433,7 +428,7 @@ mod tests {
         let hello = format!("{MAGIC} {PROTOCOL_VERSION}\n{}", params::render(&cfg));
         match eval_hello(hello.as_bytes()) {
             HelloOutcome::Accept { collection, .. } => assert_eq!(collection, None),
-            HelloOutcome::Reject { error, .. } => panic!("bare v3 hello rejected: {error}"),
+            HelloOutcome::Reject { error, .. } => panic!("bare hello rejected: {error}"),
         }
     }
 
@@ -475,7 +470,7 @@ mod tests {
 
     #[test]
     fn admin_frames_parse_and_non_admin_frames_pass_through() {
-        assert!(parse_admin(b"msync-net 3 x\n").is_none());
+        assert!(parse_admin(b"msync-net 4 x\n").is_none());
         assert!(parse_admin(b"").is_none());
         match parse_admin(b"msync-admin reload photos") {
             Some(Ok(AdminCmd::Reload(name))) => assert_eq!(name, "photos"),

@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use msync_core::{CollectionSnapshot, FileEntry};
 
-/// The collection served to clients that name none: protocol-v2
-/// clients, and v3 clients whose hello omits the collection token.
+/// The collection served to clients whose hello omits the collection
+/// token.
 pub const DEFAULT_COLLECTION: &str = "default";
 
 /// Reads a directory tree into a collection. Errors are human-readable
@@ -121,8 +121,8 @@ impl CollectionRegistry {
         b.build()
     }
 
-    /// Resolve a client's requested collection. `None` (a v2 client,
-    /// or a v3 hello without the token) means the default collection.
+    /// Resolve a client's requested collection. `None` (a hello
+    /// without the token) means the default collection.
     /// Returns the canonical name and the snapshot the session is
     /// bound to for its whole life.
     #[must_use]

@@ -27,8 +27,7 @@
 //! (wire-schema, charge-point, machine-discipline,
 //! apply-discipline), and [`baseline`]
 //! tracks pre-existing debt so the gate ratchets down instead of
-//! blocking on history. The older masked-string [`scanner`] remains as
-//! a fallback and is differentially tested against the lexer.
+//! blocking on history.
 //!
 //! Run it as `cargo run -p xtask -- lint`; the root integration test
 //! `tests/lint_gate.rs` runs the same [`gate`] entry point so plain
@@ -43,7 +42,6 @@ pub mod model;
 pub mod passes;
 pub mod report;
 pub mod rules;
-pub mod scanner;
 pub mod tokens;
 
 pub use baseline::{Baseline, BaselineOutcome};

@@ -1,13 +1,12 @@
 //! A hand-rolled Rust lexer with exact spans.
 //!
-//! The masked-string scanner ([`crate::scanner`]) can answer "does this
-//! word appear outside strings and comments", but it cannot see *token
-//! structure*: an aliased import (`use std::time::Instant as I`), a call
-//! split across lines with a comment between name and parenthesis, or a
-//! match arm pattern are all invisible to substring scans. This lexer
-//! produces the real token stream — identifiers, literals (including
-//! raw/byte strings), punctuation, comments — each carrying its byte
-//! span and line/column, so rules and the cross-file passes in
+//! Substring scans over masked source cannot see *token structure*: an
+//! aliased import (`use std::time::Instant as I`), a call split across
+//! lines with a comment between name and parenthesis, or a match arm
+//! pattern are all invisible to them. This lexer produces the real
+//! token stream — identifiers, literals (including raw/byte strings),
+//! punctuation, comments — each carrying its byte span and
+//! line/column, so rules and the cross-file passes in
 //! [`crate::passes`] operate on structure instead of text.
 //!
 //! Fidelity contract (checked by the round-trip tests in
@@ -329,38 +328,6 @@ impl Lexer<'_> {
     }
 }
 
-/// Reproduce the masking semantics of [`crate::scanner::mask_source`]
-/// from the token stream: blank every comment and string/char/byte
-/// literal byte with a space (newlines preserved so line numbers
-/// survive), leave all other bytes untouched. The differential test in
-/// `tests/lint_gate.rs` holds the two maskers byte-identical over the
-/// entire workspace, so the scanner stays a trustworthy fallback.
-#[must_use]
-pub fn mask_via_tokens(src: &str) -> String {
-    let mut out: Vec<u8> = src.as_bytes().to_vec();
-    for t in lex(src) {
-        let blank = matches!(
-            t.kind,
-            TokenKind::LineComment
-                | TokenKind::BlockComment
-                | TokenKind::CharLit
-                | TokenKind::ByteLit
-                | TokenKind::StrLit
-                | TokenKind::RawStrLit
-                | TokenKind::ByteStrLit
-                | TokenKind::RawByteStrLit
-        );
-        if blank {
-            for b in &mut out[t.start..t.end] {
-                if *b != b'\n' {
-                    *b = b' ';
-                }
-            }
-        }
-    }
-    String::from_utf8(out).unwrap_or_default()
-}
-
 /// Byte width of a UTF-8 character from its first byte.
 fn utf8_width(first: u8) -> usize {
     match first {
@@ -392,38 +359,72 @@ mod tests {
         assert_eq!(rebuilt, src);
     }
 
+    /// Each input hides a pitfall: escaped quotes and backslashes in
+    /// char, byte and string literals, raw strings whose body holds a
+    /// shorter terminator, lifetimes beside literals, comments across
+    /// lines, numbers beside ranges, and non-ASCII characters. Every
+    /// literal and comment must come out whole, with its own kind.
     #[test]
-    fn mask_via_tokens_matches_scanner_on_edge_cases() {
-        let corpus = [
-            "let q = '\\''; q.unwrap();",
-            "let b = '\\\\'; b.unwrap();",
-            "let s = r##\"has \"# inside\"##; keep()",
-            "let t = br###\"bytes \"## too\"###; keep()",
-            "let lt: &'static str = \"x\"; fn f<'a>(v: &'a u8) {}",
-            "let c = b'\\''; let d = b'\\\\'; tail()",
-            "// comment with 'quote and \"string\n/* block\nspans lines */ x",
-            "let n = 0xff_u32; let r = 0..10; let f = 1.5e3;",
-            "let multi = '\u{e9}'; let emoji = \"\u{1F600}\"; after()",
-            "let esc = \"a\\\"b\\\\c\"; let nl = \"line\\\ncontinued\";",
+    fn literal_edge_cases_lex_to_their_kinds() {
+        use TokenKind::*;
+        let cases: [(&str, &[(TokenKind, &str)]); 10] = [
+            ("let q = '\\''; q.unwrap();", &[(CharLit, "'\\''"), (Ident, "unwrap")]),
+            ("let b = '\\\\'; b.unwrap();", &[(CharLit, "'\\\\'"), (Ident, "unwrap")]),
+            (
+                "let s = r##\"has \"# inside\"##; keep()",
+                &[(RawStrLit, "r##\"has \"# inside\"##"), (Ident, "keep")],
+            ),
+            (
+                "let t = br###\"bytes \"## too\"###; keep()",
+                &[(RawByteStrLit, "br###\"bytes \"## too\"###"), (Ident, "keep")],
+            ),
+            (
+                "let lt: &'static str = \"x\"; fn f<'a>(v: &'a u8) {}",
+                &[(Lifetime, "'static"), (StrLit, "\"x\""), (Lifetime, "'a"), (Lifetime, "'a")],
+            ),
+            (
+                "let c = b'\\''; let d = b'\\\\'; tail()",
+                &[(ByteLit, "b'\\''"), (ByteLit, "b'\\\\'"), (Ident, "tail")],
+            ),
+            (
+                "// comment with 'quote and \"string\n/* block\nspans lines */ x",
+                &[
+                    (LineComment, "// comment with 'quote and \"string"),
+                    (BlockComment, "/* block\nspans lines */"),
+                    (Ident, "x"),
+                ],
+            ),
+            (
+                "let n = 0xff_u32; let r = 0..10; let f = 1.5e3;",
+                &[
+                    (NumberLit, "0xff_u32"),
+                    (NumberLit, "0"),
+                    (NumberLit, "10"),
+                    (NumberLit, "1.5e3"),
+                ],
+            ),
+            (
+                "let multi = '\u{e9}'; let emoji = \"\u{1F600}\"; after()",
+                &[(CharLit, "'\u{e9}'"), (StrLit, "\"\u{1F600}\""), (Ident, "after")],
+            ),
+            (
+                "let esc = \"a\\\"b\\\\c\"; let nl = \"line\\\ncontinued\";",
+                &[(StrLit, "\"a\\\"b\\\\c\""), (StrLit, "\"line\\\ncontinued\"")],
+            ),
         ];
-        for src in corpus {
-            assert_eq!(
-                mask_via_tokens(src),
-                crate::scanner::mask_source(src),
-                "maskers diverge on {src:?}"
-            );
+        for (src, want) in cases {
+            let got = texts(src);
+            // Every literal, lifetime and comment, in order and whole;
+            // the listed identifiers prove code after them survives.
+            let not_code = |&(k, _): &(TokenKind, &str)| !matches!(k, Whitespace | Punct | Ident);
+            let got_literals: Vec<_> = got.iter().copied().filter(not_code).collect();
+            let want_literals: Vec<_> = want.iter().copied().filter(not_code).collect();
+            assert_eq!(got_literals, want_literals, "{src:?}");
+            for ident in want.iter().filter(|(k, _)| *k == Ident) {
+                assert!(got.contains(ident), "{ident:?} lost in {src:?}");
+            }
+            roundtrip(src);
         }
-    }
-
-    #[test]
-    fn mask_via_tokens_preserves_length_lines_and_code() {
-        let src = "let s = \"payload\"; // tail\nuse std::io;\n";
-        let m = mask_via_tokens(src);
-        assert_eq!(m.len(), src.len());
-        assert_eq!(m.matches('\n').count(), src.matches('\n').count());
-        assert!(!m.contains("payload"));
-        assert!(!m.contains("tail"));
-        assert!(m.contains("use std::io;"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   as the baseline throughout the paper.
 //! * [`core`] — the paper's contribution: two-phase (map construction +
 //!   delta) multi-round synchronization, with recursive block splitting,
-//!   group-testing match verification, continuation/local hashes, and
+//!   group-testing match verification, continuation hashes, and
 //!   decomposable hash functions.
 //! * [`cdc`] — an LBFS-style content-defined-chunking synchronizer,
 //!   a related-work baseline.

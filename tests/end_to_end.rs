@@ -60,36 +60,30 @@ fn every_technique_combination_is_exact() {
 
     for use_continuation in [false, true] {
         for use_decomposable in [false, true] {
-            for use_local in [false, true] {
-                for two_phase in [false, true] {
-                    for skip_sibling in [false, true] {
-                        for verify in [
-                            VerifyStrategy::PerCandidate { bits: 16 },
-                            VerifyStrategy::GroupTesting {
-                                batches: vec![
-                                    msync::core::BatchConfig { group_size: 4, bits: 14 },
-                                    msync::core::BatchConfig { group_size: 1, bits: 16 },
-                                ],
-                            },
-                        ] {
-                            let cfg = ProtocolConfig {
-                                use_continuation,
-                                use_decomposable,
-                                use_local,
-                                skip_sibling_of_matched: skip_sibling,
-                                cont_first_phase: two_phase,
-                                verify,
-                                min_block_cont: if use_continuation { 16 } else { 128 },
-                                ..ProtocolConfig::default()
-                            };
-                            let out = sync_file(old_data, &changed.data, &cfg)
-                                .unwrap_or_else(|e| panic!("cfg {cfg:?}: {e}"));
-                            assert_eq!(
-                            out.reconstructed, changed.data,
-                            "wrong bytes with cont={use_continuation} dec={use_decomposable} local={use_local} skip={skip_sibling} two_phase={two_phase}"
-                        );
-                        }
-                    }
+            for skip_sibling in [false, true] {
+                for verify in [
+                    VerifyStrategy::PerCandidate { bits: 16 },
+                    VerifyStrategy::GroupTesting {
+                        batches: vec![
+                            msync::core::BatchConfig { group_size: 4, bits: 14 },
+                            msync::core::BatchConfig { group_size: 1, bits: 16 },
+                        ],
+                    },
+                ] {
+                    let cfg = ProtocolConfig {
+                        use_continuation,
+                        use_decomposable,
+                        skip_sibling_of_matched: skip_sibling,
+                        verify,
+                        min_block_cont: if use_continuation { 16 } else { 128 },
+                        ..ProtocolConfig::default()
+                    };
+                    let out = sync_file(old_data, &changed.data, &cfg)
+                        .unwrap_or_else(|e| panic!("cfg {cfg:?}: {e}"));
+                    assert_eq!(
+                        out.reconstructed, changed.data,
+                        "wrong bytes with cont={use_continuation} dec={use_decomposable} skip={skip_sibling}"
+                    );
                 }
             }
         }

@@ -132,7 +132,7 @@ fn detects_lossy_cast_in_wire_module() {
     .expect("bitio.rs");
     let findings = lint_workspace(&dir, &LintConfig::msync()).expect("scan");
     // The other configured wire modules don't exist in the scratch tree;
-    // the scanner flags those too (self-checking), so filter to the cast.
+    // the lint flags those too (self-checking), so filter to the cast.
     let hits: Vec<_> = findings
         .into_iter()
         .filter(|f| f.rule == Rule::LossyCast && f.message.contains("narrowing"))
@@ -470,19 +470,6 @@ fn lexer_tiles_every_workspace_source_exactly() {
             pos = t.end;
         }
         assert_eq!(pos, src.len(), "lexer stopped early in {}", path.display());
-    }
-}
-
-#[test]
-fn token_masker_matches_scanner_on_every_workspace_source() {
-    // Differential oracle: the legacy masked-string scanner and the
-    // token-derived masker must agree byte-for-byte on the whole tree,
-    // so the scanner stays a trustworthy fallback for the lexer.
-    for path in workspace_rust_sources() {
-        let src = fs::read_to_string(&path).expect("read source");
-        let via_tokens = xtask::tokens::mask_via_tokens(&src);
-        let via_scanner = xtask::scanner::mask_source(&src);
-        assert_eq!(via_tokens, via_scanner, "maskers diverge on {}", path.display());
     }
 }
 

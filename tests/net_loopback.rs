@@ -510,7 +510,7 @@ fn unknown_collection_is_typed_and_nameless_clients_get_the_default() {
         other => panic!("expected the typed unknown-collection refusal, got {other:?}"),
     }
 
-    // No name → the default collection (exactly what a v2 client gets).
+    // No name → the default collection.
     let got = run_remote(&addr, &old, 16);
     daemon.shutdown();
     assert_mirror(&got.outcome, &new, "nameless client on the default collection");
