@@ -21,7 +21,7 @@ use msync_protocol::{BufferPool, Direction, FrameBuf, Phase, RetryPolicy, Traffi
 use msync_trace::{EventKind, HistKind, Recorder, ResumeRejectTag};
 
 use super::arq::{micros_of, parse_frame, split_of, ArqCore, MAX_FRAMES_PER_EXCHANGE};
-use super::{Machine, Output};
+use super::{run_in_order, run_jobs, Job, Machine, Output, Runner};
 use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::ProtocolConfig;
 use crate::pipeline::{
@@ -92,6 +92,39 @@ impl Slot<'_> {
     }
 }
 
+/// What a job's result reads until the job has run: the commit reports
+/// it for a job a runner lost (its thread panicked).
+const JOB_LOST: SyncError = SyncError::Desync("a session job never finished");
+
+/// One file's step on the client: its session, taken out of the slot,
+/// over the server's message for it.
+struct ClientJob<'a> {
+    id: usize,
+    session: ClientSession<'a>,
+    parts: Vec<Part>,
+    /// The slot's admission timestamp, for the session-duration sample.
+    t0_us: u64,
+    result: Result<ClientAction, SyncError>,
+}
+
+impl Job for ClientJob<'_> {
+    fn run(&mut self) -> bool {
+        self.result = self.session.handle(std::mem::take(&mut self.parts));
+        // Recorded here, right after the session's own events, so a
+        // traced (one-thread) run keeps each file's events together.
+        let rec = &self.session.recorder;
+        if let (Ok(ClientAction::Done { fell_back, .. }), true) = (&self.result, rec.is_enabled()) {
+            rec.observe(HistKind::SessionDuration, rec.now_micros().saturating_sub(self.t0_us));
+            rec.record(EventKind::SessionEnd {
+                file_id: self.id as u64,
+                ok: true,
+                fell_back: *fell_back,
+            });
+        }
+        self.result.is_ok()
+    }
+}
+
 enum ClientState {
     AwaitRoster,
     AwaitBatch,
@@ -130,6 +163,7 @@ pub struct CollectionClientMachine<'a> {
     pending_completed: Vec<CompletedFile>,
     /// Scheduler round counter (0 = the roster/resume exchange).
     round: u64,
+    runner: Runner,
 }
 
 impl<'a> CollectionClientMachine<'a> {
@@ -204,12 +238,18 @@ impl<'a> CollectionClientMachine<'a> {
             offered,
             pending_completed: Vec::new(),
             round: 0,
+            runner: run_in_order,
         })
     }
 
     /// Draw encoded-frame buffers for this session from `pool`.
     pub fn set_pool(&mut self, pool: BufferPool) {
         self.arq.set_pool(pool);
+    }
+
+    /// Run each batch's per-file session work through `runner`.
+    pub(crate) fn set_runner(&mut self, runner: Runner) {
+        self.runner = runner;
     }
 
     /// The machine under a window budget small enough for a test
@@ -399,83 +439,104 @@ impl<'a> CollectionClientMachine<'a> {
         self.flush(now_us);
     }
 
+    /// A batch reply in three steps: check it and take out the sessions
+    /// it answers, run one job per file, commit the results in wire
+    /// order (the first failure in that order wins).
     fn on_batch(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let part = parts.first().ok_or(SyncError::Desync("empty batch reply"))?;
-        for (id, parts) in decode_batch(&part.payload)? {
-            if !self.expected.remove(&id) {
+        let mut jobs = self.take_jobs(decode_batch(&part.payload)?)?;
+        run_jobs(self.runner, &mut jobs);
+        for job in jobs {
+            self.commit(job)?;
+        }
+        self.advance(now_us);
+        Ok(())
+    }
+
+    /// Refuse a reply that does not answer every file in flight exactly
+    /// once — before any job runs — and take each answered session out
+    /// of its slot.
+    fn take_jobs(
+        &mut self,
+        batch: Vec<(usize, Vec<Part>)>,
+    ) -> Result<Vec<ClientJob<'a>>, SyncError> {
+        for (id, _) in &batch {
+            if !self.expected.remove(id) {
                 return Err(SyncError::Desync("batch reply for a file not in flight"));
-            }
-            let slot = self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
-            for p in &parts {
-                slot.stats.traffic.record(
-                    Direction::ServerToClient,
-                    p.phase,
-                    p.payload.len() as u64,
-                );
-            }
-            let session = slot.session.as_mut().ok_or(SyncError::Desync("batch id not open"))?;
-            match session.handle(parts)? {
-                ClientAction::Done { data, fell_back } => {
-                    if self.rec.is_enabled() {
-                        self.rec.observe(
-                            HistKind::SessionDuration,
-                            self.rec.now_micros().saturating_sub(slot.t0_us),
-                        );
-                        self.rec.record(EventKind::SessionEnd {
-                            file_id: id as u64,
-                            ok: true,
-                            fell_back,
-                        });
-                    }
-                    let data = Arc::new(data);
-                    self.pending_completed.push(CompletedFile {
-                        file_id: id,
-                        name: self.server_names[id].clone(),
-                        data: Arc::clone(&data),
-                        fell_back,
-                        resumed: false,
-                        round: self.round,
-                    });
-                    slot.done = Some((data, fell_back));
-                    // Close the session, keeping only its statistics.
-                    let session = slot.session.take().ok_or(SyncError::Desync("no session"))?;
-                    slot.stats.levels = session.levels;
-                    slot.stats.known_bytes = session.map.known_bytes();
-                    slot.stats.delta_bytes = session.delta_bytes;
-                    self.release(id);
-                    self.in_flight -= 1;
-                    self.done_count += 1;
-                }
-                ClientAction::Reply(cparts) => {
-                    if cparts.is_empty() {
-                        return Err(SyncError::Desync("session yielded no reply"));
-                    }
-                    for p in &cparts {
-                        slot.stats.traffic.record(
-                            Direction::ClientToServer,
-                            p.phase,
-                            p.payload.len() as u64,
-                        );
-                    }
-                    // The first reply reveals the server's length;
-                    // a session the window has no room for at its real
-                    // size waits its turn (the server just sees no
-                    // message for that file in the meantime).
-                    let charge = slot.content_bytes();
-                    self.release(id);
-                    if self.fits(charge) {
-                        self.charge(id, charge);
-                        self.outbox.push((id, cparts));
-                    } else {
-                        self.parked.push_back((id, cparts));
-                    }
-                }
             }
         }
         if !self.expected.is_empty() {
             return Err(SyncError::Desync("batch reply missing an in-flight file"));
         }
-        self.advance(now_us);
+        batch
+            .into_iter()
+            .map(|(id, parts)| {
+                let slot =
+                    self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
+                for p in &parts {
+                    slot.stats.traffic.record(
+                        Direction::ServerToClient,
+                        p.phase,
+                        p.payload.len() as u64,
+                    );
+                }
+                let session = slot.session.take().ok_or(SyncError::Desync("batch id not open"))?;
+                Ok(ClientJob { id, session, parts, t0_us: slot.t0_us, result: Err(JOB_LOST) })
+            })
+            .collect()
+    }
+
+    /// Apply one file's step: close a finished session, or queue (or
+    /// park) its reply.
+    fn commit(&mut self, job: ClientJob<'a>) -> Result<(), SyncError> {
+        let ClientJob { id, session, result, .. } = job;
+        let slot = &mut self.slots[id];
+        match result? {
+            ClientAction::Done { data, fell_back } => {
+                let data = Arc::new(data);
+                self.pending_completed.push(CompletedFile {
+                    file_id: id,
+                    name: self.server_names[id].clone(),
+                    data: Arc::clone(&data),
+                    fell_back,
+                    resumed: false,
+                    round: self.round,
+                });
+                slot.done = Some((data, fell_back));
+                // Close the session, keeping only its statistics.
+                slot.stats.levels = session.levels;
+                slot.stats.known_bytes = session.map.known_bytes();
+                slot.stats.delta_bytes = session.delta_bytes;
+                self.release(id);
+                self.in_flight -= 1;
+                self.done_count += 1;
+            }
+            ClientAction::Reply(cparts) => {
+                if cparts.is_empty() {
+                    return Err(SyncError::Desync("session yielded no reply"));
+                }
+                for p in &cparts {
+                    slot.stats.traffic.record(
+                        Direction::ClientToServer,
+                        p.phase,
+                        p.payload.len() as u64,
+                    );
+                }
+                slot.session = Some(session);
+                // The first reply reveals the server's length; a session
+                // the window has no room for at its real size waits its
+                // turn (the server just sees no message for that file in
+                // the meantime).
+                let charge = slot.content_bytes();
+                self.release(id);
+                if self.fits(charge) {
+                    self.charge(id, charge);
+                    self.outbox.push((id, cparts));
+                } else {
+                    self.parked.push_back((id, cparts));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -580,7 +641,32 @@ impl Machine for CollectionClientMachine<'_> {
 enum ServeSlot {
     Idle,
     Running(ServerSession),
+    /// Its session is out in a job of the batch being handled.
+    Busy,
     Finished,
+}
+
+/// One file's step on the server: its session, taken out of the slot,
+/// over the client's message for it and the served file's bytes.
+struct ServeJob<'s> {
+    id: usize,
+    session: ServerSession,
+    /// The message opens the session (the client's setup request).
+    opens: bool,
+    data: &'s [u8],
+    parts: Vec<Part>,
+    result: Result<Vec<Part>, SyncError>,
+}
+
+impl Job for ServeJob<'_> {
+    fn run(&mut self) -> bool {
+        self.result = match (self.opens, self.parts.first()) {
+            (true, Some(request)) => self.session.on_request(self.data, &request.payload),
+            (true, None) => Err(SyncError::Desync("empty file message")),
+            (false, _) => self.session.on_client(self.data, &self.parts),
+        };
+        self.result.is_ok()
+    }
 }
 
 enum ServeState {
@@ -618,6 +704,7 @@ pub struct CollectionServeMachine<S: ServedFiles + ?Sized = CollectionSnapshot> 
     sessions: usize,
     quiet: u32,
     linger_frames: u32,
+    runner: Runner,
     served: PhantomData<fn(&S)>,
 }
 
@@ -647,6 +734,7 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
             sessions: 0,
             quiet: 0,
             linger_frames: 0,
+            runner: run_in_order,
             served: PhantomData,
         })
     }
@@ -654,6 +742,11 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
     /// Draw encoded-frame buffers for this session from `pool`.
     pub fn set_pool(&mut self, pool: BufferPool) {
         self.arq.set_pool(pool);
+    }
+
+    /// Run each batch's per-file session work through `runner`.
+    pub(crate) fn set_runner(&mut self, runner: Runner) {
+        self.runner = runner;
     }
 
     /// What this connection amounted to. `files_in_collection` is the
@@ -738,47 +831,23 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
         Ok(())
     }
 
+    /// A batch in three steps: check it and take out the sessions it
+    /// addresses, run one job per file, commit the results in wire order
+    /// (the first failure in that order wins) into the reply batch.
     fn on_batch(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let part = parts.first().ok_or(SyncError::Desync("empty batch message"))?;
-        let mut out: Vec<(usize, Vec<Part>)> = Vec::new();
-        for (id, parts) in decode_batch(&part.payload)? {
-            let slot = self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
-            let file_idx = *self.order.get(id).ok_or(SyncError::Desync("batch id"))?;
-            if file_idx >= snap.file_count() {
-                return Err(SyncError::Desync("collection shrank"));
-            }
-            let data = snap.file(file_idx).data;
-            let reply = match slot {
-                ServeSlot::Idle => {
-                    let mut session = match snap.hash_cache() {
-                        Some(cache) => ServerSession::with_cache(
-                            self.cfg.clone(),
-                            SessionCache::new(
-                                Arc::clone(cache),
-                                snap.fingerprint(file_idx),
-                                self.cfg_digest,
-                                self.rec.clone(),
-                            ),
-                        ),
-                        None => ServerSession::new(self.cfg.clone()),
-                    };
-                    let p0 = parts.first().ok_or(SyncError::Desync("empty file message"))?;
-                    let reply = session.on_request(data, &p0.payload)?;
-                    self.sessions += 1;
-                    *slot = ServeSlot::Running(session);
-                    reply
-                }
-                ServeSlot::Running(session) => session.on_client(data, &parts)?,
-                ServeSlot::Finished => {
-                    return Err(SyncError::Desync("message for a finished file"))
-                }
+        let mut jobs = self.take_jobs(snap, decode_batch(&part.payload)?)?;
+        run_jobs(self.runner, &mut jobs);
+        let mut out: Vec<(usize, Vec<Part>)> = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let reply = job.result?;
+            self.sessions += usize::from(job.opens);
+            self.slots[job.id] = if job.session.state == SState::Done {
+                ServeSlot::Finished
+            } else {
+                ServeSlot::Running(job.session)
             };
-            if let ServeSlot::Running(session) = slot {
-                if session.state == SState::Done {
-                    *slot = ServeSlot::Finished;
-                }
-            }
-            out.push((id, reply));
+            out.push((job.id, reply));
         }
         self.arq.send_message(
             vec![Part { phase: Phase::Map, payload: encode_batch(&out).into() }],
@@ -786,6 +855,51 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
         );
         self.arq.begin_await(now_us);
         Ok(())
+    }
+
+    /// Refuse a batch naming a file out of range, finished, or twice —
+    /// before any job runs — and take each addressed session out of its
+    /// slot (opening it on the file's first message).
+    fn take_jobs<'s>(
+        &mut self,
+        snap: &'s S,
+        batch: Vec<(usize, Vec<Part>)>,
+    ) -> Result<Vec<ServeJob<'s>>, SyncError> {
+        batch
+            .into_iter()
+            .map(|(id, parts)| {
+                let slot =
+                    self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
+                let file_idx = *self.order.get(id).ok_or(SyncError::Desync("batch id"))?;
+                if file_idx >= snap.file_count() {
+                    return Err(SyncError::Desync("collection shrank"));
+                }
+                let (session, opens) = match std::mem::replace(slot, ServeSlot::Busy) {
+                    ServeSlot::Idle => {
+                        let session = match snap.hash_cache() {
+                            Some(cache) => ServerSession::with_cache(
+                                self.cfg.clone(),
+                                SessionCache::new(
+                                    Arc::clone(cache),
+                                    snap.fingerprint(file_idx),
+                                    self.cfg_digest,
+                                    self.rec.clone(),
+                                ),
+                            ),
+                            None => ServerSession::new(self.cfg.clone()),
+                        };
+                        (session, true)
+                    }
+                    ServeSlot::Running(session) => (session, false),
+                    ServeSlot::Busy => return Err(SyncError::Desync("batch names a file twice")),
+                    ServeSlot::Finished => {
+                        return Err(SyncError::Desync("message for a finished file"))
+                    }
+                };
+                let data = snap.file(file_idx).data;
+                Ok(ServeJob { id, session, opens, data, parts, result: Err(JOB_LOST) })
+            })
+            .collect()
     }
 
     /// A frame arrived during the linger (`None`: it failed its CRC).
@@ -894,6 +1008,7 @@ impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::arq::encode_arq_frame_into;
     use super::*;
     use crate::pipeline::decode_batch;
     use msync_hash::file_fingerprint;
@@ -977,6 +1092,143 @@ mod tests {
     ) -> CollectionClientMachine<'a> {
         CollectionClientMachine::new(old, cfg, usize::MAX, RetryPolicy::default(), rec, resume, 0)
             .unwrap()
+    }
+
+    /// A batch as decoded: one message per file id.
+    type Batch = Vec<(usize, Vec<Part>)>;
+
+    /// `frame` with its batch rewritten by `edit`, at the same ARQ
+    /// sequence, so the peer machine takes it as the next message.
+    fn tampered(frame: &FrameBuf, edit: fn(&mut Batch)) -> FrameBuf {
+        let arq = parse_frame(frame).expect("well-formed frame");
+        let mut batch = decode_batch(&arq.part.payload).expect("a batch frame");
+        edit(&mut batch);
+        let part = Part { phase: arq.part.phase, payload: encode_batch(&batch).into() };
+        let mut buf = Vec::new();
+        encode_arq_frame_into(&mut buf, arq.seq, arq.idx, arq.more, &part);
+        buf.into()
+    }
+
+    /// Entry `i` of `batch` once more, at the end.
+    fn repeat_entry(batch: &mut Batch, i: usize) {
+        let (id, parts) = &batch[i];
+        let parts = parts.iter().map(|p| Part { phase: p.phase, payload: p.payload.share() });
+        let again = (*id, parts.collect());
+        batch.push(again);
+    }
+
+    /// Three edited files, and a client and a server for them that have
+    /// exchanged rosters; returns the client's first batch frame.
+    fn first_batch<'a>(
+        old: &'a [FileEntry],
+        cfg: &'a ProtocolConfig,
+        snap: &CollectionSnapshot,
+    ) -> (CollectionClientMachine<'a>, CollectionServeMachine, FrameBuf) {
+        let mut client = client(old, cfg, Recorder::off(), None);
+        let mut server =
+            CollectionServeMachine::new(cfg, RetryPolicy::default(), Recorder::off(), 0).unwrap();
+        for (frame, _) in transmissions(&mut client).1 {
+            server.on_frame(snap, &frame, 0).expect("server takes the roster");
+        }
+        for (frame, _) in transmissions(&mut server).1 {
+            client.on_frame(&(), &frame, 0).expect("client takes the roster");
+        }
+        let mut batch = transmissions(&mut client).1;
+        assert_eq!(batch.len(), 1, "one batch frame");
+        let (frame, _) = batch.remove(0);
+        (client, server, frame)
+    }
+
+    fn three_edited_files() -> (Vec<FileEntry>, Vec<FileEntry>) {
+        let old: Vec<FileEntry> =
+            (0..3).map(|i| FileEntry::new(format!("f{i}"), blob(4_000, 90 + i))).collect();
+        let new = old.iter().map(|f| FileEntry::new(f.name.clone(), edited(&f.data))).collect();
+        (old, new)
+    }
+
+    /// A runner for batches that must be refused before any job runs.
+    fn no_job_may_run(_: &mut [&mut dyn Job]) {
+        panic!("a job of a refused batch ran");
+    }
+
+    #[test]
+    fn server_refuses_a_batch_naming_a_file_twice_or_out_of_range() {
+        let (old, new) = three_edited_files();
+        let cfg = ProtocolConfig::default();
+        let snap = CollectionSnapshot::new(new);
+        let cases: [(fn(&mut Batch), &str); 3] = [
+            (|b| repeat_entry(b, 0), "batch names a file twice"),
+            (|b| b[1].0 = 3, "batch id out of range"),
+            (|b| b[2].0 = 1 << 19, "batch id out of range"),
+        ];
+        for (edit, refusal) in cases {
+            let (_client, mut server, frame) = first_batch(&old, &cfg, &snap);
+            server.set_runner(no_job_may_run);
+            let got = server.on_frame(&snap, &tampered(&frame, edit), 0);
+            assert_eq!(got, Err(SyncError::Desync(refusal)));
+            assert_eq!(server.outcome(3, TrafficStats::new()).sessions, 0, "{refusal}");
+        }
+    }
+
+    #[test]
+    fn client_refuses_a_reply_that_does_not_answer_each_file_in_flight_once() {
+        let (old, new) = three_edited_files();
+        let cfg = ProtocolConfig::default();
+        let snap = CollectionSnapshot::new(new);
+        let cases: [(fn(&mut Batch), &str); 4] = [
+            (|b| repeat_entry(b, 0), "batch reply for a file not in flight"),
+            (|b| b[1].0 = 3, "batch reply for a file not in flight"),
+            (|b| b[2].0 = 1 << 19, "batch reply for a file not in flight"),
+            (|b| drop(b.pop()), "batch reply missing an in-flight file"),
+        ];
+        for (edit, refusal) in cases {
+            let (mut client, mut server, frame) = first_batch(&old, &cfg, &snap);
+            server.on_frame(&snap, &frame, 0).expect("server takes the batch");
+            let mut reply = transmissions(&mut server).1;
+            assert_eq!(reply.len(), 1, "one reply frame");
+            client.set_runner(no_job_may_run);
+            let got = client.on_frame(&(), &tampered(&reply.remove(0).0, edit), 0);
+            assert_eq!(got, Err(SyncError::Desync(refusal)));
+            assert!(client.drain_completed().is_empty(), "{refusal}");
+        }
+    }
+
+    #[test]
+    fn of_two_bad_messages_the_lower_id_fails_the_batch_under_every_runner() {
+        let (old, new) = three_edited_files();
+        let cfg = ProtocolConfig::default();
+        let snap = CollectionSnapshot::new(new);
+        // An empty request fails on its length, a truncated one on its
+        // fingerprint: files 1 and 2 each get one, in both orders.
+        fn truncated(b: &mut Batch, i: usize) {
+            let request = &mut b[i].1[0].payload;
+            *request = request.slice(0, request.len() - 1);
+        }
+        let cases: [(fn(&mut Batch), &str); 2] = [
+            (
+                |b| {
+                    b[1].1[0].payload = Vec::new().into();
+                    truncated(b, 2);
+                },
+                "request len",
+            ),
+            (
+                |b| {
+                    truncated(b, 1);
+                    b[2].1[0].payload = Vec::new().into();
+                },
+                "request fp",
+            ),
+        ];
+        let four_threads: Runner = |jobs| crate::pipeline::run_on_threads(4, jobs);
+        for (edit, error) in cases {
+            for runner in [run_in_order as Runner, four_threads] {
+                let (_client, mut server, frame) = first_batch(&old, &cfg, &snap);
+                server.set_runner(runner);
+                let got = server.on_frame(&snap, &tampered(&frame, edit), 0);
+                assert_eq!(got, Err(SyncError::Desync(error)));
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,16 @@
 //! output frames — the engine unit tests assert this.
 //!
 //! The module is I/O-free by construction and by lint: the xtask
-//! `io-discipline` rule bans `thread::spawn` and blocking
+//! `machine-discipline` rule bans `spawn`, `sleep` and blocking
 //! `recv`/`read`-family calls anywhere under `crates/core/src/engine/`.
+//!
+//! A batch's per-file session work is the one place a machine leaves a
+//! choice to its driver: each file's step is an independent [`Job`],
+//! and the machine hands a batch's jobs to an installed [`Runner`]
+//! before committing their results in wire order. The default,
+//! [`run_in_order`], runs them one after another on the caller's
+//! thread; the in-process pump installs one that spreads them over the
+//! cores.
 
 pub mod arq;
 pub mod collection;
@@ -31,6 +39,38 @@ pub use collection::{CollectionClientMachine, CollectionServeMachine, CompletedF
 
 use crate::session::SyncError;
 use msync_protocol::{FrameBuf, PhaseSplit};
+
+/// One file's share of a batch: its session's step over the message the
+/// batch carried for it. The jobs of one batch touch disjoint state, so
+/// a [`Runner`] may run them in any order and on any thread.
+pub(crate) trait Job: Send {
+    /// Run the step and keep its result for the machine's commit;
+    /// `false` when it failed, after which the batch is lost and its
+    /// later jobs need not run.
+    fn run(&mut self) -> bool;
+}
+
+/// Runs one batch's jobs, each at most once. A job that never ran (or
+/// whose thread panicked) keeps an error result, which the machine's
+/// commit reports unless an earlier job in wire order failed first.
+pub(crate) type Runner = fn(&mut [&mut dyn Job]);
+
+/// The default [`Runner`]: every job in wire order on the caller's
+/// thread, stopping at the first failure — exactly the order in which a
+/// recorder sees the sessions' events.
+pub(crate) fn run_in_order(jobs: &mut [&mut dyn Job]) {
+    for job in jobs {
+        if !job.run() {
+            return;
+        }
+    }
+}
+
+/// Hand `jobs` to `runner`.
+pub(crate) fn run_jobs<J: Job>(runner: Runner, jobs: &mut [J]) {
+    let mut jobs: Vec<&mut dyn Job> = jobs.iter_mut().map(|job| job as &mut dyn Job).collect();
+    runner(&mut jobs);
+}
 
 /// One effect requested by a machine, drained via
 /// [`Machine::poll_output`]. Effects must be executed in the order they

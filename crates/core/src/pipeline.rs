@@ -6,9 +6,12 @@
 //! drivers move their frames:
 //!
 //! * [`sync_collection`] (and [`sync_file`](crate::sync_file), a
-//!   one-entry collection) pumps both on the caller's thread, handing
+//!   one-entry collection) pumps both from the caller's thread, handing
 //!   each frame straight to the peer and charging it once to a
-//!   [`WireMeter`] — no thread, no clock, byte-stable journals;
+//!   [`WireMeter`], with no clock. Each batch's per-file session work
+//!   runs on one worker per core (scoped to that batch), its results
+//!   committed in wire order; a traced run uses one thread, so its
+//!   journal is byte-stable;
 //! * [`sync_collection_client`] / [`serve_collection`] pump one machine
 //!   each over a [`Transport`] — the in-memory [`Endpoint`] pair
 //!   ([`sync_collection_channel`]) or a TCP socket;
@@ -23,7 +26,9 @@
 //! ([`WINDOW_BUDGET_BYTES`]), not a file count. A collection that fits
 //! it runs every file's round *k* in the same exchange and pays the
 //! roundtrips of its longest session, however many files it has; a
-//! larger one pays that once per budget's worth of content.
+//! larger one pays that once per budget's worth of content. The files of
+//! a batch are processed simultaneously in the CPU's sense too when the
+//! in-process pump runs them: their session steps are independent jobs.
 //!
 //! ## Wire schedule
 //!
@@ -46,6 +51,11 @@
 //! the phases of the parts inside it, and its framing to the largest
 //! of those shares ([`PhaseSplit`]).
 
+use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::Builder;
+
 use msync_hash::{BitReader, BitWriter, Fingerprint};
 use msync_protocol::{
     frame_wire_size, ChannelError, Direction, Endpoint, FrameBuf, Phase, PhaseSplit, RetryPolicy,
@@ -59,7 +69,8 @@ use crate::engine::arq::{
     encode_arq_frame_into, parse_part_header, part_header, MAX_PARTS_PER_MESSAGE,
 };
 use crate::engine::{
-    CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output,
+    run_in_order, CollectionClientMachine, CollectionServeMachine, CompletedFile, Job, Machine,
+    Output, Runner,
 };
 use crate::resume::ResumePlan;
 use crate::session::{Part, SyncError};
@@ -559,19 +570,36 @@ pub fn sync_collection_traced(
     sync_in_process(old.iter().map(FileRef::from).collect(), &new, cfg, recorder)
 }
 
-/// Both machines on one thread: every frame either side transmits is
-/// charged once to one [`WireMeter`] and handed straight to the peer.
+/// Both machines pumped by the caller's thread: every frame either side
+/// transmits is charged once to one [`WireMeter`] and handed straight to
+/// the peer, and each batch's per-file session work runs on every core
+/// ([`run_on_cores`]), its results committed in wire order. A traced run
+/// stays on one thread, so its journal is byte-stable.
 pub(crate) fn sync_in_process(
     old: Vec<FileRef<'_>>,
     new: &[FileRef<'_>],
     cfg: &ProtocolConfig,
     recorder: &Recorder,
 ) -> Result<CollectionOutcome, SyncError> {
+    let runner: Runner = if recorder.is_enabled() { run_in_order } else { run_on_cores };
+    pump_in_process(old, new, cfg, recorder, runner)
+}
+
+/// [`sync_in_process`] with each batch's jobs run by `runner`.
+fn pump_in_process(
+    old: Vec<FileRef<'_>>,
+    new: &[FileRef<'_>],
+    cfg: &ProtocolConfig,
+    recorder: &Recorder,
+    runner: Runner,
+) -> Result<CollectionOutcome, SyncError> {
     let (retry, now) = (RetryPolicy::default(), IN_PROCESS_NOW_US);
     let mut client =
         CollectionClientMachine::new(old, cfg, usize::MAX, retry, recorder.clone(), None, now)?;
     let mut server =
         CollectionServeMachine::<[FileRef<'_>]>::new(cfg, retry, recorder.clone(), now)?;
+    client.set_runner(runner);
+    server.set_runner(runner);
     let mut meter = WireMeter::default();
     meter.set_recorder(recorder.clone());
     loop {
@@ -583,6 +611,45 @@ pub(crate) fn sync_in_process(
             }
         };
     }
+}
+
+/// The in-process [`Runner`]: one batch's jobs on every core.
+fn run_on_cores(jobs: &mut [&mut dyn Job]) {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    run_on_threads(cores, jobs);
+}
+
+/// Run `jobs` on up to `threads` threads: the caller's and
+/// `min(threads, jobs) - 1` scoped workers, all taking jobs from one
+/// shared queue. A job that panics, on any of them, loses only itself:
+/// it keeps its error result, which the machine's commit reports as a
+/// typed [`SyncError`].
+pub(crate) fn run_on_threads(threads: usize, jobs: &mut [&mut dyn Job]) {
+    let threads = threads.min(jobs.len());
+    if threads < 2 {
+        return run_in_order(jobs);
+    }
+    let queue = Mutex::new(jobs.iter_mut());
+    let work = || loop {
+        // The lock is never held across a job, so it is never poisoned
+        // by one; a poisoned queue is still a valid iterator.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(job) = next else { return };
+        job.run();
+    };
+    std::thread::scope(|s| {
+        // A worker the system cannot start leaves its share to the rest.
+        let workers: Vec<_> =
+            (1..threads).filter_map(|_| Builder::new().spawn_scoped(s, work).ok()).collect();
+        let _lost = std::panic::catch_unwind(AssertUnwindSafe(work));
+        for worker in workers {
+            // Joined here so a panic stays lost with its job instead of
+            // resurfacing from the scope.
+            let _lost = worker.join();
+        }
+    });
 }
 
 /// Drain `from`'s effects, charging each frame it transmits to `meter`
@@ -893,6 +960,72 @@ mod tests {
         assert_eq!(out.unchanged, 1);
         assert_eq!(srv.sessions, 1);
         assert_eq!(out.files[0].data, body);
+    }
+
+    /// Four threads whatever the box has, so the threaded runner really
+    /// interleaves jobs in the tests below.
+    fn four_threads(jobs: &mut [&mut dyn Job]) {
+        run_on_threads(4, jobs);
+    }
+
+    #[test]
+    fn a_panicking_job_loses_only_itself() {
+        struct Step {
+            panics: bool,
+            ran: bool,
+        }
+        impl Job for Step {
+            fn run(&mut self) -> bool {
+                assert!(!self.panics, "this job panics");
+                self.ran = true;
+                true
+            }
+        }
+        let mut steps: Vec<Step> = (0..9).map(|i| Step { panics: i == 3, ran: false }).collect();
+        let mut jobs: Vec<&mut dyn Job> = steps.iter_mut().map(|s| s as &mut dyn Job).collect();
+        four_threads(&mut jobs);
+        let ran: Vec<bool> = steps.iter().map(|s| s.ran).collect();
+        assert_eq!(ran, (0..9).map(|i| i != 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn threaded_runner_gives_the_outcome_of_the_sequential_one() {
+        use msync_corpus::{emacs_like, gcc_like, release_pair, web_collection, web_params};
+        let entries = |c: &msync_corpus::Collection| -> Vec<FileEntry> {
+            c.files().iter().map(|f| entry(&f.name, &f.data)).collect()
+        };
+        let pairs = [
+            release_pair(&gcc_like(0.015)),
+            release_pair(&emacs_like(0.015)),
+            web_collection(&web_params(0.003), 1),
+        ];
+        let configs = [
+            ProtocolConfig::default(),
+            ProtocolConfig::basic(128),
+            ProtocolConfig::restricted(3),
+            ProtocolConfig { start_block: 1 << 12, ..ProtocolConfig::default() },
+        ];
+        for (corpus, pair) in ["gcc", "emacs", "web"].into_iter().zip(&pairs) {
+            let (old, new) = pair.pair(0, 1);
+            let (old, new) = (entries(old), entries(new));
+            let new_refs: Vec<FileRef<'_>> = new.iter().map(FileRef::from).collect();
+            for cfg in &configs {
+                let run = |runner: Runner| {
+                    let old = old.iter().map(FileRef::from).collect();
+                    pump_in_process(old, &new_refs, cfg, &Recorder::off(), runner).unwrap()
+                };
+                let (one, four) = (run(run_in_order), run(four_threads));
+                let what = format!("{corpus} under {cfg:?}");
+                assert!(one.files.len() > 10, "{what}: a multi-file batch");
+                assert_eq!(one.files, new, "{what}");
+                assert_eq!(four.files, one.files, "{what}");
+                assert_eq!(four.traffic, one.traffic, "{what}");
+                assert_eq!(format!("{:?}", four.per_file), format!("{:?}", one.per_file), "{what}");
+                let counts =
+                    |o: &CollectionOutcome| (o.unchanged, o.created, o.deleted, o.fell_back);
+                assert_eq!(counts(&four), counts(&one), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -386,21 +386,18 @@ impl ServerSession {
         let mut w = BitWriter::new();
         for group in verify.groups() {
             let sent = r.read_bits(bits).map_err(|_| SyncError::Desync("group hash"))?;
-            let ranges: Vec<(u64, u64)> = group
-                .iter()
-                .map(|&cand| {
-                    let it = &self.items[self.candidates[cand]];
-                    (it.new_off, it.len)
-                })
-                .collect();
+            let ranges = group.iter().map(|&cand| {
+                let it = &self.items[self.candidates[cand]];
+                (it.new_off, it.len)
+            });
             let ours = match &self.cache {
-                Some(c) => c.group_hash(new, &ranges, bits),
+                Some(c) => c.group_hash(new, &ranges.collect::<Vec<_>>(), bits),
                 None => {
-                    let mut buf = Vec::new();
-                    for &(off, len) in &ranges {
-                        buf.extend_from_slice(&new[off as usize..(off + len) as usize]);
+                    let mut md5 = Md5::new();
+                    for (off, len) in ranges {
+                        md5.update(&new[off as usize..(off + len) as usize]);
                     }
-                    Md5::digest_bits(&buf, bits)
+                    md5.finish_bits(bits)
                 }
             };
             let passed = ours == sent;
@@ -750,13 +747,13 @@ impl<'a> ClientSession<'a> {
             self.verify.as_ref().ok_or(SyncError::Desync("client verify state missing"))?;
         let bits = if verify.is_trivially_done() { 0 } else { verify.batch_config().bits };
         for group in verify.groups() {
-            let mut buf = Vec::new();
+            let mut md5 = Md5::new();
             for &cand in group {
                 let c = self.candidates[cand];
                 let it = &self.items[c.item_idx];
-                buf.extend_from_slice(&self.old[c.old_pos as usize..(c.old_pos + it.len) as usize]);
+                md5.update(&self.old[c.old_pos as usize..(c.old_pos + it.len) as usize]);
             }
-            w.write_bits(Md5::digest_bits(&buf, bits), bits);
+            w.write_bits(md5.finish_bits(bits), bits);
         }
         Ok(())
     }

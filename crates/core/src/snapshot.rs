@@ -219,11 +219,11 @@ impl SessionCache {
             self.rec.record(EventKind::HashCacheHit { bytes });
             return truncate_bits(full, bits);
         }
-        let mut buf = Vec::with_capacity(bytes as usize);
+        let mut md5 = Md5::new();
         for &(off, len) in ranges {
-            buf.extend_from_slice(&new[off as usize..(off + len) as usize]);
+            md5.update(&new[off as usize..(off + len) as usize]);
         }
-        let full = Md5::digest_bits(&buf, 64);
+        let full = md5.finish_bits(64);
         self.cache.insert_group(self.key, ranges.into(), full);
         self.rec.record(EventKind::HashCacheMiss { bytes });
         truncate_bits(full, bits)

@@ -80,10 +80,11 @@ impl Md5 {
     /// Finish and produce the 16-byte digest.
     pub fn finish(mut self) -> [u8; 16] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // 0x80, then zeros up to 56 bytes into a block.
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
+        self.update(&pad[..pad_len]);
         self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
         let block = self.buf;
         self.process(&block);
@@ -106,8 +107,16 @@ impl Md5 {
     /// hashes of configurable strength are derived (paper §6.1: "for the
     /// verification hashes, we used another MD5-based hash").
     pub fn digest_bits(data: &[u8], bits: u32) -> u64 {
-        let d = Self::digest(data);
-        crate::truncate_bits(crate::u64_prefix_le(&d), bits)
+        let mut s = Self::new();
+        s.update(data);
+        s.finish_bits(bits)
+    }
+
+    /// [`Self::finish`] truncated as [`Self::digest_bits`] truncates: a
+    /// verification hash over bytes absorbed piece by piece, with no
+    /// buffer to gather them in.
+    pub fn finish_bits(self, bits: u32) -> u64 {
+        crate::truncate_bits(crate::u64_prefix_le(&self.finish()), bits)
     }
 
     fn process(&mut self, block: &[u8; 64]) {
@@ -115,27 +124,42 @@ impl Md5 {
         for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
             *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]).rotate_left(S[i]),
-            );
-            a = tmp;
+        let mut v = self.state;
+        round(&mut v, &m, 0, |b, c, d| d ^ (b & (c ^ d)), |i| i);
+        round(&mut v, &m, 1, |b, c, d| c ^ (d & (b ^ c)), |i| (5 * i + 1) % 16);
+        round(&mut v, &m, 2, |b, c, d| b ^ c ^ d, |i| (3 * i + 5) % 16);
+        round(&mut v, &m, 3, |b, c, d| c ^ (b | !d), |i| (7 * i) % 16);
+        for (s, v) in self.state.iter_mut().zip(v) {
+            *s = s.wrapping_add(v);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
     }
+}
+
+/// The 16 steps of round `r` (0–3) with round function `f` and message
+/// schedule `g`, four at a time so each step's variables stay in place:
+/// every index, constant and rotation is known at compile time.
+#[inline(always)]
+fn round(
+    v: &mut [u32; 4],
+    m: &[u32; 16],
+    r: usize,
+    f: impl Fn(u32, u32, u32) -> u32,
+    g: impl Fn(usize) -> usize,
+) {
+    let step = |a: u32, b: u32, fv: u32, i: usize| {
+        b.wrapping_add(
+            a.wrapping_add(fv).wrapping_add(K[i]).wrapping_add(m[g(i)]).rotate_left(S[i]),
+        )
+    };
+    let [mut a, mut b, mut c, mut d] = *v;
+    for j in 0..4 {
+        let i = r * 16 + 4 * j;
+        a = step(a, b, f(b, c, d), i);
+        d = step(d, a, f(a, b, c), i + 1);
+        c = step(c, d, f(d, a, b), i + 2);
+        b = step(b, c, f(c, d, a), i + 3);
+    }
+    *v = [a, b, c, d];
 }
 
 #[cfg(test)]
@@ -190,6 +214,35 @@ mod tests {
                 s.finish()
             });
         }
+    }
+
+    #[test]
+    fn padding_lengths_match_reference_digests() {
+        // Every way the final block can end: before, at and past the
+        // 56-byte length field, at a block edge, and one block later.
+        for (len, want) in [
+            (55, "ef1772b6dff9a122358552954ad0df65"),
+            (56, "3b0c8ac703f828b04c6c197006d17218"),
+            (57, "652b906d60af96844ebd21b674f35e93"),
+            (63, "b06521f39153d618550606be297466d5"),
+            (64, "014842d480b571495a4a0363793f7367"),
+            (65, "c743a45e0d2e6a95cb859adae0248435"),
+            (119, "8a7bd0732ed6a28ce75f6dabc90e1613"),
+            (120, "5f61c0ccad4cac44c75ff505e1f1e537"),
+        ] {
+            assert_eq!(hex(Md5::digest(&vec![b'a'; len])), want, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn finish_bits_over_pieces_is_digest_bits_of_their_concatenation() {
+        let data: Vec<u8> = (0..5_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let pieces = [&data[..13], &data[100..190], &data[1_000..1_064], &data[4_000..]];
+        let mut s = Md5::new();
+        for piece in pieces {
+            s.update(piece);
+        }
+        assert_eq!(s.finish_bits(37), Md5::digest_bits(&pieces.concat(), 37));
     }
 
     #[test]

@@ -20,6 +20,9 @@ cargo build --release
 echo "==> benchmark build (outside the workspace; a public-API deletion must not break it)"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark unit tests"
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo doc (a doc link to a deleted public item is an error)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline -q
 
