@@ -1,8 +1,9 @@
-//! Experiment runner: regenerates every table and figure of the paper.
+//! Experiment runner: regenerates every table and figure of the paper's
+//! §6, and the extensions measured beside them.
 //!
 //! ```text
 //! exp <id> [--scale S] [--json]
-//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines broadcast recon window all
+//! ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines recon window all
 //! ```
 
 use std::process::ExitCode;
@@ -68,7 +69,6 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
         "ablation" => vec![exp::ablation(s_src)],
         "restricted" => vec![exp::restricted(s_src)],
         "baselines" => vec![exp::baselines(s_src)],
-        "broadcast" => vec![exp::broadcast(s_src)],
         "recon" => vec![exp::recon(s_web * 5.0)],
         "window" => vec![exp::window(s_src)],
         "all" => vec![
@@ -81,7 +81,6 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
             exp::ablation(s_src),
             exp::restricted(s_src),
             exp::baselines(s_src),
-            exp::broadcast(s_src),
             exp::recon(s_web * 5.0),
             exp::window(s_src),
         ],
@@ -90,7 +89,7 @@ fn run(id: &str, scale: Option<f64>) -> Result<Vec<Report>, String> {
 }
 
 const USAGE: &str = "usage: exp <id> [--scale S] [--json]\n\
-    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines broadcast recon window all\n\
+    ids: fig6-1 fig6-2 fig6-3 fig6-4 table6-1 table6-2 ablation restricted baselines recon window all\n\
     scale: corpus size fraction (1.0 = the paper's full size)";
 
 // Hand-rolled JSON: a report is strings in two levels of arrays, and

@@ -458,56 +458,6 @@ pub fn baselines(scale: f64) -> Report {
     }
 }
 
-/// Extension: broadcast synchronization (paper §7's asymmetric case) —
-/// cost vs client count when all clients are stale on the same region
-/// (the CDN-fill scenario), broadcast downlink vs N unicast sessions.
-pub fn broadcast(scale: f64) -> Report {
-    use msync_core::broadcast::sync_broadcast;
-    use msync_corpus::Rng;
-
-    let size = ((600_000.0 * scale) as usize).max(20_000);
-    let new = msync_corpus::text::source_file(&mut Rng::seed_from_u64(71), size);
-    let cfg = ProtocolConfig { min_block_global: 64, ..ProtocolConfig::default() };
-
-    let mut rows = Vec::new();
-    for &n_clients in &[1usize, 2, 4, 8, 16] {
-        let mut olds: Vec<Vec<u8>> = Vec::new();
-        for i in 0..n_clients as u64 {
-            let mut o = new.clone();
-            let at = size / 3;
-            o.splice(
-                at..at + 600,
-                msync_corpus::text::source_file(&mut Rng::seed_from_u64(500 + i), 500),
-            );
-            olds.push(o);
-        }
-        let refs: Vec<&[u8]> = olds.iter().map(|o| o.as_slice()).collect();
-        let out = sync_broadcast(&new, &refs, &cfg).expect("broadcast sync succeeds");
-        for r in &out.reconstructed {
-            assert_eq!(r, &new);
-        }
-        rows.push(ReportRow {
-            label: format!("{n_clients} client(s)"),
-            cells: vec![
-                kb(out.shared_s2c),
-                kb(out.individual_s2c + out.c2s),
-                kb(out.broadcast_total()),
-                kb(out.unicast_total),
-                format!("{:.2}x", out.unicast_total as f64 / out.broadcast_total() as f64),
-            ],
-        });
-    }
-    Report {
-        id: "broadcast".into(),
-        title: "broadcast vs N-way unicast, common stale region (one file)".into(),
-        columns: ["clients", "shared KB", "individual KB", "broadcast KB", "unicast KB", "saving"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-        notes: vec![format!("file {} KB (scale {scale})", size / 1024)],
-    }
-}
-
 /// Extension: changed-file identification strategies (paper §4 related
 /// work, which the paper sidesteps with a flat fingerprint exchange) —
 /// setup cost vs number of changed files in a 10,000-page collection.

@@ -244,10 +244,11 @@ pub fn announced_len(delta: &[u8]) -> Result<u64, DeltaError> {
 /// Decode a delta produced by [`encode`] against the same `reference`.
 pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
     let mut r = BitReader::new(delta);
-    let target_len = r.read_varint().map_err(|_| DeltaError::Corrupt)? as usize;
-    if target_len > (1 << 32) {
+    let target_len = r.read_varint().map_err(|_| DeltaError::Corrupt)?;
+    if target_len > crate::MAX_STREAM_LEN {
         return Err(DeltaError::Corrupt);
     }
+    let target_len = target_len as usize;
     let fixed_mode = r.read_bit().map_err(|_| DeltaError::Corrupt)?;
     let (op_dec, addr_dec) = if fixed_mode {
         let (fop, faddr) = fixed_codes();

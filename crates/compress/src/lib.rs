@@ -23,6 +23,11 @@ pub mod lz;
 pub mod lz77;
 pub mod vcdiff;
 
+/// The longest output any decoder here accepts: 4 GiB. A stream whose
+/// header announces more is corrupt, and a protocol peer that announces
+/// a longer file could never deliver it.
+pub const MAX_STREAM_LEN: u64 = 1 << 32;
+
 pub use delta::{decode as delta_decode, delta_size, encode as delta_encode, DeltaError};
 pub use lz::{compress, decompress, LzError};
 pub use vcdiff::{decode as vcdiff_decode, encode as vcdiff_encode, VcdiffError};

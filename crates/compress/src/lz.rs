@@ -181,11 +181,12 @@ pub fn announced_len(input: &[u8]) -> Result<u64, LzError> {
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
     let mut r = BitReader::new(input);
-    let orig_len = r.read_varint().map_err(|_| LzError::Corrupt)? as usize;
+    let orig_len = r.read_varint().map_err(|_| LzError::Corrupt)?;
     // Guard against absurd lengths from corrupt headers.
-    if orig_len > (1 << 32) {
+    if orig_len > crate::MAX_STREAM_LEN {
         return Err(LzError::Corrupt);
     }
+    let orig_len = orig_len as usize;
     let compressed = r.read_bit().map_err(|_| LzError::Corrupt)?;
     if !compressed {
         return r.read_bytes(orig_len).map_err(|_| LzError::Corrupt);

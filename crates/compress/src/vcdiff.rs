@@ -126,7 +126,7 @@ pub fn encode(reference: &[u8], target: &[u8]) -> Vec<u8> {
 pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, VcdiffError> {
     let mut pos = 0usize;
     let target_len_raw = read_leb(delta, &mut pos)?;
-    if target_len_raw > (1 << 32) {
+    if target_len_raw > crate::MAX_STREAM_LEN {
         return Err(VcdiffError::Corrupt);
     }
     let target_len = usize::try_from(target_len_raw).map_err(|_| VcdiffError::Corrupt)?;

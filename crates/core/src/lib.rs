@@ -47,7 +47,6 @@
 #![deny(missing_docs)]
 
 pub mod apply;
-pub mod broadcast;
 pub mod collection;
 pub mod config;
 pub mod coverage;
@@ -64,7 +63,6 @@ pub mod stats;
 pub mod verify;
 
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
-pub use broadcast::{sync_broadcast, BroadcastOutcome};
 pub use collection::{sync_collection_with, CollectionOutcome, FileEntry, FileRef, ReconStrategy};
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
 pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};

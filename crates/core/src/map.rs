@@ -141,17 +141,6 @@ impl FileMap {
         }
         out
     }
-
-    /// Build the same reference string from the *new* file — the server's
-    /// construction. Byte-identical to [`Self::reference_from_old`]
-    /// whenever every confirmed match is true.
-    pub fn reference_from_new(&self, new: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.known_bytes() as usize);
-        for s in &self.segments {
-            out.extend_from_slice(&new[s.new_off as usize..s.new_end() as usize]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -202,10 +191,11 @@ mod tests {
         let mut m = FileMap::new();
         m.insert(Segment { new_off: 2, old_off: 4, len: 4 });
         m.insert(Segment { new_off: 10, old_off: 12, len: 4 });
+        // The client's reference is exactly the mapped bytes of the new
+        // file, in new-file order.
         let from_old = m.reference_from_old(&old);
-        let from_new = m.reference_from_new(&new);
         assert_eq!(from_old, b"BBBBDDDD");
-        assert_eq!(from_old, from_new);
+        assert_eq!(from_old, [&new[2..6], &new[10..14]].concat());
     }
 
     #[test]

@@ -521,6 +521,11 @@ impl<'a> ClientSession<'a> {
                         });
                     }
                     self.new_len = r.read_varint().map_err(|_| SyncError::Desync("new len"))?;
+                    // No stream could deliver a longer file, and the map
+                    // rounds would enumerate items over all of it.
+                    if self.new_len > msync_compress::MAX_STREAM_LEN {
+                        return Err(SyncError::Desync("new len beyond the stream limit"));
+                    }
                     self.new_fp = r.read_bytes(16).map_err(|_| SyncError::Desync("new fp"))?;
                     self.state = CState::AwaitSection;
                 }
@@ -924,11 +929,20 @@ mod digest_batch_tests {
     }
 }
 
-/// A lying server cannot make the client allocate past the length the
-/// setup reply announced.
+/// A lying server cannot announce a file longer than any stream can
+/// carry, nor make the client allocate past the length it announced.
 #[cfg(test)]
 mod hostile_server_tests {
     use super::*;
+
+    /// A setup reply announcing a changed file of `new_len` bytes.
+    fn setup_part(new_len: u64) -> Part {
+        let mut setup = BitWriter::new();
+        setup.write_bit(false);
+        setup.write_varint(new_len);
+        setup.write_bytes(&[0; 16]);
+        Part { phase: Phase::Setup, payload: setup.into_bytes().into() }
+    }
 
     /// A client session past its setup reply, which announced a
     /// changed file of `new_len` bytes.
@@ -938,13 +952,19 @@ mod hostile_server_tests {
         new_len: u64,
     ) -> ClientSession<'a> {
         let mut client = ClientSession::new(old, cfg);
-        let mut setup = BitWriter::new();
-        setup.write_bit(false);
-        setup.write_varint(new_len);
-        setup.write_bytes(&[0; 16]);
-        let part = Part { phase: Phase::Setup, payload: setup.into_bytes().into() };
-        assert!(matches!(client.handle(vec![part]), Ok(ClientAction::Reply(r)) if r.is_empty()));
+        let reply = client.handle(vec![setup_part(new_len)]);
+        assert!(matches!(reply, Ok(ClientAction::Reply(r)) if r.is_empty()));
         client
+    }
+
+    #[test]
+    fn setup_announcing_more_than_any_stream_is_a_desync() {
+        let cfg = ProtocolConfig::default();
+        let mut client = ClientSession::new(b"old bytes", &cfg);
+        match client.handle(vec![setup_part(1 << 40)]) {
+            Err(SyncError::Desync(what)) => assert!(what.contains("new len"), "{what}"),
+            other => panic!("expected a typed desync, got {:?}", other.map(|_| ())),
+        }
     }
 
     /// A delta section (tag 0) whose stream header announces `len`.

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod inplace;
 pub mod matcher;
 pub mod optimal;
 pub mod reconstruct;

@@ -29,6 +29,11 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline 
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> examples (each runs to completion; a panicking example fails the gate)"
+for example in quickstart release_upgrade web_mirror tune_protocol custom_transport; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 echo "==> paper tables (exp all == experiments_output.txt; regenerate the archive in the commit that moves a table)"
 cargo run --release -q -p msync-bench --bin exp -- all > experiments_output.txt
 git diff --exit-code experiments_output.txt

@@ -24,7 +24,8 @@
 //! * [`core`] — the paper's contribution: two-phase (map construction +
 //!   delta) multi-round synchronization, with recursive block splitting,
 //!   group-testing match verification, continuation hashes, and
-//!   decomposable hash functions.
+//!   decomposable hash functions, run by the two collection machines
+//!   that every driver — in-process, channel, daemon — pumps.
 //! * [`cdc`] — an LBFS-style content-defined-chunking synchronizer,
 //!   a related-work baseline.
 //! * [`recon`] — changed-file identification (Merkle difference and

@@ -380,19 +380,6 @@ mod extensions {
     }
 
     #[test]
-    fn inplace_matches_out_of_place() {
-        for_cases(0x65787432, 32, |rng| {
-            let (old, new) = edited_pair(rng, 4096);
-            let sigs = msync::rsync::Signatures::compute(&old, 128);
-            let tokens = msync::rsync::matcher::match_tokens(&new, &sigs);
-            let expected = msync::rsync::reconstruct::apply(&old, &sigs, &tokens).unwrap();
-            let mut buf = old.clone();
-            msync::rsync::inplace::apply_inplace(&mut buf, &sigs, &tokens).unwrap();
-            assert_eq!(buf, expected);
-        });
-    }
-
-    #[test]
     fn channel_sync_reconstructs_exactly() {
         let cfg = ProtocolConfig {
             start_block: 1 << 10,
@@ -412,9 +399,9 @@ mod extensions {
 }
 
 /// Structural invariants of the shared interval machinery and the
-/// broadcast variant's exactness.
+/// changed-file reconciliation strategies.
 mod structures {
-    use super::{edited_pair, for_cases};
+    use super::for_cases;
     use msync::core::coverage::Coverage;
 
     #[test]
@@ -450,29 +437,6 @@ mod structures {
                 assert_eq!(c.contains(probe * 16, 16), inside);
                 assert_eq!(c.is_free(probe * 16, 16), !inside);
             }
-        });
-    }
-
-    #[test]
-    fn broadcast_reconstructs_for_all_clients() {
-        for_cases(0x73747232, 32, |rng| {
-            // Two clients: one with the generated old version, one with a
-            // further perturbation of it.
-            let (old_a, new) = edited_pair(rng, 4096);
-            let mut old_b = old_a.clone();
-            if !old_b.is_empty() {
-                let at = rng.gen_range(0..old_b.len());
-                old_b[at] ^= 0xA5;
-            }
-            let cfg = msync::core::ProtocolConfig {
-                start_block: 1 << 10,
-                min_block_global: 32,
-                ..Default::default()
-            };
-            let refs: Vec<&[u8]> = vec![&old_a, &old_b];
-            let out = msync::core::sync_broadcast(&new, &refs, &cfg).unwrap();
-            assert_eq!(out.reconstructed[0], new);
-            assert_eq!(out.reconstructed[1], new);
         });
     }
 
