@@ -1,6 +1,6 @@
 //! Wire-cost measurement of every method the paper compares.
 
-use msync_core::{roster_frame_bytes, sync_collection, FileEntry, ProtocolConfig};
+use msync_core::{roster_frame_bytes, sync_collection, FileEntry, FileRef, ProtocolConfig};
 use msync_corpus::Collection;
 use msync_protocol::Phase;
 
@@ -72,8 +72,8 @@ impl Method {
     }
 }
 
-fn names(c: &Collection) -> Vec<&str> {
-    c.files().iter().map(|f| f.name.as_str()).collect()
+fn refs(c: &Collection) -> Vec<FileRef<'_>> {
+    c.files().iter().map(|f| FileRef { name: &f.name, data: &f.data }).collect()
 }
 
 fn entries(c: &Collection) -> Vec<FileEntry> {
@@ -88,15 +88,16 @@ fn entries(c: &Collection) -> Vec<FileEntry> {
 /// unchanged files are still skipped (any such tool would be driven by a
 /// file-level change detector; the paper's Table 6.2 assumes the same).
 ///
-/// Every method is charged the collection's roster exchange: whatever
-/// moves the bytes, both sides first have to agree which files exist.
-/// msync's wire traffic already contains the two roster frames; the
-/// baselines, measured file by file, get the same frames added here.
-/// Roundtrips stay per-method.
+/// Every method is charged the server's roster: whatever moves the
+/// bytes, the client first has to learn which files exist and which of
+/// them changed, and the roster's 16-byte fingerprints are what skips
+/// an unchanged file. msync's wire traffic already contains the roster
+/// frame; the baselines, measured file by file, get the same frame
+/// added here. Roundtrips stay per-method.
 pub fn measure(old: &Collection, new: &Collection, method: &Method) -> Cost {
     let mut cost = measure_files(old, new, method);
     if !matches!(method, Method::Msync(_)) {
-        cost.setup += roster_frame_bytes(&names(old)) + roster_frame_bytes(&names(new));
+        cost.setup += roster_frame_bytes(&refs(new));
     }
     cost
 }
@@ -177,8 +178,7 @@ fn delta_cost(old: &Collection, new: &Collection, size: impl Fn(&[u8], &[u8]) ->
     let empty: Vec<u8> = Vec::new();
     for nf in new.files() {
         let old_data = old.get(&nf.name).map(|f| f.data.as_slice());
-        // 16-byte fingerprint to detect unchanged files, as everywhere.
-        cost.setup += 17;
+        // The roster's fingerprint skips an unchanged file.
         if old_data == Some(nf.data.as_slice()) {
             continue;
         }

@@ -8,7 +8,7 @@
 //! reproduction targets, recorded in EXPERIMENTS.md.
 
 use crate::cost::{measure, Method};
-use msync_core::{BatchConfig, ProtocolConfig, VerifyStrategy};
+use msync_core::{sync_collection, BatchConfig, FileEntry, ProtocolConfig, VerifyStrategy};
 use msync_corpus::{emacs_like, gcc_like, release_pair, web_collection, web_params, Collection};
 
 /// A rendered experiment: a title, column headers, and labeled rows.
@@ -78,8 +78,8 @@ fn kb(bytes: u64) -> String {
 }
 
 /// A corpus collection as the entries the collection drivers take.
-fn entries(c: &Collection) -> Vec<msync_core::FileEntry> {
-    c.files().iter().map(|f| msync_core::FileEntry::new(f.name.clone(), f.data.clone())).collect()
+fn entries(c: &Collection) -> Vec<FileEntry> {
+    c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
 }
 
 /// The minimum block sizes Figures 6.1/6.2 sweep.
@@ -458,12 +458,13 @@ pub fn baselines(scale: f64) -> Report {
     }
 }
 
-/// Extension: changed-file identification strategies (paper §4 related
-/// work, which the paper sidesteps with a flat fingerprint exchange) —
-/// setup cost vs number of changed files in a 10,000-page collection.
+/// Extension: what settling unchanged files costs on the wire — the
+/// roster's setup bytes against the number of changed files in a
+/// 10,000-page collection (paper §4 related work; the paper itself
+/// ships every fingerprint, "efficient enough for our data sets").
 pub fn recon(scale: f64) -> Report {
-    use msync_core::{sync_collection_with, FileEntry, ReconStrategy};
     use msync_corpus::Rng;
+    use msync_protocol::Phase;
 
     let n = ((10_000.0 * scale) as usize).max(64);
     let mut old: Vec<FileEntry> = Vec::new();
@@ -484,24 +485,20 @@ pub fn recon(scale: f64) -> Report {
             let at = f.data.len() / 2;
             f.data[at] ^= 0x5A;
         }
-        let mut cells = Vec::new();
-        for strategy in [ReconStrategy::Flat, ReconStrategy::Merkle, ReconStrategy::GroupTesting] {
-            let out = sync_collection_with(&old, &new, &cfg, strategy).expect("sync succeeds");
-            let setup = out.traffic.c2s(msync_protocol::Phase::Setup)
-                + out.traffic.s2c(msync_protocol::Phase::Setup);
-            cells.push(kb(setup));
-        }
-        let out =
-            sync_collection_with(&old, &new, &cfg, ReconStrategy::Merkle).expect("sync succeeds");
-        cells.push(kb(out.traffic.total_bytes()));
+        let out = sync_collection(&old, &new, &cfg).expect("sync succeeds");
+        assert_eq!(out.unchanged, n - d, "{d} changed: every other file settles on the roster");
+        let t = &out.traffic;
+        let cells = vec![
+            kb(t.c2s(Phase::Setup) + t.s2c(Phase::Setup)),
+            kb(t.total_bytes()),
+            t.roundtrips.to_string(),
+        ];
         rows.push(ReportRow { label: format!("{d} changed"), cells });
     }
     Report {
         id: "recon".into(),
-        title: format!("changed-file identification over {n} files (setup KB)"),
-        columns: ["changes", "flat KB", "merkle KB", "group-test KB", "merkle total KB"]
-            .map(String::from)
-            .to_vec(),
+        title: format!("changed-file identification over {n} files, on the wire (setup KB)"),
+        columns: ["changes", "setup KB", "total KB", "rt"].map(String::from).to_vec(),
         rows,
         notes: vec![format!("collection scale {scale}; 4 KB pages")],
     }

@@ -23,7 +23,8 @@ pub enum Command {
         config: ConfigSource,
         /// Also run rsync / CDC / zdelta for comparison.
         compare: bool,
-        /// Write the reconstructed files under this directory.
+        /// Write the reconstructed files under this directory (remote:
+        /// each one atomically as it completes).
         write: Option<PathBuf>,
         /// Run over a deterministically faulty channel with this
         /// profile (see `msync_protocol::fault::PROFILE_NAMES`).
@@ -41,14 +42,6 @@ pub enum Command {
         fault_wrap: bool,
         /// Write a JSONL trace journal of the run to this file.
         trace_out: Option<PathBuf>,
-        /// Keep durable session state (checkpoint journal + metadata
-        /// cache) in this directory across remote syncs.
-        state_dir: Option<PathBuf>,
-        /// Offer the last interrupted run's checkpoint to the daemon
-        /// so confirmed files skip their sessions.
-        resume: bool,
-        /// Ignore the metadata cache when building the resume offer.
-        no_cache: bool,
         /// Which of the daemon's collections to sync (remote only);
         /// `None` means the daemon's default collection.
         collection: Option<String>,
@@ -160,7 +153,7 @@ USAGE:
     msync sync <OLD> --remote ADDR [--collection NAME]
                [--config FILE | --preset NAME] [--write DIR]
                [--pipeline-depth N] [--fault-profile NAME --fault-wrap] [--fault-seed N]
-               [--trace-out FILE] [--state-dir DIR [--resume] [--no-cache]]
+               [--trace-out FILE]
     msync serve [ROOT] [--collection NAME=PATH]... [--registry-dir DIR]
                 [--listen ADDR] [--metrics-out FILE] [--workers N]
                 [--max-sessions N] [--slow-session-ms N]
@@ -204,14 +197,13 @@ re-read that collection's source tree from disk and swap it in
 atomically: in-flight sessions finish against the snapshot they
 started with, new sessions see the new tree.
 
-Durability: --state-dir DIR (remote syncs with --write) keeps a
-checkpoint journal and a file-metadata cache in DIR. Every completed
-file is applied atomically (temp + fsync + rename) and checkpointed
-before the session moves on; after a crash, rerun with --resume to
-offer the checkpoint to the daemon — confirmed files skip their
-sessions entirely. The metadata cache makes repeat syncs of an
-unchanged tree exchange only the roster; --no-cache disables it for
-one run.
+Durability: a remote sync with --write DIR first sweeps DIR of temp
+files a crashed run left, then applies every file atomically (temp +
+fsync + rename) the moment it completes. After a crash, simply rerun:
+the daemon's roster carries every file's fingerprint, so each file the
+killed run applied is found unchanged and skips its session. With
+--write OLD, unchanged files are not rewritten. A repeat sync of an
+unchanged tree exchanges only the roster.
 
 Observability: `msync sync ... --trace-out run.jsonl` writes one JSON
 object per trace event (frame charges, map rounds, faults, sessions —
@@ -256,9 +248,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             let mut pipeline_depth: Option<usize> = None;
             let mut fault_wrap = false;
             let mut trace_out: Option<PathBuf> = None;
-            let mut state_dir: Option<PathBuf> = None;
-            let mut resume = false;
-            let mut no_cache = false;
             let mut collection: Option<String> = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -305,12 +294,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                         trace_out =
                             Some(PathBuf::from(it.next().ok_or("--trace-out needs a file path")?))
                     }
-                    "--state-dir" if sub == "sync" => {
-                        state_dir =
-                            Some(PathBuf::from(it.next().ok_or("--state-dir needs a directory")?))
-                    }
-                    "--resume" if sub == "sync" => resume = true,
-                    "--no-cache" if sub == "sync" => no_cache = true,
                     "--collection" if sub == "sync" => {
                         let name = it.next().ok_or("--collection needs a name")?.clone();
                         msync_net::validate_collection_name(&name).map_err(|reason| {
@@ -358,25 +341,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 if fault_wrap && fault_profile.is_none() {
                     return Err("--fault-wrap needs a --fault-profile to wrap".into());
                 }
-                if state_dir.is_some() {
-                    if remote.is_none() {
-                        return Err("--state-dir only applies to --remote syncs".into());
-                    }
-                    if write.is_none() {
-                        return Err("--state-dir needs --write DIR: durable state \
-                                    checkpoints files applied to disk"
-                            .into());
-                    }
-                } else {
-                    if resume {
-                        return Err(
-                            "--resume needs --state-dir DIR to read the checkpoint from".into()
-                        );
-                    }
-                    if no_cache {
-                        return Err("--no-cache only matters with --state-dir DIR".into());
-                    }
-                }
                 Command::Sync {
                     old,
                     new,
@@ -389,9 +353,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     pipeline_depth,
                     fault_wrap,
                     trace_out,
-                    state_dir,
-                    resume,
-                    no_cache,
                     collection,
                 }
             } else {
@@ -644,9 +605,6 @@ mod tests {
                 pipeline_depth,
                 fault_wrap,
                 trace_out,
-                state_dir,
-                resume,
-                no_cache,
                 collection,
             } => {
                 assert_eq!(old, PathBuf::from("a"));
@@ -660,9 +618,6 @@ mod tests {
                 assert_eq!(pipeline_depth, None);
                 assert!(!fault_wrap);
                 assert!(trace_out.is_none());
-                assert!(state_dir.is_none());
-                assert!(!resume);
-                assert!(!no_cache);
                 assert!(collection.is_none());
             }
             other => panic!("wrong command {other:?}"),
@@ -671,40 +626,15 @@ mod tests {
 
     #[test]
     fn durability_flags_parse_and_validate() {
-        let cli = parse(&[
-            "sync",
-            "m",
-            "--remote",
-            "h:1",
-            "--write",
-            "out",
-            "--state-dir",
-            ".msync",
-            "--resume",
-            "--no-cache",
-        ])
-        .unwrap();
+        // Durability needs no flag of its own: --write applies as files
+        // complete, and a rerun's roster skips what was applied.
+        let cli = parse(&["sync", "m", "--remote", "h:1", "--write", "m"]).unwrap();
         match cli.command {
-            Command::Sync { state_dir, resume, no_cache, .. } => {
-                assert_eq!(state_dir, Some(PathBuf::from(".msync")));
-                assert!(resume);
-                assert!(no_cache);
-            }
+            Command::Sync { write, .. } => assert_eq!(write, Some(PathBuf::from("m"))),
             other => panic!("wrong command {other:?}"),
         }
-        // Durable state is a remote-sync feature and needs a write dir.
-        assert!(parse(&["sync", "a", "b", "--state-dir", "s"]).unwrap_err().contains("--remote"));
-        assert!(parse(&["sync", "m", "--remote", "h:1", "--state-dir", "s"])
-            .unwrap_err()
-            .contains("--write"));
-        // --resume / --no-cache without state are meaningless.
-        assert!(parse(&["sync", "m", "--remote", "h:1", "--resume"])
-            .unwrap_err()
-            .contains("--state-dir"));
-        assert!(parse(&["sync", "m", "--remote", "h:1", "--no-cache"])
-            .unwrap_err()
-            .contains("--state-dir"));
-        assert!(parse(&["inspect", "a", "b", "--resume"]).is_err());
+        let err = parse(&["sync", "m", "--remote", "h:1", "--write", "m", "--resume"]).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]

@@ -3,13 +3,11 @@
 
 use crate::args::{preset_config, Cli, Command, ConfigSource, USAGE};
 use msync_core::{
-    atomic_write_file, load_checkpoint, sync_collection_channel, sync_collection_traced, sync_file,
-    AtomicApplier, CacheEntry, CheckpointLog, FileEntry, MetadataCache, ProtocolConfig, ResumePlan,
-    WINDOW_BUDGET_BYTES,
+    atomic_write_file, sync_collection_channel, sync_collection_traced, sync_file, AtomicApplier,
+    FileEntry, ProtocolConfig, WINDOW_BUDGET_BYTES,
 };
 use msync_corpus::fsload::load_dir;
 use msync_corpus::Collection;
-use msync_hash::file_fingerprint;
 use msync_protocol::LinkModel;
 use msync_trace::{render_chrome_trace, render_journal, Recorder};
 use std::fmt::Write as _;
@@ -37,18 +35,10 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             pipeline_depth,
             fault_wrap,
             trace_out,
-            state_dir,
-            resume,
-            no_cache,
             collection,
         } => match (new, remote) {
             (_, Some(addr)) => {
                 let faults = if *fault_wrap { fault_profile.as_deref() } else { None };
-                let durability = state_dir.as_deref().map(|dir| DurabilityFlags {
-                    state_dir: dir,
-                    resume: *resume,
-                    no_cache: *no_cache,
-                });
                 remote_sync_cmd(
                     old,
                     addr,
@@ -58,7 +48,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
                     *fault_seed,
                     write.as_deref(),
                     trace_out.as_deref(),
-                    durability.as_ref(),
                     collection.as_deref(),
                 )
             }
@@ -326,55 +315,6 @@ fn write_journal(
     Ok(())
 }
 
-/// The `--state-dir` flag family, present only on durable syncs.
-struct DurabilityFlags<'a> {
-    state_dir: &'a Path,
-    resume: bool,
-    no_cache: bool,
-}
-
-/// Microseconds since the epoch of a file's mtime (0 if unreadable —
-/// which can only produce a cache miss, never a wrong hit).
-fn mtime_micros(md: &fs::Metadata) -> u64 {
-    md.modified()
-        .ok()
-        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-        .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-}
-
-/// Build the resume offer for a durable sync: the interrupted run's
-/// checkpoint entries (under `--resume`) plus every old file whose
-/// size+mtime still match the metadata cache. Entries are re-verified
-/// against the local data before going on the wire, so stale state can
-/// only shrink the offer.
-fn build_resume_plan(
-    cfg: &ProtocolConfig,
-    old: &Path,
-    old_entries: &[FileEntry],
-    flags: &DurabilityFlags<'_>,
-    cache: &MetadataCache,
-) -> Result<ResumePlan, String> {
-    let mut plan = ResumePlan::new(cfg);
-    if flags.resume {
-        if let Some(cp) = load_checkpoint(&flags.state_dir.join("checkpoint.jsonl"))? {
-            if cp.config_digest == plan.config_digest {
-                for (name, digest, _round) in cp.files {
-                    plan.add(name, digest);
-                }
-            }
-        }
-    }
-    if !flags.no_cache && !cache.is_empty() {
-        for f in old_entries {
-            let Ok(md) = fs::metadata(old.join(&f.name)) else { continue };
-            if let Some(digest) = cache.lookup(&f.name, md.len(), mtime_micros(&md)) {
-                plan.add(f.name.clone(), digest);
-            }
-        }
-    }
-    Ok(plan)
-}
-
 /// `sync --remote`: pipelined collection sync against a live daemon.
 #[allow(clippy::too_many_arguments)]
 fn remote_sync_cmd(
@@ -386,10 +326,16 @@ fn remote_sync_cmd(
     fault_seed: u64,
     write: Option<&Path>,
     trace_out: Option<&Path>,
-    durability: Option<&DurabilityFlags<'_>>,
     collection: Option<&str>,
 ) -> Result<String, String> {
     let cfg = load_config(config)?;
+    // Every completed file is applied atomically the moment it
+    // completes, after sweeping the temp files a crashed run left (before
+    // OLD is read, which may be the same tree). A file the roster found
+    // unchanged is already in place when --write is OLD.
+    let applier = write.map(AtomicApplier::new);
+    let orphans = applier.as_ref().map_or(Ok(0), AtomicApplier::clean_orphans)?;
+    let in_place = write.is_some_and(|dir| same_dir(dir, old));
     let old_entries: Vec<FileEntry> = if old.exists() {
         if !old.is_dir() {
             return Err("--remote syncs directories; OLD must be a directory".into());
@@ -417,48 +363,14 @@ fn remote_sync_cmd(
         opts.fault_wrap = Some((plan, fault_seed));
     }
 
-    // Durable mode: clean up temp orphans from a crashed run, read the
-    // checkpoint and cache, offer what they prove, and journal every
-    // completed file through an atomic applier as the session runs.
-    let mut orphans = 0usize;
-    let mut cache = MetadataCache::new();
-    let mut sink: Option<(AtomicApplier, CheckpointLog)> = None;
     let mut report = String::new();
-    if let Some(flags) = durability {
-        // parse_args guarantees --state-dir comes with --write.
-        let write_dir = write.ok_or("--state-dir needs --write DIR")?;
-        fs::create_dir_all(flags.state_dir)
-            .map_err(|e| format!("cannot create {}: {e}", flags.state_dir.display()))?;
-        let applier = AtomicApplier::new(write_dir);
-        orphans = applier.clean_orphans()?;
-        if !flags.no_cache {
-            cache = MetadataCache::load(&flags.state_dir.join("cache.jsonl"))?;
-        }
-        let plan = build_resume_plan(&opts.cfg, old, &old_entries, flags, &cache)?;
-        let digest = plan.config_digest;
-        if !plan.is_empty() {
-            let _ = writeln!(
-                report,
-                "offering {} file(s) from {}",
-                plan.entries.len(),
-                if flags.resume { "checkpoint + cache" } else { "cache" }
-            );
-            opts.resume = Some(plan);
-        }
-        let log = CheckpointLog::create(&flags.state_dir.join("checkpoint.jsonl"), digest)?;
-        sink = Some((applier, log));
-    }
-
     let mut applied = 0usize;
-    let got = msync_net::sync_remote_with(addr, &old_entries, &opts, &mut |f| {
-        let Some((applier, log)) = sink.as_mut() else { return Ok(()) };
-        // Resumed files are already on disk byte-exact; rewriting them
-        // would only churn mtimes and defeat the metadata cache.
-        if !f.resumed {
-            applier.apply(&f.name, &f.data)?;
+    let got = msync_net::sync_remote_with(addr, &old_entries, &opts, &mut |f| match &applier {
+        Some(applier) if !(f.unchanged && in_place) => {
             applied += 1;
+            applier.apply(&f.name, &f.data).map(drop)
         }
-        log.append(&f.name, file_fingerprint(&f.data), f.round)
+        _ => Ok(()),
     })
     .map_err(|e| e.to_string())?;
     let out = &got.outcome;
@@ -473,11 +385,11 @@ fn remote_sync_cmd(
         human(raw),
         WINDOW_BUDGET_BYTES >> 20,
     );
-    let changed = out.files.len().saturating_sub(out.unchanged + out.created + out.resumed);
+    let changed = out.files.len().saturating_sub(out.unchanged + out.created);
     let _ = writeln!(
         report,
-        "  unchanged {} · changed {} · created {} · deleted {} · resumed {}",
-        out.unchanged, changed, out.created, out.deleted, out.resumed
+        "  unchanged {} · changed {} · created {} · deleted {}",
+        out.unchanged, changed, out.created, out.deleted
     );
     let _ = writeln!(
         report,
@@ -504,58 +416,25 @@ fn remote_sync_cmd(
         let _ = writeln!(report, "  {name}  {:.1?}", link.estimate(t));
     }
 
-    match (write, sink) {
-        // Durable mode already applied everything incrementally; the
-        // session finished, so the checkpoint has served its purpose.
-        (Some(dir), Some(_)) => {
-            let flags = durability.ok_or("durable sink without flags")?;
-            let _ = writeln!(
-                report,
-                "\nwrote {applied} file(s) under {} ({} resumed in place{})",
-                dir.display(),
-                out.resumed,
-                if orphans > 0 {
-                    format!(", {orphans} orphaned temp file(s) removed")
-                } else {
-                    String::new()
-                },
-            );
-            let checkpoint_path = flags.state_dir.join("checkpoint.jsonl");
-            fs::remove_file(&checkpoint_path)
-                .map_err(|e| format!("cannot remove {}: {e}", checkpoint_path.display()))?;
-            if !flags.no_cache {
-                for f in &out.files {
-                    let Ok(md) = fs::metadata(dir.join(&f.name)) else { continue };
-                    cache.record(
-                        f.name.clone(),
-                        CacheEntry {
-                            size: md.len(),
-                            mtime_us: mtime_micros(&md),
-                            digest: file_fingerprint(&f.data),
-                        },
-                    );
-                }
-                let cache_path = flags.state_dir.join("cache.jsonl");
-                cache.save(&cache_path)?;
-                let _ = writeln!(
-                    report,
-                    "state: {} file(s) cached in {}",
-                    cache.len(),
-                    flags.state_dir.display()
-                );
-            }
-        }
-        (Some(dir), None) => {
-            let applier = AtomicApplier::new(dir);
-            for f in &out.files {
-                applier.apply(&f.name, &f.data)?;
-            }
-            let _ = writeln!(report, "\nwrote {} file(s) under {}", out.files.len(), dir.display());
-        }
-        (None, _) => {}
+    if let Some(dir) = write {
+        let _ = writeln!(
+            report,
+            "\nwrote {applied} file(s) under {}{}",
+            dir.display(),
+            if orphans > 0 {
+                format!(" ({orphans} orphaned temp file(s) removed)")
+            } else {
+                String::new()
+            },
+        );
     }
     write_journal(&mut report, &recorder, trace_out)?;
     Ok(report)
+}
+
+/// Whether `a` and `b` name the same existing directory.
+fn same_dir(a: &Path, b: &Path) -> bool {
+    matches!((fs::canonicalize(a), fs::canonicalize(b)), (Ok(a), Ok(b)) if a == b)
 }
 
 fn load_config(source: &ConfigSource) -> Result<ProtocolConfig, String> {
@@ -959,17 +838,27 @@ mod tests {
     }
 
     #[test]
-    fn remote_sync_with_durable_state_and_warm_cache() {
-        let d = tmpdir("durable");
+    fn in_place_remote_write_leaves_unchanged_files_alone() {
+        let d = tmpdir("inplace");
         let server_dir = d.join("srv");
         let mirror = d.join("mirror");
-        let state = d.join("state");
+        let copy = d.join("copy");
         fs::create_dir_all(&server_dir).unwrap();
         fs::create_dir_all(&mirror).unwrap();
         fs::write(server_dir.join("a.txt"), b"alpha server body ".repeat(200)).unwrap();
         fs::write(server_dir.join("b.txt"), b"beta server body ".repeat(300)).unwrap();
-        // A stale temp file from a "crashed" earlier apply.
+        fs::write(mirror.join("a.txt"), b"alpha server body ".repeat(200)).unwrap();
+        fs::write(mirror.join("b.txt"), b"beta stale body ".repeat(300)).unwrap();
+        // A stale temp file from a crashed earlier apply.
         fs::write(mirror.join("a.txt.msync-tmp"), b"torn").unwrap();
+        // An mtime no rewrite could leave behind.
+        let stamp = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        fs::File::options()
+            .write(true)
+            .open(mirror.join("a.txt"))
+            .unwrap()
+            .set_modified(stamp)
+            .unwrap();
 
         let files = entries(&load_dir(&server_dir).unwrap());
         let daemon = msync_net::Daemon::spawn(
@@ -980,41 +869,31 @@ mod tests {
         )
         .unwrap();
         let addr = daemon.local_addr().to_string();
-
-        let sync_words = |extra: &[&str]| {
-            let mut words = vec![
-                "sync",
-                mirror.to_str().unwrap(),
-                "--remote",
-                &addr,
-                "--write",
-                mirror.to_str().unwrap(),
-                "--state-dir",
-                state.to_str().unwrap(),
-            ];
-            words.extend_from_slice(extra);
-            run_words(&words)
+        let sync_into = |dir: &Path| {
+            let words = ["sync", mirror.to_str().unwrap(), "--remote", &addr, "--write"];
+            let mut words = words.to_vec();
+            words.push(dir.to_str().unwrap());
+            run_words(&words).unwrap()
         };
 
-        // Cold run: everything transfers, orphan cleaned, cache written.
-        let report = sync_words(&[]).unwrap();
-        assert!(report.contains("wrote 2 file(s)"), "{report}");
-        assert!(report.contains("orphaned temp file(s) removed"), "{report}");
-        assert!(report.contains("2 file(s) cached"), "{report}");
+        // In place: only the changed file is written, the orphan swept.
+        let report = sync_into(&mirror);
+        assert!(report.contains("unchanged 1 · changed 1"), "{report}");
+        assert!(report.contains("wrote 1 file(s)"), "{report}");
+        assert!(report.contains("1 orphaned temp file(s) removed"), "{report}");
         assert!(!mirror.join("a.txt.msync-tmp").exists());
-        assert_eq!(fs::read(mirror.join("a.txt")).unwrap(), b"alpha server body ".repeat(200));
-        assert!(state.join("cache.jsonl").exists());
-        assert!(!state.join("checkpoint.jsonl").exists(), "removed on success");
+        assert_eq!(fs::read(mirror.join("b.txt")).unwrap(), b"beta server body ".repeat(300));
+        let mtime = fs::metadata(mirror.join("a.txt")).unwrap().modified().unwrap();
+        assert_eq!(mtime, stamp, "the unchanged file was rewritten");
 
-        // Warm run: the cache offers both files; both resume.
-        let report = sync_words(&[]).unwrap();
-        assert!(report.contains("offering 2 file(s)"), "{report}");
-        assert!(report.contains("resumed 2"), "{report}");
-
-        // --no-cache suppresses the offer.
-        let report = sync_words(&["--no-cache"]).unwrap();
-        assert!(!report.contains("offering"), "{report}");
-        assert!(report.contains("resumed 0"), "{report}");
+        // Now everything is unchanged: the rerun writes nothing in place,
+        // and elsewhere it writes the whole tree.
+        let report = sync_into(&mirror);
+        assert!(report.contains("unchanged 2 · changed 0"), "{report}");
+        assert!(report.contains("wrote 0 file(s)"), "{report}");
+        let report = sync_into(&copy);
+        assert!(report.contains("wrote 2 file(s)"), "{report}");
+        assert_eq!(fs::read(copy.join("a.txt")).unwrap(), b"alpha server body ".repeat(200));
         daemon.shutdown();
         fs::remove_dir_all(&d).unwrap();
     }

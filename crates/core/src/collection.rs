@@ -5,24 +5,19 @@
 //! tree) and periodically updates them all. The wire schedule lives in
 //! [`crate::pipeline`]:
 //!
-//! * file names are exchanged once, as sorted rosters, so both sides
-//!   agree which files are new, deleted, or shared,
-//! * unchanged files are skipped after the strong-fingerprint exchange
-//!   (handled inside each session),
+//! * the server's roster crosses once, up front: every name with its
+//!   length and strong 16-byte fingerprint, so the client settles which
+//!   files are new, deleted, unchanged or changed before any session
+//!   opens, and unchanged files cost nothing more,
 //! * protocol rounds are batched across files, so the *roundtrip* count
 //!   is the maximum any single file needs, not the sum — the paper's
 //!   "the roundtrip latencies are not incurred for each file since many
 //!   files can be processed simultaneously".
 //!
-//! This module holds the collection types and
-//! [`sync_collection_with`], which reconciles changed files first.
+//! This module holds the collection types.
 
-use crate::config::ProtocolConfig;
-use crate::pipeline::sync_in_process;
-use crate::session::SyncError;
 use crate::stats::SyncStats;
-use msync_protocol::{Direction, Phase, TrafficStats};
-use msync_trace::Recorder;
+use msync_protocol::TrafficStats;
 
 /// A named file in a collection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,13 +56,14 @@ impl<'a> From<&'a FileEntry> for FileRef<'a> {
 pub struct CollectionOutcome {
     /// The client's updated collection (exactly the server's).
     pub files: Vec<FileEntry>,
-    /// Wire traffic of the whole sync: the roster exchange and every
+    /// Wire traffic of the whole sync: the opener, the roster and every
     /// batch frame, framing included. `roundtrips` is the batched count.
     pub traffic: TrafficStats,
-    /// Per-file statistics for files that ran the protocol; their
-    /// `traffic` is the payload bytes of the file's own message parts.
+    /// Per-file statistics in roster order; their `traffic` is the
+    /// payload bytes of the file's own message parts, zero for a file
+    /// the roster settled unchanged.
     pub per_file: Vec<(String, SyncStats)>,
-    /// Files skipped because their fingerprints matched.
+    /// Files settled by the roster because their fingerprints matched.
     pub unchanged: usize,
     /// Files that existed only on the server (transferred whole).
     pub created: usize,
@@ -75,14 +71,12 @@ pub struct CollectionOutcome {
     pub deleted: usize,
     /// Files whose session fell back to a full transfer.
     pub fell_back: usize,
-    /// Files confirmed complete by a resume offer (checkpoint or
-    /// metadata cache) — they skipped their sessions entirely.
-    pub resumed: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProtocolConfig;
     use crate::pipeline::sync_collection;
 
     fn blob(n: usize, seed: u64) -> Vec<u8> {
@@ -206,143 +200,5 @@ mod tests {
         let (a, b) =
             (rt(&[a_old.clone()], &[a_new.clone()]), rt(&[b_old.clone()], &[b_new.clone()]));
         assert_eq!(rt(&[a_old, b_old], &[a_new, b_new]), a.max(b));
-    }
-}
-
-/// How the two sides identify changed files before any per-file session
-/// runs (paper §4's related-work problem; see `msync-recon`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconStrategy {
-    /// Ship every (name, fingerprint) pair — the paper's choice,
-    /// "efficient enough for our data sets". Linear in collection size.
-    Flat,
-    /// Merkle-difference walk: `O(d·log(n/d))` hashes for `d` changes.
-    Merkle,
-    /// Madej-style adaptive group testing over fingerprint groups.
-    GroupTesting,
-}
-
-/// Collection sync with an explicit change-identification phase: the
-/// reconciliation runs first (its bytes charged to setup), and only the
-/// differing files then sync, as one collection. With few changes in a
-/// large collection, [`ReconStrategy::Merkle`] or
-/// [`ReconStrategy::GroupTesting`] cut the setup cost from `O(n)` to
-/// `O(d·log n)`.
-///
-/// Unlike [`sync_collection`](crate::sync_collection), unchanged files
-/// cost nothing beyond the reconciliation: they never enter the
-/// roster exchange.
-pub fn sync_collection_with(
-    old: &[FileEntry],
-    new: &[FileEntry],
-    cfg: &ProtocolConfig,
-    strategy: ReconStrategy,
-) -> Result<CollectionOutcome, SyncError> {
-    use msync_recon as recon;
-
-    let items = |files: &[FileEntry]| -> Vec<recon::Item> {
-        let mut v: Vec<recon::Item> = files
-            .iter()
-            .map(|f| recon::Item {
-                name: f.name.clone(),
-                fp: msync_hash::file_fingerprint(&f.data),
-            })
-            .collect();
-        recon::canonicalize(&mut v);
-        v
-    };
-    let rec = match strategy {
-        ReconStrategy::Flat => recon::flat_exchange(&items(old), &items(new)),
-        ReconStrategy::Merkle => recon::merkle::reconcile(&items(old), &items(new)),
-        ReconStrategy::GroupTesting => recon::group_testing::reconcile(&items(old), &items(new)),
-    };
-    let differing: std::collections::HashSet<&str> =
-        rec.differing.iter().map(String::as_str).collect();
-    fn refs<'a>(files: &'a [FileEntry], keep: impl Fn(&str) -> bool) -> Vec<FileRef<'a>> {
-        files.iter().filter(|f| keep(&f.name)).map(FileRef::from).collect()
-    }
-    let new_names: std::collections::HashSet<&str> = new.iter().map(|f| f.name.as_str()).collect();
-    // Files only the client has are deleted locally; they never sync.
-    let old_refs = refs(old, |name| differing.contains(name) && new_names.contains(name));
-    let new_refs = refs(new, |name| differing.contains(name));
-    let mut out = sync_in_process(old_refs, &new_refs, cfg, &Recorder::off())?;
-
-    let mut traffic = TrafficStats::new();
-    traffic.record(Direction::ClientToServer, Phase::Setup, rec.c2s);
-    traffic.record(Direction::ServerToClient, Phase::Setup, rec.s2c);
-    traffic.merge(&out.traffic);
-    traffic.roundtrips = rec.roundtrips + out.traffic.roundtrips;
-    out.traffic = traffic;
-    // Reconciliation proved every other file unchanged.
-    out.files.extend(new.iter().filter(|f| !differing.contains(f.name.as_str())).cloned());
-    out.files.sort_by(|a, b| a.name.cmp(&b.name));
-    out.unchanged = new.len() - out.per_file.len();
-    out.deleted = old.iter().filter(|f| !new_names.contains(f.name.as_str())).count();
-    Ok(out)
-}
-
-#[cfg(test)]
-mod recon_tests {
-    use super::*;
-
-    fn blob(n: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed.wrapping_mul(2).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 56) as u8
-            })
-            .collect()
-    }
-
-    fn make(n: usize, changed: &[usize]) -> (Vec<FileEntry>, Vec<FileEntry>) {
-        let mut old = Vec::new();
-        let mut new = Vec::new();
-        for i in 0..n {
-            let base = blob(3_000, 900 + i as u64);
-            old.push(FileEntry::new(format!("f{i:04}"), base.clone()));
-            let data = if changed.contains(&i) {
-                let mut d = base;
-                d[1_500] ^= 0xFF;
-                d
-            } else {
-                base
-            };
-            new.push(FileEntry::new(format!("f{i:04}"), data));
-        }
-        (old, new)
-    }
-
-    #[test]
-    fn all_strategies_reconstruct_identically() {
-        let (old, new) = make(40, &[3, 17, 31]);
-        let cfg = ProtocolConfig { start_block: 1 << 11, ..Default::default() };
-        for strategy in [ReconStrategy::Flat, ReconStrategy::Merkle, ReconStrategy::GroupTesting] {
-            let out = sync_collection_with(&old, &new, &cfg, strategy).unwrap();
-            assert_eq!(out.files.len(), 40);
-            for (got, want) in out.files.iter().zip(&new) {
-                assert_eq!(got.data, want.data, "{strategy:?}: {}", want.name);
-            }
-            assert_eq!(out.unchanged, 37, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn merkle_setup_beats_flat_on_sparse_changes() {
-        let (old, new) = make(300, &[123]);
-        let cfg = ProtocolConfig { start_block: 1 << 11, ..Default::default() };
-        let flat = sync_collection_with(&old, &new, &cfg, ReconStrategy::Flat).unwrap();
-        let merkle = sync_collection_with(&old, &new, &cfg, ReconStrategy::Merkle).unwrap();
-        let setup =
-            |o: &CollectionOutcome| o.traffic.c2s(Phase::Setup) + o.traffic.s2c(Phase::Setup);
-        assert!(
-            setup(&merkle) * 3 < setup(&flat),
-            "merkle setup {} vs flat {}",
-            setup(&merkle),
-            setup(&flat)
-        );
-        assert!(merkle.traffic.total_bytes() < flat.traffic.total_bytes());
     }
 }

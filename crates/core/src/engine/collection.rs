@@ -1,43 +1,41 @@
 //! Pipelined collection synchronization as sans-IO machines.
 //!
 //! [`CollectionClientMachine`] and [`CollectionServeMachine`] carry the
-//! wire schedule documented in [`crate::pipeline`]: a sorted roster
-//! exchange, then batch frames holding one round message per file in
-//! the window, one ARQ message per direction per flush. The window is
-//! the client's alone: it admits files in roster order while the
-//! content bytes of open sessions fit
-//! [`WINDOW_BUDGET_BYTES`]. The
-//! blocking [`sync_collection_client`](crate::pipeline) /
+//! wire schedule documented in [`crate::pipeline`]: an empty opener,
+//! the server's fingerprinted roster, then batch frames holding one
+//! round message per changed file in the window, one ARQ message per
+//! direction per flush. The roster settles every unchanged file before
+//! any session opens. The window is the client's alone: it admits
+//! changed files in roster order while the content bytes of open
+//! sessions fit [`WINDOW_BUDGET_BYTES`]. The blocking
+//! [`sync_collection_client`](crate::pipeline) /
 //! [`serve_collection`](crate::pipeline) drivers pump these machines
 //! over a `Transport`; the `msync-net` daemon multiplexes many
 //! [`CollectionServeMachine`]s on a fixed worker pool.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use msync_hash::{file_fingerprint, Fingerprint};
 use msync_protocol::{BufferPool, Direction, FrameBuf, Phase, RetryPolicy, TrafficStats};
-use msync_trace::{EventKind, HistKind, Recorder, ResumeRejectTag};
+use msync_trace::{EventKind, HistKind, Recorder};
 
 use super::arq::{micros_of, parse_frame, split_of, ArqCore, MAX_FRAMES_PER_EXCHANGE};
-use super::{run_in_order, run_jobs, Job, Machine, Output, Runner};
+use super::{run_in_order, run_jobs, FnJob, Job, Machine, Output, Runner};
 use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::ProtocolConfig;
+use crate::params::config_digest;
 use crate::pipeline::{
-    decode_batch, decode_resume_offer, decode_resume_verdict, decode_roster, encode_batch,
-    encode_resume_offer, encode_resume_verdict, encode_roster, ResumeVerdict, ServeOutcome,
-    WINDOW_BUDGET_BYTES,
+    decode_batch, decode_roster, encode_batch, encode_roster, ServeOutcome, WINDOW_BUDGET_BYTES,
 };
-use crate::resume::{config_digest, ResumePlan};
 use crate::session::{ClientAction, ClientSession, Part, SState, ServerSession, SyncError};
 use crate::snapshot::{CollectionSnapshot, ServedFiles, SessionCache};
 use crate::stats::SyncStats;
 
 /// One file the pipelined client has fully completed, surfaced through
 /// [`CollectionClientMachine::drain_completed`] so a durability hook
-/// can apply it atomically and checkpoint it while the session is
-/// still running.
+/// can apply it atomically while the session is still running.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedFile {
     /// Roster index (the server's sorted-name order).
@@ -50,12 +48,11 @@ pub struct CompletedFile {
     pub data: Arc<Vec<u8>>,
     /// Whether the session fell back to a full transfer.
     pub fell_back: bool,
-    /// Confirmed by a resume verdict rather than synced: the content
-    /// equals the client's local copy (the sink should checkpoint it
-    /// but need not rewrite it).
-    pub resumed: bool,
-    /// Scheduler round it completed in (0 = the roster/resume
-    /// exchange itself).
+    /// Settled by the roster rather than synced: the content equals the
+    /// client's local copy, so a sink writing in place need not rewrite
+    /// it.
+    pub unchanged: bool,
+    /// Scheduler round it completed in (0 = the roster itself).
     pub round: u64,
 }
 
@@ -66,6 +63,9 @@ struct Slot<'a> {
     session: Option<ClientSession<'a>>,
     old_data: &'a [u8],
     existed: bool,
+    /// The server's length and fingerprint, from the roster.
+    new_len: u64,
+    new_fp: Fingerprint,
     /// Payload bytes by phase as this file's parts carried them; the
     /// session's levels and byte counts join them when it finishes.
     stats: SyncStats,
@@ -74,21 +74,19 @@ struct Slot<'a> {
     #[allow(clippy::rc_buffer)]
     done: Option<(Arc<Vec<u8>>, bool)>,
     /// Content bytes this session holds of the window budget: 0 until
-    /// admitted, while parked, and once done.
+    /// admitted, and once done.
     charged: u64,
-    /// Confirmed complete by the server's resume verdict (no session).
-    resumed: bool,
+    /// Settled unchanged by the roster (no session).
+    unchanged: bool,
     /// Recorder timestamp at admission (0 when tracing is off).
     t0_us: u64,
 }
 
 impl Slot<'_> {
-    /// What the session counts against the window budget: the local
-    /// copy until the setup reply reveals the server's length, then the
-    /// larger of the two (a delta is decoded against one into the other).
+    /// What the session counts against the window budget: the larger of
+    /// the two copies (a delta is decoded against one into the other).
     fn content_bytes(&self) -> u64 {
-        let new_len = self.session.as_ref().map_or(0, |s| s.new_len);
-        (self.old_data.len() as u64).max(new_len).max(1)
+        (self.old_data.len() as u64).max(self.new_len).max(1)
     }
 }
 
@@ -145,23 +143,17 @@ pub struct CollectionClientMachine<'a> {
     server_names: Vec<String>,
     slots: Vec<Slot<'a>>,
     outbox: Vec<(usize, Vec<Part>)>,
-    /// Replies held back because the setup reply revealed a length the
-    /// window had no room for; they rejoin it first, in arrival order.
-    parked: VecDeque<(usize, Vec<Part>)>,
     expected: HashSet<usize>,
     next_admit: usize,
-    /// Open sessions, parked ones included.
+    /// Open sessions.
     in_flight: usize,
     /// Sum of [`Slot::charged`].
     in_flight_bytes: u64,
     done_count: usize,
     deleted: usize,
-    /// Resume entries offered to the server (sorted by name). Empty
-    /// when no offer was sent.
-    offered: Vec<(String, Fingerprint)>,
     /// Completed files awaiting [`Self::drain_completed`].
     pending_completed: Vec<CompletedFile>,
-    /// Scheduler round counter (0 = the roster/resume exchange).
+    /// Scheduler round counter (0 = the roster).
     round: u64,
     runner: Runner,
 }
@@ -169,14 +161,8 @@ pub struct CollectionClientMachine<'a> {
 impl<'a> CollectionClientMachine<'a> {
     /// Build the machine over the client's files `old` (a slice of
     /// entries, or [`FileRef`]s borrowed from wherever they live) and
-    /// queue the roster message — plus a resume offer when `resume`
-    /// holds a usable plan. `now_us` is the caller's clock reading, the
+    /// queue the opener. `now_us` is the caller's clock reading, the
     /// origin for the first ARQ deadline.
-    ///
-    /// Plan entries are verified against `old` before being offered:
-    /// only names whose local content actually carries the claimed
-    /// digest go on the wire, so a stale checkpoint degrades to a
-    /// smaller offer instead of corrupting the sync.
     ///
     /// # Errors
     /// [`SyncError::Config`] when `cfg` fails validation.
@@ -186,36 +172,12 @@ impl<'a> CollectionClientMachine<'a> {
         depth: usize,
         retry: RetryPolicy,
         rec: Recorder,
-        resume: Option<&ResumePlan>,
         now_us: u64,
     ) -> Result<Self, SyncError> {
         let old: Vec<FileRef<'a>> = old.into_iter().map(Into::into).collect();
         cfg.validate().map_err(SyncError::Config)?;
         let mut arq = ArqCore::client(retry, rec.clone());
-        let mut my_names: Vec<&str> = old.iter().map(|f| f.name).collect();
-        my_names.sort_unstable();
-        let mut message =
-            vec![Part { phase: Phase::Setup, payload: encode_roster(&my_names).into() }];
-        let mut offered: Vec<(String, Fingerprint)> = Vec::new();
-        if let Some(plan) = resume {
-            let by_name: HashMap<&str, &[u8]> = old.iter().map(|f| (f.name, f.data)).collect();
-            offered = plan
-                .entries
-                .iter()
-                .filter(|(name, digest)| {
-                    by_name.get(name.as_str()).is_some_and(|data| file_fingerprint(data) == *digest)
-                })
-                .cloned()
-                .collect();
-            if !offered.is_empty() {
-                rec.record(EventKind::ResumeOffer { files: offered.len() as u64 });
-                message.push(Part {
-                    phase: Phase::Resume,
-                    payload: encode_resume_offer(&plan.config_digest, &offered).into(),
-                });
-            }
-        }
-        arq.send_message(message, now_us);
+        arq.send_message(vec![Part { phase: Phase::Setup, payload: Vec::new().into() }], now_us);
         arq.begin_await(now_us);
         Ok(Self {
             old,
@@ -228,14 +190,12 @@ impl<'a> CollectionClientMachine<'a> {
             server_names: Vec::new(),
             slots: Vec::new(),
             outbox: Vec::new(),
-            parked: VecDeque::new(),
             expected: HashSet::new(),
             next_admit: 0,
             in_flight: 0,
             in_flight_bytes: 0,
             done_count: 0,
             deleted: 0,
-            offered,
             pending_completed: Vec::new(),
             round: 0,
             runner: run_in_order,
@@ -247,7 +207,8 @@ impl<'a> CollectionClientMachine<'a> {
         self.arq.set_pool(pool);
     }
 
-    /// Run each batch's per-file session work through `runner`.
+    /// Run each batch's per-file session work — and the roster's
+    /// fingerprint checks — through `runner`.
     pub(crate) fn set_runner(&mut self, runner: Runner) {
         self.runner = runner;
     }
@@ -262,9 +223,8 @@ impl<'a> CollectionClientMachine<'a> {
     }
 
     /// Files completed since the last call, in completion order. The
-    /// driver's durability hook applies and checkpoints them while the
-    /// session keeps running; resumed files appear here too so a fresh
-    /// checkpoint re-records them.
+    /// driver's durability hook applies them while the session keeps
+    /// running; unchanged files appear here too, at round 0.
     pub fn drain_completed(&mut self) -> Vec<CompletedFile> {
         std::mem::take(&mut self.pending_completed)
     }
@@ -276,28 +236,10 @@ impl<'a> CollectionClientMachine<'a> {
         self.in_flight_bytes == 0 || self.in_flight_bytes.saturating_add(charge) <= self.budget
     }
 
-    fn charge(&mut self, id: usize, charge: u64) {
-        self.slots[id].charged = charge;
-        self.in_flight_bytes += charge;
-    }
-
-    fn release(&mut self, id: usize) {
-        self.in_flight_bytes -= std::mem::take(&mut self.slots[id].charged);
-    }
-
-    /// Fill the window: parked sessions first, then unstarted files in
-    /// roster order, while the byte budget (and the `depth` cap on open
-    /// sessions) has room. Slots pre-completed by a resume verdict are
-    /// skipped.
+    /// Fill the window with unstarted files in roster order while the
+    /// byte budget (and the `depth` cap on open sessions) has room.
+    /// Files the roster settled are skipped.
     fn admit(&mut self) {
-        while let Some(&(id, _)) = self.parked.front() {
-            let charge = self.slots[id].content_bytes();
-            if !self.fits(charge) {
-                return;
-            }
-            self.charge(id, charge);
-            self.outbox.extend(self.parked.pop_front());
-        }
         while self.next_admit < self.slots.len() && self.in_flight < self.depth {
             let id = self.next_admit;
             if self.slots[id].done.is_some() {
@@ -310,11 +252,13 @@ impl<'a> CollectionClientMachine<'a> {
             }
             self.next_admit += 1;
             self.in_flight += 1;
-            self.charge(id, charge);
+            self.in_flight_bytes += charge;
             self.rec.record(EventKind::SessionStart { file_id: id as u64 });
             let slot = &mut self.slots[id];
+            slot.charged = charge;
             slot.t0_us = self.rec.now_micros();
-            let mut session = ClientSession::new(slot.old_data, self.cfg);
+            let mut session =
+                ClientSession::new(slot.old_data, self.cfg, slot.new_len, slot.new_fp);
             session.recorder = self.rec.clone();
             session.file_id = id as u64;
             let part = session.request();
@@ -343,86 +287,75 @@ impl<'a> CollectionClientMachine<'a> {
         self.state = ClientState::AwaitBatch;
     }
 
-    /// Apply the server's resume verdict: mark accepted files done
-    /// before any session starts.
-    fn on_verdict(&mut self, payload: &[u8]) -> Result<(), SyncError> {
-        match decode_resume_verdict(payload)? {
-            ResumeVerdict::Accept(bits) => {
-                if bits.len() != self.offered.len() {
-                    return Err(SyncError::Desync("resume verdict length mismatch"));
-                }
-                let mut accepted = 0u64;
-                for ((name, _), ok) in self.offered.iter().zip(&bits) {
-                    if !ok {
-                        continue;
-                    }
-                    // Offered names came from `old`, but only roster
-                    // membership makes them resumable here.
-                    let Ok(id) = self.server_names.binary_search(name) else {
-                        return Err(SyncError::Desync("resume verdict for unknown file"));
-                    };
-                    let slot = &mut self.slots[id];
-                    let data = Arc::new(slot.old_data.to_vec());
-                    slot.done = Some((Arc::clone(&data), false));
-                    slot.resumed = true;
-                    self.done_count += 1;
-                    accepted += 1;
-                    self.rec.record(EventKind::CacheHit { file_id: id as u64 });
-                    self.pending_completed.push(CompletedFile {
-                        file_id: id,
-                        name: name.clone(),
-                        data,
-                        fell_back: false,
-                        resumed: true,
-                        round: 0,
-                    });
-                }
-                self.rec.record(EventKind::ResumeAccept {
-                    accepted,
-                    declined: self.offered.len() as u64 - accepted,
-                });
-            }
-            ResumeVerdict::Reject(reason) => {
-                self.rec.record(EventKind::ResumeReject { reason });
-            }
-        }
-        Ok(())
-    }
-
+    /// Take the server's roster: one slot per served file, every local
+    /// copy that matches its fingerprint settled unchanged at round 0,
+    /// every local name the roster lacks counted deleted.
     fn on_roster(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let roster_part = parts.first().ok_or(SyncError::Desync("missing server roster"))?;
-        self.server_names = decode_roster(&roster_part.payload)?;
+        let roster = decode_roster(&roster_part.payload)?;
         let old_by_name: HashMap<&str, &'a [u8]> =
             self.old.iter().map(|f| (f.name, f.data)).collect();
-        let server_set: HashSet<&str> = self.server_names.iter().map(String::as_str).collect();
-        self.deleted = self.old.iter().filter(|f| !server_set.contains(f.name)).count();
-
-        self.slots = self
-            .server_names
+        self.deleted = self
+            .old
             .iter()
-            .map(|name| {
-                let old_data = old_by_name.get(name.as_str()).copied();
+            .filter(|f| roster.binary_search_by(|e| e.name.as_str().cmp(f.name)).is_err())
+            .count();
+        self.slots = roster
+            .iter()
+            .map(|e| {
+                let old_data = old_by_name.get(e.name.as_str()).copied();
                 Slot {
                     session: None,
                     old_data: old_data.unwrap_or_default(),
                     existed: old_data.is_some(),
+                    new_len: e.len,
+                    new_fp: e.fp,
                     stats: SyncStats::default(),
                     done: None,
                     charged: 0,
-                    resumed: false,
+                    unchanged: false,
                     t0_us: 0,
                 }
             })
             .collect();
-        if !self.offered.is_empty() {
-            let verdict = parts
-                .iter()
-                .find(|p| p.phase == Phase::Resume)
-                .ok_or(SyncError::Desync("missing resume verdict"))?;
-            self.on_verdict(&verdict.payload)?;
-        }
+        self.server_names = roster.into_iter().map(|e| e.name).collect();
+        self.settle_unchanged();
         self.advance(now_us);
         Ok(())
+    }
+
+    /// Fingerprint every local copy of the served length, through the
+    /// runner, and complete each one that matches.
+    fn settle_unchanged(&mut self) {
+        let mut same = vec![false; self.slots.len()];
+        let mut jobs: Vec<_> = self
+            .slots
+            .iter()
+            .zip(&mut same)
+            .filter(|(slot, _)| slot.existed && slot.old_data.len() as u64 == slot.new_len)
+            .map(|(slot, same)| {
+                let (data, fp) = (slot.old_data, slot.new_fp);
+                FnJob(move || *same = file_fingerprint(data) == fp)
+            })
+            .collect();
+        run_jobs(self.runner, &mut jobs);
+        drop(jobs);
+        for (id, _) in same.iter().enumerate().filter(|(_, &same)| same) {
+            let slot = &mut self.slots[id];
+            let data = Arc::new(slot.old_data.to_vec());
+            slot.done = Some((Arc::clone(&data), false));
+            slot.unchanged = true;
+            self.done_count += 1;
+            self.rec.record(EventKind::CacheHit { file_id: id as u64 });
+            self.pending_completed.push(CompletedFile {
+                file_id: id,
+                name: self.server_names[id].clone(),
+                data,
+                fell_back: false,
+                unchanged: true,
+                round: 0,
+            });
+        }
     }
 
     /// Refill the window, report it, and send the next batch.
@@ -486,8 +419,8 @@ impl<'a> CollectionClientMachine<'a> {
             .collect()
     }
 
-    /// Apply one file's step: close a finished session, or queue (or
-    /// park) its reply.
+    /// Apply one file's step: close a finished session, or queue its
+    /// reply.
     fn commit(&mut self, job: ClientJob<'a>) -> Result<(), SyncError> {
         let ClientJob { id, session, result, .. } = job;
         let slot = &mut self.slots[id];
@@ -499,7 +432,7 @@ impl<'a> CollectionClientMachine<'a> {
                     name: self.server_names[id].clone(),
                     data: Arc::clone(&data),
                     fell_back,
-                    resumed: false,
+                    unchanged: false,
                     round: self.round,
                 });
                 slot.done = Some((data, fell_back));
@@ -507,7 +440,7 @@ impl<'a> CollectionClientMachine<'a> {
                 slot.stats.levels = session.levels;
                 slot.stats.known_bytes = session.map.known_bytes();
                 slot.stats.delta_bytes = session.delta_bytes;
-                self.release(id);
+                self.in_flight_bytes -= std::mem::take(&mut slot.charged);
                 self.in_flight -= 1;
                 self.done_count += 1;
             }
@@ -523,18 +456,7 @@ impl<'a> CollectionClientMachine<'a> {
                     );
                 }
                 slot.session = Some(session);
-                // The first reply reveals the server's length; a session
-                // the window has no room for at its real size waits its
-                // turn (the server just sees no message for that file in
-                // the meantime).
-                let charge = slot.content_bytes();
-                self.release(id);
-                if self.fits(charge) {
-                    self.charge(id, charge);
-                    self.outbox.push((id, cparts));
-                } else {
-                    self.parked.push_back((id, cparts));
-                }
+                self.outbox.push((id, cparts));
             }
         }
         Ok(())
@@ -558,20 +480,11 @@ impl<'a> CollectionClientMachine<'a> {
         let mut unchanged = 0usize;
         let mut created = 0usize;
         let mut fell_back = 0usize;
-        let mut resumed = 0usize;
         for (name, slot) in self.server_names.iter().zip(self.slots) {
             let (data, fb) = slot.done.ok_or(SyncError::Desync("file never completed"))?;
-            if !slot.existed {
-                created += 1;
-            }
-            if fb {
-                fell_back += 1;
-            }
-            if slot.resumed {
-                resumed += 1;
-            } else if slot.existed && slot.stats.levels.is_empty() && *data == slot.old_data {
-                unchanged += 1;
-            }
+            created += usize::from(!slot.existed);
+            fell_back += usize::from(fb);
+            unchanged += usize::from(slot.unchanged);
             per_file.push((name.clone(), slot.stats));
             // Sole owner unless a sink kept its `CompletedFile`.
             let data = Arc::try_unwrap(data).unwrap_or_else(|shared| shared.as_ref().clone());
@@ -585,7 +498,6 @@ impl<'a> CollectionClientMachine<'a> {
             created,
             deleted: self.deleted,
             fell_back,
-            resumed,
         })
     }
 }
@@ -670,7 +582,7 @@ impl Job for ServeJob<'_> {
 }
 
 enum ServeState {
-    AwaitRoster,
+    AwaitOpener,
     Await,
     Linger { deadline_us: u64 },
     Done,
@@ -686,8 +598,8 @@ enum ServeState {
 /// cross-session cache.
 ///
 /// The context must be identical on every call: the machine captures
-/// the sorted roster order on the first message and indexes the
-/// collection by it thereafter. The daemon guarantees this by binding
+/// the sorted roster order on the opener and indexes the collection by
+/// it thereafter. The daemon guarantees this by binding
 /// each connection to one `Arc<CollectionSnapshot>` at handshake time.
 pub struct CollectionServeMachine<S: ServedFiles + ?Sized = CollectionSnapshot> {
     cfg: ProtocolConfig,
@@ -709,7 +621,7 @@ pub struct CollectionServeMachine<S: ServedFiles + ?Sized = CollectionSnapshot> 
 }
 
 impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
-    /// Build the machine, waiting for a client roster from `now_us`.
+    /// Build the machine, waiting for a client's opener from `now_us`.
     ///
     /// # Errors
     /// [`SyncError::Config`] when `cfg` fails validation.
@@ -727,7 +639,7 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
             cfg_digest: config_digest(cfg),
             rec,
             arq,
-            state: ServeState::AwaitRoster,
+            state: ServeState::AwaitOpener,
             order: Vec::new(),
             slots: Vec::new(),
             rostered: false,
@@ -744,14 +656,15 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
         self.arq.set_pool(pool);
     }
 
-    /// Run each batch's per-file session work through `runner`.
+    /// Run the roster's fingerprinting and each batch's per-file session
+    /// work through `runner`.
     pub(crate) fn set_runner(&mut self, runner: Runner) {
         self.runner = runner;
     }
 
     /// What this connection amounted to. `files_in_collection` is the
     /// served collection's size (used when the peer vanished before the
-    /// roster exchange); `traffic` is the transport's wire accounting.
+    /// roster); `traffic` is the transport's wire accounting.
     #[must_use]
     pub fn outcome(&self, files_in_collection: usize, traffic: TrafficStats) -> ServeOutcome {
         let files = if self.rostered { self.order.len() } else { files_in_collection };
@@ -765,66 +678,35 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
         self.state = ServeState::Linger { deadline_us };
     }
 
-    /// Evaluate a client's resume offer against the served collection.
-    /// Every entry whose name is in the roster *and* whose digest
-    /// matches the server's current content is accepted; its slot is
-    /// finished without ever running a session. Malformed or
-    /// incompatible offers produce a typed rejection, never an error —
-    /// the client falls back to a full sync.
-    fn eval_offer(&mut self, snap: &S, names: &[&str], payload: &[u8]) -> ResumeVerdict {
-        let (their_digest, entries) = match decode_resume_offer(payload) {
-            Ok(decoded) => decoded,
-            Err(reason) => {
-                self.rec.record(EventKind::ResumeReject { reason });
-                return ResumeVerdict::Reject(reason);
-            }
-        };
-        self.rec.record(EventKind::ResumeOffer { files: entries.len() as u64 });
-        if their_digest != config_digest(&self.cfg) {
-            self.rec.record(EventKind::ResumeReject { reason: ResumeRejectTag::ConfigMismatch });
-            return ResumeVerdict::Reject(ResumeRejectTag::ConfigMismatch);
+    /// Answer the client's opener with the roster: every served file in
+    /// sorted-name order with its length and fingerprint, fingerprinted
+    /// through the runner (a snapshot holds them precomputed).
+    fn on_opener(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
+        if !matches!(parts, [Part { phase: Phase::Setup, payload }] if payload.is_empty()) {
+            return Err(SyncError::Desync("client opener is not one empty setup part"));
         }
-        let mut bits = Vec::with_capacity(entries.len());
-        let mut accepted = 0u64;
-        for (name, digest) in &entries {
-            let ok = names.binary_search(&name.as_str()).is_ok_and(|id| {
-                // Fingerprints were computed once at snapshot build
-                // time; an offer check does no hashing at all.
-                let fresh = snap.fingerprint(self.order[id]) == *digest;
-                if fresh {
-                    self.slots[id] = ServeSlot::Finished;
-                }
-                fresh
-            });
-            accepted += u64::from(ok);
-            bits.push(ok);
-        }
-        self.rec.record(EventKind::ResumeAccept {
-            accepted,
-            declined: entries.len() as u64 - accepted,
-        });
-        ResumeVerdict::Accept(bits)
-    }
-
-    fn on_roster(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
-        let roster_part = parts.first().ok_or(SyncError::Desync("empty client roster"))?;
-        // The client's roster is advisory (it computes creates and
-        // deletes itself); decoding it validates the handshake.
-        decode_roster(&roster_part.payload)?;
         let mut order: Vec<usize> = (0..snap.file_count()).collect();
         order.sort_by_key(|&i| snap.file(i).name);
-        let names: Vec<&str> = order.iter().map(|&i| snap.file(i).name).collect();
+        let mut fps: Vec<Option<Fingerprint>> = vec![None; order.len()];
+        let mut jobs: Vec<_> = order
+            .iter()
+            .zip(&mut fps)
+            .map(|(&i, fp)| FnJob(move || *fp = Some(snap.fingerprint(i))))
+            .collect();
+        run_jobs(self.runner, &mut jobs);
+        drop(jobs);
+        let files = order
+            .iter()
+            .zip(fps)
+            .map(|(&i, fp)| {
+                let file = snap.file(i);
+                Ok((file.name, file.data.len() as u64, fp.ok_or(JOB_LOST)?))
+            })
+            .collect::<Result<Vec<_>, SyncError>>()?;
+        let roster = Part { phase: Phase::Setup, payload: encode_roster(&files).into() };
         self.slots = (0..order.len()).map(|_| ServeSlot::Idle).collect();
         self.order = order;
-        let mut reply = vec![Part { phase: Phase::Setup, payload: encode_roster(&names).into() }];
-        if let Some(offer) = parts.iter().find(|p| p.phase == Phase::Resume) {
-            let verdict = self.eval_offer(snap, &names, &offer.payload);
-            reply.push(Part {
-                phase: Phase::Resume,
-                payload: encode_resume_verdict(&verdict).into(),
-            });
-        }
-        self.arq.send_message(reply, now_us);
+        self.arq.send_message(vec![roster], now_us);
         self.rostered = true;
         self.state = ServeState::Await;
         self.arq.begin_await(now_us);
@@ -926,12 +808,12 @@ impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
 
     fn on_frame(&mut self, snap: &S, bytes: &FrameBuf, now_us: u64) -> Result<(), SyncError> {
         match self.state {
-            ServeState::AwaitRoster | ServeState::Await => {
+            ServeState::AwaitOpener | ServeState::Await => {
                 let Some(parts) = self.arq.on_frame(bytes, now_us)? else {
                     return Ok(());
                 };
                 match self.state {
-                    ServeState::AwaitRoster => self.on_roster(snap, &parts, now_us),
+                    ServeState::AwaitOpener => self.on_opener(snap, &parts, now_us),
                     _ => self.on_batch(snap, &parts, now_us),
                 }
             }
@@ -945,7 +827,7 @@ impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
 
     fn on_corrupt_frame(&mut self, now_us: u64) -> Result<(), SyncError> {
         match self.state {
-            ServeState::AwaitRoster | ServeState::Await => self.arq.on_corrupt(now_us),
+            ServeState::AwaitOpener | ServeState::Await => self.arq.on_corrupt(now_us),
             ServeState::Linger { .. } => {
                 self.on_linger_frame(None, now_us);
                 Ok(())
@@ -968,7 +850,7 @@ impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
             }
             match self.state {
                 ServeState::Done => return Ok(Output::Done),
-                ServeState::AwaitRoster | ServeState::Await => {
+                ServeState::AwaitOpener | ServeState::Await => {
                     match self.arq.poll_deadline(now_us) {
                         Ok(()) => {
                             if !self.arq.has_effects() {
@@ -976,11 +858,11 @@ impl<S: ServedFiles + ?Sized> Machine for CollectionServeMachine<S> {
                             }
                         }
                         // Budget exhausted: the client went silent. No
-                        // roster yet means nothing was served; in
+                        // opener yet means nothing was served; in
                         // flight, linger for straggling retransmissions
                         // before leaving.
                         Err(SyncError::Timeout | SyncError::FrameCorrupt) => {
-                            if matches!(self.state, ServeState::AwaitRoster) {
+                            if matches!(self.state, ServeState::AwaitOpener) {
                                 self.state = ServeState::Done;
                             } else {
                                 self.enter_linger(now_us);
@@ -1011,7 +893,7 @@ mod tests {
     use super::super::arq::encode_arq_frame_into;
     use super::*;
     use crate::pipeline::decode_batch;
-    use msync_hash::file_fingerprint;
+    use msync_hash::BitWriter;
     use msync_protocol::{PhaseSplit, WireMeter};
 
     /// Deterministic incompressible bytes.
@@ -1071,7 +953,7 @@ mod tests {
                 frames.push((Direction::ClientToServer, frame, split));
             }
             if done {
-                // The roster is the first client frame; the rest are batches.
+                // The opener is the first client frame; the rest are batches.
                 let sent = frames.iter().filter(|f| f.0 == Direction::ClientToServer).count();
                 return (sent - 1, frames);
             }
@@ -1088,10 +970,8 @@ mod tests {
         old: &'a [FileEntry],
         cfg: &'a ProtocolConfig,
         rec: Recorder,
-        resume: Option<&ResumePlan>,
     ) -> CollectionClientMachine<'a> {
-        CollectionClientMachine::new(old, cfg, usize::MAX, RetryPolicy::default(), rec, resume, 0)
-            .unwrap()
+        CollectionClientMachine::new(old, cfg, usize::MAX, RetryPolicy::default(), rec, 0).unwrap()
     }
 
     /// A batch as decoded: one message per file id.
@@ -1117,18 +997,18 @@ mod tests {
         batch.push(again);
     }
 
-    /// Three edited files, and a client and a server for them that have
-    /// exchanged rosters; returns the client's first batch frame.
+    /// Three edited files, and a client and a server for them past the
+    /// roster; returns the client's first batch frame.
     fn first_batch<'a>(
         old: &'a [FileEntry],
         cfg: &'a ProtocolConfig,
         snap: &CollectionSnapshot,
     ) -> (CollectionClientMachine<'a>, CollectionServeMachine, FrameBuf) {
-        let mut client = client(old, cfg, Recorder::off(), None);
+        let mut client = client(old, cfg, Recorder::off());
         let mut server =
             CollectionServeMachine::new(cfg, RetryPolicy::default(), Recorder::off(), 0).unwrap();
         for (frame, _) in transmissions(&mut client).1 {
-            server.on_frame(snap, &frame, 0).expect("server takes the roster");
+            server.on_frame(snap, &frame, 0).expect("server takes the opener");
         }
         for (frame, _) in transmissions(&mut server).1 {
             client.on_frame(&(), &frame, 0).expect("client takes the roster");
@@ -1198,26 +1078,27 @@ mod tests {
         let (old, new) = three_edited_files();
         let cfg = ProtocolConfig::default();
         let snap = CollectionSnapshot::new(new);
-        // An empty request fails on its length, a truncated one on its
-        // fingerprint: files 1 and 2 each get one, in both orders.
-        fn truncated(b: &mut Batch, i: usize) {
-            let request = &mut b[i].1[0].payload;
-            *request = request.slice(0, request.len() - 1);
+        // An empty request fails on its length, an overlong one on its
+        // trailing bytes: files 1 and 2 each get one, in both orders.
+        fn overlong(b: &mut Batch, i: usize) {
+            let mut request = b[i].1[0].payload.to_vec();
+            request.push(0);
+            b[i].1[0].payload = request.into();
         }
         let cases: [(fn(&mut Batch), &str); 2] = [
             (
                 |b| {
                     b[1].1[0].payload = Vec::new().into();
-                    truncated(b, 2);
+                    overlong(b, 2);
                 },
                 "request len",
             ),
             (
                 |b| {
-                    truncated(b, 1);
+                    overlong(b, 1);
                     b[2].1[0].payload = Vec::new().into();
                 },
-                "request fp",
+                "request trailing bytes",
             ),
         ];
         let four_threads: Runner = |jobs| crate::pipeline::run_on_threads(4, jobs);
@@ -1237,8 +1118,8 @@ mod tests {
         const BIG: usize = 24_000;
         // 51 KB against a 10 KB budget: nine 3 KB files the client has
         // stale copies of, one file larger than the whole budget, and
-        // three the client lacks, whose 4 KB only the setup reply
-        // reveals (they are admitted at one byte each and must park).
+        // three 4 KB files the client lacks, charged at the length the
+        // roster gave them.
         let mut old = Vec::new();
         let mut new = Vec::new();
         for i in 0..9 {
@@ -1255,7 +1136,7 @@ mod tests {
         let cfg = ProtocolConfig::default();
 
         let rec = Recorder::system();
-        let mut bounded = client(&old, &cfg, rec.clone(), None).with_budget(BUDGET);
+        let mut bounded = client(&old, &cfg, rec.clone()).with_budget(BUDGET);
         let (batches, _) = drive(&mut bounded, &new, &cfg, |_| {});
         assert_eq!(bounded.finish(TrafficStats::new()).unwrap().files, new);
 
@@ -1276,43 +1157,88 @@ mod tests {
             assert!(bytes <= BUDGET || bytes == BIG as u64, "window held {bytes} B: {windows:?}");
         }
         assert!(windows.contains(&(1, BIG as u64)), "the big file runs alone: {windows:?}");
-        // Three sessions open at a byte each; at their revealed 4 KB two
-        // fit and the third waits outside the window.
-        assert!(windows.contains(&(3, 3)) && windows.contains(&(3, 8_000)), "{windows:?}");
+        // Created files are charged their full 4 KB on admission: two
+        // fit, and the third waits outside the window.
+        assert!(windows.contains(&(2, 8_000)), "{windows:?}");
         assert_eq!(windows.last(), Some(&(0, 0)), "everything is released at the end");
 
         // The budget, not the protocol, set that batch count: with room
         // for the whole roster the same sync needs far fewer.
-        let mut roomy = client(&old, &cfg, Recorder::off(), None);
+        let mut roomy = client(&old, &cfg, Recorder::off());
         let (roomy_batches, _) = drive(&mut roomy, &new, &cfg, |_| {});
         assert_eq!(roomy.finish(TrafficStats::new()).unwrap().files, new);
         assert!(batches >= 3 * roomy_batches, "{batches} batches vs {roomy_batches}");
     }
 
+    /// A roster reply frame carrying `payload`, as the server's first
+    /// message.
+    fn roster_frame(payload: Vec<u8>) -> FrameBuf {
+        let mut buf = Vec::new();
+        encode_arq_frame_into(
+            &mut buf,
+            1,
+            0,
+            false,
+            &Part { phase: Phase::Setup, payload: payload.into() },
+        );
+        buf.into()
+    }
+
+    /// One hand-written roster entry: `shared` prefix bytes, the
+    /// `suffix`, the length and `fp_bytes` of fingerprint.
+    fn roster_entry(w: &mut BitWriter, shared: u64, suffix: &str, len: u64, fp_bytes: usize) {
+        w.write_varint(shared);
+        w.write_varint(suffix.len() as u64);
+        w.write_bytes(suffix.as_bytes());
+        w.write_varint(len);
+        w.write_bytes(&vec![0xAB; fp_bytes]);
+    }
+
     #[test]
-    fn completed_bytes_and_kept_bytes_are_one_allocation() {
-        let (synced, same, resumed) = (blob(6_000, 1), blob(5_000, 2), blob(4_000, 3));
-        let old = vec![
-            FileEntry::new("resumed", resumed.clone()),
-            FileEntry::new("same", same.clone()),
-            FileEntry::new("synced", synced.clone()),
-        ];
-        let new = vec![
-            FileEntry::new("resumed", resumed.clone()),
-            FileEntry::new("same", same),
-            FileEntry::new("synced", edited(&synced)),
+    fn hostile_rosters_are_typed_desyncs() {
+        type Entry = (u64, &'static str, u64, usize);
+        let fp = Fingerprint::WIRE_LEN;
+        let huge = msync_compress::MAX_STREAM_LEN + 1;
+        let cases: [(u64, &[Entry], &str); 6] = [
+            (2, &[(0, "b", 1, fp), (0, "a", 1, fp)], "roster names not strictly increasing"),
+            (2, &[(0, "a", 1, fp), (1, "", 1, fp)], "roster names not strictly increasing"),
+            (2, &[(0, "a", 1, fp), (2, "b", 1, fp)], "roster prefix longer than the previous name"),
+            // One file announced longer than any stream can carry.
+            (1, &[(0, "a", huge, fp)], "roster file len beyond the stream limit"),
+            (1, &[(0, "a", 1, fp - 1)], "roster fingerprint truncated"),
+            ((1 << 20) + 1, &[], "roster count exceeds cap"),
         ];
         let cfg = ProtocolConfig::default();
-        let mut plan = ResumePlan::new(&cfg);
-        plan.add("resumed", file_fingerprint(&resumed));
+        let old = vec![FileEntry::new("a", b"local".to_vec())];
+        for (count, entries, refusal) in cases {
+            let mut w = BitWriter::new();
+            w.write_varint(count);
+            for &(shared, suffix, len, fp_bytes) in entries {
+                roster_entry(&mut w, shared, suffix, len, fp_bytes);
+            }
+            let mut machine = client(&old, &cfg, Recorder::off());
+            transmissions(&mut machine);
+            let got = machine.on_frame(&(), &roster_frame(w.into_bytes()), 0);
+            assert_eq!(got, Err(SyncError::Desync(refusal)));
+            assert!(machine.drain_completed().is_empty(), "{refusal}");
+        }
+    }
 
-        let mut machine = client(&old, &cfg, Recorder::off(), Some(&plan));
+    #[test]
+    fn completed_bytes_and_kept_bytes_are_one_allocation() {
+        let (synced, same) = (blob(6_000, 1), blob(5_000, 2));
+        let old =
+            vec![FileEntry::new("same", same.clone()), FileEntry::new("synced", synced.clone())];
+        let new = vec![FileEntry::new("same", same), FileEntry::new("synced", edited(&synced))];
+        let cfg = ProtocolConfig::default();
+
+        let mut machine = client(&old, &cfg, Recorder::off());
         let mut completed: Vec<CompletedFile> = Vec::new();
         drive(&mut machine, &new, &cfg, |m| completed.extend(m.drain_completed()));
         completed.sort_by_key(|f| f.file_id);
         assert_eq!(
-            completed.iter().map(|f| (f.name.as_str(), f.resumed)).collect::<Vec<_>>(),
-            [("resumed", true), ("same", false), ("synced", false)]
+            completed.iter().map(|f| (f.name.as_str(), f.unchanged)).collect::<Vec<_>>(),
+            [("same", true), ("synced", false)]
         );
         let mut kept = Vec::new();
         for f in &completed {
@@ -1325,7 +1251,7 @@ mod tests {
         drop(completed);
         let out = machine.finish(TrafficStats::new()).unwrap();
         assert_eq!(out.files, new);
-        assert_eq!((out.resumed, out.unchanged), (1, 1));
+        assert_eq!(out.unchanged, 1);
         assert_eq!(out.files.iter().map(|f| f.data.as_ptr()).collect::<Vec<_>>(), kept);
     }
 
@@ -1344,7 +1270,7 @@ mod tests {
             FileEntry::new("same", same),
         ];
         let cfg = ProtocolConfig::default();
-        let mut machine = client(&old, &cfg, Recorder::off(), None);
+        let mut machine = client(&old, &cfg, Recorder::off());
         let (_, frames) = drive(&mut machine, &new, &cfg, |_| {});
         let out = machine.finish(TrafficStats::new()).unwrap();
         assert_eq!(out.files, new);

@@ -24,10 +24,11 @@
 //! `machine-discipline` rule bans `spawn`, `sleep` and blocking
 //! `recv`/`read`-family calls anywhere under `crates/core/src/engine/`.
 //!
-//! A batch's per-file session work is the one place a machine leaves a
-//! choice to its driver: each file's step is an independent [`Job`],
-//! and the machine hands a batch's jobs to an installed [`Runner`]
-//! before committing their results in wire order. The default,
+//! A batch's per-file session work, and the fingerprinting behind the
+//! roster, are the one place a machine leaves a choice to its driver:
+//! each file's step is an independent [`Job`], and the machine hands
+//! a batch's jobs to an installed [`Runner`] before committing their
+//! results in wire order. The default,
 //! [`run_in_order`], runs them one after another on the caller's
 //! thread; the in-process pump installs one that spreads them over the
 //! cores.
@@ -48,6 +49,17 @@ pub(crate) trait Job: Send {
     /// `false` when it failed, after which the batch is lost and its
     /// later jobs need not run.
     fn run(&mut self) -> bool;
+}
+
+/// Work that cannot fail, as a [`Job`]: the closure writes its result
+/// wherever it borrowed a place for it.
+pub(crate) struct FnJob<F>(pub(crate) F);
+
+impl<F: FnMut() + Send> Job for FnJob<F> {
+    fn run(&mut self) -> bool {
+        (self.0)();
+        true
+    }
 }
 
 /// Runs one batch's jobs, each at most once. A job that never ran (or

@@ -24,9 +24,9 @@
 //! sends a zdelta-style delta of the current file against it.
 //!
 //! [`collection`] scales the session to whole replicated collections
-//! (the paper's target workload), skipping unchanged files by
-//! fingerprint and batching rounds across files so roundtrip counts stay
-//! independent of collection size.
+//! (the paper's target workload), settling unchanged files up front by
+//! their roster fingerprints and batching rounds across files so
+//! roundtrip counts stay independent of collection size.
 //!
 //! ## Example
 //!
@@ -56,25 +56,20 @@ pub mod items;
 pub mod map;
 pub mod params;
 pub mod pipeline;
-pub mod resume;
 pub mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod verify;
 
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
-pub use collection::{sync_collection_with, CollectionOutcome, FileEntry, FileRef, ReconStrategy};
+pub use collection::{CollectionOutcome, FileEntry, FileRef};
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
 pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};
 pub use map::{FileMap, Segment};
 pub use pipeline::{
     roster_frame_bytes, serve_collection, sync_collection, sync_collection_channel,
-    sync_collection_client, sync_collection_traced, PipelineOptions, ServeOutcome,
-    WINDOW_BUDGET_BYTES,
-};
-pub use resume::{
-    config_digest, load_checkpoint, CacheEntry, CheckpointLog, MetadataCache, ResumePlan,
-    SessionCheckpoint, STATE_VERSION,
+    sync_collection_client, sync_collection_client_with, sync_collection_traced, PipelineOptions,
+    ServeOutcome, WINDOW_BUDGET_BYTES,
 };
 pub use session::{sync_file, sync_file_with, SyncError, SyncOptions, SyncOutcome};
 pub use snapshot::{CollectionSnapshot, HashCache, ServedFiles, SessionCache};

@@ -131,9 +131,25 @@ pub fn render(cfg: &ProtocolConfig) -> String {
     )
 }
 
+/// Digest of the canonical [`render`] text of a config: the config half
+/// of the server hash cache's key, so two configurations never share a
+/// memoized block digest.
+pub fn config_digest(cfg: &ProtocolConfig) -> [u8; 16] {
+    msync_hash::file_fingerprint(render(cfg).as_bytes()).0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_digest_tracks_the_config() {
+        let a = ProtocolConfig::default();
+        let mut b = ProtocolConfig::default();
+        b.start_block *= 2;
+        assert_eq!(config_digest(&a), config_digest(&ProtocolConfig::default()));
+        assert_ne!(config_digest(&a), config_digest(&b));
+    }
 
     #[test]
     fn parse_full_file() {

@@ -32,20 +32,27 @@
 //!
 //! ## Wire schedule
 //!
-//! 1. Client sends its sorted file-name roster (one `Setup` message).
-//! 2. Server replies with *its* sorted roster; the index of a name in
-//!    that listing becomes the file id used by every later batch.
-//! 3. Repeat until the client has no in-flight files: client packs one
-//!    message per in-flight file into a batch frame; server feeds each
-//!    file's message to that file's `ServerSession` and packs the
-//!    replies into the mirror batch. Files finish at their own pace;
-//!    freed budget admits the next unstarted files in roster order.
-//! 4. The client hangs up; the server treats the peer-gone condition
+//! 1. Client opens with one empty `Setup` part.
+//! 2. Server replies with its roster: every file in sorted-name order,
+//!    front-coded against the previous name, with its length and its
+//!    16-byte fingerprint. A file's position in the roster is the file
+//!    id every later batch uses.
+//! 3. The client settles every file it can at once: a local copy whose
+//!    fingerprint matches the roster's is unchanged and complete at
+//!    round 0, with no session; a local name missing from the roster is
+//!    deleted. Only changed and created files enter the window.
+//! 4. Repeat until the client has no in-flight files: client packs one
+//!    message per in-flight file into a batch frame — a file's first
+//!    message is just its local length — and the server feeds each to
+//!    that file's `ServerSession` and packs the replies into the mirror
+//!    batch. Files finish at their own pace; freed budget admits the
+//!    next changed files in roster order.
+//! 5. The client hangs up; the server treats the peer-gone condition
 //!    as the normal end of service and lingers briefly for stragglers.
 //!
-//! Deletions never cross the wire: the client computes them locally as
-//! its names minus the server roster. Renames are not detected: a
-//! renamed file costs a create plus a delete.
+//! The fingerprints cross once, server to client, as in the paper's
+//! "up front" filter. Renames are not detected: a renamed file costs a
+//! create plus a delete.
 //!
 //! Every byte is charged where it crosses: a batch frame's bytes go to
 //! the phases of the parts inside it, and its framing to the largest
@@ -56,12 +63,12 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::Builder;
 
-use msync_hash::{BitReader, BitWriter, Fingerprint};
+use msync_hash::{file_fingerprint, BitReader, BitWriter, Fingerprint};
 use msync_protocol::{
     frame_wire_size, ChannelError, Direction, Endpoint, FrameBuf, Phase, PhaseSplit, RetryPolicy,
     TrafficStats, Transport, WireMeter,
 };
-use msync_trace::{Clock, Recorder, ResumeRejectTag, SystemClock};
+use msync_trace::{Clock, Recorder, SystemClock};
 
 use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::{ChannelOptions, ProtocolConfig};
@@ -72,7 +79,6 @@ use crate::engine::{
     run_in_order, CollectionClientMachine, CollectionServeMachine, CompletedFile, Job, Machine,
     Output, Runner,
 };
-use crate::resume::ResumePlan;
 use crate::session::{Part, SyncError};
 
 /// Upper bound on files in one collection roster. A count above this in
@@ -84,14 +90,14 @@ const MAX_COLLECTION_FILES: u64 = 1 << 20;
 const MAX_NAME_BYTES: u64 = 4096;
 
 /// Content bytes the pipelined client keeps in open file sessions. A
-/// file counts its local copy when admitted and the larger of that and
-/// the server's length once the setup reply reveals it; files join in
-/// roster order while the sum stays within this budget, and a file
-/// larger than the whole budget runs alone. It bounds what the window
-/// costs — session state, the size of a batch frame, the work lost to a
-/// crash — without putting the window between a collection and the
-/// roundtrip count of its longest session: 16 MiB is every corpus in
-/// EXPERIMENTS.md many times over.
+/// session counts the larger of its local copy and the server's length
+/// (a delta is decoded against one into the other), both known from the
+/// roster when it is admitted; files join in roster order while the sum
+/// stays within this budget, and a file larger than the whole budget
+/// runs alone. It bounds what the window costs — session state, the size
+/// of a batch frame, the work lost to a crash — without putting the
+/// window between a collection and the roundtrip count of its longest
+/// session: 16 MiB is every corpus in EXPERIMENTS.md many times over.
 pub const WINDOW_BUDGET_BYTES: u64 = 16 << 20;
 
 /// Knobs for the pipelined client.
@@ -116,42 +122,91 @@ impl Default for PipelineOptions {
 pub struct ServeOutcome {
     /// Files in the served collection (the roster length).
     pub files: usize,
-    /// Files the client actually engaged with a session.
+    /// Files the client opened a session for: the changed and created
+    /// ones. An unchanged file never reaches the server after the roster.
     pub sessions: usize,
     /// Wire traffic as measured by the server's transport.
     pub traffic: TrafficStats,
 }
 
-pub(crate) fn encode_roster(names: &[&str]) -> Vec<u8> {
+/// One served file as the roster lists it: everything a client needs to
+/// settle an unchanged file, and to size a changed one, before any
+/// session opens.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RosterEntry {
+    pub(crate) name: String,
+    pub(crate) len: u64,
+    pub(crate) fp: Fingerprint,
+}
+
+/// Roster payload: `varint n`, then per file in strictly increasing name
+/// order the name front-coded against the previous one (`varint shared`
+/// prefix bytes, `varint suffix_len`, the suffix bytes), `varint len`
+/// and the 16 fingerprint bytes.
+pub(crate) fn encode_roster(files: &[(&str, u64, Fingerprint)]) -> Vec<u8> {
     let mut w = BitWriter::new();
-    w.write_varint(names.len() as u64);
-    for name in names {
-        w.write_varint(name.len() as u64);
-        w.write_bytes(name.as_bytes());
+    w.write_varint(files.len() as u64);
+    let mut prev: &[u8] = &[];
+    for &(name, len, fp) in files {
+        let name = name.as_bytes();
+        let shared = prev.iter().zip(name).take_while(|(a, b)| a == b).count();
+        w.write_varint(shared as u64);
+        w.write_varint((name.len() - shared) as u64);
+        w.write_bytes(&name[shared..]);
+        w.write_varint(len);
+        w.write_bytes(&fp.0);
+        prev = name;
     }
     w.into_bytes()
 }
 
-pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<String>, SyncError> {
+/// Decode a roster. A lying server gets a typed [`SyncError::Desync`]
+/// for every way it could make one name stand for two files or size a
+/// file no stream can carry: names out of order or repeated, a prefix
+/// longer than the name it extends, a length above
+/// [`MAX_STREAM_LEN`](msync_compress::MAX_STREAM_LEN), a truncated
+/// fingerprint, a count above the collection cap.
+pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<RosterEntry>, SyncError> {
     let mut r = BitReader::new(payload);
     let count = r.read_varint().map_err(|_| SyncError::Desync("roster count"))?;
     if count > MAX_COLLECTION_FILES {
         return Err(SyncError::Desync("roster count exceeds cap"));
     }
     let count = usize::try_from(count).map_err(|_| SyncError::Desync("roster count"))?;
-    let mut names = Vec::with_capacity(count.min(1024));
+    let mut files: Vec<RosterEntry> = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let len = r.read_varint().map_err(|_| SyncError::Desync("roster name len"))?;
-        if len > MAX_NAME_BYTES {
+        let prev = files.last().map_or(&[][..], |f| f.name.as_bytes());
+        let shared = r.read_varint().map_err(|_| SyncError::Desync("roster name prefix"))?;
+        let shared = usize::try_from(shared)
+            .ok()
+            .filter(|&shared| shared <= prev.len())
+            .ok_or(SyncError::Desync("roster prefix longer than the previous name"))?;
+        let suffix = r.read_varint().map_err(|_| SyncError::Desync("roster name len"))?;
+        if suffix > MAX_NAME_BYTES - shared as u64 {
             return Err(SyncError::Desync("roster name too long"));
         }
-        let len = usize::try_from(len).map_err(|_| SyncError::Desync("roster name len"))?;
-        let bytes = r.read_bytes(len).map_err(|_| SyncError::Desync("roster name truncated"))?;
+        let suffix = usize::try_from(suffix).map_err(|_| SyncError::Desync("roster name len"))?;
+        let mut name = prev[..shared].to_vec();
+        name.extend(r.read_bytes(suffix).map_err(|_| SyncError::Desync("roster name truncated"))?);
+        if !files.is_empty() && name.as_slice() <= prev {
+            return Err(SyncError::Desync("roster names not strictly increasing"));
+        }
+        let len = r.read_varint().map_err(|_| SyncError::Desync("roster file len"))?;
+        // No stream could deliver a longer file, and the map rounds
+        // would enumerate items over all of it.
+        if len > msync_compress::MAX_STREAM_LEN {
+            return Err(SyncError::Desync("roster file len beyond the stream limit"));
+        }
+        let fp = r
+            .read_bytes(Fingerprint::WIRE_LEN)
+            .ok()
+            .and_then(|fp| fp.try_into().ok())
+            .ok_or(SyncError::Desync("roster fingerprint truncated"))?;
         let name =
-            String::from_utf8(bytes).map_err(|_| SyncError::Desync("roster name not UTF-8"))?;
-        names.push(name);
+            String::from_utf8(name).map_err(|_| SyncError::Desync("roster name not UTF-8"))?;
+        files.push(RosterEntry { name, len, fp: Fingerprint(fp) });
     }
-    Ok(names)
+    Ok(files)
 }
 
 /// Pack one round message per in-flight file into a single frame
@@ -221,144 +276,18 @@ pub(crate) fn batch_split(payload: &FrameBuf) -> PhaseSplit {
     split
 }
 
-/// Wire bytes of one roster frame listing `names`: what each side of a
-/// collection sync pays to say which files it holds. The paper harness
-/// charges the per-file baselines the same two listings.
-pub fn roster_frame_bytes(names: &[&str]) -> u64 {
-    let mut sorted = names.to_vec();
-    sorted.sort_unstable();
-    let part = Part { phase: Phase::Setup, payload: encode_roster(&sorted).into() };
+/// Wire bytes of the roster frame that lists `files`: what a collection
+/// sync pays, once, to tell the client which files the server holds,
+/// how long they are and what they hash to. The paper harness charges
+/// the per-file baselines the same frame.
+pub fn roster_frame_bytes(files: &[FileRef<'_>]) -> u64 {
+    let mut listed: Vec<(&str, u64, Fingerprint)> =
+        files.iter().map(|f| (f.name, f.data.len() as u64, file_fingerprint(f.data))).collect();
+    listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let part = Part { phase: Phase::Setup, payload: encode_roster(&listed).into() };
     let mut frame = Vec::new();
     encode_arq_frame_into(&mut frame, 0, 0, false, &part);
     frame_wire_size(frame.len())
-}
-
-/// The server's verdict on a resume offer, as it crosses the wire in
-/// the `Phase::Resume` part of the roster reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ResumeVerdict {
-    /// Per-offer-entry confirmation flags, in offer order. A declined
-    /// entry (stale digest, unknown name) simply syncs normally.
-    Accept(Vec<bool>),
-    /// The offer as a whole is unusable; the client falls back to a
-    /// full sync.
-    Reject(ResumeRejectTag),
-}
-
-/// Offer payload: 16 config-digest bytes, then `varint n` entries of
-/// `(varint name_len, name bytes, 16 digest bytes)`.
-pub(crate) fn encode_resume_offer(
-    config_digest: &[u8; 16],
-    entries: &[(String, Fingerprint)],
-) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    w.write_bytes(config_digest);
-    w.write_varint(entries.len() as u64);
-    for (name, digest) in entries {
-        w.write_varint(name.len() as u64);
-        w.write_bytes(name.as_bytes());
-        w.write_bytes(&digest.0);
-    }
-    w.into_bytes()
-}
-
-fn read_digest(r: &mut BitReader<'_>) -> Result<[u8; 16], ResumeRejectTag> {
-    r.read_bytes(16).ok().and_then(|d| d.try_into().ok()).ok_or(ResumeRejectTag::MalformedOffer)
-}
-
-/// Decode a resume offer. Failures map directly onto the typed
-/// rejection the server answers with — a malformed or oversized offer
-/// is the *client's* problem to fall back from, never a reason to kill
-/// the connection.
-pub(crate) fn decode_resume_offer(
-    payload: &[u8],
-) -> Result<([u8; 16], Vec<(String, Fingerprint)>), ResumeRejectTag> {
-    let mut r = BitReader::new(payload);
-    let config_digest = read_digest(&mut r)?;
-    let count = r.read_varint().map_err(|_| ResumeRejectTag::MalformedOffer)?;
-    if count > MAX_COLLECTION_FILES {
-        return Err(ResumeRejectTag::TooLarge);
-    }
-    let count = usize::try_from(count).map_err(|_| ResumeRejectTag::TooLarge)?;
-    let mut entries = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let len = r.read_varint().map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        if len > MAX_NAME_BYTES {
-            return Err(ResumeRejectTag::MalformedOffer);
-        }
-        let len = usize::try_from(len).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        let bytes = r.read_bytes(len).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        let name = String::from_utf8(bytes).map_err(|_| ResumeRejectTag::MalformedOffer)?;
-        entries.push((name, Fingerprint(read_digest(&mut r)?)));
-    }
-    Ok((config_digest, entries))
-}
-
-/// Stable wire codes for [`ResumeRejectTag`]; the enum itself lives in
-/// `msync-trace` (journal tokens), the codes live here with the codec.
-fn reject_code(reason: ResumeRejectTag) -> u64 {
-    match reason {
-        ResumeRejectTag::ConfigMismatch => 0,
-        ResumeRejectTag::MalformedOffer => 1,
-        ResumeRejectTag::TooLarge => 2,
-    }
-}
-
-fn reject_from_code(code: u64) -> Option<ResumeRejectTag> {
-    match code {
-        0 => Some(ResumeRejectTag::ConfigMismatch),
-        1 => Some(ResumeRejectTag::MalformedOffer),
-        2 => Some(ResumeRejectTag::TooLarge),
-        _ => None,
-    }
-}
-
-/// Verdict payload: accept is `1, varint n, n bits`; reject is
-/// `0, varint reason_code`.
-pub(crate) fn encode_resume_verdict(verdict: &ResumeVerdict) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    match verdict {
-        ResumeVerdict::Accept(bits) => {
-            w.write_bits(1, 8);
-            w.write_varint(bits.len() as u64);
-            for &ok in bits {
-                w.write_bits(u64::from(ok), 1);
-            }
-        }
-        ResumeVerdict::Reject(reason) => {
-            w.write_bits(0, 8);
-            w.write_varint(reject_code(*reason));
-        }
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_resume_verdict(payload: &[u8]) -> Result<ResumeVerdict, SyncError> {
-    let mut r = BitReader::new(payload);
-    let tag = r.read_bits(8).map_err(|_| SyncError::Desync("resume verdict tag"))?;
-    match tag {
-        1 => {
-            let count = r.read_varint().map_err(|_| SyncError::Desync("resume verdict count"))?;
-            if count > MAX_COLLECTION_FILES {
-                return Err(SyncError::Desync("resume verdict count exceeds cap"));
-            }
-            let count =
-                usize::try_from(count).map_err(|_| SyncError::Desync("resume verdict count"))?;
-            let mut bits = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let b = r.read_bits(1).map_err(|_| SyncError::Desync("resume verdict bit"))?;
-                bits.push(b == 1);
-            }
-            Ok(ResumeVerdict::Accept(bits))
-        }
-        0 => {
-            let code = r.read_varint().map_err(|_| SyncError::Desync("resume reject code"))?;
-            let reason =
-                reject_from_code(code).ok_or(SyncError::Desync("unknown resume reject code"))?;
-            Ok(ResumeVerdict::Reject(reason))
-        }
-        _ => Err(SyncError::Desync("resume verdict tag")),
-    }
 }
 
 /// Drive `m` over `t` until it finishes: transmit queued frames,
@@ -368,7 +297,7 @@ pub(crate) fn decode_resume_verdict(payload: &[u8]) -> Result<ResumeVerdict, Syn
 ///
 /// `after_input` is the durability hook: it runs after every frame the
 /// machine absorbs (and once more when it finishes), which is exactly
-/// when new progress can exist to persist. The checkpoint writer drains
+/// when new progress can exist to persist. The CLI's applier drains
 /// completed files here without the machine itself touching any I/O —
 /// the engine stays effect-pure.
 fn pump<M: Machine>(
@@ -428,38 +357,28 @@ pub fn sync_collection_client(
     cfg: &ProtocolConfig,
     opts: &PipelineOptions,
 ) -> Result<CollectionOutcome, SyncError> {
-    sync_collection_client_resumable(t, old, cfg, opts, None, &mut |_| Ok(()))
+    sync_collection_client_with(t, old, cfg, opts, &mut |_| Ok(()))
 }
 
-/// [`sync_collection_client`] with crash-recovery hooks: an optional
-/// [`ResumePlan`] offered to the server in the roster exchange (files
-/// the server confirms skip their sessions entirely), and an
-/// `on_complete` durability sink invoked for every file the moment it
-/// finishes — the CLI applies it atomically and appends a checkpoint
-/// line there, so an interrupted run can resume from the last
-/// completed file.
+/// [`sync_collection_client`] with a durability sink: `on_complete` runs
+/// for every file the moment it finishes — unchanged files at round 0,
+/// straight after the roster — so the CLI can apply it atomically while
+/// the session keeps running. A rerun after a crash then finds every
+/// applied file unchanged and skips it.
 ///
 /// A sink error aborts the session as [`SyncError::Persist`]: progress
 /// that cannot be made durable must not be reported as such.
-pub fn sync_collection_client_resumable(
+pub fn sync_collection_client_with(
     t: &mut dyn Transport,
     old: &[FileEntry],
     cfg: &ProtocolConfig,
     opts: &PipelineOptions,
-    resume: Option<&ResumePlan>,
     on_complete: &mut dyn FnMut(&CompletedFile) -> Result<(), String>,
 ) -> Result<CollectionOutcome, SyncError> {
     let rec = t.recorder();
     let clock = SystemClock::new();
-    let mut machine = CollectionClientMachine::new(
-        old,
-        cfg,
-        opts.depth,
-        opts.retry,
-        rec,
-        resume,
-        clock.now_micros(),
-    )?;
+    let mut machine =
+        CollectionClientMachine::new(old, cfg, opts.depth, opts.retry, rec, clock.now_micros())?;
     pump(t, &mut machine, &(), &clock, &mut |m| {
         for done in m.drain_completed() {
             on_complete(&done).map_err(SyncError::Persist)?;
@@ -472,13 +391,13 @@ pub fn sync_collection_client_resumable(
 /// Serve the `new` collection to one pipelined client over `t`.
 ///
 /// For one-shot callers (tests, the in-process channel run): the files
-/// are served as the caller holds them, each session fingerprinting its
-/// own file, with no cross-session cache. The daemon instead shares one
+/// are served as the caller holds them, fingerprinted for the roster,
+/// with no cross-session cache. The daemon instead shares one
 /// [`CollectionSnapshot`](crate::CollectionSnapshot) across every
 /// [`CollectionServeMachine`] it multiplexes, so its cache is warm
 /// across sessions.
 ///
-/// A vanished peer after the roster exchange is the normal end of
+/// A vanished peer after the roster is the normal end of
 /// service (the client simply hangs up once every file is done), not
 /// an error; protocol violations still surface as [`SyncError`].
 pub fn serve_collection(
@@ -545,7 +464,7 @@ const IN_PROCESS_NOW_US: u64 = 0;
 /// The outcome's `files`/`per_file` follow sorted-name (roster) order,
 /// so the result is a pure function of the two collections' *contents*
 /// — callers may present their entries in any order. `traffic` is what
-/// the wire would carry: the roster exchange, one batch frame per
+/// the wire would carry: the opener and the roster, one batch frame per
 /// direction per round, framing and ARQ headers included.
 pub fn sync_collection(
     old: &[FileEntry],
@@ -595,7 +514,7 @@ fn pump_in_process(
 ) -> Result<CollectionOutcome, SyncError> {
     let (retry, now) = (RetryPolicy::default(), IN_PROCESS_NOW_US);
     let mut client =
-        CollectionClientMachine::new(old, cfg, usize::MAX, retry, recorder.clone(), None, now)?;
+        CollectionClientMachine::new(old, cfg, usize::MAX, retry, recorder.clone(), now)?;
     let mut server =
         CollectionServeMachine::<[FileRef<'_>]>::new(cfg, retry, recorder.clone(), now)?;
     client.set_runner(runner);
@@ -692,14 +611,13 @@ mod tests {
         FileEntry::new(name, data.to_vec())
     }
 
-    /// Both ends over a clean channel at an explicit depth, with an
-    /// optional resume plan; also returns what the durability sink saw.
+    /// Both ends over a clean channel at an explicit depth; also returns
+    /// what the durability sink saw.
     fn run(
         old: &[FileEntry],
         new: &[FileEntry],
         cfg: &ProtocolConfig,
         depth: usize,
-        plan: Option<&ResumePlan>,
     ) -> (CollectionOutcome, ServeOutcome, Vec<CompletedFile>) {
         let (mut client_ep, mut server_ep) = Endpoint::pair();
         thread::scope(|s| {
@@ -707,12 +625,11 @@ mod tests {
                 s.spawn(|| serve_collection(&mut server_ep, new, cfg, RetryPolicy::default()));
             let opts = PipelineOptions { depth, retry: RetryPolicy::default() };
             let mut completed = Vec::new();
-            let out =
-                sync_collection_client_resumable(&mut client_ep, old, cfg, &opts, plan, &mut |f| {
-                    completed.push(f.clone());
-                    Ok(())
-                })
-                .unwrap();
+            let out = sync_collection_client_with(&mut client_ep, old, cfg, &opts, &mut |f| {
+                completed.push(f.clone());
+                Ok(())
+            })
+            .unwrap();
             drop(client_ep);
             (out, server.join().unwrap().unwrap(), completed)
         })
@@ -724,10 +641,22 @@ mod tests {
 
     #[test]
     fn roster_roundtrips() {
-        let names = ["a.txt", "dir/b.txt", "z"];
-        let decoded = decode_roster(&encode_roster(&names)).unwrap();
-        assert_eq!(decoded, names);
+        let files = [
+            ("", 0, file_fingerprint(b"")),
+            ("a.txt", 5, file_fingerprint(b"alpha")),
+            ("a.txt~", 1 << 30, file_fingerprint(b"x")),
+            ("dir/b.txt", 3, file_fingerprint(b"bee")),
+            ("z", 1, file_fingerprint(b"z")),
+        ];
+        let decoded = decode_roster(&encode_roster(&files)).unwrap();
+        let back: Vec<(&str, u64, Fingerprint)> =
+            decoded.iter().map(|f| (f.name.as_str(), f.len, f.fp)).collect();
+        assert_eq!(back, files);
         assert!(decode_roster(&[0xff; 3]).is_err());
+        // Front coding: `a.txt~` after `a.txt` spells one byte of name.
+        let one = encode_roster(&files[1..2]).len();
+        let two = encode_roster(&files[1..3]).len();
+        assert_eq!(two - one, 1 + 1 + 1 + 5 + Fingerprint::WIRE_LEN);
     }
 
     #[test]
@@ -769,7 +698,7 @@ mod tests {
             entry("fresh.txt", b"brand new file body"),
         ];
         let cfg = ProtocolConfig::default();
-        let (out, srv, _) = run(&old, &new, &cfg, 8, None);
+        let (out, srv, _) = run(&old, &new, &cfg, 8);
 
         assert_eq!(sorted_names(&out.files), vec!["changed.txt", "fresh.txt", "same.txt"]);
         let by_name: HashMap<&str, &[u8]> =
@@ -781,7 +710,9 @@ mod tests {
         assert_eq!(out.deleted, 1);
         assert_eq!(out.unchanged, 1);
         assert_eq!(srv.files, 3);
-        assert_eq!(srv.sessions, 3);
+        // The changed and the created file; the unchanged one settled
+        // on the roster.
+        assert_eq!(srv.sessions, 2);
         assert!(out.traffic.total_bytes() > 0);
     }
 
@@ -804,8 +735,8 @@ mod tests {
             })
             .collect();
 
-        let (seq, ..) = run(&old, &files, &cfg, 1, None);
-        let (pipe, ..) = run(&old, &files, &cfg, 16, None);
+        let (seq, ..) = run(&old, &files, &cfg, 1);
+        let (pipe, ..) = run(&old, &files, &cfg, 16);
         assert_eq!(sorted_names(&seq.files), sorted_names(&pipe.files));
         for (a, b) in seq.files.iter().zip(&pipe.files) {
             assert_eq!(a.data, b.data);
@@ -822,13 +753,13 @@ mod tests {
     fn empty_collections_terminate() {
         let cfg = ProtocolConfig::default();
         let old = vec![entry("only-local.txt", b"bytes")];
-        let (out, srv, _) = run(&old, &[], &cfg, 4, None);
+        let (out, srv, _) = run(&old, &[], &cfg, 4);
         assert!(out.files.is_empty());
         assert_eq!(out.deleted, 1);
         assert_eq!(srv.files, 0);
         assert_eq!(srv.sessions, 0);
 
-        let (out, srv, _) = run(&[], &[], &cfg, 4, None);
+        let (out, srv, _) = run(&[], &[], &cfg, 4);
         assert!(out.files.is_empty());
         assert_eq!(srv.sessions, 0);
     }
@@ -837,7 +768,7 @@ mod tests {
     fn client_from_nothing_receives_everything() {
         let cfg = ProtocolConfig::default();
         let new = vec![entry("a", b"alpha contents"), entry("b", &b"beta ".repeat(500))];
-        let (out, ..) = run(&[], &new, &cfg, 4, None);
+        let (out, ..) = run(&[], &new, &cfg, 4);
         assert_eq!(out.created, 2);
         assert_eq!(out.files.len(), 2);
         assert_eq!(out.files[0].data, b"alpha contents");
@@ -845,51 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_offer_roundtrips() {
-        use msync_hash::file_fingerprint;
-        let digest = [7u8; 16];
-        let entries = vec![
-            ("a.txt".to_string(), file_fingerprint(b"alpha")),
-            ("dir/b".to_string(), file_fingerprint(b"beta")),
-        ];
-        let encoded = encode_resume_offer(&digest, &entries);
-        let (d, e) = decode_resume_offer(&encoded).unwrap();
-        assert_eq!(d, digest);
-        assert_eq!(e, entries);
-        assert!(matches!(
-            decode_resume_offer(&encoded[..encoded.len() - 1]),
-            Err(msync_trace::ResumeRejectTag::MalformedOffer)
-        ));
-        assert!(matches!(
-            decode_resume_offer(&[0u8; 4]),
-            Err(msync_trace::ResumeRejectTag::MalformedOffer)
-        ));
-    }
-
-    #[test]
-    fn resume_verdict_roundtrips() {
-        let accept = ResumeVerdict::Accept(vec![true, false, true, true]);
-        match decode_resume_verdict(&encode_resume_verdict(&accept)).unwrap() {
-            ResumeVerdict::Accept(bits) => assert_eq!(bits, vec![true, false, true, true]),
-            ResumeVerdict::Reject(_) => panic!("expected accept"),
-        }
-        for reason in [
-            msync_trace::ResumeRejectTag::ConfigMismatch,
-            msync_trace::ResumeRejectTag::MalformedOffer,
-            msync_trace::ResumeRejectTag::TooLarge,
-        ] {
-            let reject = ResumeVerdict::Reject(reason);
-            match decode_resume_verdict(&encode_resume_verdict(&reject)).unwrap() {
-                ResumeVerdict::Reject(r) => assert_eq!(r, reason),
-                ResumeVerdict::Accept(_) => panic!("expected reject"),
-            }
-        }
-        assert!(decode_resume_verdict(&[9]).is_err());
-    }
-
-    #[test]
-    fn accepted_resume_entries_skip_sessions() {
-        use msync_hash::file_fingerprint;
+    fn unchanged_files_skip_sessions() {
         let big = b"shared content ".repeat(400);
         let changed_old = b"old divergent body ".repeat(100);
         let changed_new = b"new divergent body ".repeat(100);
@@ -897,69 +784,26 @@ mod tests {
         let new = vec![entry("done.bin", &big), entry("wip.bin", &changed_new)];
         let cfg = ProtocolConfig::default();
 
-        let mut plan = crate::resume::ResumePlan::new(&cfg);
-        plan.add("done.bin", file_fingerprint(&big));
-
-        let (out, srv, completed) = run(&old, &new, &cfg, 8, Some(&plan));
-        assert_eq!(out.resumed, 1);
-        assert_eq!(out.unchanged, 0);
-        // Only the changed file ran a session.
+        let (out, srv, completed) = run(&old, &new, &cfg, 8);
+        assert_eq!(out.unchanged, 1);
+        // Only the changed file ran a session, and the unchanged one
+        // cost no byte of its own.
         assert_eq!(srv.sessions, 1);
+        assert_eq!(out.per_file[0].1.traffic.total_bytes(), 0);
         let by_name: HashMap<&str, &[u8]> =
             new.iter().map(|f| (f.name.as_str(), f.data.as_slice())).collect();
         for f in &out.files {
             assert_eq!(f.data.as_slice(), by_name[f.name.as_str()], "{}", f.name);
         }
-        // The sink saw both files; the resumed one is flagged, round 0.
+        // The sink saw both files; the unchanged one is flagged, round 0.
         assert_eq!(completed.len(), 2);
-        let resumed = completed.iter().find(|f| f.name == "done.bin").unwrap();
-        assert!(resumed.resumed);
-        assert_eq!(resumed.round, 0);
-        assert_eq!(*resumed.data, big);
+        let same = completed.iter().find(|f| f.name == "done.bin").unwrap();
+        assert!(same.unchanged);
+        assert_eq!(same.round, 0);
+        assert_eq!(*same.data, big);
         let synced = completed.iter().find(|f| f.name == "wip.bin").unwrap();
-        assert!(!synced.resumed);
+        assert!(!synced.unchanged);
         assert!(synced.round > 0);
-    }
-
-    #[test]
-    fn stale_resume_entries_are_declined_not_fatal() {
-        use msync_hash::file_fingerprint;
-        let body = b"current server content ".repeat(200);
-        let old = vec![entry("f.bin", &body)];
-        let new = vec![entry("f.bin", &b"server moved on ".repeat(200))];
-        let cfg = ProtocolConfig::default();
-
-        // The checkpoint digest matches the client's copy but no longer
-        // matches the server's content: the server must decline it and
-        // the file syncs normally.
-        let mut plan = crate::resume::ResumePlan::new(&cfg);
-        plan.add("f.bin", file_fingerprint(&body));
-
-        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
-        assert_eq!(out.resumed, 0);
-        assert_eq!(srv.sessions, 1);
-        assert_eq!(out.files[0].data, new[0].data);
-    }
-
-    #[test]
-    fn config_mismatch_rejects_offer_and_full_sync_proceeds() {
-        use msync_hash::file_fingerprint;
-        let body = b"identical both sides ".repeat(200);
-        let old = vec![entry("f.bin", &body)];
-        let new = vec![entry("f.bin", &body)];
-        let cfg = ProtocolConfig::default();
-
-        // Plan built under a different protocol config: the server
-        // rejects the whole offer and every file runs a session.
-        let other = ProtocolConfig { start_block: cfg.start_block * 2, ..cfg.clone() };
-        let mut plan = crate::resume::ResumePlan::new(&other);
-        plan.add("f.bin", file_fingerprint(&body));
-
-        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
-        assert_eq!(out.resumed, 0);
-        assert_eq!(out.unchanged, 1);
-        assert_eq!(srv.sessions, 1);
-        assert_eq!(out.files[0].data, body);
     }
 
     /// Four threads whatever the box has, so the threaded runner really
@@ -1026,26 +870,5 @@ mod tests {
                 assert_eq!(counts(&four), counts(&one), "{what}");
             }
         }
-    }
-
-    #[test]
-    fn plan_entries_unverifiable_locally_are_not_offered() {
-        use msync_hash::file_fingerprint;
-        let body = b"real local bytes ".repeat(100);
-        let old = vec![entry("f.bin", &body)];
-        let new = vec![entry("f.bin", &body)];
-        let cfg = ProtocolConfig::default();
-
-        // The plan claims a digest the local file does not have (e.g. a
-        // crash between apply and checkpoint): the client must drop the
-        // entry before offering, and the sync stays correct.
-        let mut plan = crate::resume::ResumePlan::new(&cfg);
-        plan.add("f.bin", file_fingerprint(b"something else"));
-        plan.add("ghost.bin", file_fingerprint(&body));
-
-        let (out, srv, _) = run(&old, &new, &cfg, 8, Some(&plan));
-        assert_eq!(out.resumed, 0);
-        assert_eq!(srv.sessions, 1);
-        assert_eq!(out.files[0].data, body);
     }
 }

@@ -1,13 +1,14 @@
 //! The multi-round synchronization session (paper §5.6).
 //!
-//! One session synchronizes one file. The exchange, exactly as in
-//! Figure 5.2 of the paper:
+//! One session synchronizes one changed file. Its length and strong
+//! fingerprint on both sides were settled by the collection roster
+//! ([`crate::pipeline`]) before it opened, so the exchange of Figure 5.2
+//! of the paper starts at the first block size:
 //!
 //! ```text
 //! client                                server
-//!   │ ── request: old_len, old fingerprint ──▶ │
-//!   │ ◀─ setup: new_len, new fingerprint      │
-//!   │    + hashes for the first block size ── │   round 0
+//!   │ ── request: old_len ───────────────────▶ │
+//!   │ ◀─ hashes for the first block size ──── │   round 0
 //!   │ ── candidate bitmap + verify batch 1 ─▶ │
 //!   │ ◀─ batch-1 results [+ batch wait]       │
 //!   │      ⋮  (optional extra verify batches) │
@@ -36,7 +37,7 @@ use crate::snapshot::SessionCache;
 use crate::stats::{LevelStats, SyncStats};
 use crate::verify::{StepOutcome, VerifyState};
 use msync_hash::decomposable::{prefix_decompose_left, prefix_decompose_right, DecomposableDigest};
-use msync_hash::{file_fingerprint, BitReader, BitWriter, Md5};
+use msync_hash::{file_fingerprint, BitReader, BitWriter, Fingerprint, Md5};
 use msync_protocol::{FrameBuf, Phase};
 use msync_trace::{EventKind, HistKind, Recorder};
 use std::collections::{HashMap, HashSet};
@@ -59,7 +60,7 @@ pub enum SyncError {
     PeerGone,
     /// The retry budget ran out with no frame from the peer at all.
     Timeout,
-    /// A durability sink (checkpoint journal, atomic apply) failed.
+    /// A durability sink (the CLI's atomic apply) failed.
     /// Protocol state was fine, but progress that cannot be persisted
     /// must not be reported as durable.
     Persist(String),
@@ -159,15 +160,15 @@ impl ServerSession {
     }
 
     /// A session whose map-phase hash work (block digests, verification
-    /// hashes) is memoized in a shared [`SessionCache`], and whose
-    /// served-file fingerprint is taken precomputed from the handle
-    /// instead of rehashed per session.
+    /// hashes) is memoized in a shared [`SessionCache`].
     pub(crate) fn with_cache(cfg: ProtocolConfig, cache: SessionCache) -> Self {
         let mut s = Self::new(cfg);
         s.cache = Some(cache);
         s
     }
 
+    /// Open the session on the client's request — its local length,
+    /// which sizes the global hashes — and answer with the first round.
     pub(crate) fn on_request(
         &mut self,
         new: &[u8],
@@ -175,24 +176,11 @@ impl ServerSession {
     ) -> Result<Vec<Part>, SyncError> {
         let mut r = BitReader::new(payload);
         let old_len = r.read_varint().map_err(|_| SyncError::Desync("request len"))?;
-        let old_fp = r.read_bytes(16).map_err(|_| SyncError::Desync("request fp"))?;
-        let new_fp = match &self.cache {
-            Some(c) => c.file_fingerprint(),
-            None => file_fingerprint(new),
-        };
-        let mut setup = BitWriter::new();
-        if old_fp == new_fp.0 {
-            setup.write_bit(true); // unchanged
-            self.state = SState::Done;
-            return Ok(vec![Part { phase: Phase::Setup, payload: setup.into_bytes().into() }]);
+        if r.remaining_bits() > 0 {
+            return Err(SyncError::Desync("request trailing bytes"));
         }
-        setup.write_bit(false);
-        setup.write_varint(new.len() as u64);
-        setup.write_bytes(&new_fp.0);
         self.global_bits = global_hash_bits(old_len, self.cfg.global_extra_bits);
-        let mut parts = vec![Part { phase: Phase::Setup, payload: setup.into_bytes().into() }];
-        parts.extend(self.advance(new));
-        Ok(parts)
+        Ok(self.advance(new))
     }
 
     /// Move to the next level with items, or the delta phase, and emit
@@ -436,7 +424,6 @@ impl ServerSession {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::enum_variant_names)] // the states genuinely all await something
 enum CState {
-    AwaitSetup,
     AwaitSection,
     AwaitResults,
     AwaitFull,
@@ -462,9 +449,9 @@ pub(crate) struct ClientSession<'a> {
     hash_store: HashMap<(u64, u64), u64>,
     pub(crate) map: FileMap,
     global_bits: u32,
-    /// The server's file length (0 until the setup reply reveals it).
-    pub(crate) new_len: u64,
-    new_fp: Vec<u8>,
+    /// The server's file length and fingerprint, from the roster.
+    new_len: u64,
+    new_fp: Fingerprint,
     items: Vec<Item>,
     candidates: Vec<Candidate>,
     verify: Option<VerifyState>,
@@ -478,7 +465,14 @@ pub(crate) struct ClientSession<'a> {
 }
 
 impl<'a> ClientSession<'a> {
-    pub(crate) fn new(old: &'a [u8], cfg: &'a ProtocolConfig) -> Self {
+    /// A session turning `old` into the server's file of `new_len` bytes
+    /// and fingerprint `new_fp`.
+    pub(crate) fn new(
+        old: &'a [u8],
+        cfg: &'a ProtocolConfig,
+        new_len: u64,
+        new_fp: Fingerprint,
+    ) -> Self {
         Self {
             old,
             cfg,
@@ -487,12 +481,12 @@ impl<'a> ClientSession<'a> {
             hash_store: HashMap::new(),
             map: FileMap::new(),
             global_bits: global_hash_bits(old.len() as u64, cfg.global_extra_bits),
-            new_len: 0,
-            new_fp: Vec::new(),
+            new_len,
+            new_fp,
             items: Vec::new(),
             candidates: Vec::new(),
             verify: None,
-            state: CState::AwaitSetup,
+            state: CState::AwaitSection,
             levels: Vec::new(),
             delta_bytes: 0,
             recorder: Recorder::off(),
@@ -500,10 +494,10 @@ impl<'a> ClientSession<'a> {
         }
     }
 
+    /// The session's first message: the local length.
     pub(crate) fn request(&self) -> Part {
         let mut w = BitWriter::new();
         w.write_varint(self.old.len() as u64);
-        w.write_bytes(&file_fingerprint(self.old).0);
         Part { phase: Phase::Setup, payload: w.into_bytes().into() }
     }
 
@@ -511,24 +505,6 @@ impl<'a> ClientSession<'a> {
         let mut reply: Vec<Part> = Vec::new();
         for part in parts {
             match self.state {
-                CState::AwaitSetup => {
-                    let mut r = BitReader::new(&part.payload);
-                    let unchanged = r.read_bit().map_err(|_| SyncError::Desync("setup flag"))?;
-                    if unchanged {
-                        return Ok(ClientAction::Done {
-                            data: self.old.to_vec(),
-                            fell_back: false,
-                        });
-                    }
-                    self.new_len = r.read_varint().map_err(|_| SyncError::Desync("new len"))?;
-                    // No stream could deliver a longer file, and the map
-                    // rounds would enumerate items over all of it.
-                    if self.new_len > msync_compress::MAX_STREAM_LEN {
-                        return Err(SyncError::Desync("new len beyond the stream limit"));
-                    }
-                    self.new_fp = r.read_bytes(16).map_err(|_| SyncError::Desync("new fp"))?;
-                    self.state = CState::AwaitSection;
-                }
                 CState::AwaitSection => {
                     let mut r = BitReader::new(&part.payload);
                     let tag = r.read_varint().map_err(|_| SyncError::Desync("section tag"))?;
@@ -537,9 +513,9 @@ impl<'a> ClientSession<'a> {
                         // a zero varint is exactly one byte).
                         let delta = &part.payload[1..];
                         // The decoder trusts its own header up to 4 GiB;
-                        // only the length the setup announced may pass.
+                        // only the length the roster announced may pass.
                         if msync_compress::delta::announced_len(delta) != Ok(self.new_len) {
-                            return Err(SyncError::Desync("delta length differs from setup"));
+                            return Err(SyncError::Desync("delta length differs from roster"));
                         }
                         self.delta_bytes = delta.len() as u64;
                         self.recorder.record(EventKind::DeltaPhase {
@@ -549,7 +525,7 @@ impl<'a> ClientSession<'a> {
                         let reference = self.map.reference_from_old(self.old);
                         let result = msync_compress::delta_decode(&reference, delta)
                             .ok()
-                            .filter(|out| self.new_fp == file_fingerprint(out).0);
+                            .filter(|out| self.new_fp == file_fingerprint(out));
                         match result {
                             Some(data) => return Ok(ClientAction::Done { data, fell_back: false }),
                             None => {
@@ -626,7 +602,7 @@ impl<'a> ClientSession<'a> {
                 }
                 CState::AwaitFull => {
                     if msync_compress::lz::announced_len(&part.payload) != Ok(self.new_len) {
-                        return Err(SyncError::Desync("fallback length differs from setup"));
+                        return Err(SyncError::Desync("fallback length differs from roster"));
                     }
                     let data = msync_compress::decompress(&part.payload)
                         .map_err(|_| SyncError::Desync("fallback stream"))?;
@@ -929,43 +905,11 @@ mod digest_batch_tests {
     }
 }
 
-/// A lying server cannot announce a file longer than any stream can
-/// carry, nor make the client allocate past the length it announced.
+/// A lying server cannot make the client allocate past the length its
+/// roster announced.
 #[cfg(test)]
 mod hostile_server_tests {
     use super::*;
-
-    /// A setup reply announcing a changed file of `new_len` bytes.
-    fn setup_part(new_len: u64) -> Part {
-        let mut setup = BitWriter::new();
-        setup.write_bit(false);
-        setup.write_varint(new_len);
-        setup.write_bytes(&[0; 16]);
-        Part { phase: Phase::Setup, payload: setup.into_bytes().into() }
-    }
-
-    /// A client session past its setup reply, which announced a
-    /// changed file of `new_len` bytes.
-    fn client_after_setup<'a>(
-        old: &'a [u8],
-        cfg: &'a ProtocolConfig,
-        new_len: u64,
-    ) -> ClientSession<'a> {
-        let mut client = ClientSession::new(old, cfg);
-        let reply = client.handle(vec![setup_part(new_len)]);
-        assert!(matches!(reply, Ok(ClientAction::Reply(r)) if r.is_empty()));
-        client
-    }
-
-    #[test]
-    fn setup_announcing_more_than_any_stream_is_a_desync() {
-        let cfg = ProtocolConfig::default();
-        let mut client = ClientSession::new(b"old bytes", &cfg);
-        match client.handle(vec![setup_part(1 << 40)]) {
-            Err(SyncError::Desync(what)) => assert!(what.contains("new len"), "{what}"),
-            other => panic!("expected a typed desync, got {:?}", other.map(|_| ())),
-        }
-    }
 
     /// A delta section (tag 0) whose stream header announces `len`.
     fn delta_part(len: u64) -> Part {
@@ -979,7 +923,7 @@ mod hostile_server_tests {
     #[test]
     fn delta_announcing_more_than_the_setup_is_a_desync() {
         let cfg = ProtocolConfig::default();
-        let mut client = client_after_setup(b"old bytes", &cfg, 1000);
+        let mut client = ClientSession::new(b"old bytes", &cfg, 1000, Fingerprint([0; 16]));
         match client.handle(vec![delta_part(1 << 32)]) {
             Err(SyncError::Desync(what)) => assert!(what.contains("delta length"), "{what}"),
             other => panic!("expected a typed desync, got {:?}", other.map(|_| ())),
@@ -989,7 +933,7 @@ mod hostile_server_tests {
     #[test]
     fn fallback_announcing_more_than_the_setup_is_a_desync() {
         let cfg = ProtocolConfig::default();
-        let mut client = client_after_setup(b"old bytes", &cfg, 1000);
+        let mut client = ClientSession::new(b"old bytes", &cfg, 1000, Fingerprint([0; 16]));
         // A delta of the right length that does not decode: the client
         // asks for the whole file.
         assert!(matches!(client.handle(vec![delta_part(1000)]), Ok(ClientAction::Reply(_))));

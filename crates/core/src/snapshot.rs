@@ -5,8 +5,8 @@
 //! atomically swap what it serves: in-flight sessions keep the `Arc`
 //! they started with and finish byte-exact against it, while new
 //! sessions bind the replacement. Building the snapshot fingerprints
-//! every file exactly once, so neither the roster offer nor the
-//! per-file request path rehashes whole files per client.
+//! every file exactly once, so the roster every client receives costs
+//! the daemon no hashing.
 //!
 //! The snapshot also carries a [`HashCache`]: a cross-session memo of
 //! per-file map-phase artifacts keyed by `(file fingerprint,
@@ -165,13 +165,6 @@ impl SessionCache {
         Self { cache, key: (file_fp, cfg_digest), rec }
     }
 
-    /// The fingerprint of the file this session serves, precomputed at
-    /// snapshot build time.
-    #[must_use]
-    pub fn file_fingerprint(&self) -> Fingerprint {
-        self.key.0
-    }
-
     /// Cached digest of `new[off..off + len]` if present, recording the
     /// hit. Absence records nothing: the caller chooses how to obtain
     /// the digest (derivation or a metered scan), so a lookup that
@@ -232,8 +225,10 @@ impl SessionCache {
 
 /// What a [`CollectionServeMachine`](crate::CollectionServeMachine)
 /// reads of the collection it serves: a daemon's [`CollectionSnapshot`],
-/// or a caller's files borrowed for one sync (`[FileRef]`).
-pub trait ServedFiles {
+/// or a caller's files borrowed for one sync (`[FileRef]`). `Sync`, so
+/// the machine's runner can fingerprint files for the roster on any
+/// thread.
+pub trait ServedFiles: Sync {
     /// Number of files.
     fn file_count(&self) -> usize;
 

@@ -10,8 +10,8 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use msync_core::pipeline::{sync_collection_client_resumable, PipelineOptions};
-use msync_core::{CollectionOutcome, CompletedFile, FileEntry, ProtocolConfig, ResumePlan};
+use msync_core::pipeline::{sync_collection_client_with, PipelineOptions};
+use msync_core::{CollectionOutcome, CompletedFile, FileEntry, ProtocolConfig};
 use msync_protocol::{FaultPlan, FaultTransport, FrameBuf, Phase, Transport};
 use msync_trace::Recorder;
 
@@ -37,10 +37,6 @@ pub struct RemoteOptions {
     /// handshake; off by default. Every charged wire byte, injected
     /// fault, and session milestone lands in it.
     pub recorder: Recorder,
-    /// Files to offer the daemon as already complete (from a prior
-    /// run's checkpoint or the metadata cache). The daemon confirms or
-    /// declines each; declined files sync normally.
-    pub resume: Option<ResumePlan>,
     /// Which of the daemon's collections to sync (`msync sync
     /// --collection NAME`). `None` means the daemon's default
     /// collection. An unknown name surfaces as the typed
@@ -56,7 +52,6 @@ impl Default for RemoteOptions {
             handshake_timeout: Duration::from_secs(10),
             fault_wrap: None,
             recorder: Recorder::off(),
-            resume: None,
             collection: None,
         }
     }
@@ -89,9 +84,9 @@ pub fn sync_remote(
 }
 
 /// [`sync_remote`] with a durability sink: `on_complete` fires for
-/// every file the moment the scheduler finishes it (including files
-/// confirmed by a resume verdict), so the caller can apply it
-/// atomically and checkpoint it before the session moves on. The sink
+/// every file the moment the scheduler finishes it (including files the
+/// roster settled unchanged), so the caller can apply it atomically
+/// before the session moves on. The sink
 /// borrows the bytes the outcome will own ([`CompletedFile::data`] is a
 /// shared handle, not a copy); a sink that keeps the handle past the
 /// call costs one copy of that file when the outcome is assembled. A
@@ -110,18 +105,11 @@ pub fn sync_remote_with(
     t.set_recorder(opts.recorder.clone());
     let cfg =
         client_hello_as(&mut t, &opts.cfg, opts.collection.as_deref(), opts.handshake_timeout)?;
-    let resume = opts.resume.as_ref();
     match opts.fault_wrap {
         None => {
-            let outcome = sync_collection_client_resumable(
-                &mut t,
-                old,
-                &cfg,
-                &opts.pipeline,
-                resume,
-                on_complete,
-            )
-            .map_err(NetError::Sync)?;
+            let outcome =
+                sync_collection_client_with(&mut t, old, &cfg, &opts.pipeline, on_complete)
+                    .map_err(NetError::Sync)?;
             Ok(RemoteOutcome {
                 outcome,
                 socket_sent: t.socket_sent(),
@@ -130,14 +118,8 @@ pub fn sync_remote_with(
         }
         Some((plan, seed)) => {
             let mut faulted = FaultTransport::client(t, &plan, seed);
-            let result = sync_collection_client_resumable(
-                &mut faulted,
-                old,
-                &cfg,
-                &opts.pipeline,
-                resume,
-                on_complete,
-            );
+            let result =
+                sync_collection_client_with(&mut faulted, old, &cfg, &opts.pipeline, on_complete);
             let inner = faulted.into_inner();
             let outcome = result.map_err(NetError::Sync)?;
             Ok(RemoteOutcome {
@@ -244,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_offer_confirmed_by_live_daemon() {
+    fn unchanged_files_settle_against_a_live_daemon() {
         let shared = b"already synced last run ".repeat(200);
         let new = vec![
             FileEntry::new("done.bin", shared.clone()),
@@ -255,19 +237,14 @@ mod tests {
         let addr = daemon.local_addr().to_string();
         let old = vec![FileEntry::new("done.bin", shared.clone())];
 
-        let mut opts = RemoteOptions::default();
-        let mut plan = ResumePlan::new(&opts.cfg);
-        plan.add("done.bin", msync_hash::file_fingerprint(&shared));
-        opts.resume = Some(plan);
-
         let mut completed = Vec::new();
-        let got = sync_remote_with(&addr, &old, &opts, &mut |f| {
-            completed.push((f.name.clone(), f.resumed));
+        let got = sync_remote_with(&addr, &old, &RemoteOptions::default(), &mut |f| {
+            completed.push((f.name.clone(), f.unchanged));
             Ok(())
         })
         .unwrap();
         daemon.shutdown();
-        assert_eq!(got.outcome.resumed, 1);
+        assert_eq!(got.outcome.unchanged, 1);
         assert_eq!(got.outcome.files.len(), 2);
         assert_eq!(got.outcome.files[0].data, new[0].data);
         assert_eq!(got.outcome.files[1].data, new[1].data);

@@ -3,7 +3,7 @@
 //! Before any collection traffic, the connecting client sends one frame:
 //!
 //! ```text
-//! msync-net 4 [<collection>]\n
+//! msync-net 5 [<collection>]\n
 //! <parameter file, as rendered by msync_core::params::render>
 //! ```
 //!
@@ -38,14 +38,16 @@ use crate::registry::validate_collection_name;
 /// change to the frame codec, the handshake, or the batch schedule.
 /// v2 added the resume offer/verdict parts to the roster exchange;
 /// v3 added the optional collection-name token to the hello line;
-/// v4 dropped four parameter-file keys and numbers map rounds by level.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// v4 dropped four parameter-file keys and numbers map rounds by level;
+/// v5 replaced the two rosters, the per-file setup and the resume
+/// offer with one empty opener and one fingerprinted server roster.
+pub const PROTOCOL_VERSION: u32 = 5;
 
-/// Oldest client version this daemon still accepts. An older hello
-/// renders parameter keys this daemon no longer parses and numbers its
-/// rounds differently, so it gets the typed `unsupported version`
-/// refusal instead of a session that desyncs midway.
-pub const MIN_PROTOCOL_VERSION: u32 = 4;
+/// Oldest client version this daemon still accepts. An older client
+/// opens with its own roster and expects a per-file setup reply, so it
+/// gets the typed `unsupported version` refusal instead of a session
+/// that desyncs midway.
+pub const MIN_PROTOCOL_VERSION: u32 = 5;
 
 /// Magic line opening every client hello.
 const MAGIC: &str = "msync-net";

@@ -32,9 +32,8 @@ pub enum Phase {
     Map,
     /// The final delta transfer.
     Delta,
-    /// The crash-recovery extension: resume offers and verdicts
-    /// (checkpoint/cache digests presented by a reconnecting client and
-    /// the server's accept bitmap or typed rejection).
+    /// No longer charged by the protocol: unchanged files are settled
+    /// by the roster, in `Setup`. Kept while the benchmark reads it.
     Resume,
 }
 

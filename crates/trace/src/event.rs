@@ -49,7 +49,8 @@ pub enum PhaseTag {
     Map,
     /// Delta transfer.
     Delta,
-    /// Resume offers and verdicts (crash-recovery extension).
+    /// No longer charged by the protocol; kept while the benchmark
+    /// reads it.
     Resume,
 }
 
@@ -73,31 +74,6 @@ impl PhaseTag {
             PhaseTag::Map => 1,
             PhaseTag::Delta => 2,
             PhaseTag::Resume => 3,
-        }
-    }
-}
-
-/// Why a server turned a resume offer down, as journal tokens. The
-/// client falls back to a full sync on any rejection; the reason only
-/// explains the extra traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResumeRejectTag {
-    /// The offer's protocol-config digest differs from the server's.
-    ConfigMismatch,
-    /// The offer payload did not parse.
-    MalformedOffer,
-    /// The offer listed more entries than the collection cap allows.
-    TooLarge,
-}
-
-impl ResumeRejectTag {
-    /// Stable journal token.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ResumeRejectTag::ConfigMismatch => "config_mismatch",
-            ResumeRejectTag::MalformedOffer => "malformed_offer",
-            ResumeRejectTag::TooLarge => "too_large",
         }
     }
 }
@@ -234,28 +210,8 @@ pub enum EventKind {
         /// Files finished so far.
         done: u64,
     },
-    /// A resume offer was presented (client) or received (server).
-    ResumeOffer {
-        /// Entries (files) the offer covers.
-        files: u64,
-    },
-    /// A resume offer was accepted; the listed files skip their
-    /// sessions entirely.
-    ResumeAccept {
-        /// Offered entries the server confirmed.
-        accepted: u64,
-        /// Offered entries the server declined (stale digests).
-        declined: u64,
-    },
-    /// A resume offer was rejected with a typed reason; the client
-    /// falls back to a full sync.
-    ResumeReject {
-        /// Why the server turned the offer down.
-        reason: ResumeRejectTag,
-    },
-    /// The client metadata cache satisfied one file: its digest was
-    /// offered without rehashing, and on acceptance the file skips
-    /// even the per-file map exchange.
+    /// The client's own copy satisfied one file: its fingerprint
+    /// matched the roster's, so the file completed with no session.
     CacheHit {
         /// Roster index of the file.
         file_id: u64,
@@ -310,9 +266,6 @@ impl EventKind {
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::Handshake { .. } => "handshake",
             EventKind::WindowAdvance { .. } => "window_advance",
-            EventKind::ResumeOffer { .. } => "resume_offer",
-            EventKind::ResumeAccept { .. } => "resume_accept",
-            EventKind::ResumeReject { .. } => "resume_reject",
             EventKind::CacheHit { .. } => "cache_hit",
             EventKind::HashCacheHit { .. } => "hash_cache_hit",
             EventKind::HashCacheMiss { .. } => "hash_cache_miss",
@@ -341,9 +294,7 @@ mod tests {
         assert_eq!(PhaseTag::Delta.as_str(), "delta");
         assert_eq!(FaultKind::Disconnect.as_str(), "disconnect");
         assert_eq!(PhaseTag::Resume.as_str(), "resume");
-        assert_eq!(ResumeRejectTag::ConfigMismatch.as_str(), "config_mismatch");
         assert_eq!(EventKind::Handshake { ok: true }.name(), "handshake");
-        assert_eq!(EventKind::ResumeOffer { files: 3 }.name(), "resume_offer");
         assert_eq!(EventKind::CacheHit { file_id: 0 }.name(), "cache_hit");
         assert_eq!(EventKind::HashCacheHit { bytes: 9 }.name(), "hash_cache_hit");
         assert_eq!(EventKind::HashCacheMiss { bytes: 9 }.name(), "hash_cache_miss");

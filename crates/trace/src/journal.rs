@@ -1,4 +1,4 @@
-//! The JSONL journal sink: schema v6.
+//! The JSONL journal sink: schema v7.
 //!
 //! One event per line, each line a flat JSON object that is fully
 //! self-describing: `{"v":3,"t_us":<clock>,"kind":"<token>",...}` with
@@ -20,8 +20,9 @@ use std::fmt::Write as _;
 /// (`hash_cache_hit`/`hash_cache_miss`); v4 added the watchdog token
 /// (`slow_session`); v5 added the sibling-decomposition token
 /// (`hash_cache_derived`); v6 added `in_flight_bytes` to
-/// `window_advance`.
-pub const SCHEMA_VERSION: u32 = 6;
+/// `window_advance`; v7 removed `resume_offer`/`resume_accept`/
+/// `resume_reject`.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Render one event as its JSONL line (no trailing newline).
 #[must_use]
@@ -82,15 +83,6 @@ pub fn render_line(ev: &TraceEvent) -> String {
                 ",\"in_flight\":{in_flight},\"in_flight_bytes\":{in_flight_bytes},\
                  \"admitted\":{admitted},\"done\":{done}"
             );
-        }
-        EventKind::ResumeOffer { files } => {
-            let _ = write!(s, ",\"files\":{files}");
-        }
-        EventKind::ResumeAccept { accepted, declined } => {
-            let _ = write!(s, ",\"accepted\":{accepted},\"declined\":{declined}");
-        }
-        EventKind::ResumeReject { reason } => {
-            let _ = write!(s, ",\"reason\":\"{}\"", reason.as_str());
         }
         EventKind::CacheHit { file_id } => {
             let _ = write!(s, ",\"file_id\":{file_id}");
@@ -175,9 +167,7 @@ impl JournalLine {
 
 /// Parse one flat JSON object into its `(key, value)` fields, in line
 /// order. Accepts exactly the subset the journal renderer emits —
-/// string/integer/boolean values, no nesting, no floats, no escapes —
-/// which also makes it the shared line parser for the other JSONL
-/// state files in the workspace (metadata cache, checkpoints).
+/// string/integer/boolean values, no nesting, no floats, no escapes.
 ///
 /// # Errors
 /// A human-readable description of the first malformation found.
@@ -304,7 +294,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DirTag, FaultKind, PhaseTag, ResumeRejectTag};
+    use crate::event::{DirTag, FaultKind, PhaseTag};
 
     #[test]
     fn every_kind_roundtrips_through_the_parser() {
@@ -326,9 +316,6 @@ mod tests {
                 admitted: 40,
                 done: 8,
             },
-            EventKind::ResumeOffer { files: 12 },
-            EventKind::ResumeAccept { accepted: 10, declined: 2 },
-            EventKind::ResumeReject { reason: ResumeRejectTag::ConfigMismatch },
             EventKind::CacheHit { file_id: 7 },
             EventKind::HashCacheHit { bytes: 16384 },
             EventKind::HashCacheMiss { bytes: 512 },

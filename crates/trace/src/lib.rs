@@ -53,7 +53,7 @@ pub mod status;
 
 pub use chrome::render_chrome_trace;
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use event::{DirTag, EventKind, FaultKind, PhaseTag, ResumeRejectTag, TraceEvent};
+pub use event::{DirTag, EventKind, FaultKind, PhaseTag, TraceEvent};
 pub use hist::{HistKind, Histogram};
 pub use journal::{
     parse_flat_object, parse_line, render_journal, render_line, FieldValue, JournalLine,

@@ -41,13 +41,7 @@ pub struct MetricsSnapshot {
     pub events_recorded: u64,
     /// Events evicted from the bounded ring.
     pub events_dropped: u64,
-    /// Resume offers presented or received.
-    pub resume_offers: u64,
-    /// Files confirmed by resume accept verdicts.
-    pub resume_accepted_files: u64,
-    /// Resume offers rejected outright.
-    pub resume_rejects: u64,
-    /// Files satisfied by the client metadata cache.
+    /// Files the client's own copy satisfied (roster fingerprint match).
     pub cache_hits: u64,
     /// Server hash-cache lookups satisfied from memory.
     pub hash_cache_hits: u64,
@@ -88,9 +82,6 @@ impl MetricsSnapshot {
             fallbacks: 0,
             events_recorded: 0,
             events_dropped: 0,
-            resume_offers: 0,
-            resume_accepted_files: 0,
-            resume_rejects: 0,
             cache_hits: 0,
             hash_cache_hits: 0,
             hash_cache_misses: 0,
@@ -130,9 +121,6 @@ impl MetricsSnapshot {
                     self.handshakes_failed += 1;
                 }
             }
-            EventKind::ResumeOffer { .. } => self.resume_offers += 1,
-            EventKind::ResumeAccept { accepted, .. } => self.resume_accepted_files += accepted,
-            EventKind::ResumeReject { .. } => self.resume_rejects += 1,
             EventKind::CacheHit { .. } => self.cache_hits += 1,
             EventKind::HashCacheHit { bytes } => {
                 self.hash_cache_hits += 1;
@@ -190,9 +178,6 @@ impl MetricsSnapshot {
         self.fallbacks += other.fallbacks;
         self.events_recorded += other.events_recorded;
         self.events_dropped += other.events_dropped;
-        self.resume_offers += other.resume_offers;
-        self.resume_accepted_files += other.resume_accepted_files;
-        self.resume_rejects += other.resume_rejects;
         self.cache_hits += other.cache_hits;
         self.hash_cache_hits += other.hash_cache_hits;
         self.hash_cache_misses += other.hash_cache_misses;
@@ -256,9 +241,6 @@ impl MetricsSnapshot {
             ("msync_session_fallbacks_total", self.fallbacks),
             ("msync_trace_events_total", self.events_recorded),
             ("msync_trace_events_dropped_total", self.events_dropped),
-            ("msync_resume_offers_total", self.resume_offers),
-            ("msync_resume_accepted_files_total", self.resume_accepted_files),
-            ("msync_resume_rejects_total", self.resume_rejects),
             ("msync_cache_hits_total", self.cache_hits),
             ("msync_hash_cache_hits_total", self.hash_cache_hits),
             ("msync_hash_cache_misses_total", self.hash_cache_misses),
@@ -339,9 +321,6 @@ impl MetricsSnapshot {
             ("session_fallbacks", self.fallbacks),
             ("trace_events", self.events_recorded),
             ("trace_events_dropped", self.events_dropped),
-            ("resume_offers", self.resume_offers),
-            ("resume_accepted_files", self.resume_accepted_files),
-            ("resume_rejects", self.resume_rejects),
             ("cache_hits", self.cache_hits),
             ("hash_cache_hits", self.hash_cache_hits),
             ("hash_cache_misses", self.hash_cache_misses),
@@ -381,7 +360,6 @@ impl Default for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ResumeRejectTag;
 
     #[test]
     fn apply_tallies_the_grid_and_counters() {
@@ -393,9 +371,6 @@ mod tests {
         m.apply(&EventKind::Handshake { ok: false });
         m.apply(&EventKind::SessionStart { file_id: 0 });
         m.apply(&EventKind::SessionEnd { file_id: 0, ok: true, fell_back: true });
-        m.apply(&EventKind::ResumeOffer { files: 5 });
-        m.apply(&EventKind::ResumeAccept { accepted: 4, declined: 1 });
-        m.apply(&EventKind::ResumeReject { reason: ResumeRejectTag::ConfigMismatch });
         m.apply(&EventKind::CacheHit { file_id: 2 });
         m.apply(&EventKind::HashCacheHit { bytes: 4096 });
         m.apply(&EventKind::HashCacheMiss { bytes: 512 });
@@ -412,9 +387,6 @@ mod tests {
         assert_eq!(m.sessions_started, 1);
         assert_eq!(m.sessions_ended, 1);
         assert_eq!(m.fallbacks, 1);
-        assert_eq!(m.resume_offers, 1);
-        assert_eq!(m.resume_accepted_files, 4);
-        assert_eq!(m.resume_rejects, 1);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.hash_cache_hits, 1);
         assert_eq!(m.hash_cache_misses, 1);

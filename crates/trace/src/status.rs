@@ -34,7 +34,7 @@ pub struct SessionStatus {
     pub peer: String,
     /// The protocol phase of the most recent wire activity.
     pub phase: PhaseTag,
-    /// Files confirmed finished (session ends + resume accepts).
+    /// Files confirmed finished (session ends + roster matches).
     pub files_done: u64,
     /// Files known to be in play (0 when the roster size is unknown,
     /// e.g. server-side sessions before any window report).
@@ -113,8 +113,11 @@ impl SessionStatus {
                 self.files_done = self.files_done.max(done);
                 self.in_flight_bytes = in_flight_bytes;
             }
-            EventKind::ResumeAccept { accepted, .. } => self.files_done += accepted,
-            EventKind::CacheHit { .. } | EventKind::HashCacheHit { .. } => self.cache_hits += 1,
+            EventKind::CacheHit { .. } => {
+                self.files_done += 1;
+                self.cache_hits += 1;
+            }
+            EventKind::HashCacheHit { .. } => self.cache_hits += 1,
             _ => {}
         }
     }
@@ -295,7 +298,7 @@ mod tests {
         h.apply(1_020, &EventKind::FrameSend { dir: DirTag::S2c, phase: PhaseTag::Map, bytes: 70 });
         h.apply(1_030, &EventKind::Retransmit { frames: 2 });
         h.apply(1_040, &EventKind::HashCacheHit { bytes: 4096 });
-        h.apply(1_050, &EventKind::ResumeAccept { accepted: 3, declined: 1 });
+        h.apply(1_050, &EventKind::CacheHit { file_id: 4 });
         h.apply(
             1_050,
             &EventKind::WindowAdvance {
@@ -313,7 +316,7 @@ mod tests {
         assert_eq!(s.bytes_in, 40);
         assert_eq!(s.bytes_out, 70);
         assert_eq!(s.retransmits, 2);
-        assert_eq!(s.cache_hits, 1);
+        assert_eq!(s.cache_hits, 2);
         assert_eq!(s.files_done, 3);
         assert_eq!(s.files_total, 5);
         assert_eq!(s.in_flight_bytes, 9_000);

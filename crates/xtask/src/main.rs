@@ -24,7 +24,7 @@ cross-file protocol passes. Enforces:
   crate-headers    #![forbid(unsafe_code)] + #![deny(missing_docs)] in lib crates
   panic-freedom    no unwrap()/expect(/panic!/todo!/unimplemented! in
                    protocol-critical non-test code (hashes, protocol,
-                   rsync, recon, core, net)
+                   rsync, core, net)
   lossy-cast       no narrowing `as` casts in wire-format modules
   determinism      no ambient clock/RNG inside protocol logic, including
                    through `use ... as` aliases

@@ -253,7 +253,7 @@ impl LintConfig {
     #[must_use]
     pub fn msync() -> Self {
         LintConfig {
-            protocol_critical: ["hashes", "protocol", "rsync", "recon", "core", "net"]
+            protocol_critical: ["hashes", "protocol", "rsync", "core", "net"]
                 .map(str::to_owned)
                 .to_vec(),
             wire_modules: [

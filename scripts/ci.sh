@@ -103,7 +103,7 @@ MSYNC_BENCH=1 cargo test --release -q --test bigfile_ceiling
 test -s BENCH_bigfile_ceiling.json || {
     echo "bigfile ceiling did not archive its measurement"; exit 1; }
 
-echo "==> crash-resume byte gate (resume < restart, warm cache = roster only, BENCH_resume.json)"
+echo "==> crash-rerun byte gate (rerun after kill < restart, warm re-sync = roster only, BENCH_resume.json)"
 MSYNC_BENCH=1 cargo test --release -q --test fault_injection resume_bench_gate
 
 echo "==> server hash-cache gate (N warm sessions re-hash zero bytes, BENCH_hash_cache.json)"

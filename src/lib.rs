@@ -28,8 +28,6 @@
 //!   that every driver — in-process, channel, daemon — pumps.
 //! * [`cdc`] — an LBFS-style content-defined-chunking synchronizer,
 //!   a related-work baseline.
-//! * [`recon`] — changed-file identification (Merkle difference and
-//!   group-testing reconciliation), the §4 related-work substrate.
 //! * [`net`] — the real network layer: a TCP-backed transport speaking
 //!   the same frame codec, the `msync serve` daemon, and the
 //!   `--remote` client running the pipelined collection scheduler.
@@ -64,6 +62,5 @@ pub use msync_corpus as corpus;
 pub use msync_hash as hashes;
 pub use msync_net as net;
 pub use msync_protocol as protocol;
-pub use msync_recon as recon;
 pub use msync_rsync as rsync;
 pub use msync_trace as trace;

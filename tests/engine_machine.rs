@@ -50,7 +50,7 @@ fn new_client<'a>(
     now_us: u64,
 ) -> CollectionClientMachine<'a> {
     let retry = RetryPolicy::default();
-    CollectionClientMachine::new(old, config, DEPTH, retry, Recorder::off(), None, now_us)
+    CollectionClientMachine::new(old, config, DEPTH, retry, Recorder::off(), now_us)
         .expect("client machine")
 }
 

@@ -20,21 +20,21 @@
 //! `(class, schedule, shape, seed)` tuple. `MSYNC_SOAK_SEEDS=100` widens
 //! the sweep (CI runs it with more seeds than the default 20).
 //!
-//! The crash-recovery section at the bottom drives the durable-session
-//! machinery end to end: seeded disconnects kill live daemon sessions
-//! mid-collection, the client reconnects with a resume offer built from
-//! the files it completed (as the checkpoint journal would), and the
-//! resumed run must end byte-exact while transferring measurably fewer
-//! bytes than a from-scratch restart. `MSYNC_BENCH=1` additionally
-//! emits the measurement as `BENCH_resume.json` in the repo root.
+//! The crash-recovery section at the bottom drives a rerun after a crash
+//! end to end: seeded disconnects kill live daemon sessions
+//! mid-collection, the files completed before the kill are applied (as
+//! the CLI's `--write` applies them), and the plain rerun — no state of
+//! its own — must end byte-exact while transferring measurably fewer
+//! bytes than a from-scratch restart, because the roster finds every
+//! applied file unchanged. `MSYNC_BENCH=1` additionally emits the
+//! measurement as `BENCH_resume.json` in the repo root.
 
 use msync::core::{
     serve_collection, sync_collection, sync_collection_channel, sync_collection_client,
     AtomicApplier, ChannelOptions, CollectionOutcome, FileEntry, PipelineOptions, ProtocolConfig,
-    ResumePlan, SyncError,
+    SyncError,
 };
 use msync::corpus::Rng;
-use msync::hashes::file_fingerprint;
 use msync::net::{sync_remote, sync_remote_with, Daemon, DaemonOptions, RemoteOptions};
 use msync::protocol::fault::FaultInjector;
 use msync::protocol::{Endpoint, FaultPlan, Phase, RetryPolicy};
@@ -403,19 +403,19 @@ fn faulty_runs_are_reproducible() {
 }
 
 // ---------------------------------------------------------------------
-// Crash recovery: kill-and-resume over a live daemon, torn-temp sweep,
+// Crash recovery: kill-and-rerun over a live daemon, torn-temp sweep,
 // and the repeated-sync fast path.
 // ---------------------------------------------------------------------
 
-/// The seeded kill points for the resume soak: the connection is cut
+/// The seeded kill points for the rerun soak: the connection is cut
 /// after this many server-to-client frames, spanning everything from
 /// "died during the first file" to "died near the end".
 const KILL_POINTS: &[u64] = &[10, 20, 40, 70, 110, 160, 220, 300];
 
 /// One client run against `addr` with the link cut after `cut` s2c
-/// frames. Returns the `(name, data)` pairs the durability sink saw
-/// before the cut, or `None` if the session outran the kill (in which
-/// case the outcome is verified byte-exact here).
+/// frames. Returns the `(name, data)` pairs of the files the durability
+/// sink saw synced before the cut, or `None` if the session outran the
+/// kill (in which case the outcome is verified byte-exact here).
 fn killed_run(
     addr: &str,
     old: &[FileEntry],
@@ -425,10 +425,10 @@ fn killed_run(
     let mut plan = FaultPlan::none();
     plan.s2c.disconnect_after = Some(cut);
     // Depth 1 serializes the per-file sessions, so a mid-collection cut
-    // leaves the earlier files completed (and checkpointed) — the
-    // partial state the resume machinery exists for. At the default
-    // depth every file finishes near the end, so almost every cut would
-    // land before the first completion.
+    // leaves the earlier files completed (and applied) — the partial
+    // state a rerun picks up from. At the default depth every file
+    // finishes near the end, so almost every cut would land before the
+    // first completion.
     let opts = RemoteOptions {
         pipeline: PipelineOptions { depth: 1, retry: soak_retry() },
         fault_wrap: Some((plan, cut)),
@@ -436,7 +436,9 @@ fn killed_run(
     };
     let mut completed = Vec::new();
     match sync_remote_with(addr, old, &opts, &mut |f| {
-        completed.push((f.name.clone(), f.data.to_vec()));
+        if !f.unchanged {
+            completed.push((f.name.clone(), f.data.to_vec()));
+        }
         Ok(())
     }) {
         Ok(got) => {
@@ -447,23 +449,17 @@ fn killed_run(
     }
 }
 
-/// Reconnect after a kill the way the durable CLI does: the completed
-/// files are already applied on disk (so the retry's `old` holds their
-/// final bytes) and the checkpoint feeds the resume offer.
-fn resume_state(
-    old: &[FileEntry],
-    completed: &[(String, Vec<u8>)],
-) -> (Vec<FileEntry>, ResumePlan) {
-    let mut retry_old = old.to_vec();
-    let mut plan = ResumePlan::new(&ProtocolConfig::default());
+/// The client's tree after a kill: `old` with every file completed
+/// before the kill already applied, as the CLI's `--write` leaves it.
+fn applied_tree(old: &[FileEntry], completed: &[(String, Vec<u8>)]) -> Vec<FileEntry> {
+    let mut tree = old.to_vec();
     for (name, data) in completed {
-        match retry_old.iter_mut().find(|e| e.name == *name) {
+        match tree.iter_mut().find(|e| e.name == *name) {
             Some(e) => e.data.clone_from(data),
-            None => retry_old.push(FileEntry::new(name.clone(), data.clone())),
+            None => tree.push(FileEntry::new(name.clone(), data.clone())),
         }
-        plan.add(name.clone(), file_fingerprint(data));
     }
-    (retry_old, plan)
+    tree
 }
 
 #[test]
@@ -473,8 +469,8 @@ fn kill_and_resume_completes_byte_exact_with_fewer_bytes() {
         Daemon::spawn("127.0.0.1:0", new.clone(), DaemonOptions::default(), |_| {}).expect("bind");
     let addr = daemon.local_addr().to_string();
 
-    // Restart baseline: what a crash costs without checkpoints — the
-    // whole collection re-synced from the original client state.
+    // Restart baseline: the whole collection re-synced from the
+    // original client state.
     let restart = sync_remote(&addr, &old, &RemoteOptions::default()).expect("restart baseline");
     assert_collection(&restart.outcome.files, &new, "restart baseline");
     let restart_bytes = restart.socket_sent + restart.socket_received;
@@ -486,26 +482,26 @@ fn kill_and_resume_completes_byte_exact_with_fewer_bytes() {
             continue; // Cut landed before any file finished: a pure restart.
         }
         exercised += 1;
-        let (retry_old, plan) = resume_state(&old, &completed);
-        let opts = RemoteOptions { resume: Some(plan), ..RemoteOptions::default() };
-        let got = sync_remote(&addr, &retry_old, &opts)
-            .unwrap_or_else(|e| panic!("cut {cut}: resumed run failed: {e}"));
-        assert_collection(&got.outcome.files, &new, &format!("resumed run (cut {cut})"));
-        assert_eq!(
-            got.outcome.resumed,
-            completed.len(),
-            "cut {cut}: the daemon must confirm every checkpointed file"
-        );
-        let resumed_bytes = got.socket_sent + got.socket_received;
+        let tree = applied_tree(&old, &completed);
+        let got = sync_remote(&addr, &tree, &RemoteOptions::default())
+            .unwrap_or_else(|e| panic!("cut {cut}: rerun failed: {e}"));
+        assert_collection(&got.outcome.files, &new, &format!("rerun (cut {cut})"));
         assert!(
-            resumed_bytes < restart_bytes,
-            "cut {cut}: resume after {} completed file(s) moved {resumed_bytes} bytes, \
+            got.outcome.unchanged >= completed.len(),
+            "cut {cut}: the roster must settle every applied file ({} of {})",
+            got.outcome.unchanged,
+            completed.len()
+        );
+        let rerun_bytes = got.socket_sent + got.socket_received;
+        assert!(
+            rerun_bytes < restart_bytes,
+            "cut {cut}: rerun after {} applied file(s) moved {rerun_bytes} bytes, \
              restart moved {restart_bytes}",
             completed.len()
         );
         println!(
-            "kill-and-resume: cut after {cut} frames -> {} file(s) checkpointed, \
-             {resumed_bytes} resumed bytes vs {restart_bytes} restart bytes",
+            "kill-and-rerun: cut after {cut} frames -> {} file(s) applied, \
+             {rerun_bytes} rerun bytes vs {restart_bytes} restart bytes",
             completed.len()
         );
     }
@@ -514,33 +510,9 @@ fn kill_and_resume_completes_byte_exact_with_fewer_bytes() {
 }
 
 #[test]
-fn stale_checkpoint_entries_degrade_to_full_sync_not_failure() {
-    // A checkpoint written before the server-side content changed must
-    // be declined per entry — the sync still completes byte-exact.
-    let (old, new) = collection_pair(3, 5);
-    let daemon =
-        Daemon::spawn("127.0.0.1:0", new.clone(), DaemonOptions::default(), |_| {}).expect("bind");
-    let addr = daemon.local_addr().to_string();
-
-    // Offer f00 at its *old* digest (stale) and f01 at its final digest
-    // (fresh); pretend both are already on disk.
-    let mut retry_old = old.clone();
-    retry_old[1].data.clone_from(&new[1].data);
-    let mut plan = ResumePlan::new(&ProtocolConfig::default());
-    plan.add(old[0].name.clone(), file_fingerprint(&old[0].data));
-    plan.add(new[1].name.clone(), file_fingerprint(&new[1].data));
-
-    let opts = RemoteOptions { resume: Some(plan), ..RemoteOptions::default() };
-    let got = sync_remote(&addr, &retry_old, &opts).expect("degraded run");
-    daemon.shutdown();
-    assert_collection(&got.outcome.files, &new, "degraded run");
-    assert_eq!(got.outcome.resumed, 1, "only the fresh entry is confirmed");
-}
-
-#[test]
 fn torn_temp_files_are_swept_and_reapplied_atomically() {
     // A crash mid-apply leaves `<final>.msync-tmp` siblings, never a
-    // torn final file; the startup sweep removes them and the resumed
+    // torn final file; the startup sweep removes them and the rerun's
     // apply lands the real content.
     let dir = std::env::temp_dir().join(format!("msync-torn-temp-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -551,10 +523,10 @@ fn torn_temp_files_are_swept_and_reapplied_atomically() {
 
     let applier = AtomicApplier::new(&dir);
     assert_eq!(applier.clean_orphans().expect("sweep"), 2, "both orphans are swept");
-    applier.apply("a.bin", b"resumed final content").expect("apply");
+    applier.apply("a.bin", b"rerun final content").expect("apply");
     applier.apply("sub/b.bin", b"nested final").expect("apply");
 
-    assert_eq!(std::fs::read(dir.join("a.bin")).expect("read"), b"resumed final content");
+    assert_eq!(std::fs::read(dir.join("a.bin")).expect("read"), b"rerun final content");
     assert_eq!(std::fs::read(dir.join("sub").join("b.bin")).expect("read"), b"nested final");
     assert!(!dir.join("a.bin.msync-tmp").exists(), "no temp sibling survives a finished apply");
     assert!(!dir.join("sub").join("b.bin.msync-tmp").exists());
@@ -563,41 +535,36 @@ fn torn_temp_files_are_swept_and_reapplied_atomically() {
 
 #[test]
 fn warm_cache_repeat_sync_exchanges_no_map_frames() {
-    // Second sync of an already-synchronized collection with every file
-    // offered from the metadata cache: the whole exchange is the roster
-    // plus the resume offer/verdict — zero map or delta traffic.
+    // Second sync of an already-synchronized collection: the client's
+    // own copies are the warm cache, and the roster's fingerprints
+    // settle every file — the whole exchange is the opener and the
+    // roster, with zero map or delta traffic.
     let (_, new) = collection_pair(4, 7);
     let daemon =
         Daemon::spawn("127.0.0.1:0", new.clone(), DaemonOptions::default(), |_| {}).expect("bind");
     let addr = daemon.local_addr().to_string();
-
-    let mut plan = ResumePlan::new(&ProtocolConfig::default());
-    for f in &new {
-        plan.add(f.name.clone(), file_fingerprint(&f.data));
-    }
-    let opts = RemoteOptions { resume: Some(plan), ..RemoteOptions::default() };
-    let got = sync_remote(&addr, &new, &opts).expect("warm run");
+    let got = sync_remote(&addr, &new, &RemoteOptions::default()).expect("warm run");
     daemon.shutdown();
 
     assert_collection(&got.outcome.files, &new, "warm run");
-    assert_eq!(got.outcome.resumed, new.len(), "every cached file is confirmed");
+    assert_eq!(got.outcome.unchanged, new.len(), "every file settles on the roster");
     let t = &got.outcome.traffic;
     assert_eq!(
         t.c2s(Phase::Map) + t.s2c(Phase::Map),
         0,
-        "a warm-cache repeat sync must exchange no per-file map frames"
+        "a warm repeat sync must exchange no per-file map frames"
     );
     assert_eq!(t.c2s(Phase::Delta) + t.s2c(Phase::Delta), 0, "and no delta frames");
-    assert!(t.c2s(Phase::Resume) > 0, "the offer itself is charged to the Resume phase");
 }
 
 #[test]
 fn resume_bench_gate() {
     // CI runs this with MSYNC_BENCH=1 and archives BENCH_resume.json;
-    // the gates (resume < restart, warm run ≈ roster only) are asserted
-    // here so a regression fails the suite, not just the artifact.
+    // the gates (rerun after a kill < restart, warm re-sync = roster
+    // only) are asserted here so a regression fails the suite, not just
+    // the artifact.
     if std::env::var_os("MSYNC_BENCH").is_none() {
-        eprintln!("resume_bench: set MSYNC_BENCH=1 to run the resume byte gate");
+        eprintln!("resume_bench: set MSYNC_BENCH=1 to run the rerun byte gate");
         return;
     }
     let files = 6usize;
@@ -616,34 +583,29 @@ fn resume_bench_gate() {
             killed_run(&addr, &old, &new, cut).filter(|c| !c.is_empty()).map(|c| (cut, c))
         })
         .expect("some kill point must produce a partial session");
-    let (retry_old, plan) = resume_state(&old, &completed);
-    let opts = RemoteOptions { resume: Some(plan), ..RemoteOptions::default() };
-    let resumed = sync_remote(&addr, &retry_old, &opts).expect("resumed run");
-    assert_collection(&resumed.outcome.files, &new, "resumed run");
-    let resumed_bytes = resumed.socket_sent + resumed.socket_received;
+    let tree = applied_tree(&old, &completed);
+    let rerun = sync_remote(&addr, &tree, &RemoteOptions::default()).expect("rerun");
+    assert_collection(&rerun.outcome.files, &new, "rerun");
+    let rerun_bytes = rerun.socket_sent + rerun.socket_received;
     assert!(
-        resumed_bytes < restart_bytes,
-        "resumed sync must move fewer bytes than a restart: {resumed_bytes} vs {restart_bytes}"
+        rerun_bytes < restart_bytes,
+        "a rerun after a kill must move fewer bytes than a restart: {rerun_bytes} vs {restart_bytes}"
     );
 
-    // Warm repeat run: everything cached, roster + offer/verdict only.
-    let mut plan = ResumePlan::new(&ProtocolConfig::default());
-    for f in &new {
-        plan.add(f.name.clone(), file_fingerprint(&f.data));
-    }
-    let opts = RemoteOptions { resume: Some(plan), ..RemoteOptions::default() };
-    let warm = sync_remote(&addr, &new, &opts).expect("warm run");
+    // Warm repeat run: every file unchanged, the roster only.
+    let warm = sync_remote(&addr, &new, &RemoteOptions::default()).expect("warm run");
     daemon.shutdown();
     let t = &warm.outcome.traffic;
     let warm_map = t.c2s(Phase::Map) + t.s2c(Phase::Map);
     let warm_delta = t.c2s(Phase::Delta) + t.s2c(Phase::Delta);
-    assert_eq!(warm_map + warm_delta, 0, "warm run must be roster + resume traffic only");
+    assert_eq!(warm_map + warm_delta, 0, "warm run must be roster traffic only");
     let warm_bytes = warm.socket_sent + warm.socket_received;
+    assert!(warm_bytes <= 784, "warm re-sync moved {warm_bytes} B, above the 784 B ceiling");
 
     let json = format!(
-        "{{\n  \"bench\": \"resume\",\n  \"files\": {files},\n  \"disconnect_after_frames\": {cut},\n  \"completed_before_kill\": {},\n  \"restart_bytes\": {restart_bytes},\n  \"resumed_bytes\": {resumed_bytes},\n  \"resume_savings\": {:.3},\n  \"warm_bytes\": {warm_bytes},\n  \"warm_map_bytes\": {warm_map},\n  \"warm_delta_bytes\": {warm_delta}\n}}\n",
+        "{{\n  \"bench\": \"resume\",\n  \"files\": {files},\n  \"disconnect_after_frames\": {cut},\n  \"completed_before_kill\": {},\n  \"restart_bytes\": {restart_bytes},\n  \"rerun_bytes\": {rerun_bytes},\n  \"rerun_savings\": {:.3},\n  \"warm_bytes\": {warm_bytes},\n  \"warm_map_bytes\": {warm_map},\n  \"warm_delta_bytes\": {warm_delta}\n}}\n",
         completed.len(),
-        1.0 - resumed_bytes as f64 / restart_bytes.max(1) as f64
+        1.0 - rerun_bytes as f64 / restart_bytes.max(1) as f64
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_resume.json");
     std::fs::write(out, &json).expect("write bench json");

@@ -396,10 +396,61 @@ mod extensions {
             assert_eq!(out.files, new);
         });
     }
+
+    #[test]
+    fn collection_mixes_settle_unchanged_files_up_front() {
+        use msync::core::{serve_collection, sync_collection_client, PipelineOptions};
+        use msync::protocol::{Endpoint, RetryPolicy};
+        let cfg = super::quick_cfg();
+        for_cases(0x65787434, 24, |rng| {
+            // Unchanged, edited, created and deleted files under names
+            // that share prefixes, as a crawl's do.
+            let (mut old, mut new) = (Vec::new(), Vec::new());
+            for i in 0..rng.gen_range(0..24u32) {
+                let name = format!("d{}/page_{i:03}.html", rng.gen_range(0..3u32));
+                let (o, n) = edited_pair(rng, 2048);
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        old.push(FileEntry::new(name.clone(), n.clone()));
+                        new.push(FileEntry::new(name, n));
+                    }
+                    1 => {
+                        old.push(FileEntry::new(name.clone(), o));
+                        new.push(FileEntry::new(name, n));
+                    }
+                    2 => new.push(FileEntry::new(name, n)),
+                    _ => old.push(FileEntry::new(name, o)),
+                }
+            }
+            let (mut client_ep, mut server_ep) = Endpoint::pair();
+            let (out, served) = std::thread::scope(|s| {
+                let server = s
+                    .spawn(|| serve_collection(&mut server_ep, &new, &cfg, RetryPolicy::default()));
+                let opts = PipelineOptions::default();
+                let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts).unwrap();
+                drop(client_ep);
+                (out, server.join().unwrap().unwrap())
+            });
+            let mut want = new.clone();
+            want.sort_by(|a, b| a.name.cmp(&b.name));
+            assert_eq!(out.files, want);
+            let local = |name: &str| old.iter().find(|f| f.name == name);
+            let same = |f: &FileEntry| local(&f.name).is_some_and(|o| o.data == f.data);
+            let unchanged = new.iter().filter(|f| same(f)).count();
+            let created = new.iter().filter(|f| local(&f.name).is_none()).count();
+            assert_eq!((out.unchanged, out.created), (unchanged, created));
+            assert_eq!(out.deleted, old.len() + created - new.len());
+            assert_eq!(served.sessions, new.len() - unchanged, "changed + created");
+            for ((name, stats), f) in out.per_file.iter().zip(&want) {
+                if same(f) {
+                    assert_eq!(stats.traffic.total_bytes(), 0, "{name} is unchanged");
+                }
+            }
+        });
+    }
 }
 
-/// Structural invariants of the shared interval machinery and the
-/// changed-file reconciliation strategies.
+/// Structural invariants of the shared interval machinery.
 mod structures {
     use super::for_cases;
     use msync::core::coverage::Coverage;
@@ -437,39 +488,6 @@ mod structures {
                 assert_eq!(c.contains(probe * 16, 16), inside);
                 assert_eq!(c.is_free(probe * 16, 16), !inside);
             }
-        });
-    }
-
-    #[test]
-    fn recon_strategies_always_agree() {
-        for_cases(0x73747233, 64, |rng| {
-            use msync::hashes::file_fingerprint;
-            use msync::recon::{self, Item};
-            let mut names = std::collections::BTreeSet::new();
-            for _ in 0..rng.gen_range(0..60u32) {
-                let len = rng.gen_range(1..=12usize);
-                let name: String =
-                    (0..len).map(|_| char::from(b'a' + rng.gen_range(0..26u32) as u8)).collect();
-                names.insert(name);
-            }
-            let mut a: Vec<Item> = names
-                .iter()
-                .map(|n| Item { name: n.clone(), fp: file_fingerprint(n.as_bytes()) })
-                .collect();
-            let mut b = a.clone();
-            for _ in 0..rng.gen_range(0..10u32) {
-                if b.is_empty() {
-                    break;
-                }
-                let idx = rng.gen_range(0..b.len());
-                b[idx].fp = file_fingerprint(format!("flip-{}", b[idx].name).as_bytes());
-            }
-            recon::canonicalize(&mut a);
-            recon::canonicalize(&mut b);
-            let truth = recon::diff_names(&a, &b);
-            assert_eq!(recon::merkle::reconcile(&a, &b).differing, truth);
-            assert_eq!(recon::group_testing::reconcile(&a, &b).differing, truth);
-            assert_eq!(recon::flat_exchange(&a, &b).differing, truth);
         });
     }
 }

@@ -162,8 +162,11 @@ fn multi_file_journal_is_byte_identical_across_runs_and_sums_to_the_traffic() {
     assert_eq!((o1.unchanged, o1.created, o1.deleted), (1, 1, 1));
     assert_eq!(o1.traffic, o2.traffic);
     assert_eq!(j1, j2, "same inputs + same clock schedule must replay byte-identically");
-    let ends = j1.lines().filter(|l| l.contains(r#""kind":"session_end""#)).count();
-    assert_eq!(ends, new.len(), "one session_end per file");
+    let count = |kind: &str| j1.lines().filter(|l| l.contains(kind)).count();
+    // The unchanged file settles on the roster: no session, one cache hit.
+    let ends = count(r#""kind":"session_end""#);
+    assert_eq!(ends, new.len() - 1, "one session_end per changed or created file");
+    assert_eq!(count(r#""kind":"cache_hit""#), 1, "one cache_hit per unchanged file");
     assert_sums_equal(&j1, &o1.traffic);
     // Untraced, the same sync runs its batches on every core and costs
     // exactly the same.
