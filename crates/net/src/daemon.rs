@@ -4,7 +4,11 @@
 //! threads (default: one per core, `--workers N`) runs nonblocking poll
 //! loops over per-session sans-IO machines
 //! ([`msync_core::CollectionServeMachine`]), so a slow client on a slow
-//! link never holds a thread — it holds a few kilobytes of state.
+//! link never holds a thread — it holds a few kilobytes of state (the
+//! 64 KiB read buffer belongs to the worker, not the connection). An
+//! idle worker whose one session awaits its client waits on that socket
+//! and serves the next frame the moment it lands, instead of finding it
+//! on its next poll; see the `mux` module for the rule.
 //!
 //! Admission control: `--max-sessions N` caps concurrently admitted
 //! sessions. An over-capacity connection is not dropped silently — the
@@ -165,6 +169,7 @@ impl Daemon {
             metrics: Arc::clone(&metrics),
             per_collection: Arc::clone(&per_collection),
             active: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
             stop: Arc::clone(&stop),
             intro,
             pool: BufferPool::new(POOL_MAX_IDLE),

@@ -8,8 +8,16 @@
 //! them: read whatever the sockets have, feed complete frames to the
 //! machines, drain the machines' queued transmissions, and service
 //! per-session deadlines from the machines' own timer requests. No
-//! thread ever blocks on one peer, so a fixed worker pool (default: one
-//! per core) serves an arbitrary number of concurrent sessions.
+//! thread ever blocks on one peer for longer than one idle wait, so a
+//! fixed worker pool (default: one per core) serves an arbitrary number
+//! of concurrent sessions.
+//!
+//! Idle waits: a pass that moved nothing ends in a wait of at most
+//! [`IDLE_SLEEP`]. A worker holding exactly one connection, whose next
+//! need is its peer's next frame, waits on that socket and is woken the
+//! moment the frame lands; any other idle worker sleeps. At least one
+//! worker always sleeps rather than waits on a socket, so the shared
+//! listener keeps its [`IDLE_SLEEP`] cadence.
 //!
 //! Accounting parity: every connection charges its bytes through the
 //! same [`WireMeter`] as the blocking
@@ -20,9 +28,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -43,12 +51,18 @@ use crate::handshake::{
 use crate::registry::CollectionRegistry;
 use crate::tcp::FrameBuffer;
 
-/// How long an idle worker sleeps between polls. Far below the ARQ
-/// retry timeout (500 ms default), so machine deadlines are observed
-/// with negligible slack.
+/// The longest an idle worker waits before its next poll: a plain
+/// sleep, or a wait on its one connection that ends early when that
+/// peer's next frame (or hang-up) arrives. The kernel rounds a socket
+/// wait up to its timer tick (milliseconds), which is why only a worker
+/// with nothing else to serve may wait on a socket
+/// ([`Shared::try_park`]). Either is far below the ARQ retry timeout
+/// (500 ms default), so machine deadlines are observed with negligible
+/// slack.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// Bytes requested from a socket per nonblocking read.
+/// Bytes requested from a socket per nonblocking read: the size of the
+/// one read buffer each worker lends to every connection it ticks.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Upper bound on an outbound write stall before the peer is declared
@@ -85,6 +99,57 @@ pub(crate) struct Introspect {
     workers: usize,
     /// Slow-session watchdog threshold; `None` disables the watchdog.
     slow_session_us: Option<u64>,
+    /// Worker-loop self-metrics, summed over every worker.
+    mux: MuxCounters,
+}
+
+/// The worker loops' self-metrics: loop passes, connections ticked,
+/// idle waits, and how the waits on a connection ended. One field set
+/// serves both the per-worker tally (plain counts) and the daemon-wide
+/// totals (atomics).
+#[derive(Default)]
+struct MuxTally<T> {
+    passes: T,
+    conns_ticked: T,
+    /// Every idle wait: plain sleeps and waits on a connection.
+    idle_waits: T,
+    /// Waits on a connection ended by that peer's frame or hang-up.
+    waits_woken: T,
+    /// Waits on a connection that ran to their bound.
+    waits_timed_out: T,
+}
+
+type MuxCounters = MuxTally<AtomicU64>;
+
+impl MuxTally<u64> {
+    /// Add this worker's counts to the daemon totals and start over.
+    /// Called as each idle wait ends, so a busy pass never writes
+    /// shared memory and a wait's outcome is visible at once.
+    fn publish(&mut self, to: &MuxCounters) {
+        for (local, shared) in [
+            (&mut self.passes, &to.passes),
+            (&mut self.conns_ticked, &to.conns_ticked),
+            (&mut self.idle_waits, &to.idle_waits),
+            (&mut self.waits_woken, &to.waits_woken),
+            (&mut self.waits_timed_out, &to.waits_timed_out),
+        ] {
+            shared.fetch_add(std::mem::take(local), Ordering::Relaxed);
+        }
+    }
+}
+
+impl MuxCounters {
+    /// `(name, total)` per counter, for the `stats` and `health` renderings.
+    fn totals(&self) -> [(&'static str, u64); 5] {
+        [
+            ("passes", &self.passes),
+            ("conns_ticked", &self.conns_ticked),
+            ("idle_waits", &self.idle_waits),
+            ("waits_woken", &self.waits_woken),
+            ("waits_timed_out", &self.waits_timed_out),
+        ]
+        .map(|(name, n)| (name, n.load(Ordering::Relaxed)))
+    }
 }
 
 impl Introspect {
@@ -96,6 +161,7 @@ impl Introspect {
             reloads: Mutex::new(BTreeMap::new()),
             workers,
             slow_session_us: slow_session.map(micros),
+            mux: MuxCounters::default(),
             clock,
         }
     }
@@ -140,6 +206,9 @@ pub(crate) struct Shared<F> {
     pub(crate) per_collection: Arc<Mutex<BTreeMap<String, MetricsSnapshot>>>,
     /// Sessions currently admitted (handshaking or serving).
     pub(crate) active: AtomicUsize,
+    /// Workers blocked in a wait on one connection's socket
+    /// ([`Shared::try_park`]).
+    pub(crate) parked: AtomicUsize,
     /// Set by [`Daemon::shutdown`](crate::daemon::Daemon::shutdown).
     pub(crate) stop: Arc<AtomicBool>,
     /// Live-introspection state behind the `stats`/`sessions`/`health`
@@ -180,6 +249,25 @@ where
     /// Release an admission slot claimed by [`Shared::try_admit`].
     fn release(&self) {
         self.active.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Claim leave to wait on a connection's socket. Granted while at
+    /// least one other worker stays unparked to poll the shared
+    /// listener every [`IDLE_SLEEP`]: a parked worker returns only when
+    /// its peer speaks or the kernel's timer ends the wait, and the
+    /// kernel rounds that bound up to its tick.
+    fn try_park(&self) -> bool {
+        let workers = self.intro.workers;
+        self.parked
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n + 1 < workers).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Return the leave claimed by [`Shared::try_park`].
+    fn unpark(&self) {
+        self.parked.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Merge a finished session into the aggregate (and, when the
@@ -230,6 +318,10 @@ where
         ] {
             let _ = writeln!(text, "# TYPE {name} gauge");
             let _ = writeln!(text, "{name} {value}");
+        }
+        for (name, value) in self.intro.mux.totals() {
+            let _ = writeln!(text, "# TYPE msync_mux_{name}_total counter");
+            let _ = writeln!(text, "msync_mux_{name}_total {value}");
         }
         text
     }
@@ -293,6 +385,9 @@ where
         for (name, t_us) in reloads.iter() {
             let _ = writeln!(out, "last_reload_us.{name}={t_us}");
         }
+        for (name, value) in self.intro.mux.totals() {
+            let _ = writeln!(out, "mux_{name}={value}");
+        }
         out
     }
 
@@ -343,7 +438,6 @@ struct MuxConn {
     deadline_us: u64,
     result: Option<Result<ServeOutcome, NetError>>,
     inbuf: FrameBuffer,
-    scratch: Vec<u8>,
     /// Outbound frames awaiting the socket, each a framing header plus
     /// a refcounted payload share — never a flattened byte copy. The
     /// whole queue flushes through one vectored write per pump.
@@ -403,7 +497,6 @@ impl MuxConn {
             deadline_us: now_us.saturating_add(micros(handshake_timeout)),
             result: None,
             inbuf: FrameBuffer::default(),
-            scratch: vec![0u8; READ_CHUNK],
             outq: VecDeque::new(),
             out_pos: 0,
             stall_since_us: None,
@@ -563,10 +656,10 @@ impl MuxConn {
         self.fail(NetError::Handshake(format!("refused client: {REFUSAL_REASON}")));
     }
 
-    /// One poll-loop visit: read, dispatch frames, service deadlines,
-    /// run the watchdog, flush. Returns whether the connection made
-    /// observable progress.
-    fn tick<F>(&mut self, shared: &Shared<F>) -> bool
+    /// One poll-loop visit: read (through the worker's `scratch`
+    /// buffer), dispatch frames, service deadlines, run the watchdog,
+    /// flush. Returns whether the connection made observable progress.
+    fn tick<F>(&mut self, shared: &Shared<F>, scratch: &mut [u8]) -> bool
     where
         F: Fn(SessionReport) + Send + Sync + 'static,
     {
@@ -577,14 +670,14 @@ impl MuxConn {
         // verdict is in, and any unread bytes belong to no session.
         if !self.eof && !self.poisoned && !matches!(self.phase, ConnPhase::Drain) {
             loop {
-                match self.stream.read(&mut self.scratch) {
+                match self.stream.read(scratch) {
                     Ok(0) => {
                         self.eof = true;
                         progressed = true;
                         break;
                     }
                     Ok(n) => {
-                        self.inbuf.extend(&self.scratch[..n]);
+                        self.inbuf.extend(&scratch[..n]);
                         progressed = true;
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -795,6 +888,17 @@ impl MuxConn {
         matches!(self.phase, ConnPhase::Drain) && (self.outq.is_empty() || self.eof)
     }
 
+    /// Whether an idle worker may wait on this connection's socket: the
+    /// next thing it needs is the peer's next frame. A draining, hung-up
+    /// or poisoned connection reads nothing more, and queued output
+    /// needs the socket to drain, not the peer to speak.
+    fn waitable(&self) -> bool {
+        !matches!(self.phase, ConnPhase::Drain)
+            && !self.eof
+            && !self.poisoned
+            && self.outq.is_empty()
+    }
+
     /// Consume the connection into its report.
     fn finish(self) -> SessionReport {
         let result = self.result.unwrap_or(Err(NetError::Handshake(
@@ -809,18 +913,55 @@ impl MuxConn {
     }
 }
 
+/// Block until `stream` has a byte to read or its peer hangs up, for at
+/// most `bound`, then restore the poll loop's socket posture
+/// (nonblocking, [`WRITE_STALL`] read deadline). `Ok(true)` means the
+/// peer woke the wait, `Ok(false)` that the bound ran out. An error
+/// means the posture may not be restored: the caller must fail the
+/// session rather than tick a socket that might block.
+fn wait_readable(stream: &TcpStream, bound: Duration) -> io::Result<bool> {
+    stream.set_nonblocking(false)?;
+    let waited = stream.set_read_timeout(Some(bound)).map(|()| {
+        let mut byte = [0u8; 1];
+        match stream.peek(&mut byte) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                false
+            }
+            // A frame, a hang-up (`Ok(0)`) or a pending socket error:
+            // the next tick's read reports each.
+            _ => true,
+        }
+    });
+    stream.set_nonblocking(true)?;
+    stream.set_read_timeout(Some(WRITE_STALL))?;
+    waited
+}
+
 /// One worker thread's poll loop: accept new connections (first worker
 /// to reach the listener wins), tick every owned connection, deliver
-/// finished sessions, sleep briefly when fully idle. On shutdown the
+/// finished sessions, wait briefly when fully idle. On shutdown the
 /// worker stops accepting, drains its in-flight sessions, and returns.
+///
+/// The idle wait: a worker whose only connection is waiting on its
+/// peer blocks on that socket ([`wait_readable`]) when
+/// [`Shared::try_park`] allows, so the peer's next frame is served the
+/// moment it lands; every other idle worker sleeps [`IDLE_SLEEP`].
 pub(crate) fn worker_loop<F>(listener: &TcpListener, shared: &Shared<F>)
 where
     F: Fn(SessionReport) + Send + Sync + 'static,
 {
     let clock = Arc::clone(&shared.intro.clock);
     let mut conns: Vec<MuxConn> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut tally = MuxTally::<u64>::default();
     let mut last_sample_us = 0u64;
     loop {
+        tally.passes += 1;
         let stopping = shared.stop.load(Ordering::SeqCst);
         let mut progressed = false;
         // Feed the rate estimator about once a second per worker; the
@@ -867,9 +1008,10 @@ where
                 }
             }
         }
+        tally.conns_ticked += conns.len() as u64;
         let mut i = 0;
         while i < conns.len() {
-            progressed |= conns[i].tick(shared);
+            progressed |= conns[i].tick(shared, &mut scratch);
             if conns[i].is_done() {
                 let conn = conns.swap_remove(i);
                 if conn.admitted {
@@ -885,7 +1027,109 @@ where
             return;
         }
         if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+            tally.idle_waits += 1;
+            match conns.as_mut_slice() {
+                [conn] if conn.waitable() && shared.try_park() => {
+                    let waited = wait_readable(&conn.stream, IDLE_SLEEP);
+                    shared.unpark();
+                    match waited {
+                        Ok(true) => tally.waits_woken += 1,
+                        Ok(false) => tally.waits_timed_out += 1,
+                        Err(e) => conn.fail(NetError::Io(e)),
+                    }
+                }
+                _ => std::thread::sleep(IDLE_SLEEP),
+            }
+            tally.publish(&shared.intro.mux);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: the daemon's end in the poll loop's
+    /// socket posture, and the peer's end.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        ours.set_read_timeout(Some(WRITE_STALL)).unwrap();
+        ours.set_nonblocking(true).unwrap();
+        (ours, peer)
+    }
+
+    /// The wait handed the socket back in the poll loop's posture: the
+    /// write-stall deadline is in place and a read with nothing queued
+    /// returns `WouldBlock` at once (a blocking read would return it too,
+    /// but only after the whole deadline).
+    fn assert_restored(ours: &mut TcpStream) {
+        assert_eq!(ours.read_timeout().unwrap(), Some(WRITE_STALL));
+        let start = std::time::Instant::now();
+        let err = ours.read(&mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+        assert!(start.elapsed() < Duration::from_secs(1), "the read blocked");
+    }
+
+    // The woken cases wait with a bound far beyond the test's runtime,
+    // so `true` can only mean the peer ended the wait.
+    const LONG: Duration = Duration::from_secs(20);
+
+    #[test]
+    fn wait_wakes_on_bytes_already_sent() {
+        let (mut ours, mut peer) = pair();
+        peer.write_all(b"frame").unwrap();
+        assert!(wait_readable(&ours, LONG).unwrap());
+        // The wait only peeked: the bytes are all still there.
+        let mut buf = [0u8; 16];
+        assert_eq!(ours.read(&mut buf).unwrap(), 5);
+        assert_eq!(&buf[..5], b"frame");
+        assert_restored(&mut ours);
+    }
+
+    #[test]
+    fn wait_times_out_on_silence() {
+        let (mut ours, _peer) = pair();
+        assert!(!wait_readable(&ours, IDLE_SLEEP).unwrap());
+        assert_restored(&mut ours);
+    }
+
+    #[test]
+    fn wait_wakes_on_hang_up() {
+        let (mut ours, peer) = pair();
+        drop(peer);
+        assert!(wait_readable(&ours, LONG).unwrap());
+        // End of stream reads as `Ok(0)` in either mode, so only the
+        // deadline is observable here; the other two cases show the
+        // mode comes back.
+        assert_eq!(ours.read(&mut [0u8; 16]).unwrap(), 0);
+        assert_eq!(ours.read_timeout().unwrap(), Some(WRITE_STALL));
+    }
+
+    #[test]
+    fn tally_publishes_and_starts_over() {
+        let totals = MuxCounters::default();
+        let mut tally = MuxTally {
+            passes: 3,
+            conns_ticked: 5,
+            idle_waits: 2,
+            waits_woken: 1,
+            waits_timed_out: 0,
+        };
+        tally.publish(&totals);
+        // The locals started over: a second publish adds only the new pass.
+        tally.passes += 1;
+        tally.publish(&totals);
+        assert_eq!(
+            totals.totals(),
+            [
+                ("passes", 4),
+                ("conns_ticked", 5),
+                ("idle_waits", 2),
+                ("waits_woken", 1),
+                ("waits_timed_out", 0)
+            ]
+        );
     }
 }

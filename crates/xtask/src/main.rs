@@ -32,8 +32,9 @@ cross-file protocol passes. Enforces:
   channel-discipline
                    no bare recv() in protocol-critical code; receives
                    must be bounded (recv_timeout / try_recv); in socket
-                   crates (net) every read-family call additionally
-                   requires a preceding set_read_timeout deadline
+                   crates (net) every read-family call (and peek)
+                   additionally requires a preceding set_read_timeout
+                   deadline
   clock-discipline no Instant::now / SystemTime::now outside crates/trace
                    (alias-aware); time flows through msync_trace::Clock
                    so traced runs replay deterministically

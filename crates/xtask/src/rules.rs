@@ -21,9 +21,10 @@
 //!   every wait must go through `recv_timeout` (or a non-blocking
 //!   `try_recv`). In the socket crates the same rule additionally bans
 //!   blocking socket reads without a deadline: any `read`-family call
-//!   must be preceded (in the same file) by a `set_read_timeout`, so a
-//!   dead TCP peer surfaces as a typed timeout instead of a hung
-//!   session. Filesystem reads (`fs::`-qualified) are exempt.
+//!   (or `peek`) must be preceded (in the same file) by a
+//!   `set_read_timeout`, so a dead TCP peer surfaces as a typed timeout
+//!   instead of a hung session. Filesystem reads (`fs::`-qualified) are
+//!   exempt.
 //! * `clock-discipline` — no `Instant::now` / `SystemTime::now` in any
 //!   workspace crate except `crates/trace`: all timing flows through
 //!   the `msync_trace::Clock` trait, so a traced run can be replayed
@@ -539,13 +540,14 @@ fn check_channel_discipline(rel: &str, m: &FileModel, findings: &mut Vec<Finding
 
 /// Rule `channel-discipline`, socket-crate extension: a blocking
 /// socket read with no deadline hangs forever on a dead peer, exactly
-/// like a bare `recv()`. Every `read`-family call must therefore be
+/// like a bare `recv()`. Every `read`-family call (`peek` included: on a
+/// blocking socket it waits just like `read`) must therefore be
 /// preceded — earlier in the same file — by a `set_read_timeout`
 /// call establishing the deadline. `fs::`-qualified reads are
 /// filesystem I/O, not socket I/O, and are exempt.
 fn check_socket_discipline(rel: &str, m: &FileModel, findings: &mut Vec<Finding>) {
     let deadline: Option<usize> = m.idents("set_read_timeout").next();
-    for word in ["read", "read_exact", "read_to_end", "read_to_string"] {
+    for word in ["read", "read_exact", "read_to_end", "read_to_string", "peek"] {
         for i in m.idents(word) {
             if i + 1 >= m.len() || !m.is_punct(i + 1, '(') {
                 continue;
@@ -767,11 +769,11 @@ mod tests {
         // No set_read_timeout anywhere: every socket read fires, but
         // fs-qualified reads are exempt.
         let m = model(
-            "fn f() { stream.read(&mut buf); stream.read_exact(&mut b); fs::read(&p); std::fs::read(&p); }",
+            "fn f() { stream.read(&mut buf); stream.read_exact(&mut b); stream.peek(&mut b); fs::read(&p); std::fs::read(&p); }",
         );
         let mut fs = Vec::new();
         check_socket_discipline("t.rs", &m, &mut fs);
-        assert_eq!(fs.len(), 2, "{fs:?}");
+        assert_eq!(fs.len(), 3, "{fs:?}");
         assert!(fs.iter().all(|f| f.rule == Rule::ChannelDiscipline));
     }
 

@@ -12,14 +12,18 @@
 //!   board de-lists it so `live_sessions` does not;
 //! * a session parked in one phase past `--slow-session-ms` is flagged
 //!   `slow=true` live and lands in `msync_slow_sessions_total` once it
-//!   ends.
+//!   ends;
+//! * an idle daemon sleeps: its workers wait without spinning, and a
+//!   wait on a quiet socket ends by its bound, never woken.
 //!
 //! (Root integration tests are outside the xtask clock-discipline scan,
 //! so `Instant` deadlines are fine here.)
 
+mod support;
+
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
@@ -54,6 +58,15 @@ fn small_cfg() -> ProtocolConfig {
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// The idle-daemon test measures the whole process's CPU, so it runs
+/// alone: every other test here holds this lock shared, that one holds
+/// it exclusively.
+static CPU_QUIET: RwLock<()> = RwLock::new(());
+
+fn share_the_process() -> RwLockReadGuard<'static, ()> {
+    CPU_QUIET.read().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Parse a `health` payload into its `key=value` map.
 fn parse_health(payload: &str) -> BTreeMap<String, String> {
     payload
@@ -87,6 +100,7 @@ fn stalled_session(addr: &str) -> std::net::TcpStream {
 /// session id only ever grow between scrapes.
 #[test]
 fn sessions_table_tracks_live_syncs_with_monotone_bytes() {
+    let _shared = share_the_process();
     let (old, new) = corpus();
     let daemon =
         Daemon::spawn("127.0.0.1:0", new, DaemonOptions::default(), |_| {}).expect("daemon spawn");
@@ -157,6 +171,7 @@ fn sessions_table_tracks_live_syncs_with_monotone_bytes() {
 /// de-listed from the live session table.
 #[test]
 fn health_reports_occupancy_and_admission_headroom() {
+    let _shared = share_the_process();
     let (_, new) = corpus();
     let opts = DaemonOptions { workers: 2, max_sessions: Some(4), ..DaemonOptions::default() };
     let daemon = Daemon::spawn("127.0.0.1:0", new, opts, |_| {}).expect("daemon spawn");
@@ -206,6 +221,7 @@ fn health_reports_occupancy_and_admission_headroom() {
 /// `msync_slow_sessions_total` once it ends.
 #[test]
 fn watchdog_flags_a_stalled_session() {
+    let _shared = share_the_process();
     let (_, new) = corpus();
     let opts =
         DaemonOptions { slow_session: Some(Duration::from_millis(50)), ..DaemonOptions::default() };
@@ -242,5 +258,62 @@ fn watchdog_flags_a_stalled_session() {
     }
     let prom = admin_stats(&addr, false, SCRAPE_TIMEOUT).expect("prom stats");
     assert!(prom.contains("msync_slow_sessions_total 1"), "{prom}");
+    daemon.shutdown();
+}
+
+/// An idle daemon sleeps. After one tiny sync, 300 ms of silence on a
+/// 2-worker daemon, with one session held open and quiet, must cost the
+/// whole process under 30 ms of CPU: one worker waits on the quiet
+/// socket, the other sleeps, neither spins. The waits on the quiet
+/// socket end by their bound, and no wait ends woken, since no peer
+/// spoke.
+#[test]
+fn idle_daemon_sleeps() {
+    let _alone = CPU_QUIET.write().unwrap_or_else(PoisonError::into_inner);
+    let files = |tag: &str| -> Vec<FileEntry> {
+        (0..4)
+            .map(|i| FileEntry::new(format!("f{i}"), format!("{tag} {i} ").repeat(60).into_bytes()))
+            .collect()
+    };
+    let delivered = Arc::new(AtomicUsize::new(0));
+    let opts = DaemonOptions { workers: 2, ..DaemonOptions::default() };
+    let daemon = {
+        let delivered = Arc::clone(&delivered);
+        Daemon::spawn("127.0.0.1:0", files("new"), opts, move |_| {
+            delivered.fetch_add(1, Ordering::SeqCst);
+        })
+        .expect("daemon spawn")
+    };
+    let addr = daemon.local_addr().to_string();
+
+    let out = sync_remote(&addr, &files("old"), &RemoteOptions::default()).expect("tiny sync");
+    assert_eq!(out.outcome.files.len(), 4);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while delivered.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the sync's report never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let held = stalled_session(&addr);
+
+    let count = |health: &BTreeMap<String, String>, key: &str| -> u64 {
+        health[key].parse().expect("mux counter")
+    };
+    let before = parse_health(&admin_health(&addr, SCRAPE_TIMEOUT).expect("health scrape"));
+    let cpu_before = support::process_cpu_time();
+    std::thread::sleep(Duration::from_millis(300));
+    let cpu = support::process_cpu_time() - cpu_before;
+    let after = parse_health(&admin_health(&addr, SCRAPE_TIMEOUT).expect("health scrape"));
+
+    assert!(cpu < Duration::from_millis(30), "an idle daemon burned {cpu:?} in 300 ms");
+    assert_eq!(
+        count(&after, "mux_waits_woken"),
+        count(&before, "mux_waits_woken"),
+        "a wait ended woken with no peer speaking: {before:?} -> {after:?}"
+    );
+    assert!(
+        count(&after, "mux_waits_timed_out") > count(&before, "mux_waits_timed_out"),
+        "no wait on the quiet socket ran to its bound: {before:?} -> {after:?}"
+    );
+    drop(held);
     daemon.shutdown();
 }

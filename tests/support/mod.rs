@@ -1,5 +1,8 @@
-//! Helpers shared by the root integration tests that gate a memory
-//! ceiling (`mod support;` in each).
+//! Helpers shared by the root integration tests that gate a memory or
+//! CPU ceiling (`mod support;` in each).
+
+// Each test binary compiles its own copy and uses only some helpers.
+#![allow(dead_code)]
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// /proc/self/status). Returns 0 where procfs is unavailable, which
@@ -16,4 +19,23 @@ pub(crate) fn peak_rss_bytes() -> u64 {
         }
     }
     0
+}
+
+/// CPU time this process has used, all threads: `utime + stime` from
+/// /proc/self/stat, in clock ticks of `USER_HZ` (100 on Linux). Returns
+/// zero where procfs is unavailable, which trivially passes any
+/// ceiling.
+pub(crate) fn process_cpu_time() -> std::time::Duration {
+    const USER_HZ: u64 = 100;
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return std::time::Duration::ZERO;
+    };
+    // Fields after the parenthesised command name, which may itself
+    // hold spaces: state is field 3, utime 14 and stime 15.
+    let Some((_, rest)) = stat.rsplit_once(')') else {
+        return std::time::Duration::ZERO;
+    };
+    let ticks: u64 =
+        rest.split_whitespace().skip(11).take(2).map(|f| f.parse::<u64>().unwrap_or(0)).sum();
+    std::time::Duration::from_millis(ticks * 1000 / USER_HZ)
 }
