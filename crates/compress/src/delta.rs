@@ -15,6 +15,14 @@
 //! Like zdelta, reference addresses are encoded as movements of a cursor
 //! that tracks sequential locality, and everything is entropy-coded with
 //! canonical Huffman tables.
+//!
+//! Most deltas in a web collection are of small files, so the fixed cost
+//! of one call is kept independent of the table sizes: the two hash-chain
+//! indexes an encode builds take their 256 KiB head tables from the
+//! thread's pool (see [`crate::lz77`]; reset to all-NIL before reuse, so
+//! the matches and the output bytes are those of fresh tables), and the
+//! fixed-mode Huffman codes and their decoders are built once per
+//! process.
 
 use crate::huffman::{build_lengths, HuffmanCode, HuffmanDecoder};
 use crate::lz::{gamma_bin, GAMMA_BINS};
@@ -142,6 +150,17 @@ fn fixed_codes() -> &'static (HuffmanCode, HuffmanCode) {
     })
 }
 
+/// Decoders for [`fixed_codes`], built once: each is a `2^max_len`-entry
+/// table, so rebuilding them per delta would cost more than decoding a
+/// small one.
+fn fixed_decoders() -> &'static (HuffmanDecoder, HuffmanDecoder) {
+    static DECODERS: OnceLock<(HuffmanDecoder, HuffmanDecoder)> = OnceLock::new();
+    DECODERS.get_or_init(|| {
+        let (op, addr) = fixed_codes();
+        (op.decoder(), addr.decoder())
+    })
+}
+
 /// Serialize `ops` under the given codes; `with_tables` also writes the
 /// code-length tables (dynamic mode).
 fn write_stream(
@@ -250,17 +269,18 @@ pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, DeltaError> {
     }
     let target_len = target_len as usize;
     let fixed_mode = r.read_bit().map_err(|_| DeltaError::Corrupt)?;
+    let dynamic;
     let (op_dec, addr_dec) = if fixed_mode {
-        let (fop, faddr) = fixed_codes();
-        (fop.decoder(), faddr.decoder())
+        fixed_decoders()
     } else {
         let op_lengths = super::lz::read_table(&mut r, OP_SYMS).map_err(|_| DeltaError::Corrupt)?;
         let addr_lengths =
             super::lz::read_table(&mut r, GAMMA_BINS).map_err(|_| DeltaError::Corrupt)?;
-        (
+        dynamic = (
             HuffmanDecoder::from_lengths(&op_lengths).map_err(|_| DeltaError::Corrupt)?,
             HuffmanDecoder::from_lengths(&addr_lengths).map_err(|_| DeltaError::Corrupt)?,
-        )
+        );
+        &dynamic
     };
 
     // Allocate incrementally: `orig_len` is untrusted wire data, so a

@@ -5,7 +5,8 @@
 //!
 //! * [`huffman`] — canonical, length-limited Huffman coding (the entropy
 //!   backend).
-//! * [`lz77`] — hash-chain match finding shared by all coders.
+//! * [`lz77`] — hash-chain match finding shared by all coders, with a
+//!   per-thread pool of head tables ([`scratch_stats`] counts it).
 //! * [`lz`] — a gzip-like stream compressor (LZ77 + dynamic Huffman),
 //!   standing in for the paper's "algorithm similar to gzip" that
 //!   compresses rsync's token stream and the baselines of Table 6.2.
@@ -30,4 +31,5 @@ pub const MAX_STREAM_LEN: u64 = 1 << 32;
 
 pub use delta::{decode as delta_decode, delta_size, encode as delta_encode, DeltaError};
 pub use lz::{compress, decompress, LzError};
+pub use lz77::{scratch_stats, ScratchStats};
 pub use vcdiff::{decode as vcdiff_decode, encode as vcdiff_encode, VcdiffError};

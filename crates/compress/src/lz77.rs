@@ -4,6 +4,32 @@
 //! Matches are found through hash chains over 4-byte keys, as in zlib and
 //! zdelta: a head table maps each key to the most recent position, and a
 //! prev table chains earlier positions with the same key.
+//!
+//! # Head-table reuse
+//!
+//! The head table has a fixed `HASH_SIZE` entries (256 KiB) whatever
+//! the buffer's length, while the prev table is sized to the buffer. A
+//! delta of a 600-byte file builds two indexes, so allocating and filling
+//! two fresh head tables would cost more than the match search itself.
+//! Each thread therefore keeps up to `MAX_SPARE_HEADS` (2) spare head
+//! tables in a thread-local pool: dropping a `HashChains` hands its table
+//! back, and [`HashChains::new`] takes a spare when one is there. The
+//! drop resets the table to all-NIL first: when at most
+//! `SPARSE_RESET_MAX` (2 048) positions were indexed it clears just their
+//! buckets, one scattered store per position, which is cheaper than a
+//! 256 KiB fill; otherwise it fills the whole table. Either way the reset
+//! is exact: every non-NIL entry was written by indexing one of those
+//! positions, so a reused table is indistinguishable from a fresh one —
+//! same hash, same chain order, same matches, same output bytes.
+//!
+//! The pool holds at most `MAX_SPARE_HEADS × 256 KiB` = 512 KiB per
+//! thread that has built an index, and is freed with the thread. It never
+//! panics: a drop during thread teardown, or while the pool is borrowed,
+//! frees the table instead of keeping it. [`scratch_stats`] reports the
+//! process-wide allocations, reuses and retained bytes.
+
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minimum match length worth encoding.
 pub const MIN_MATCH: usize = 4;
@@ -12,7 +38,16 @@ pub const MIN_MATCH: usize = 4;
 pub const MAX_MATCH: usize = 1 << 16;
 
 const HASH_BITS: u32 = 16;
+/// Entries in a head table: one per 16-bit key hash.
 const HASH_SIZE: usize = 1 << HASH_BITS;
+/// Spare head tables kept per thread: enough for the two indexes a delta
+/// encode holds at once.
+const MAX_SPARE_HEADS: usize = 2;
+/// Largest count of indexed positions whose buckets a drop clears one by
+/// one; above it, the whole table is filled.
+const SPARSE_RESET_MAX: usize = HASH_SIZE / 32;
+/// Bytes of one head table.
+const HEAD_BYTES: u64 = (HASH_SIZE * std::mem::size_of::<u32>()) as u64;
 
 /// Hash of the 4 bytes starting at `pos` (caller guarantees availability).
 #[inline]
@@ -33,12 +68,99 @@ pub struct HashChains<'a> {
 
 const NIL: u32 = u32::MAX;
 
+/// Head tables allocated fresh (the thread's pool was empty).
+static HEADS_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+/// Head tables taken from a thread's pool.
+static HEADS_REUSED: AtomicU64 = AtomicU64::new(0);
+/// Bytes of head tables sitting in every thread's pool right now.
+static RETAINED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// One thread's spare head tables, each all-NIL. Dropped with the
+/// thread, which takes its tables out of the retained-bytes gauge.
+struct SpareHeads(Vec<Vec<u32>>);
+
+impl Drop for SpareHeads {
+    fn drop(&mut self) {
+        RETAINED_BYTES.fetch_sub(self.0.len() as u64 * HEAD_BYTES, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    static SPARE_HEADS: RefCell<SpareHeads> = const { RefCell::new(SpareHeads(Vec::new())) };
+}
+
+/// An all-NIL head table: a spare from this thread's pool when there is
+/// one, else a fresh allocation.
+fn take_head() -> Vec<u32> {
+    let spare = SPARE_HEADS
+        .try_with(|pool| pool.try_borrow_mut().ok().and_then(|mut pool| pool.0.pop()))
+        .ok()
+        .flatten();
+    match spare {
+        Some(head) => {
+            RETAINED_BYTES.fetch_sub(HEAD_BYTES, Ordering::Relaxed);
+            HEADS_REUSED.fetch_add(1, Ordering::Relaxed);
+            debug_assert!(head.iter().all(|&h| h == NIL), "spare head table not reset");
+            head
+        }
+        None => {
+            HEADS_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+            vec![NIL; HASH_SIZE]
+        }
+    }
+}
+
+/// Process-wide counters of the head-table pool, rendered by the daemon
+/// as the `msync_codec_*` Prometheus family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScratchStats {
+    /// Head tables allocated because the thread's pool was empty.
+    pub heads_allocated_total: u64,
+    /// Head tables served from a thread's pool.
+    pub heads_reused_total: u64,
+    /// Bytes of spare head tables held by all threads' pools right now:
+    /// at most 512 KiB per thread that has built an index.
+    pub retained_bytes: u64,
+}
+
+/// A snapshot of the head-table pool's counters.
+pub fn scratch_stats() -> ScratchStats {
+    ScratchStats {
+        heads_allocated_total: HEADS_ALLOCATED.load(Ordering::Relaxed),
+        heads_reused_total: HEADS_REUSED.load(Ordering::Relaxed),
+        retained_bytes: RETAINED_BYTES.load(Ordering::Relaxed),
+    }
+}
+
+impl Drop for HashChains<'_> {
+    /// Reset the head table and return it to this thread's pool, unless
+    /// the pool is full, borrowed, or already torn down.
+    fn drop(&mut self) {
+        let mut head = std::mem::take(&mut self.head);
+        let _ = SPARE_HEADS.try_with(|pool| {
+            let Ok(mut pool) = pool.try_borrow_mut() else { return };
+            if pool.0.len() >= MAX_SPARE_HEADS {
+                return;
+            }
+            if self.indexed_to <= SPARSE_RESET_MAX {
+                for pos in 0..self.indexed_to {
+                    head[key4(self.data, pos) as usize] = NIL;
+                }
+            } else {
+                head.fill(NIL);
+            }
+            pool.0.push(head);
+            RETAINED_BYTES.fetch_add(HEAD_BYTES, Ordering::Relaxed);
+        });
+    }
+}
+
 impl<'a> HashChains<'a> {
     /// Create an empty index over `data`; call [`Self::index_to`] to fill.
     pub fn new(data: &'a [u8]) -> Self {
         Self {
             data,
-            head: vec![NIL; HASH_SIZE],
+            head: take_head(),
             prev: vec![NIL; data.len().saturating_sub(MIN_MATCH - 1)],
             indexed_to: 0,
         }
@@ -274,6 +396,99 @@ mod tests {
         assert_eq!(common_prefix(b"aaaaaaaaaaaa", b"aaaaaaaaaaaa", 5), 5);
         // 8-byte fast path divergence in second word
         assert_eq!(common_prefix(b"0123456789abXdef", b"0123456789abYdef", 16), 12);
+    }
+
+    /// Run `body` on a fresh thread, so it starts with an empty pool.
+    fn on_fresh_thread(body: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(body).join().expect("test thread panicked");
+    }
+
+    fn spare_count() -> usize {
+        SPARE_HEADS.with(|pool| pool.borrow().0.len())
+    }
+
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+    }
+
+    #[test]
+    fn second_index_on_a_thread_reuses_the_head_table() {
+        on_fresh_thread(|| {
+            let data = sample(600);
+            let first = HashChains::new_full(&data).head.as_ptr();
+            assert_eq!(spare_count(), 1);
+            let second = HashChains::new_full(&data);
+            assert_eq!(second.head.as_ptr(), first);
+            assert_eq!(spare_count(), 0);
+        });
+    }
+
+    #[test]
+    fn pool_keeps_at_most_two_spares() {
+        on_fresh_thread(|| {
+            let data = sample(100);
+            let live: Vec<_> = (0..3).map(|_| HashChains::new_full(&data)).collect();
+            drop(live);
+            assert_eq!(spare_count(), MAX_SPARE_HEADS);
+            let before = scratch_stats();
+            let again: Vec<_> = (0..3).map(|_| HashChains::new(&data)).collect();
+            let after = scratch_stats();
+            // Counters are process-wide: other tests only add to them.
+            assert!(after.heads_reused_total >= before.heads_reused_total + 2);
+            assert!(after.heads_allocated_total > before.heads_allocated_total);
+            assert_eq!(spare_count(), 0);
+            drop(again);
+            assert_eq!(spare_count(), MAX_SPARE_HEADS);
+        });
+    }
+
+    #[test]
+    fn handed_out_table_is_all_nil_on_both_sides_of_the_reset_threshold() {
+        on_fresh_thread(|| {
+            // Positions indexed = len - 3 when fully indexed.
+            for len in [0, 3, 4, SPARSE_RESET_MAX + 3, SPARSE_RESET_MAX + 4, 70_000] {
+                let data = sample(len);
+                drop(HashChains::new_full(&data));
+                let mut partial = HashChains::new(&data);
+                partial.index_to(len / 2);
+                drop(partial);
+                let handed: Vec<_> = (0..MAX_SPARE_HEADS).map(|_| HashChains::new(&data)).collect();
+                for chains in &handed {
+                    assert!(chains.head.iter().all(|&h| h == NIL), "len {len}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn drop_while_the_pool_is_borrowed_skips_reuse() {
+        on_fresh_thread(|| {
+            let data = sample(64);
+            drop(HashChains::new_full(&data));
+            SPARE_HEADS.with(|pool| {
+                let held = pool.borrow_mut();
+                // `new` cannot take the spare and `drop` cannot return it.
+                drop(HashChains::new_full(&data));
+                assert_eq!(held.0.len(), 1);
+            });
+            assert_eq!(spare_count(), 1);
+        });
+    }
+
+    #[test]
+    fn drop_during_thread_teardown_never_panics() {
+        thread_local! {
+            static BEFORE: RefCell<Option<HashChains<'static>>> = const { RefCell::new(None) };
+            static AFTER: RefCell<Option<HashChains<'static>>> = const { RefCell::new(None) };
+        }
+        let data: &'static [u8] = sample(256).leak();
+        on_fresh_thread(move || {
+            // Registered before the pool: its destructor runs after the
+            // pool is gone. `AFTER`'s runs while the pool still lives.
+            BEFORE.with(|slot| *slot.borrow_mut() = Some(HashChains::new_full(data)));
+            drop(HashChains::new_full(data));
+            AFTER.with(|slot| *slot.borrow_mut() = Some(HashChains::new_full(data)));
+        });
     }
 
     #[test]

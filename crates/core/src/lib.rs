@@ -66,6 +66,9 @@ pub use collection::{CollectionOutcome, FileEntry, FileRef};
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
 pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};
 pub use map::{FileMap, Segment};
+/// The delta codec's head-table pool counters, re-exported so the
+/// daemon can render them without a dependency of its own on the codec.
+pub use msync_compress::scratch_stats as codec_scratch_stats;
 pub use pipeline::{
     roster_frame_bytes, serve_collection, sync_collection, sync_collection_channel,
     sync_collection_client, sync_collection_client_with, sync_collection_traced, PipelineOptions,

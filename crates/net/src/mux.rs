@@ -319,6 +319,15 @@ where
             let _ = writeln!(text, "# TYPE {name} gauge");
             let _ = writeln!(text, "{name} {value}");
         }
+        let c = msync_core::codec_scratch_stats();
+        for (name, kind, value) in [
+            ("msync_codec_heads_allocated_total", "counter", c.heads_allocated_total),
+            ("msync_codec_heads_reused_total", "counter", c.heads_reused_total),
+            ("msync_codec_scratch_retained_bytes", "gauge", c.retained_bytes),
+        ] {
+            let _ = writeln!(text, "# TYPE {name} {kind}");
+            let _ = writeln!(text, "{name} {value}");
+        }
         for (name, value) in self.intro.mux.totals() {
             let _ = writeln!(text, "# TYPE msync_mux_{name}_total counter");
             let _ = writeln!(text, "msync_mux_{name}_total {value}");

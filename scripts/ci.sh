@@ -72,7 +72,7 @@ echo "==> chrome trace export (msync trace-export, TRACE_chrome.json)"
 ./target/release/msync trace-export "$journal" --out TRACE_chrome.json > /dev/null
 test -s TRACE_chrome.json
 
-echo "==> live daemon scrape (msync stats -> xtask check-metrics, SCRAPE_metrics.txt, frame-pool and mux families required)"
+echo "==> live daemon scrape (msync stats -> xtask check-metrics, SCRAPE_metrics.txt, frame-pool, mux and codec families required)"
 serve_log="$(mktemp /tmp/msync-ci-serve.XXXXXX)"
 ./target/release/msync serve "$tree/new" --listen 127.0.0.1:0 --slow-session-ms 30000 \
     > "$serve_log" 2>&1 &
@@ -87,7 +87,7 @@ done
 [ -n "$addr" ] || { echo "serve never reported its address"; cat "$serve_log"; exit 1; }
 ./target/release/msync sync "$tree/old" --remote "$addr" > /dev/null
 ./target/release/msync stats --remote "$addr" > SCRAPE_metrics.txt
-cargo run --release -q -p xtask -- check-metrics SCRAPE_metrics.txt --require msync_frame_pool_ --require msync_mux_
+cargo run --release -q -p xtask -- check-metrics SCRAPE_metrics.txt --require msync_frame_pool_ --require msync_mux_ --require msync_codec_
 kill "$serve_pid" 2>/dev/null || true
 
 echo "==> tracing overhead gate (< 5%, BENCH_trace_overhead.json)"

@@ -14,7 +14,9 @@
 //!   `slow=true` live and lands in `msync_slow_sessions_total` once it
 //!   ends;
 //! * an idle daemon sleeps: its workers wait without spinning, and a
-//!   wait on a quiet socket ends by its bound, never woken.
+//!   wait on a quiet socket ends by its bound, never woken;
+//! * the codec's head tables are allocated at most twice per worker and
+//!   reused for every later encode, as the `msync_codec_*` family shows.
 //!
 //! (Root integration tests are outside the xtask clock-discipline scan,
 //! so `Instant` deadlines are fine here.)
@@ -315,5 +317,62 @@ fn idle_daemon_sleeps() {
         "no wait on the quiet socket ran to its bound: {before:?} -> {after:?}"
     );
     drop(held);
+    daemon.shutdown();
+}
+
+/// A tiny-session burst against a 2-worker daemon: each delta encode
+/// takes two head tables, every one of them counted as allocated or
+/// reused; at most two per worker thread are ever allocated, and the
+/// pools keep at most two spares per worker. Runs alone, since the
+/// counters are process-wide.
+#[test]
+fn codec_scratch_is_reused_across_sessions() {
+    let _alone = CPU_QUIET.write().unwrap_or_else(PoisonError::into_inner);
+    const WORKERS: u64 = 2;
+    const FILES: u64 = 4;
+    const SESSIONS: u64 = 40;
+    const HEAD_BYTES: u64 = 256 << 10;
+    let files = |tag: &str| -> Vec<FileEntry> {
+        (0..FILES)
+            .map(|i| FileEntry::new(format!("f{i}"), format!("{tag} {i} ").repeat(60).into_bytes()))
+            .collect()
+    };
+    let delivered = Arc::new(AtomicUsize::new(0));
+    let opts = DaemonOptions { workers: WORKERS as usize, ..DaemonOptions::default() };
+    let daemon = {
+        let delivered = Arc::clone(&delivered);
+        Daemon::spawn("127.0.0.1:0", files("new"), opts, move |_| {
+            delivered.fetch_add(1, Ordering::SeqCst);
+        })
+        .expect("daemon spawn")
+    };
+    let addr = daemon.local_addr().to_string();
+    let codec = |name: &str| -> u64 {
+        let prom = admin_stats(&addr, false, SCRAPE_TIMEOUT).expect("prom stats");
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from stats:\n{prom}"))
+            .parse()
+            .expect("codec metric value")
+    };
+    let allocated = || codec("msync_codec_heads_allocated_total");
+    let reused = || codec("msync_codec_heads_reused_total");
+
+    let (allocated_before, reused_before) = (allocated(), reused());
+    for _ in 0..SESSIONS {
+        let out = sync_remote(&addr, &files("old"), &RemoteOptions::default()).expect("tiny sync");
+        assert_eq!(out.outcome.files.len(), FILES as usize);
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (delivered.load(Ordering::SeqCst) as u64) < SESSIONS {
+        assert!(Instant::now() < deadline, "the burst's reports never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let fresh = allocated() - allocated_before;
+    let reuses = reused() - reused_before;
+    assert_eq!(fresh + reuses, 2 * FILES * SESSIONS, "one table per index, two per encode");
+    assert!(fresh <= 2 * WORKERS, "{fresh} head tables allocated for {WORKERS} workers");
+    let retained = codec("msync_codec_scratch_retained_bytes");
+    assert!(retained <= 2 * WORKERS * HEAD_BYTES, "{retained} B retained by {WORKERS} workers");
     daemon.shutdown();
 }

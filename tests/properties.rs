@@ -23,6 +23,11 @@ use msync::hashes::{BitReader, BitWriter, DecomposableAdler};
 /// strategy drew from.
 fn gen_file(rng: &mut Rng, max: usize) -> Vec<u8> {
     let n = rng.gen_range(0..=max);
+    gen_sized(rng, n)
+}
+
+/// `n` bytes in one of [`gen_file`]'s three shapes.
+fn gen_sized(rng: &mut Rng, n: usize) -> Vec<u8> {
     match rng.gen_range(0..3u32) {
         0 => (0..n).map(|_| rng.gen_range(0..256u32) as u8).collect(),
         1 => {
@@ -173,6 +178,43 @@ fn vcdiff_roundtrip() {
         let target = gen_file(rng, 4096);
         let d = msync::compress::vcdiff_encode(&reference, &target);
         assert_eq!(msync::compress::vcdiff_decode(&reference, &d).unwrap(), target);
+    });
+}
+
+#[test]
+fn coders_ignore_reused_scratch() {
+    // The hash-chain head tables are pooled per thread and reset on
+    // return. Interleaving the three coders on one thread, at sizes on
+    // both sides of the sparse-reset threshold (2 048 indexed positions)
+    // and above 64 KiB, must give the bytes a fresh thread gives.
+    type Coder = fn(&[u8], &[u8]) -> Vec<u8>;
+    let coders: [(&str, Coder); 3] = [
+        ("delta", msync::compress::delta_encode),
+        ("lz", |_, target| msync::compress::compress(target)),
+        ("vcdiff", msync::compress::vcdiff_encode),
+    ];
+    let size = |rng: &mut Rng| match rng.gen_range(0..3u32) {
+        0 => rng.gen_range(0..2_000usize),
+        1 => rng.gen_range(2_100..16_000usize),
+        _ => rng.gen_range(65_536..72_000usize),
+    };
+    for_cases(0x6d73796e_0017, 24, |rng| {
+        let n = size(rng);
+        let reference = gen_sized(rng, n);
+        let target = if rng.gen_range(0..2u32) == 0 {
+            let mut t = reference.clone();
+            let at = rng.gen_range(0..=t.len());
+            t.splice(at..at, gen_file(rng, 64));
+            t
+        } else {
+            let n = size(rng);
+            gen_sized(rng, n)
+        };
+        for (name, coder) in coders {
+            let (r, t) = (reference.clone(), target.clone());
+            let fresh = std::thread::spawn(move || coder(&r, &t)).join().unwrap();
+            assert_eq!(coder(&reference, &target), fresh, "{name}, {} -> {} B", n, target.len());
+        }
     });
 }
 
