@@ -1,14 +1,16 @@
 //! The `msync serve` daemon: accept, handshake, serve, repeat.
 //!
-//! The daemon is an event-driven multiplexer: a fixed pool of worker
-//! threads (default: one per core, `--workers N`) runs nonblocking poll
-//! loops over per-session sans-IO machines
-//! ([`msync_core::CollectionServeMachine`]), so a slow client on a slow
+//! The daemon is an event-driven multiplexer: one acceptor thread
+//! blocks in `accept` and hands each connection to one of a fixed pool
+//! of worker threads (default: one per core, `--workers N`), which run
+//! nonblocking poll loops over per-session sans-IO machines
+//! ([`msync_core::CollectionServeMachine`]). A slow client on a slow
 //! link never holds a thread — it holds a few kilobytes of state (the
 //! 64 KiB read buffer belongs to the worker, not the connection). An
-//! idle worker whose one session awaits its client waits on that socket
-//! and serves the next frame the moment it lands, instead of finding it
-//! on its next poll; see the `mux` module for the rule.
+//! idle worker waits on its handoff channel, or, when its one session
+//! awaits its client, on that socket, and serves the next stream or
+//! frame the moment it lands instead of finding it on a later poll;
+//! see the `mux` module for the rule.
 //!
 //! Admission control: `--max-sessions N` caps concurrently admitted
 //! sessions. An over-capacity connection is not dropped silently — the
@@ -23,10 +25,10 @@
 //! daemon's log callback and the listener keeps accepting.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -36,7 +38,7 @@ use msync_protocol::{BufferPool, RetryPolicy};
 use msync_trace::MetricsSnapshot;
 
 use crate::handshake::NetError;
-use crate::mux::{worker_loop, Introspect, Shared};
+use crate::mux::{accept_loop, worker_loop, Introspect, Shared, WorkerLoad};
 use crate::registry::CollectionRegistry;
 
 /// Reason string sent on the wire (as `err <reason>`) when admission
@@ -48,6 +50,10 @@ pub(crate) const REFUSAL_REASON: &str = "server at capacity";
 /// of it is *outstanding*, not idle; the idle list only absorbs the
 /// churn between session teardowns and the next admissions.
 const POOL_MAX_IDLE: usize = 256;
+
+/// Bound on [`Daemon::shutdown`]'s wake-up connection to its own
+/// listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon-side knobs. The protocol configuration is *not* one of them:
 /// the client proposes it in the handshake and the daemon adopts any
@@ -169,19 +175,18 @@ impl Daemon {
             metrics: Arc::clone(&metrics),
             per_collection: Arc::clone(&per_collection),
             active: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
+            loads: (0..workers).map(|_| WorkerLoad::default()).collect(),
             stop: Arc::clone(&stop),
             intro,
             pool: BufferPool::new(POOL_MAX_IDLE),
         });
-        listener.set_nonblocking(true)?;
-        let listener = Arc::new(listener);
-        let mut threads = Vec::new();
-        for _ in 0..workers {
-            let listener = Arc::clone(&listener);
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel()).unzip();
+        let mut threads = Vec::with_capacity(workers + 1);
+        for (id, inbox) in receivers.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
-            threads.push(thread::spawn(move || worker_loop(&listener, &shared)));
+            threads.push(thread::spawn(move || worker_loop(id, &inbox, &shared)));
         }
+        threads.push(thread::spawn(move || accept_loop(&listener, &inboxes, &shared)));
         Ok(Daemon { addr, stop, threads, metrics, per_collection, registry })
     }
 
@@ -223,14 +228,31 @@ impl Daemon {
         }
     }
 
-    /// Stop accepting and join the service threads. The workers poll
-    /// the stop flag and drain their in-flight sessions before exiting.
+    /// Stop accepting and join the service threads. One connection to
+    /// the daemon's own address wakes the acceptor blocked in `accept`;
+    /// it sees the stop flag and leaves, and the workers drain their
+    /// in-flight sessions before exiting.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
         for t in self.threads {
             let _ = t.join();
         }
     }
+}
+
+/// Where [`Daemon::shutdown`] connects to wake the acceptor: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by the
+/// loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
 }
 
 /// Resolve the configured worker count: `0` means one per core.

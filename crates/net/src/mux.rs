@@ -12,12 +12,17 @@
 //! fixed worker pool (default: one per core) serves an arbitrary number
 //! of concurrent sessions.
 //!
-//! Idle waits: a pass that moved nothing ends in a wait of at most
-//! [`IDLE_SLEEP`]. A worker holding exactly one connection, whose next
-//! need is its peer's next frame, waits on that socket and is woken the
-//! moment the frame lands; any other idle worker sleeps. At least one
-//! worker always sleeps rather than waits on a socket, so the shared
-//! listener keeps its [`IDLE_SLEEP`] cadence.
+//! Accepting: one acceptor thread ([`accept_loop`]) blocks in `accept`
+//! and hands each stream over a per-worker channel (the worker's inbox)
+//! to the worker [`choose_worker`] picks. No worker touches the
+//! listener.
+//!
+//! Idle waits: a pass that moved nothing ends in a wait on the inbox or
+//! on a socket, never a blind sleep. A worker holding no connection
+//! blocks on its inbox and wakes the instant a stream lands. A worker
+//! holding exactly one connection, whose next need is its peer's next
+//! frame, parks on that socket and is woken the moment the frame lands.
+//! Any other idle worker waits on its inbox for at most [`IDLE_SLEEP`].
 //!
 //! Accounting parity: every connection charges its bytes through the
 //! same [`WireMeter`] as the blocking
@@ -31,6 +36,7 @@ use std::fmt::Write as _;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -51,15 +57,20 @@ use crate::handshake::{
 use crate::registry::CollectionRegistry;
 use crate::tcp::FrameBuffer;
 
-/// The longest an idle worker waits before its next poll: a plain
-/// sleep, or a wait on its one connection that ends early when that
-/// peer's next frame (or hang-up) arrives. The kernel rounds a socket
-/// wait up to its timer tick (milliseconds), which is why only a worker
-/// with nothing else to serve may wait on a socket
-/// ([`Shared::try_park`]). Either is far below the ARQ retry timeout
-/// (500 ms default), so machine deadlines are observed with negligible
-/// slack.
+/// The longest an idle worker that holds a connection waits before its
+/// next poll: a wait on its inbox that ends early when the acceptor
+/// hands it a stream, or a wait on its one connection that ends early
+/// when that peer's next frame (or hang-up) arrives. The kernel rounds
+/// a socket wait up to its timer tick (milliseconds), which is why only
+/// a worker with nothing else to serve may wait on a socket. Either is
+/// far below the ARQ retry timeout (500 ms default), so machine
+/// deadlines are observed with negligible slack.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// How long the acceptor pauses after a failed `accept` (out of file
+/// descriptors, say) before it tries again, instead of spinning on the
+/// error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Bytes requested from a socket per nonblocking read: the size of the
 /// one read buffer each worker lends to every connection it ticks.
@@ -99,32 +110,35 @@ pub(crate) struct Introspect {
     workers: usize,
     /// Slow-session watchdog threshold; `None` disables the watchdog.
     slow_session_us: Option<u64>,
-    /// Worker-loop self-metrics, summed over every worker.
+    /// Mux self-metrics, summed over the workers and the acceptor.
     mux: MuxCounters,
 }
 
-/// The worker loops' self-metrics: loop passes, connections ticked,
-/// idle waits, and how the waits on a connection ended. One field set
-/// serves both the per-worker tally (plain counts) and the daemon-wide
-/// totals (atomics).
+/// The mux threads' self-metrics: loop passes, connections ticked,
+/// idle waits, how the waits on a connection ended, and the handoffs
+/// that found their worker parked. One field set serves the per-thread
+/// tallies (plain counts) and the daemon-wide totals (atomics).
 #[derive(Default)]
 struct MuxTally<T> {
     passes: T,
     conns_ticked: T,
-    /// Every idle wait: plain sleeps and waits on a connection.
+    /// Every idle wait: waits on the inbox and waits on a connection.
     idle_waits: T,
     /// Waits on a connection ended by that peer's frame or hang-up.
     waits_woken: T,
     /// Waits on a connection that ran to their bound.
     waits_timed_out: T,
+    /// Streams the acceptor handed to a worker parked on a connection:
+    /// each waits until that wait ends. Only the acceptor counts these.
+    handoffs_parked: T,
 }
 
 type MuxCounters = MuxTally<AtomicU64>;
 
 impl MuxTally<u64> {
-    /// Add this worker's counts to the daemon totals and start over.
-    /// Called as each idle wait ends, so a busy pass never writes
-    /// shared memory and a wait's outcome is visible at once.
+    /// Add this thread's counts to the daemon totals and start over.
+    /// A worker calls it as each idle wait ends, so a busy pass never
+    /// writes shared memory and a wait's outcome is visible at once.
     fn publish(&mut self, to: &MuxCounters) {
         for (local, shared) in [
             (&mut self.passes, &to.passes),
@@ -132,6 +146,7 @@ impl MuxTally<u64> {
             (&mut self.idle_waits, &to.idle_waits),
             (&mut self.waits_woken, &to.waits_woken),
             (&mut self.waits_timed_out, &to.waits_timed_out),
+            (&mut self.handoffs_parked, &to.handoffs_parked),
         ] {
             shared.fetch_add(std::mem::take(local), Ordering::Relaxed);
         }
@@ -140,13 +155,14 @@ impl MuxTally<u64> {
 
 impl MuxCounters {
     /// `(name, total)` per counter, for the `stats` and `health` renderings.
-    fn totals(&self) -> [(&'static str, u64); 5] {
+    fn totals(&self) -> [(&'static str, u64); 6] {
         [
             ("passes", &self.passes),
             ("conns_ticked", &self.conns_ticked),
             ("idle_waits", &self.idle_waits),
             ("waits_woken", &self.waits_woken),
             ("waits_timed_out", &self.waits_timed_out),
+            ("handoffs_parked", &self.handoffs_parked),
         ]
         .map(|(name, n)| (name, n.load(Ordering::Relaxed)))
     }
@@ -206,9 +222,9 @@ pub(crate) struct Shared<F> {
     pub(crate) per_collection: Arc<Mutex<BTreeMap<String, MetricsSnapshot>>>,
     /// Sessions currently admitted (handshaking or serving).
     pub(crate) active: AtomicUsize,
-    /// Workers blocked in a wait on one connection's socket
-    /// ([`Shared::try_park`]).
-    pub(crate) parked: AtomicUsize,
+    /// Per worker, by index: what the acceptor weighs when it picks the
+    /// worker for the next stream.
+    pub(crate) loads: Vec<WorkerLoad>,
     /// Set by [`Daemon::shutdown`](crate::daemon::Daemon::shutdown).
     pub(crate) stop: Arc<AtomicBool>,
     /// Live-introspection state behind the `stats`/`sessions`/`health`
@@ -251,23 +267,25 @@ where
         self.active.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Claim leave to wait on a connection's socket. Granted while at
-    /// least one other worker stays unparked to poll the shared
-    /// listener every [`IDLE_SLEEP`]: a parked worker returns only when
-    /// its peer speaks or the kernel's timer ends the wait, and the
-    /// kernel rounds that bound up to its tick.
-    fn try_park(&self) -> bool {
-        let workers = self.intro.workers;
-        self.parked
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n + 1 < workers).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Return the leave claimed by [`Shared::try_park`].
-    fn unpark(&self) {
-        self.parked.fetch_sub(1, Ordering::SeqCst);
+    /// Take over a stream the acceptor handed this worker: claim an
+    /// admission slot (or mark the connection for the typed refusal)
+    /// and put the socket in the poll loop's posture. `None` means the
+    /// socket options failed; the stream is dropped.
+    fn adopt(&self, stream: TcpStream) -> Option<MuxConn> {
+        let admitted = self.try_admit();
+        let now_us = self.intro.clock.now_micros();
+        match MuxConn::new(stream, admitted, now_us, self.opts.handshake_timeout, &self.intro) {
+            Ok(mut conn) => {
+                conn.inbuf.set_pool(self.pool.clone());
+                Some(conn)
+            }
+            Err(_) => {
+                if admitted {
+                    self.release();
+                }
+                None
+            }
+        }
     }
 
     /// Merge a finished session into the aggregate (and, when the
@@ -413,6 +431,30 @@ where
             AdminCmd::Health => Ok((format!("ok\n{}", self.health_payload()), 0)),
         }
     }
+}
+
+/// What the acceptor knows of one worker.
+#[derive(Default)]
+pub(crate) struct WorkerLoad {
+    /// Streams handed to the worker and not yet finished: the acceptor
+    /// adds one per handoff, the worker takes one off per connection it
+    /// finishes or fails to adopt.
+    conns: AtomicUsize,
+    /// The worker is parked on its one connection's socket, so a stream
+    /// handed to it waits until that wait ends.
+    parked: AtomicBool,
+}
+
+/// The worker the acceptor hands its next stream: the one with the
+/// fewest connections, an unparked one on a tie (a parked worker sees
+/// the stream only when its socket wait ends), the lowest index after
+/// that.
+fn choose_worker(loads: &[WorkerLoad]) -> usize {
+    loads
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, l)| (l.conns.load(Ordering::SeqCst), l.parked.load(Ordering::SeqCst)))
+        .map_or(0, |(i, _)| i)
 }
 
 /// Where one multiplexed connection is in its life.
@@ -951,24 +993,69 @@ fn wait_readable(stream: &TcpStream, bound: Duration) -> io::Result<bool> {
     waited
 }
 
-/// One worker thread's poll loop: accept new connections (first worker
-/// to reach the listener wins), tick every owned connection, deliver
-/// finished sessions, wait briefly when fully idle. On shutdown the
-/// worker stops accepting, drains its in-flight sessions, and returns.
+/// The daemon's acceptor thread: block in `accept`, hand each stream to
+/// the worker [`choose_worker`] picks, and back off [`ACCEPT_BACKOFF`]
+/// when `accept` fails. [`Daemon::shutdown`](crate::daemon::Daemon::shutdown)
+/// sets the stop flag and then connects once to wake this thread; it
+/// drops that stream (and any other accepted after the flag went up)
+/// and returns, closing the listener and every inbox, which wakes the
+/// idle workers so they drain and exit.
+pub(crate) fn accept_loop<F>(
+    listener: &TcpListener,
+    inboxes: &[Sender<TcpStream>],
+    shared: &Shared<F>,
+) where
+    F: Fn(SessionReport) + Send + Sync + 'static,
+{
+    let mut tally = MuxTally::<u64>::default();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let w = choose_worker(&shared.loads);
+        let load = &shared.loads[w];
+        load.conns.fetch_add(1, Ordering::SeqCst);
+        if load.parked.load(Ordering::SeqCst) {
+            tally.handoffs_parked += 1;
+            tally.publish(&shared.intro.mux);
+        }
+        // A worker only drops its inbox once it has exited at shutdown.
+        if inboxes[w].send(stream).is_err() {
+            load.conns.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// One worker thread's poll loop: adopt the streams the acceptor hands
+/// over `inbox`, tick every owned connection, deliver finished
+/// sessions, wait when fully idle. On shutdown the worker drains its
+/// in-flight sessions and returns.
 ///
-/// The idle wait: a worker whose only connection is waiting on its
-/// peer blocks on that socket ([`wait_readable`]) when
-/// [`Shared::try_park`] allows, so the peer's next frame is served the
-/// moment it lands; every other idle worker sleeps [`IDLE_SLEEP`].
-pub(crate) fn worker_loop<F>(listener: &TcpListener, shared: &Shared<F>)
+/// The idle wait, by what the worker holds:
+/// * no connection: block on the inbox (for at most [`RATE_SAMPLE_US`],
+///   so the rate windows keep their samples), woken by the next
+///   handoff;
+/// * exactly one connection waiting on its peer: park on that socket
+///   ([`wait_readable`]), so the peer's next frame is served the moment
+///   it lands — after one last look at the inbox, since a stream handed
+///   over during the wait waits for it to end;
+/// * anything else: wait on the inbox for at most [`IDLE_SLEEP`].
+pub(crate) fn worker_loop<F>(id: usize, inbox: &Receiver<TcpStream>, shared: &Shared<F>)
 where
     F: Fn(SessionReport) + Send + Sync + 'static,
 {
     let clock = Arc::clone(&shared.intro.clock);
+    let load = &shared.loads[id];
     let mut conns: Vec<MuxConn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut tally = MuxTally::<u64>::default();
     let mut last_sample_us = 0u64;
+    // A stream the last idle wait received.
+    let mut handed: Option<TcpStream> = None;
     loop {
         tally.passes += 1;
         let stopping = shared.stop.load(Ordering::SeqCst);
@@ -986,34 +1073,12 @@ where
                 .unwrap_or_else(PoisonError::into_inner)
                 .sample(now_us, &aggregate);
         }
-        if !stopping {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        progressed = true;
-                        let admitted = shared.try_admit();
-                        let made = MuxConn::new(
-                            stream,
-                            admitted,
-                            clock.now_micros(),
-                            shared.opts.handshake_timeout,
-                            &shared.intro,
-                        );
-                        match made {
-                            Ok(mut conn) => {
-                                conn.inbuf.set_pool(shared.pool.clone());
-                                conns.push(conn);
-                            }
-                            // Socket options failed: the stream is
-                            // unusable, drop it on the floor.
-                            Err(_) => {
-                                if admitted {
-                                    shared.release();
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => break,
+        for stream in handed.take().into_iter().chain(inbox.try_iter()) {
+            progressed = true;
+            match shared.adopt(stream) {
+                Some(conn) => conns.push(conn),
+                None => {
+                    load.conns.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
@@ -1026,6 +1091,7 @@ where
                 if conn.admitted {
                     shared.release();
                 }
+                load.conns.fetch_sub(1, Ordering::SeqCst);
                 shared.deliver(conn.finish());
                 progressed = true;
             } else {
@@ -1037,18 +1103,33 @@ where
         }
         if !progressed {
             tally.idle_waits += 1;
-            match conns.as_mut_slice() {
-                [conn] if conn.waitable() && shared.try_park() => {
-                    let waited = wait_readable(&conn.stream, IDLE_SLEEP);
-                    shared.unpark();
-                    match waited {
-                        Ok(true) => tally.waits_woken += 1,
-                        Ok(false) => tally.waits_timed_out += 1,
-                        Err(e) => conn.fail(NetError::Io(e)),
+            handed = match conns.as_mut_slice() {
+                // A closed inbox means shutdown: the next pass returns.
+                [] => inbox.recv_timeout(Duration::from_micros(RATE_SAMPLE_US)).ok(),
+                [conn] if conn.waitable() => {
+                    load.parked.store(true, Ordering::SeqCst);
+                    let handed = inbox.try_recv().ok();
+                    if handed.is_none() {
+                        match wait_readable(&conn.stream, IDLE_SLEEP) {
+                            Ok(true) => tally.waits_woken += 1,
+                            Ok(false) => tally.waits_timed_out += 1,
+                            Err(e) => conn.fail(NetError::Io(e)),
+                        }
                     }
+                    load.parked.store(false, Ordering::SeqCst);
+                    handed
                 }
-                _ => std::thread::sleep(IDLE_SLEEP),
-            }
+                _ => match inbox.recv_timeout(IDLE_SLEEP) {
+                    Ok(stream) => Some(stream),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    // The acceptor has left (shutdown): pace the drain
+                    // of the last sessions instead of spinning.
+                    Err(RecvTimeoutError::Disconnected) => {
+                        std::thread::sleep(IDLE_SLEEP);
+                        None
+                    }
+                },
+            };
             tally.publish(&shared.intro.mux);
         }
     }
@@ -1125,6 +1206,7 @@ mod tests {
             idle_waits: 2,
             waits_woken: 1,
             waits_timed_out: 0,
+            handoffs_parked: 6,
         };
         tally.publish(&totals);
         // The locals started over: a second publish adds only the new pass.
@@ -1137,8 +1219,30 @@ mod tests {
                 ("conns_ticked", 5),
                 ("idle_waits", 2),
                 ("waits_woken", 1),
-                ("waits_timed_out", 0)
+                ("waits_timed_out", 0),
+                ("handoffs_parked", 6)
             ]
         );
+    }
+
+    #[test]
+    fn acceptor_picks_the_least_loaded_worker() {
+        let loads = |state: &[(usize, bool)]| -> Vec<WorkerLoad> {
+            state
+                .iter()
+                .map(|&(conns, parked)| WorkerLoad {
+                    conns: AtomicUsize::new(conns),
+                    parked: AtomicBool::new(parked),
+                })
+                .collect()
+        };
+        // Fewest connections wins, parked or not.
+        assert_eq!(choose_worker(&loads(&[(2, false), (1, true), (3, false)])), 1);
+        // On a tie, the unparked worker wins, wherever it sits.
+        assert_eq!(choose_worker(&loads(&[(1, true), (1, false)])), 1);
+        assert_eq!(choose_worker(&loads(&[(1, false), (1, true)])), 0);
+        // A full tie goes to the lowest index.
+        assert_eq!(choose_worker(&loads(&[(0, false), (0, false)])), 0);
+        assert_eq!(choose_worker(&loads(&[(1, true), (1, true)])), 0);
     }
 }

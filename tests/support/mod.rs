@@ -21,21 +21,19 @@ pub(crate) fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// CPU time this process has used, all threads: `utime + stime` from
-/// /proc/self/stat, in clock ticks of `USER_HZ` (100 on Linux). Returns
-/// zero where procfs is unavailable, which trivially passes any
+/// CPU time this process's live threads have used: the run time, in
+/// nanoseconds, of every `/proc/self/task/*/schedstat`, summed. A thread
+/// that exits takes its time with it, so subtract two readings with
+/// `saturating_sub`; the difference covers the threads alive at both.
+/// Returns zero where procfs is unavailable, which trivially passes any
 /// ceiling.
 pub(crate) fn process_cpu_time() -> std::time::Duration {
-    const USER_HZ: u64 = 100;
-    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return std::time::Duration::ZERO;
     };
-    // Fields after the parenthesised command name, which may itself
-    // hold spaces: state is field 3, utime 14 and stime 15.
-    let Some((_, rest)) = stat.rsplit_once(')') else {
-        return std::time::Duration::ZERO;
-    };
-    let ticks: u64 =
-        rest.split_whitespace().skip(11).take(2).map(|f| f.parse::<u64>().unwrap_or(0)).sum();
-    std::time::Duration::from_millis(ticks * 1000 / USER_HZ)
+    let run_ns: u64 = tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("schedstat")).ok())
+        .filter_map(|stat| stat.split_whitespace().next()?.parse::<u64>().ok())
+        .sum();
+    std::time::Duration::from_nanos(run_ns)
 }
