@@ -90,14 +90,14 @@ fn entries(c: &Collection) -> Vec<FileEntry> {
 ///
 /// Every method is charged the server's roster: whatever moves the
 /// bytes, the client first has to learn which files exist and which of
-/// them changed, and the roster's 16-byte fingerprints are what skips
-/// an unchanged file. msync's wire traffic already contains the roster
-/// frame; the baselines, measured file by file, get the same frame
-/// added here. Roundtrips stay per-method.
+/// them changed, and the roster's weak fingerprints, confirmed by one
+/// group check, are what skips an unchanged file. msync's wire traffic
+/// already contains the roster exchange; the baselines, measured file
+/// by file, get the same bytes added here. Roundtrips stay per-method.
 pub fn measure(old: &Collection, new: &Collection, method: &Method) -> Cost {
     let mut cost = measure_files(old, new, method);
     if !matches!(method, Method::Msync(_)) {
-        cost.setup += roster_frame_bytes(&refs(new));
+        cost.setup += roster_frame_bytes(&refs(old), &refs(new));
     }
     cost
 }

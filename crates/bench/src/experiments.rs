@@ -620,6 +620,35 @@ mod tests {
     }
 
     #[test]
+    fn recon_settles_a_thousand_pages_on_weak_roster_hashes() {
+        // The paper's d ≈ n end of changed-file identification, at
+        // `exp recon`'s own scale: 1 000 pages of 4 KB with 0, 1, 8 and
+        // 64 of them changed. Whole 16-byte fingerprints cost 25.5 KB
+        // with nothing changed; weak ones and one group check must stay
+        // under 15 KB, paying one roundtrip for the verdict only when
+        // there is nothing else to open.
+        let r = recon(0.1);
+        assert!(r.title.contains("over 1000 files"), "{}", r.title);
+        let cells: Vec<(f64, f64, u32)> = r
+            .rows
+            .iter()
+            .map(|row| {
+                let kb = |i: usize| row.cells[i].parse::<f64>().unwrap();
+                (kb(0), kb(1), row.cells[2].parse().unwrap())
+            })
+            .collect();
+        assert!(cells[0].1 <= 15.0, "0 changed costs {} KB", cells[0].1);
+        for (&(setup, ..), changed) in cells.iter().zip([0, 1, 8, 64]) {
+            assert!(setup <= 15.0, "{changed} changed: {setup} KB of setup");
+        }
+        let rt: Vec<u32> = cells.iter().map(|c| c.2).collect();
+        assert_eq!(rt[0], 2, "nothing to open: the opener, then the verdict");
+        for (got, before) in rt[1..].iter().zip([11, 18, 18]) {
+            assert!(*got <= before, "roundtrips {rt:?}: the verdict must ride on the first reply");
+        }
+    }
+
+    #[test]
     fn window_roundtrips_fall_as_the_cap_lifts() {
         let r = window(0.02);
         assert_eq!(r.rows.len(), 3 * WINDOW_DEPTHS.len());

@@ -200,10 +200,11 @@ started with, new sessions see the new tree.
 Durability: a remote sync with --write DIR first sweeps DIR of temp
 files a crashed run left, then applies every file atomically (temp +
 fsync + rename) the moment it completes. After a crash, simply rerun:
-the daemon's roster carries every file's fingerprint, so each file the
-killed run applied is found unchanged and skips its session. With
---write OLD, unchanged files are not rewritten. A repeat sync of an
-unchanged tree exchanges only the roster.
+the daemon's roster carries the first bytes of every file's
+fingerprint, confirmed for all unchanged files by one group check, so
+each file the killed run applied is found unchanged and skips its
+session. With --write OLD, unchanged files are not rewritten. A repeat
+sync of an unchanged tree exchanges only the roster and that check.
 
 Observability: `msync sync ... --trace-out run.jsonl` writes one JSON
 object per trace event (frame charges, map rounds, faults, sessions —

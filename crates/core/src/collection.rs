@@ -6,9 +6,11 @@
 //! [`crate::pipeline`]:
 //!
 //! * the server's roster crosses once, up front: every name with its
-//!   length and strong 16-byte fingerprint, so the client settles which
-//!   files are new, deleted, unchanged or changed before any session
-//!   opens, and unchanged files cost nothing more,
+//!   length and the first bytes of its strong 16-byte fingerprint, so
+//!   the client settles which files are new, deleted, unchanged or
+//!   changed before any session opens — the unchanged ones confirmed by
+//!   one group hash in the first exchange — and unchanged files cost
+//!   nothing more,
 //! * protocol rounds are batched across files, so the *roundtrip* count
 //!   is the maximum any single file needs, not the sum — the paper's
 //!   "the roundtrip latencies are not incurred for each file since many

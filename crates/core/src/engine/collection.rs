@@ -2,10 +2,11 @@
 //!
 //! [`CollectionClientMachine`] and [`CollectionServeMachine`] carry the
 //! wire schedule documented in [`crate::pipeline`]: an empty opener,
-//! the server's fingerprinted roster, then batch frames holding one
-//! round message per changed file in the window, one ARQ message per
+//! the server's roster of weak fingerprints, then batch frames holding
+//! one round message per changed file in the window, one ARQ message per
 //! direction per flush. The roster settles every unchanged file before
-//! any session opens. The window is the client's alone: it admits
+//! any session opens, provisionally until the group verdict in the
+//! first reply confirms it. The window is the client's alone: it admits
 //! changed files in roster order while the content bytes of open
 //! sessions fit [`WINDOW_BUDGET_BYTES`]. The blocking
 //! [`sync_collection_client`](crate::pipeline) /
@@ -13,7 +14,7 @@
 //! over a `Transport`; the `msync-net` daemon multiplexes many
 //! [`CollectionServeMachine`]s on a fixed worker pool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -27,7 +28,9 @@ use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::ProtocolConfig;
 use crate::params::config_digest;
 use crate::pipeline::{
-    decode_batch, decode_roster, encode_batch, encode_roster, ServeOutcome, WINDOW_BUDGET_BYTES,
+    decode_batch, decode_group_check, decode_roster, decode_verdict, encode_batch,
+    encode_group_check, encode_roster, encode_verdict, group_digest, weak_fp_bytes, Batch,
+    ServeOutcome, WINDOW_BUDGET_BYTES,
 };
 use crate::session::{ClientAction, ClientSession, Part, SState, ServerSession, SyncError};
 use crate::snapshot::{CollectionSnapshot, ServedFiles, SessionCache};
@@ -48,11 +51,11 @@ pub struct CompletedFile {
     pub data: Arc<Vec<u8>>,
     /// Whether the session fell back to a full transfer.
     pub fell_back: bool,
-    /// Settled by the roster rather than synced: the content equals the
-    /// client's local copy, so a sink writing in place need not rewrite
-    /// it.
+    /// Settled by the roster and its group check rather than synced:
+    /// the content equals the client's local copy, so a sink writing in
+    /// place need not rewrite it.
     pub unchanged: bool,
-    /// Scheduler round it completed in (0 = the roster itself).
+    /// Scheduler round it completed in (0 = settled by the roster).
     pub round: u64,
 }
 
@@ -63,9 +66,13 @@ struct Slot<'a> {
     session: Option<ClientSession<'a>>,
     old_data: &'a [u8],
     existed: bool,
-    /// The server's length and fingerprint, from the roster.
+    /// The server's length and fingerprint. The roster gives the
+    /// fingerprint's weak bytes; the rest arrive with the session's
+    /// first reply, or with a failed group verdict.
     new_len: u64,
     new_fp: Fingerprint,
+    /// Whether `new_fp` is whole.
+    fp_whole: bool,
     /// Payload bytes by phase as this file's parts carried them; the
     /// session's levels and byte counts join them when it finishes.
     stats: SyncStats,
@@ -76,7 +83,8 @@ struct Slot<'a> {
     /// Content bytes this session holds of the window budget: 0 until
     /// admitted, and once done.
     charged: u64,
-    /// Settled unchanged by the roster (no session).
+    /// Settled unchanged by the roster and its group check (no
+    /// session).
     unchanged: bool,
     /// Recorder timestamp at admission (0 when tracing is off).
     t0_us: u64,
@@ -142,9 +150,21 @@ pub struct CollectionClientMachine<'a> {
     state: ClientState,
     server_names: Vec<String>,
     slots: Vec<Slot<'a>>,
+    /// Fingerprint bytes per file the roster carries.
+    weak: usize,
+    /// Files settled on their weak bytes alone, ascending, with their
+    /// full local fingerprints: complete once the verdict passes.
+    provisional: Vec<(usize, Fingerprint)>,
+    /// The group check over `provisional`, until the first batch takes
+    /// it; then whether that batch's reply owes its verdict.
+    group: Option<Part>,
+    awaiting_verdict: bool,
     outbox: Vec<(usize, Vec<Part>)>,
     expected: HashSet<usize>,
-    next_admit: usize,
+    /// Files to open, in admission order: roster order, then any file a
+    /// failed verdict reopened.
+    queue: VecDeque<usize>,
+    admitted: usize,
     /// Open sessions.
     in_flight: usize,
     /// Sum of [`Slot::charged`].
@@ -189,9 +209,14 @@ impl<'a> CollectionClientMachine<'a> {
             state: ClientState::AwaitRoster,
             server_names: Vec::new(),
             slots: Vec::new(),
+            weak: 0,
+            provisional: Vec::new(),
+            group: None,
+            awaiting_verdict: false,
             outbox: Vec::new(),
             expected: HashSet::new(),
-            next_admit: 0,
+            queue: VecDeque::new(),
+            admitted: 0,
             in_flight: 0,
             in_flight_bytes: 0,
             done_count: 0,
@@ -224,7 +249,8 @@ impl<'a> CollectionClientMachine<'a> {
 
     /// Files completed since the last call, in completion order. The
     /// driver's durability hook applies them while the session keeps
-    /// running; unchanged files appear here too, at round 0.
+    /// running; unchanged files appear here too, at round 0, once their
+    /// group verdict has passed.
     pub fn drain_completed(&mut self) -> Vec<CompletedFile> {
         std::mem::take(&mut self.pending_completed)
     }
@@ -236,21 +262,17 @@ impl<'a> CollectionClientMachine<'a> {
         self.in_flight_bytes == 0 || self.in_flight_bytes.saturating_add(charge) <= self.budget
     }
 
-    /// Fill the window with unstarted files in roster order while the
-    /// byte budget (and the `depth` cap on open sessions) has room.
-    /// Files the roster settled are skipped.
+    /// Fill the window from the queue while the byte budget (and the
+    /// `depth` cap on open sessions) has room.
     fn admit(&mut self) {
-        while self.next_admit < self.slots.len() && self.in_flight < self.depth {
-            let id = self.next_admit;
-            if self.slots[id].done.is_some() {
-                self.next_admit += 1;
-                continue;
-            }
+        while self.in_flight < self.depth {
+            let Some(&id) = self.queue.front() else { return };
             let charge = self.slots[id].content_bytes();
             if !self.fits(charge) {
                 return;
             }
-            self.next_admit += 1;
+            self.queue.pop_front();
+            self.admitted += 1;
             self.in_flight += 1;
             self.in_flight_bytes += charge;
             self.rec.record(EventKind::SessionStart { file_id: id as u64 });
@@ -272,13 +294,16 @@ impl<'a> CollectionClientMachine<'a> {
         }
     }
 
-    /// Flush the outbox as one batch message, or finish the session.
+    /// Flush the outbox, and the group check if still unsent, as one
+    /// batch message, or finish the session.
     fn flush(&mut self, now_us: u64) {
-        if self.outbox.is_empty() {
+        let group = self.group.take();
+        if self.outbox.is_empty() && group.is_none() {
             self.state = ClientState::Finished;
             return;
         }
-        let batch = encode_batch(&self.outbox);
+        self.awaiting_verdict = group.is_some();
+        let batch = encode_batch(&self.outbox, group.as_ref());
         self.expected = self.outbox.iter().map(|(id, _)| *id).collect();
         self.outbox.clear();
         self.round += 1;
@@ -288,11 +313,12 @@ impl<'a> CollectionClientMachine<'a> {
     }
 
     /// Take the server's roster: one slot per served file, every local
-    /// copy that matches its fingerprint settled unchanged at round 0,
+    /// copy that matches its weak fingerprint settled provisionally,
     /// every local name the roster lacks counted deleted.
     fn on_roster(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let roster_part = parts.first().ok_or(SyncError::Desync("missing server roster"))?;
         let roster = decode_roster(&roster_part.payload)?;
+        self.weak = weak_fp_bytes(roster.len());
         let old_by_name: HashMap<&str, &'a [u8]> =
             self.old.iter().map(|f| (f.name, f.data)).collect();
         self.deleted = self
@@ -310,6 +336,7 @@ impl<'a> CollectionClientMachine<'a> {
                     existed: old_data.is_some(),
                     new_len: e.len,
                     new_fp: e.fp,
+                    fp_whole: self.weak == Fingerprint::WIRE_LEN,
                     stats: SyncStats::default(),
                     done: None,
                     charged: 0,
@@ -325,37 +352,77 @@ impl<'a> CollectionClientMachine<'a> {
     }
 
     /// Fingerprint every local copy of the served length, through the
-    /// runner, and complete each one that matches.
+    /// runner, and settle each one whose fingerprint starts with the
+    /// roster's weak bytes provisionally, under one group check; queue
+    /// every other file to open.
     fn settle_unchanged(&mut self) {
-        let mut same = vec![false; self.slots.len()];
+        let mut local: Vec<Option<Fingerprint>> = vec![None; self.slots.len()];
         let mut jobs: Vec<_> = self
             .slots
             .iter()
-            .zip(&mut same)
+            .zip(&mut local)
             .filter(|(slot, _)| slot.existed && slot.old_data.len() as u64 == slot.new_len)
-            .map(|(slot, same)| {
-                let (data, fp) = (slot.old_data, slot.new_fp);
-                FnJob(move || *same = file_fingerprint(data) == fp)
+            .map(|(slot, fp)| {
+                let data = slot.old_data;
+                FnJob(move || *fp = Some(file_fingerprint(data)))
             })
             .collect();
         run_jobs(self.runner, &mut jobs);
         drop(jobs);
-        for (id, _) in same.iter().enumerate().filter(|(_, &same)| same) {
-            let slot = &mut self.slots[id];
-            let data = Arc::new(slot.old_data.to_vec());
-            slot.done = Some((Arc::clone(&data), false));
-            slot.unchanged = true;
-            self.done_count += 1;
-            self.rec.record(EventKind::CacheHit { file_id: id as u64 });
-            self.pending_completed.push(CompletedFile {
-                file_id: id,
-                name: self.server_names[id].clone(),
-                data,
-                fell_back: false,
-                unchanged: true,
-                round: 0,
-            });
+        let weak = self.weak;
+        for (id, (slot, fp)) in self.slots.iter().zip(local).enumerate() {
+            match fp {
+                Some(fp) if fp.0[..weak] == slot.new_fp.0[..weak] => {
+                    self.provisional.push((id, fp));
+                }
+                _ => self.queue.push_back(id),
+            }
         }
+        if !self.provisional.is_empty() {
+            let ids: Vec<usize> = self.provisional.iter().map(|&(id, _)| id).collect();
+            let digest = group_digest(self.provisional.iter().map(|(_, fp)| fp));
+            let check = encode_group_check(self.slots.len(), &ids, digest);
+            self.group = Some(Part { phase: Phase::Setup, payload: check.into() });
+        }
+    }
+
+    /// Apply the group verdict: on a pass (`salvage` is `None`) every
+    /// provisional file is unchanged; on a fail each one learns the rest
+    /// of its fingerprint, and only those whose local copy still matches
+    /// are — the others join the queue as changed files.
+    fn on_verdict(&mut self, salvage: Option<FrameBuf>) {
+        let weak = self.weak;
+        let rest = Fingerprint::WIRE_LEN - weak;
+        for (i, (id, local)) in std::mem::take(&mut self.provisional).into_iter().enumerate() {
+            if let Some(salvage) = &salvage {
+                let slot = &mut self.slots[id];
+                slot.new_fp.0[weak..].copy_from_slice(&salvage[i * rest..(i + 1) * rest]);
+                slot.fp_whole = true;
+                if slot.new_fp != local {
+                    self.queue.push_back(id);
+                    continue;
+                }
+            }
+            self.complete_unchanged(id);
+        }
+    }
+
+    /// Complete file `id` as the client's own copy, at round 0.
+    fn complete_unchanged(&mut self, id: usize) {
+        let slot = &mut self.slots[id];
+        let data = Arc::new(slot.old_data.to_vec());
+        slot.done = Some((Arc::clone(&data), false));
+        slot.unchanged = true;
+        self.done_count += 1;
+        self.rec.record(EventKind::CacheHit { file_id: id as u64 });
+        self.pending_completed.push(CompletedFile {
+            file_id: id,
+            name: self.server_names[id].clone(),
+            data,
+            fell_back: false,
+            unchanged: true,
+            round: 0,
+        });
     }
 
     /// Refill the window, report it, and send the next batch.
@@ -365,7 +432,7 @@ impl<'a> CollectionClientMachine<'a> {
             self.rec.record(EventKind::WindowAdvance {
                 in_flight: self.in_flight as u64,
                 in_flight_bytes: self.in_flight_bytes,
-                admitted: self.next_admit as u64,
+                admitted: self.admitted as u64,
                 done: self.done_count as u64,
             });
         }
@@ -374,21 +441,38 @@ impl<'a> CollectionClientMachine<'a> {
 
     /// A batch reply in three steps: check it and take out the sessions
     /// it answers, run one job per file, commit the results in wire
-    /// order (the first failure in that order wins).
+    /// order (the first failure in that order wins). The group verdict,
+    /// on the reply to the batch that carried the check, is checked
+    /// first and applied last.
     fn on_batch(&mut self, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let part = parts.first().ok_or(SyncError::Desync("empty batch reply"))?;
-        let mut jobs = self.take_jobs(decode_batch(&part.payload)?)?;
+        let Batch { files, check } = decode_batch(&part.payload)?;
+        let verdict = match (std::mem::take(&mut self.awaiting_verdict), check) {
+            (true, Some(check)) => Some(decode_verdict(
+                &check.payload,
+                self.provisional.len(),
+                Fingerprint::WIRE_LEN - self.weak,
+            )?),
+            (true, None) => return Err(SyncError::Desync("reply lacks the group verdict")),
+            (false, Some(_)) => return Err(SyncError::Desync("group verdict without a check")),
+            (false, None) => None,
+        };
+        let mut jobs = self.take_jobs(files)?;
         run_jobs(self.runner, &mut jobs);
         for job in jobs {
             self.commit(job)?;
+        }
+        if let Some(salvage) = verdict {
+            self.on_verdict(salvage);
         }
         self.advance(now_us);
         Ok(())
     }
 
     /// Refuse a reply that does not answer every file in flight exactly
-    /// once — before any job runs — and take each answered session out
-    /// of its slot.
+    /// once, or a session's first reply without the rest of its
+    /// fingerprint — before any job runs — and take each answered
+    /// session out of its slot.
     fn take_jobs(
         &mut self,
         batch: Vec<(usize, Vec<Part>)>,
@@ -403,7 +487,7 @@ impl<'a> CollectionClientMachine<'a> {
         }
         batch
             .into_iter()
-            .map(|(id, parts)| {
+            .map(|(id, mut parts)| {
                 let slot =
                     self.slots.get_mut(id).ok_or(SyncError::Desync("batch id out of range"))?;
                 for p in &parts {
@@ -413,7 +497,19 @@ impl<'a> CollectionClientMachine<'a> {
                         p.payload.len() as u64,
                     );
                 }
-                let session = slot.session.take().ok_or(SyncError::Desync("batch id not open"))?;
+                let mut session =
+                    slot.session.take().ok_or(SyncError::Desync("batch id not open"))?;
+                if !slot.fp_whole {
+                    let rest = Fingerprint::WIRE_LEN - self.weak;
+                    let first = parts
+                        .first_mut()
+                        .filter(|first| first.payload.len() >= rest)
+                        .ok_or(SyncError::Desync("first reply lacks the fingerprint remainder"))?;
+                    slot.new_fp.0[self.weak..].copy_from_slice(&first.payload[..rest]);
+                    first.payload = first.payload.slice(rest, first.payload.len());
+                    slot.fp_whole = true;
+                    session.new_fp = slot.new_fp;
+                }
                 Ok(ClientJob { id, session, parts, t0_us: slot.t0_us, result: Err(JOB_LOST) })
             })
             .collect()
@@ -612,6 +708,16 @@ pub struct CollectionServeMachine<S: ServedFiles + ?Sized = CollectionSnapshot> 
     /// Index into the served collection, in sorted-name (roster) order.
     order: Vec<usize>,
     slots: Vec<ServeSlot>,
+    /// Full fingerprints in roster order, and the bytes of each the
+    /// roster carried.
+    fps: Vec<Fingerprint>,
+    weak: usize,
+    /// Files whose whole fingerprint the client holds: sent with a
+    /// failed group verdict, or with the session's first reply.
+    told: Vec<bool>,
+    /// No batch has arrived yet: only the first may carry the group
+    /// check.
+    first_batch: bool,
     rostered: bool,
     sessions: usize,
     quiet: u32,
@@ -642,6 +748,10 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
             state: ServeState::AwaitOpener,
             order: Vec::new(),
             slots: Vec::new(),
+            fps: Vec::new(),
+            weak: 0,
+            told: Vec::new(),
+            first_batch: true,
             rostered: false,
             sessions: 0,
             quiet: 0,
@@ -679,8 +789,9 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
     }
 
     /// Answer the client's opener with the roster: every served file in
-    /// sorted-name order with its length and fingerprint, fingerprinted
-    /// through the runner (a snapshot holds them precomputed).
+    /// sorted-name order with its length and weak fingerprint bytes,
+    /// fingerprinted through the runner (a snapshot holds them
+    /// precomputed).
     fn on_opener(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         if !matches!(parts, [Part { phase: Phase::Setup, payload }] if payload.is_empty()) {
             return Err(SyncError::Desync("client opener is not one empty setup part"));
@@ -705,6 +816,9 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
             .collect::<Result<Vec<_>, SyncError>>()?;
         let roster = Part { phase: Phase::Setup, payload: encode_roster(&files).into() };
         self.slots = (0..order.len()).map(|_| ServeSlot::Idle).collect();
+        self.fps = files.iter().map(|&(_, _, fp)| fp).collect();
+        self.weak = weak_fp_bytes(order.len());
+        self.told = vec![self.weak == Fingerprint::WIRE_LEN; order.len()];
         self.order = order;
         self.arq.send_message(vec![roster], now_us);
         self.rostered = true;
@@ -715,14 +829,31 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
 
     /// A batch in three steps: check it and take out the sessions it
     /// addresses, run one job per file, commit the results in wire order
-    /// (the first failure in that order wins) into the reply batch.
+    /// (the first failure in that order wins) into the reply batch. The
+    /// first batch's group check is judged before any job runs, and its
+    /// verdict rides on the reply.
     fn on_batch(&mut self, snap: &S, parts: &[Part], now_us: u64) -> Result<(), SyncError> {
         let part = parts.first().ok_or(SyncError::Desync("empty batch message"))?;
-        let mut jobs = self.take_jobs(snap, decode_batch(&part.payload)?)?;
+        let Batch { files, check } = decode_batch(&part.payload)?;
+        let verdict = match (std::mem::replace(&mut self.first_batch, false), check) {
+            (true, Some(check)) => Some(self.judge(&check.payload, &files)?),
+            (false, Some(_)) => return Err(SyncError::Desync("group check after the first batch")),
+            (_, None) => None,
+        };
+        let mut jobs = self.take_jobs(snap, files)?;
         run_jobs(self.runner, &mut jobs);
         let mut out: Vec<(usize, Vec<Part>)> = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let reply = job.result?;
+            let mut reply = job.result?;
+            if job.opens && !std::mem::replace(&mut self.told[job.id], true) {
+                // A session's first reply leads with the rest of the
+                // file's fingerprint.
+                let first =
+                    reply.first_mut().ok_or(SyncError::Desync("session yielded no reply"))?;
+                let mut payload = self.fps[job.id].0[self.weak..].to_vec();
+                payload.extend_from_slice(&first.payload);
+                first.payload = payload.into();
+            }
             self.sessions += usize::from(job.opens);
             self.slots[job.id] = if job.session.state == SState::Done {
                 ServeSlot::Finished
@@ -732,11 +863,33 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
             out.push((job.id, reply));
         }
         self.arq.send_message(
-            vec![Part { phase: Phase::Map, payload: encode_batch(&out).into() }],
+            vec![Part { phase: Phase::Map, payload: encode_batch(&out, verdict.as_ref()).into() }],
             now_us,
         );
         self.arq.begin_await(now_us);
         Ok(())
+    }
+
+    /// Judge the client's group check against the server's own full
+    /// fingerprints. No file it settles may open in the same batch. A
+    /// pass finishes every settled file; a fail sends each one's
+    /// remainder back, so a file among them that opens later needs none.
+    fn judge(&mut self, payload: &[u8], files: &[(usize, Vec<Part>)]) -> Result<Part, SyncError> {
+        let (settled, digest) = decode_group_check(payload, self.fps.len())?;
+        if files.iter().any(|(id, _)| settled.binary_search(id).is_ok()) {
+            return Err(SyncError::Desync("batch opens a provisionally settled file"));
+        }
+        let pass = group_digest(settled.iter().map(|&id| &self.fps[id])) == digest;
+        for &id in &settled {
+            if pass {
+                self.slots[id] = ServeSlot::Finished;
+            } else {
+                self.told[id] = true;
+            }
+        }
+        let weak = self.weak;
+        let verdict = encode_verdict(pass, settled.iter().map(|&id| &self.fps[id].0[weak..]));
+        Ok(Part { phase: Phase::Setup, payload: verdict.into() })
     }
 
     /// Refuse a batch naming a file out of range, finished, or twice —
@@ -974,23 +1127,34 @@ mod tests {
         CollectionClientMachine::new(old, cfg, usize::MAX, RetryPolicy::default(), rec, 0).unwrap()
     }
 
-    /// A batch as decoded: one message per file id.
-    type Batch = Vec<(usize, Vec<Part>)>;
+    /// A batch's files as decoded: one message per file id.
+    type Files = Vec<(usize, Vec<Part>)>;
 
     /// `frame` with its batch rewritten by `edit`, at the same ARQ
     /// sequence, so the peer machine takes it as the next message.
-    fn tampered(frame: &FrameBuf, edit: fn(&mut Batch)) -> FrameBuf {
+    fn tampered_batch(frame: &FrameBuf, edit: impl FnOnce(&mut Batch)) -> FrameBuf {
         let arq = parse_frame(frame).expect("well-formed frame");
         let mut batch = decode_batch(&arq.part.payload).expect("a batch frame");
         edit(&mut batch);
-        let part = Part { phase: arq.part.phase, payload: encode_batch(&batch).into() };
+        let payload = encode_batch(&batch.files, batch.check.as_ref()).into();
         let mut buf = Vec::new();
-        encode_arq_frame_into(&mut buf, arq.seq, arq.idx, arq.more, &part);
+        encode_arq_frame_into(
+            &mut buf,
+            arq.seq,
+            arq.idx,
+            arq.more,
+            &Part { phase: arq.part.phase, payload },
+        );
         buf.into()
     }
 
+    /// `frame` with its batch's files rewritten by `edit`.
+    fn tampered(frame: &FrameBuf, edit: fn(&mut Files)) -> FrameBuf {
+        tampered_batch(frame, |batch| edit(&mut batch.files))
+    }
+
     /// Entry `i` of `batch` once more, at the end.
-    fn repeat_entry(batch: &mut Batch, i: usize) {
+    fn repeat_entry(batch: &mut Files, i: usize) {
         let (id, parts) = &batch[i];
         let parts = parts.iter().map(|p| Part { phase: p.phase, payload: p.payload.share() });
         let again = (*id, parts.collect());
@@ -1036,7 +1200,7 @@ mod tests {
         let (old, new) = three_edited_files();
         let cfg = ProtocolConfig::default();
         let snap = CollectionSnapshot::new(new);
-        let cases: [(fn(&mut Batch), &str); 3] = [
+        let cases: [(fn(&mut Files), &str); 3] = [
             (|b| repeat_entry(b, 0), "batch names a file twice"),
             (|b| b[1].0 = 3, "batch id out of range"),
             (|b| b[2].0 = 1 << 19, "batch id out of range"),
@@ -1050,12 +1214,78 @@ mod tests {
         }
     }
 
+    /// Four files, two of them unchanged: the client's first batch opens
+    /// the two edited ones and carries a group check over the other two.
+    fn two_settled_two_edited() -> (Vec<FileEntry>, Vec<FileEntry>) {
+        let old: Vec<FileEntry> =
+            (0..4).map(|i| FileEntry::new(format!("f{i}"), blob(4_000, 80 + i))).collect();
+        let new = old
+            .iter()
+            .enumerate()
+            .map(|(i, f)| match i % 2 {
+                0 => f.clone(),
+                _ => FileEntry::new(f.name.clone(), edited(&f.data)),
+            })
+            .collect();
+        (old, new)
+    }
+
+    /// The check part of `b`, edited by `edit`.
+    fn edit_check(b: &mut Batch, edit: impl FnOnce(&mut Vec<u8>)) {
+        let check = b.check.as_mut().expect("a check part");
+        let mut payload = check.payload.to_vec();
+        edit(&mut payload);
+        check.payload = payload.into();
+    }
+
+    #[test]
+    fn server_refuses_a_hostile_group_check() {
+        let (old, new) = two_settled_two_edited();
+        let cfg = ProtocolConfig::default();
+        let snap = CollectionSnapshot::new(new);
+        let cases: [(fn(&mut Batch), &str); 4] = [
+            // Four files need one bitmap byte; a second one runs past them.
+            (|b| edit_check(b, |p| p.insert(0, 0)), "settled bitmap longer than the roster"),
+            // So does a bit set in the first byte's padding.
+            (|b| edit_check(b, |p| p[0] = 0xFF), "settled bitmap longer than the roster"),
+            (|b| edit_check(b, |p| drop(p.pop())), "group check truncated"),
+            // File 0 is settled: opening it too is a contradiction.
+            (
+                |b| {
+                    let parts = vec![Part { phase: Phase::Setup, payload: vec![0].into() }];
+                    b.files.insert(0, (0, parts));
+                },
+                "batch opens a provisionally settled file",
+            ),
+        ];
+        for (edit, refusal) in cases {
+            let (_client, mut server, frame) = first_batch(&old, &cfg, &snap);
+            server.set_runner(no_job_may_run);
+            let got = server.on_frame(&snap, &tampered_batch(&frame, edit), 0);
+            assert_eq!(got, Err(SyncError::Desync(refusal)));
+            assert_eq!(server.outcome(4, TrafficStats::new()).sessions, 0, "{refusal}");
+        }
+
+        // Only the first batch may carry a check.
+        let (mut client, mut server, frame) = first_batch(&old, &cfg, &snap);
+        let check = decode_batch(&parse_frame(&frame).unwrap().part.payload).unwrap().check;
+        server.on_frame(&snap, &frame, 0).expect("server takes the first batch");
+        for (reply, _) in transmissions(&mut server).1 {
+            client.on_frame(&(), &reply, 0).expect("client takes the first reply");
+        }
+        let (_, mut second) = transmissions(&mut client);
+        assert_eq!(second.len(), 1, "the edited files need a second batch");
+        let again = tampered_batch(&second.remove(0).0, |b| b.check = check);
+        let got = server.on_frame(&snap, &again, 0);
+        assert_eq!(got, Err(SyncError::Desync("group check after the first batch")));
+    }
+
     #[test]
     fn client_refuses_a_reply_that_does_not_answer_each_file_in_flight_once() {
         let (old, new) = three_edited_files();
         let cfg = ProtocolConfig::default();
         let snap = CollectionSnapshot::new(new);
-        let cases: [(fn(&mut Batch), &str); 4] = [
+        let cases: [(fn(&mut Files), &str); 4] = [
             (|b| repeat_entry(b, 0), "batch reply for a file not in flight"),
             (|b| b[1].0 = 3, "batch reply for a file not in flight"),
             (|b| b[2].0 = 1 << 19, "batch reply for a file not in flight"),
@@ -1080,12 +1310,12 @@ mod tests {
         let snap = CollectionSnapshot::new(new);
         // An empty request fails on its length, an overlong one on its
         // trailing bytes: files 1 and 2 each get one, in both orders.
-        fn overlong(b: &mut Batch, i: usize) {
+        fn overlong(b: &mut Files, i: usize) {
             let mut request = b[i].1[0].payload.to_vec();
             request.push(0);
             b[i].1[0].payload = request.into();
         }
-        let cases: [(fn(&mut Batch), &str); 2] = [
+        let cases: [(fn(&mut Files), &str); 2] = [
             (
                 |b| {
                     b[1].1[0].payload = Vec::new().into();
@@ -1196,25 +1426,27 @@ mod tests {
 
     #[test]
     fn hostile_rosters_are_typed_desyncs() {
+        /// Shared prefix, suffix, length, and bytes short of the weak
+        /// fingerprint width.
         type Entry = (u64, &'static str, u64, usize);
-        let fp = Fingerprint::WIRE_LEN;
         let huge = msync_compress::MAX_STREAM_LEN + 1;
         let cases: [(u64, &[Entry], &str); 6] = [
-            (2, &[(0, "b", 1, fp), (0, "a", 1, fp)], "roster names not strictly increasing"),
-            (2, &[(0, "a", 1, fp), (1, "", 1, fp)], "roster names not strictly increasing"),
-            (2, &[(0, "a", 1, fp), (2, "b", 1, fp)], "roster prefix longer than the previous name"),
+            (2, &[(0, "b", 1, 0), (0, "a", 1, 0)], "roster names not strictly increasing"),
+            (2, &[(0, "a", 1, 0), (1, "", 1, 0)], "roster names not strictly increasing"),
+            (2, &[(0, "a", 1, 0), (2, "b", 1, 0)], "roster prefix longer than the previous name"),
             // One file announced longer than any stream can carry.
-            (1, &[(0, "a", huge, fp)], "roster file len beyond the stream limit"),
-            (1, &[(0, "a", 1, fp - 1)], "roster fingerprint truncated"),
+            (1, &[(0, "a", huge, 0)], "roster file len beyond the stream limit"),
+            (1, &[(0, "a", 1, 1)], "roster fingerprint truncated"),
             ((1 << 20) + 1, &[], "roster count exceeds cap"),
         ];
         let cfg = ProtocolConfig::default();
         let old = vec![FileEntry::new("a", b"local".to_vec())];
         for (count, entries, refusal) in cases {
+            let weak = weak_fp_bytes(usize::try_from(count).unwrap());
             let mut w = BitWriter::new();
             w.write_varint(count);
-            for &(shared, suffix, len, fp_bytes) in entries {
-                roster_entry(&mut w, shared, suffix, len, fp_bytes);
+            for &(shared, suffix, len, short) in entries {
+                roster_entry(&mut w, shared, suffix, len, weak - short);
             }
             let mut machine = client(&old, &cfg, Recorder::off());
             transmissions(&mut machine);
@@ -1222,6 +1454,117 @@ mod tests {
             assert_eq!(got, Err(SyncError::Desync(refusal)));
             assert!(machine.drain_completed().is_empty(), "{refusal}");
         }
+
+        // The roster's promises the first reply must keep: the rest of
+        // each opened file's fingerprint, and a verdict on exactly the
+        // group the client sent.
+        fn cut_remainder(b: &mut Batch) {
+            let first = &mut b.files[0].1[0];
+            first.payload = first.payload.slice(0, 3);
+        }
+        let cases: [(bool, fn(&mut Batch), &str); 6] = [
+            (false, cut_remainder, "first reply lacks the fingerprint remainder"),
+            (
+                false,
+                |b| b.files[1].1[0].payload = Vec::new().into(),
+                "first reply lacks the fingerprint remainder",
+            ),
+            (
+                false,
+                |b| b.check = Some(Part { phase: Phase::Setup, payload: vec![1].into() }),
+                "group verdict without a check",
+            ),
+            (true, |b| b.check = None, "reply lacks the group verdict"),
+            // Two files settled, one remainder salvaged.
+            (
+                true,
+                |b| edit_check(b, |p| *p = [&[0][..], &[7; 14]].concat()),
+                "salvage list does not match the settled set",
+            ),
+            (true, |b| edit_check(b, |p| p.push(0)), "group verdict"),
+        ];
+        for (grouped, edit, refusal) in cases {
+            let (old, new) = if grouped { two_settled_two_edited() } else { three_edited_files() };
+            let snap = CollectionSnapshot::new(new);
+            let (mut client, mut server, frame) = first_batch(&old, &cfg, &snap);
+            server.on_frame(&snap, &frame, 0).expect("server takes the batch");
+            let mut reply = transmissions(&mut server).1;
+            client.set_runner(no_job_may_run);
+            let got = client.on_frame(&(), &tampered_batch(&reply.remove(0).0, edit), 0);
+            assert_eq!(got, Err(SyncError::Desync(refusal)));
+            assert!(client.drain_completed().is_empty(), "{refusal}");
+        }
+    }
+
+    /// Holds the roster's weak width at `bytes` on this thread while
+    /// alive.
+    struct ForcedWeak;
+
+    impl ForcedWeak {
+        fn set(bytes: usize) -> Self {
+            crate::pipeline::FORCED_WEAK_BYTES.with(|w| w.set(Some(bytes)));
+            Self
+        }
+    }
+
+    impl Drop for ForcedWeak {
+        fn drop(&mut self) {
+            crate::pipeline::FORCED_WEAK_BYTES.with(|w| w.set(None));
+        }
+    }
+
+    #[test]
+    fn a_forced_weak_collision_is_salvaged_byte_exact() {
+        // Unchanged files, a same-length edit, a longer edit, a created
+        // and a deleted file.
+        let (flip, grow) = (blob(5_000, 30), blob(6_000, 31));
+        let mut flipped = flip.clone();
+        flipped[2_500] ^= 0x5A;
+        let same: Vec<FileEntry> =
+            (0..3).map(|i| FileEntry::new(format!("same{i}"), blob(3_000, 20 + i))).collect();
+        let mut old = same.clone();
+        old.extend([
+            FileEntry::new("flip", flip),
+            FileEntry::new("gone", blob(700, 32)),
+            FileEntry::new("grow", grow.clone()),
+        ]);
+        let mut new = same;
+        new.extend([
+            FileEntry::new("flip", flipped),
+            FileEntry::new("grow", [&grow[..], b"and a longer tail"].concat()),
+            FileEntry::new("made", blob(2_000, 33)),
+        ]);
+        new.sort_by(|a, b| a.name.cmp(&b.name));
+        let cfg = ProtocolConfig::default();
+        let run = |forced: Option<usize>| {
+            let _forced = forced.map(ForcedWeak::set);
+            let mut machine = client(&old, &cfg, Recorder::off());
+            let (batches, frames) = drive(&mut machine, &new, &cfg, |_| {});
+            (batches, frames, machine.finish(TrafficStats::new()).unwrap())
+        };
+        // The verdict rides on the first reply (the frame after the
+        // roster): one byte of `pass`, or `fail` and 16 bytes a file.
+        let verdict = |frames: &Frames| {
+            let reply = frames.iter().filter(|f| f.0 == Direction::ServerToClient).nth(1);
+            let part = parse_frame(&reply.expect("a first reply").1).unwrap().part;
+            decode_batch(&part.payload).unwrap().check.map(|c| c.payload.to_vec())
+        };
+
+        let (batches, frames, weak) = run(None);
+        assert_eq!(weak.files, new);
+        assert_eq!(verdict(&frames), Some(vec![1]), "three unchanged files pass");
+
+        // With no weak bytes every local copy of the served length
+        // settles, `flip` among them: the group fails, the salvage
+        // finds `flip` changed, and it opens one batch late.
+        let (forced_batches, frames, forced) = run(Some(0));
+        assert_eq!(forced.files, new);
+        assert_eq!((forced.unchanged, forced.created, forced.deleted), (3, 1, 1));
+        let salvage = verdict(&frames).expect("a verdict");
+        assert_eq!((salvage[0], salvage.len()), (0, 1 + 4 * 16), "four files salvaged");
+        assert!(forced_batches <= batches + 1, "{forced_batches} batches vs {batches}");
+        let flip = forced.per_file.iter().find(|(name, _)| name == "flip").unwrap();
+        assert!(flip.1.traffic.total_bytes() > 0, "the salvaged file ran a session");
     }
 
     #[test]
@@ -1279,13 +1622,19 @@ mod tests {
         // the framing goes to one phase holding the largest share.
         let phases = [Phase::Setup, Phase::Map, Phase::Delta, Phase::Resume];
         let both = |t: &TrafficStats, p| t.c2s(p) + t.s2c(p);
-        let (mut charged, mut shares) = (WireMeter::default(), TrafficStats::new());
+        let (mut charged, mut shares, mut checks) =
+            (WireMeter::default(), TrafficStats::new(), TrafficStats::new());
         for (dir, frame, split) in &frames {
             let part = parse_frame(frame).expect("well-formed frame").part;
             let mut parts = TrafficStats::new();
             if part.phase == Phase::Map {
-                for p in decode_batch(&part.payload).unwrap().into_iter().flat_map(|f| f.1) {
+                let batch = decode_batch(&part.payload).unwrap();
+                for p in batch.files.into_iter().flat_map(|f| f.1) {
                     parts.record(*dir, p.phase, p.payload.len() as u64);
+                }
+                if let Some(p) = batch.check {
+                    parts.record(*dir, p.phase, p.payload.len() as u64);
+                    checks.record(*dir, p.phase, p.payload.len() as u64);
                 }
             }
             let mut one = WireMeter::default();
@@ -1299,12 +1648,15 @@ mod tests {
             charged.sent(*dir, *split, frame.len());
             shares.merge(&parts);
         }
-        // Summed, the parts are exactly the files' own payload bytes: a
-        // collection's traffic by phase is Σ per_file plus framing.
+        // Summed, the parts are exactly the files' own payload bytes and
+        // the roster's group check and verdict: a collection's traffic by
+        // phase is Σ per_file plus that setup plus framing.
         let mut per_file = TrafficStats::new();
         for (_, stats) in &out.per_file {
             per_file.merge(&stats.traffic);
         }
+        assert!(checks.c2s(Phase::Setup) > 16 && checks.s2c(Phase::Setup) == 1, "{checks:?}");
+        per_file.merge(&checks);
         assert_eq!(shares, per_file);
         assert!(per_file.s2c(Phase::Delta) > 0);
         // And the in-process pump charges exactly these frames.

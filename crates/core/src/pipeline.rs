@@ -34,20 +34,32 @@
 //!
 //! 1. Client opens with one empty `Setup` part.
 //! 2. Server replies with its roster: every file in sorted-name order,
-//!    front-coded against the previous name, with its length and its
-//!    16-byte fingerprint. A file's position in the roster is the file
-//!    id every later batch uses.
-//! 3. The client settles every file it can at once: a local copy whose
-//!    fingerprint matches the roster's is unchanged and complete at
-//!    round 0, with no session; a local name missing from the roster is
-//!    deleted. Only changed and created files enter the window.
+//!    front-coded against the previous name, with its length and the
+//!    first bytes of its 16-byte fingerprint: about log2(files) bits
+//!    plus an 8-bit margin. A file's position in the
+//!    roster is the file id every later batch uses.
+//! 3. The client settles what it can at once, provisionally: a local
+//!    copy of the served length whose fingerprint starts with the
+//!    roster's weak bytes is probably unchanged; a local name missing
+//!    from the roster is deleted. Only the other files enter the window.
 //! 4. Repeat until the client has no in-flight files: client packs one
 //!    message per in-flight file into a batch frame — a file's first
 //!    message is just its local length — and the server feeds each to
 //!    that file's `ServerSession` and packs the replies into the mirror
-//!    batch. Files finish at their own pace; freed budget admits the
-//!    next changed files in roster order.
-//! 5. The client hangs up; the server treats the peer-gone condition
+//!    batch. A session's first reply starts with the rest of the file's
+//!    fingerprint, so a changed file still gets all 16 bytes to check
+//!    its reconstruction against. Files finish at their own pace; freed
+//!    budget admits the next changed files in roster order.
+//! 5. The group check (the paper's technique (b) applied to the
+//!    roster): the client's first batch also carries a bitmap of the
+//!    provisionally settled files and one MD5 over their full local
+//!    fingerprints, and the server's first reply one verdict. A pass
+//!    completes them all as unchanged; a fail carries the rest of each
+//!    one's fingerprint, and the client opens a session for every file
+//!    that then differs. No file is complete before its verdict. With
+//!    nothing provisional there is no group; with nothing else to open
+//!    the verdict costs one roundtrip of its own.
+//! 6. The client hangs up; the server treats the peer-gone condition
 //!    as the normal end of service and lingers briefly for stragglers.
 //!
 //! The fingerprints cross once, server to client, as in the paper's
@@ -56,14 +68,17 @@
 //!
 //! Every byte is charged where it crosses: a batch frame's bytes go to
 //! the phases of the parts inside it, and its framing to the largest
-//! of those shares ([`PhaseSplit`]).
+//! of those shares ([`PhaseSplit`]). The group check and its verdict are
+//! setup; a fingerprint remainder is charged with the session part it
+//! heads.
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::Builder;
 
-use msync_hash::{file_fingerprint, BitReader, BitWriter, Fingerprint};
+use msync_hash::{file_fingerprint, BitReader, BitWriter, Fingerprint, Md5};
 use msync_protocol::{
     frame_wire_size, ChannelError, Direction, Endpoint, FrameBuf, Phase, PhaseSplit, RetryPolicy,
     TrafficStats, Transport, WireMeter,
@@ -129,21 +144,58 @@ pub struct ServeOutcome {
     pub traffic: TrafficStats,
 }
 
+/// Margin, in bits, that the roster's weak fingerprints keep above
+/// log2 of the roster size: a changed file of unchanged length passes
+/// for unchanged with probability 2^-(log2 n + margin), so a roster's
+/// group check fails in about one sync of 2^margin.
+const WEAK_MARGIN_BITS: u32 = 8;
+
+/// Bytes of the group hash that confirms the provisionally settled
+/// files: one MD5.
+const GROUP_DIGEST_BYTES: usize = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Overrides [`weak_fp_bytes`] for every roster this thread
+    /// encodes or decodes: 0 makes every local copy of the served
+    /// length settle provisionally, so a changed one fails the group
+    /// check and is salvaged.
+    pub(crate) static FORCED_WEAK_BYTES: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Fingerprint bytes a roster of `files` entries carries per file:
+/// ceil(log2 files) + [`WEAK_MARGIN_BITS`] bits, rounded up to whole
+/// bytes — 2 at 200 files, 3 at 10 000. A session's first reply carries
+/// the other bytes.
+pub(crate) fn weak_fp_bytes(files: usize) -> usize {
+    #[cfg(test)]
+    if let Some(forced) = FORCED_WEAK_BYTES.with(std::cell::Cell::get) {
+        return forced;
+    }
+    let bits = usize::BITS - files.saturating_sub(1).leading_zeros() + WEAK_MARGIN_BITS;
+    usize::try_from(bits.div_ceil(8))
+        .map_or(Fingerprint::WIRE_LEN, |b| b.min(Fingerprint::WIRE_LEN))
+}
+
 /// One served file as the roster lists it: everything a client needs to
-/// settle an unchanged file, and to size a changed one, before any
-/// session opens.
+/// settle an unchanged file provisionally, and to size a changed one,
+/// before any session opens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RosterEntry {
     pub(crate) name: String,
     pub(crate) len: u64,
+    /// The fingerprint's first [`weak_fp_bytes`] bytes; the rest are
+    /// zero until the session's first reply or a salvage brings them.
     pub(crate) fp: Fingerprint,
 }
 
 /// Roster payload: `varint n`, then per file in strictly increasing name
 /// order the name front-coded against the previous one (`varint shared`
 /// prefix bytes, `varint suffix_len`, the suffix bytes), `varint len`
-/// and the 16 fingerprint bytes.
+/// and the first [`weak_fp_bytes`]`(n)` fingerprint bytes.
 pub(crate) fn encode_roster(files: &[(&str, u64, Fingerprint)]) -> Vec<u8> {
+    let weak = weak_fp_bytes(files.len());
     let mut w = BitWriter::new();
     w.write_varint(files.len() as u64);
     let mut prev: &[u8] = &[];
@@ -154,7 +206,7 @@ pub(crate) fn encode_roster(files: &[(&str, u64, Fingerprint)]) -> Vec<u8> {
         w.write_varint((name.len() - shared) as u64);
         w.write_bytes(&name[shared..]);
         w.write_varint(len);
-        w.write_bytes(&fp.0);
+        w.write_bytes(&fp.0[..weak]);
         prev = name;
     }
     w.into_bytes()
@@ -173,6 +225,7 @@ pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<RosterEntry>, SyncErro
         return Err(SyncError::Desync("roster count exceeds cap"));
     }
     let count = usize::try_from(count).map_err(|_| SyncError::Desync("roster count"))?;
+    let weak = weak_fp_bytes(count);
     let mut files: Vec<RosterEntry> = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let prev = files.last().map_or(&[][..], |f| f.name.as_bytes());
@@ -197,46 +250,152 @@ pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<RosterEntry>, SyncErro
         if len > msync_compress::MAX_STREAM_LEN {
             return Err(SyncError::Desync("roster file len beyond the stream limit"));
         }
-        let fp = r
-            .read_bytes(Fingerprint::WIRE_LEN)
-            .ok()
-            .and_then(|fp| fp.try_into().ok())
-            .ok_or(SyncError::Desync("roster fingerprint truncated"))?;
+        let mut fp = Fingerprint([0; Fingerprint::WIRE_LEN]);
+        let weak_bytes =
+            r.read_bytes(weak).map_err(|_| SyncError::Desync("roster fingerprint truncated"))?;
+        fp.0[..weak].copy_from_slice(&weak_bytes);
         let name =
             String::from_utf8(name).map_err(|_| SyncError::Desync("roster name not UTF-8"))?;
-        files.push(RosterEntry { name, len, fp: Fingerprint(fp) });
+        files.push(RosterEntry { name, len, fp });
     }
     Ok(files)
 }
 
+/// One MD5 over `fps` in order: the group hash that confirms every
+/// provisionally settled file at once.
+pub(crate) fn group_digest<'f>(
+    fps: impl IntoIterator<Item = &'f Fingerprint>,
+) -> [u8; GROUP_DIGEST_BYTES] {
+    let mut md5 = Md5::new();
+    for fp in fps {
+        md5.update(&fp.0);
+    }
+    md5.finish()
+}
+
+/// The client's group check on a roster of `roster_len` files: a bitmap
+/// with bit `id` set for each provisionally settled file (`settled`,
+/// ascending), then the [`group_digest`] of their full local
+/// fingerprints.
+pub(crate) fn encode_group_check(
+    roster_len: usize,
+    settled: &[usize],
+    digest: [u8; GROUP_DIGEST_BYTES],
+) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    let mut settled = settled.iter().peekable();
+    for id in 0..roster_len {
+        w.write_bit(settled.next_if_eq(&&id).is_some());
+    }
+    let mut payload = w.into_bytes();
+    payload.extend_from_slice(&digest);
+    payload
+}
+
+/// Decode a group check against a roster of `roster_len` files into the
+/// settled ids, ascending, and the digest. A bitmap that runs past the
+/// roster (a longer payload, or a padding bit set) or settles nothing
+/// is a [`SyncError::Desync`].
+pub(crate) fn decode_group_check(
+    payload: &[u8],
+    roster_len: usize,
+) -> Result<(Vec<usize>, [u8; GROUP_DIGEST_BYTES]), SyncError> {
+    let map_len = roster_len.div_ceil(8);
+    let longer = SyncError::Desync("settled bitmap longer than the roster");
+    let (map, digest) = match payload.len().checked_sub(map_len + GROUP_DIGEST_BYTES) {
+        Some(0) => payload.split_at(map_len),
+        Some(_) => return Err(longer),
+        None => return Err(SyncError::Desync("group check truncated")),
+    };
+    let mut r = BitReader::new(map);
+    let mut settled = Vec::new();
+    for id in 0..map_len * 8 {
+        if r.read_bit().map_err(|_| SyncError::Desync("group check truncated"))? {
+            if id >= roster_len {
+                return Err(longer);
+            }
+            settled.push(id);
+        }
+    }
+    if settled.is_empty() {
+        return Err(SyncError::Desync("group check settles no file"));
+    }
+    let digest = digest.try_into().map_err(|_| SyncError::Desync("group check truncated"))?;
+    Ok((settled, digest))
+}
+
+/// The server's verdict on a group check: `1` on a pass; on a fail `0`,
+/// then the rest of each settled file's fingerprint (its bytes past the
+/// roster's weak ones), in roster order.
+pub(crate) fn encode_verdict<'f>(
+    pass: bool,
+    remainders: impl Iterator<Item = &'f [u8]>,
+) -> Vec<u8> {
+    let mut payload = vec![u8::from(pass)];
+    if !pass {
+        remainders.for_each(|rest| payload.extend_from_slice(rest));
+    }
+    payload
+}
+
+/// Decode a verdict on `settled` files whose remainders are `rest`
+/// bytes each: `None` on a pass, the remainders back to back on a fail.
+pub(crate) fn decode_verdict(
+    payload: &FrameBuf,
+    settled: usize,
+    rest: usize,
+) -> Result<Option<FrameBuf>, SyncError> {
+    match payload.first() {
+        Some(1) if payload.len() == 1 => Ok(None),
+        Some(0) if payload.len() - 1 == settled * rest => Ok(Some(payload.slice(1, payload.len()))),
+        Some(0) => Err(SyncError::Desync("salvage list does not match the settled set")),
+        _ => Err(SyncError::Desync("group verdict")),
+    }
+}
+
+/// A batch as decoded: one message per file, and the roster's group
+/// check (client) or its verdict (server), which only the first batch
+/// of each direction carries.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    pub(crate) files: Vec<(usize, Vec<Part>)>,
+    pub(crate) check: Option<Part>,
+}
+
 /// Pack one round message per in-flight file into a single frame
-/// payload: `varint n, then per file (varint id, varint n_parts, per
-/// part: 1 phase byte, varint len, payload bytes)`.
-pub(crate) fn encode_batch(entries: &[(usize, Vec<Part>)]) -> Vec<u8> {
+/// payload: `varint n, then per file (varint id, varint n_parts, parts)`,
+/// then the optional `check` part. A part is `1 phase byte, varint len,
+/// payload bytes`.
+pub(crate) fn encode_batch(entries: &[(usize, Vec<Part>)], check: Option<&Part>) -> Vec<u8> {
     let mut w = BitWriter::new();
     w.write_varint(entries.len() as u64);
     for (id, parts) in entries {
         w.write_varint(*id as u64);
         w.write_varint(parts.len() as u64);
-        for part in parts {
-            w.write_bits(u64::from(part_header(part.phase, false)), 8);
-            w.write_varint(part.payload.len() as u64);
-            w.write_bytes(&part.payload);
-        }
+        parts.iter().for_each(|part| write_part(&mut w, part));
+    }
+    if let Some(part) = check {
+        write_part(&mut w, part);
     }
     w.into_bytes()
 }
 
-/// Decode a batch into its files' messages; every part is a zero-copy
-/// view of `payload`.
-pub(crate) fn decode_batch(payload: &FrameBuf) -> Result<Vec<(usize, Vec<Part>)>, SyncError> {
+fn write_part(w: &mut BitWriter, part: &Part) {
+    w.write_bits(u64::from(part_header(part.phase, false)), 8);
+    w.write_varint(part.payload.len() as u64);
+    w.write_bytes(&part.payload);
+}
+
+/// Decode a batch into its files' messages and its check part; every
+/// part is a zero-copy view of `payload`.
+pub(crate) fn decode_batch(payload: &FrameBuf) -> Result<Batch, SyncError> {
     let mut r = BitReader::new(payload);
     let count = r.read_varint().map_err(|_| SyncError::Desync("batch count"))?;
     if count > MAX_COLLECTION_FILES {
         return Err(SyncError::Desync("batch count exceeds cap"));
     }
     let count = usize::try_from(count).map_err(|_| SyncError::Desync("batch count"))?;
-    let mut out = Vec::with_capacity(count.min(1024));
+    let mut files = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let id = r.read_varint().map_err(|_| SyncError::Desync("batch file id"))?;
         if id >= MAX_COLLECTION_FILES {
@@ -248,46 +407,87 @@ pub(crate) fn decode_batch(payload: &FrameBuf) -> Result<Vec<(usize, Vec<Part>)>
             return Err(SyncError::Desync("batch part count out of range"));
         }
         let n_parts = usize::try_from(n_parts).map_err(|_| SyncError::Desync("batch parts"))?;
-        let mut parts = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            let header = r.read_bits(8).map_err(|_| SyncError::Desync("batch part header"))?;
-            let header = u8::try_from(header).map_err(|_| SyncError::Desync("batch header"))?;
-            let (phase, _more) =
-                parse_part_header(header).ok_or(SyncError::Desync("batch phase tag"))?;
-            let len = r.read_varint().map_err(|_| SyncError::Desync("batch part len"))?;
-            let len = usize::try_from(len).map_err(|_| SyncError::Desync("batch part len"))?;
-            // Every field before a payload is whole bytes: it starts aligned.
-            let start = payload.len() - r.remaining_bits() / 8;
-            r.skip_bytes(len).map_err(|_| SyncError::Desync("batch part truncated"))?;
-            parts.push(Part { phase, payload: payload.slice(start, start + len) });
-        }
-        out.push((id, parts));
+        let parts = (0..n_parts).map(|_| read_part(&mut r, payload)).collect::<Result<_, _>>()?;
+        files.push((id, parts));
     }
-    Ok(out)
+    let check = match r.remaining_bits() {
+        0 => None,
+        _ => Some(read_part(&mut r, payload)?),
+    };
+    if r.remaining_bits() > 0 {
+        return Err(SyncError::Desync("batch trailing bytes"));
+    }
+    if check.as_ref().is_some_and(|part| part.phase != Phase::Setup) {
+        return Err(SyncError::Desync("batch check part is not setup"));
+    }
+    Ok(Batch { files, check })
+}
+
+fn read_part(r: &mut BitReader<'_>, payload: &FrameBuf) -> Result<Part, SyncError> {
+    let header = r.read_bits(8).map_err(|_| SyncError::Desync("batch part header"))?;
+    let header = u8::try_from(header).map_err(|_| SyncError::Desync("batch header"))?;
+    let (phase, _more) = parse_part_header(header).ok_or(SyncError::Desync("batch phase tag"))?;
+    let len = r.read_varint().map_err(|_| SyncError::Desync("batch part len"))?;
+    let len = usize::try_from(len).map_err(|_| SyncError::Desync("batch part len"))?;
+    // Every field before a payload is whole bytes: it starts aligned.
+    let start = payload.len() - r.remaining_bits() / 8;
+    r.skip_bytes(len).map_err(|_| SyncError::Desync("batch part truncated"))?;
+    Ok(Part { phase, payload: payload.slice(start, start + len) })
 }
 
 /// How a batch frame divides across its parts' phases; the batch's own
 /// headers are framing. A batch that does not parse is all map phase.
 pub(crate) fn batch_split(payload: &FrameBuf) -> PhaseSplit {
     let mut split = PhaseSplit::from(Phase::Map);
-    for part in decode_batch(payload).unwrap_or_default().iter().flat_map(|(_, parts)| parts) {
+    let batch = decode_batch(payload).unwrap_or_default();
+    for part in batch.files.iter().flat_map(|(_, parts)| parts).chain(&batch.check) {
         split.add(part.phase, part.payload.len() as u64);
     }
     split
 }
 
-/// Wire bytes of the roster frame that lists `files`: what a collection
-/// sync pays, once, to tell the client which files the server holds,
-/// how long they are and what they hash to. The paper harness charges
-/// the per-file baselines the same frame.
-pub fn roster_frame_bytes(files: &[FileRef<'_>]) -> u64 {
+/// Wire bytes of the roster exchange for serving `new` to a client that
+/// holds `old`: the roster frame, plus — when a local copy passes for
+/// unchanged on its weak fingerprint bytes — the group check and the
+/// verdict, as the parts the first batch and its reply carry. It is what
+/// a collection sync pays, once, to tell the client which files the
+/// server holds, how long they are and which of its own copies are
+/// current. The paper harness charges the per-file baselines the same
+/// bytes.
+pub fn roster_frame_bytes(old: &[FileRef<'_>], new: &[FileRef<'_>]) -> u64 {
     let mut listed: Vec<(&str, u64, Fingerprint)> =
-        files.iter().map(|f| (f.name, f.data.len() as u64, file_fingerprint(f.data))).collect();
+        new.iter().map(|f| (f.name, f.data.len() as u64, file_fingerprint(f.data))).collect();
     listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
     let part = Part { phase: Phase::Setup, payload: encode_roster(&listed).into() };
     let mut frame = Vec::new();
     encode_arq_frame_into(&mut frame, 0, 0, false, &part);
-    frame_wire_size(frame.len())
+    let roster = frame_wire_size(frame.len());
+
+    let weak = weak_fp_bytes(listed.len());
+    let local: HashMap<&str, &[u8]> = old.iter().map(|f| (f.name, f.data)).collect();
+    let (mut settled, mut mine) = (Vec::new(), Vec::new());
+    for (id, &(name, len, fp)) in listed.iter().enumerate() {
+        let Some(data) = local.get(name).filter(|data| data.len() as u64 == len) else {
+            continue;
+        };
+        let local_fp = file_fingerprint(data);
+        if local_fp.0[..weak] == fp.0[..weak] {
+            settled.push(id);
+            mine.push(local_fp);
+        }
+    }
+    if settled.is_empty() {
+        return roster;
+    }
+    let pass = settled.iter().zip(&mine).all(|(&id, fp)| *fp == listed[id].2);
+    let check = encode_group_check(listed.len(), &settled, group_digest(&mine));
+    let verdict = encode_verdict(pass, settled.iter().map(|&id| &listed[id].2 .0[weak..]));
+    let in_batch = |payload: Vec<u8>| {
+        let mut w = BitWriter::new();
+        write_part(&mut w, &Part { phase: Phase::Setup, payload: payload.into() });
+        w.into_bytes().len() as u64
+    };
+    roster + in_batch(check) + in_batch(verdict)
 }
 
 /// Drive `m` over `t` until it finishes: transmit queued frames,
@@ -362,9 +562,9 @@ pub fn sync_collection_client(
 
 /// [`sync_collection_client`] with a durability sink: `on_complete` runs
 /// for every file the moment it finishes — unchanged files at round 0,
-/// straight after the roster — so the CLI can apply it atomically while
-/// the session keeps running. A rerun after a crash then finds every
-/// applied file unchanged and skips it.
+/// as soon as the first reply's group verdict passes — so the CLI can
+/// apply it atomically while the session keeps running. A rerun after a
+/// crash then finds every applied file unchanged and skips it.
 ///
 /// A sink error aborts the session as [`SyncError::Persist`]: progress
 /// that cannot be made durable must not be reported as such.
@@ -648,15 +848,27 @@ mod tests {
             ("dir/b.txt", 3, file_fingerprint(b"bee")),
             ("z", 1, file_fingerprint(b"z")),
         ];
+        // Five files: 3 + 8 bits of weak fingerprint, two bytes.
+        let weak = weak_fp_bytes(files.len());
+        assert_eq!(weak, 2);
         let decoded = decode_roster(&encode_roster(&files)).unwrap();
-        let back: Vec<(&str, u64, Fingerprint)> =
-            decoded.iter().map(|f| (f.name.as_str(), f.len, f.fp)).collect();
-        assert_eq!(back, files);
+        let back: Vec<(&str, u64)> = decoded.iter().map(|f| (f.name.as_str(), f.len)).collect();
+        assert_eq!(back, files.map(|(name, len, _)| (name, len)));
+        for (got, (_, _, fp)) in decoded.iter().zip(files) {
+            assert_eq!(got.fp.0[..weak], fp.0[..weak]);
+            assert!(got.fp.0[weak..].iter().all(|&b| b == 0), "only the weak bytes cross");
+        }
         assert!(decode_roster(&[0xff; 3]).is_err());
         // Front coding: `a.txt~` after `a.txt` spells one byte of name.
-        let one = encode_roster(&files[1..2]).len();
         let two = encode_roster(&files[1..3]).len();
-        assert_eq!(two - one, 1 + 1 + 1 + 5 + Fingerprint::WIRE_LEN);
+        let three = encode_roster(&[files[1], files[2], files[2]]).len();
+        assert_eq!(three - two, 1 + 1 + 0 + 5 + weak);
+    }
+
+    #[test]
+    fn weak_width_grows_with_the_roster() {
+        let widths = [1, 2, 200, 256, 257, 1_000, 10_000, 1 << 20].map(weak_fp_bytes);
+        assert_eq!(widths, [1, 2, 2, 2, 3, 3, 3, 4]);
     }
 
     #[test]
@@ -671,7 +883,9 @@ mod tests {
                 ],
             ),
         ];
-        let decoded = decode_batch(&encode_batch(&entries).into()).unwrap();
+        let decoded = decode_batch(&encode_batch(&entries, None).into()).unwrap();
+        assert!(decoded.check.is_none());
+        let decoded = decoded.files;
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].0, 0);
         assert_eq!(decoded[0].1[0].payload, vec![1, 2, 3]);
@@ -679,6 +893,61 @@ mod tests {
         assert_eq!(decoded[1].1[1].phase, Phase::Delta);
         assert_eq!(decoded[1].1[1].payload, vec![9; 40]);
         assert!(decode_batch(&vec![0xff; 2].into()).is_err());
+
+        // A check part rides after the files, and is charged as setup.
+        let check = Part { phase: Phase::Setup, payload: vec![5; 20].into() };
+        let bytes = encode_batch(&entries, Some(&check));
+        let decoded = decode_batch(&bytes.clone().into()).unwrap();
+        assert_eq!(decoded.files.len(), 2);
+        assert_eq!(decoded.check.unwrap().payload, vec![5; 20]);
+        let mut meter = WireMeter::default();
+        meter.sent(Direction::ClientToServer, batch_split(&bytes.clone().into()), bytes.len());
+        assert_eq!(meter.stats().c2s(Phase::Setup), 3 + 20, "the framing goes to the delta");
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(
+            decode_batch(&longer.into()).err(),
+            Some(SyncError::Desync("batch trailing bytes"))
+        );
+        let map = Part { phase: Phase::Map, payload: vec![5; 20].into() };
+        assert_eq!(
+            decode_batch(&encode_batch(&entries, Some(&map)).into()).err(),
+            Some(SyncError::Desync("batch check part is not setup"))
+        );
+    }
+
+    #[test]
+    fn group_check_and_verdict_roundtrip() {
+        let digest = group_digest(&[file_fingerprint(b"a"), file_fingerprint(b"b")]);
+        let check = encode_group_check(11, &[0, 3, 10], digest);
+        assert_eq!(check.len(), 2 + 16, "11 bits of bitmap, then the digest");
+        assert_eq!(decode_group_check(&check, 11), Ok((vec![0, 3, 10], digest)));
+        // The same bytes against a shorter roster set a bit past it.
+        assert_eq!(
+            decode_group_check(&check, 10),
+            Err(SyncError::Desync("settled bitmap longer than the roster"))
+        );
+        assert_eq!(
+            decode_group_check(&check[1..], 11),
+            Err(SyncError::Desync("group check truncated"))
+        );
+        let none = encode_group_check(11, &[], digest);
+        assert_eq!(
+            decode_group_check(&none, 11),
+            Err(SyncError::Desync("group check settles no file"))
+        );
+
+        let rest: [&[u8]; 2] = [&[1; 14], &[2; 14]];
+        let pass = encode_verdict(true, rest.into_iter());
+        assert_eq!(decode_verdict(&pass.into(), 2, 14), Ok(None));
+        let fail = encode_verdict(false, rest.into_iter());
+        let salvage = decode_verdict(&fail.clone().into(), 2, 14).unwrap().unwrap();
+        assert_eq!(salvage.len(), 28);
+        assert_eq!(
+            decode_verdict(&fail.into(), 3, 14),
+            Err(SyncError::Desync("salvage list does not match the settled set"))
+        );
+        assert_eq!(decode_verdict(&vec![2].into(), 2, 14), Err(SyncError::Desync("group verdict")));
     }
 
     #[test]

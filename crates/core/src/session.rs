@@ -449,9 +449,10 @@ pub(crate) struct ClientSession<'a> {
     hash_store: HashMap<(u64, u64), u64>,
     pub(crate) map: FileMap,
     global_bits: u32,
-    /// The server's file length and fingerprint, from the roster.
+    /// The server's file length, from the roster, and fingerprint,
+    /// whole once the session's first reply has completed it.
     new_len: u64,
-    new_fp: Fingerprint,
+    pub(crate) new_fp: Fingerprint,
     items: Vec<Item>,
     candidates: Vec<Candidate>,
     verify: Option<VerifyState>,

@@ -3,7 +3,7 @@
 //! Before any collection traffic, the connecting client sends one frame:
 //!
 //! ```text
-//! msync-net 5 [<collection>]\n
+//! msync-net 6 [<collection>]\n
 //! <parameter file, as rendered by msync_core::params::render>
 //! ```
 //!
@@ -40,14 +40,17 @@ use crate::registry::validate_collection_name;
 /// v3 added the optional collection-name token to the hello line;
 /// v4 dropped four parameter-file keys and numbers map rounds by level;
 /// v5 replaced the two rosters, the per-file setup and the resume
-/// offer with one empty opener and one fingerprinted server roster.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// offer with one empty opener and one fingerprinted server roster;
+/// v6 cut the roster's fingerprints to their first few bytes, settled
+/// by one group check in the first batch, with the rest of a changed
+/// file's fingerprint in its session's first reply.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Oldest client version this daemon still accepts. An older client
-/// opens with its own roster and expects a per-file setup reply, so it
+/// expects whole fingerprints in the roster and no group check, so it
 /// gets the typed `unsupported version` refusal instead of a session
 /// that desyncs midway.
-pub const MIN_PROTOCOL_VERSION: u32 = 5;
+pub const MIN_PROTOCOL_VERSION: u32 = 6;
 
 /// Magic line opening every client hello.
 const MAGIC: &str = "msync-net";
@@ -74,6 +77,8 @@ pub enum NetError {
     Channel(ChannelError),
     /// The sync protocol itself failed after the handshake.
     Sync(SyncError),
+    /// The daemon shut down while the session waited on its peer.
+    Shutdown,
 }
 
 impl std::fmt::Display for NetError {
@@ -86,6 +91,7 @@ impl std::fmt::Display for NetError {
             }
             Self::Channel(e) => write!(f, "handshake transport error: {e:?}"),
             Self::Sync(e) => write!(f, "sync failed: {e}"),
+            Self::Shutdown => write!(f, "daemon shut down while the session waited on its peer"),
         }
     }
 }

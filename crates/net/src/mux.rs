@@ -1032,8 +1032,10 @@ pub(crate) fn accept_loop<F>(
 
 /// One worker thread's poll loop: adopt the streams the acceptor hands
 /// over `inbox`, tick every owned connection, deliver finished
-/// sessions, wait when fully idle. On shutdown the worker drains its
-/// in-flight sessions and returns.
+/// sessions, wait when fully idle. On shutdown the worker drains the
+/// sessions it is working on, ends each one that only waits on its
+/// peer ([`MuxConn::waitable`]) with [`NetError::Shutdown`], and
+/// returns.
 ///
 /// The idle wait, by what the worker holds:
 /// * no connection: block on the inbox (for at most [`RATE_SAMPLE_US`],
@@ -1086,6 +1088,11 @@ where
         let mut i = 0;
         while i < conns.len() {
             progressed |= conns[i].tick(shared, &mut scratch);
+            // A quiet peer would hold the shutdown until its retry
+            // budget ran out.
+            if stopping && conns[i].waitable() {
+                conns[i].fail(NetError::Shutdown);
+            }
             if conns[i].is_done() {
                 let conn = conns.swap_remove(i);
                 if conn.admitted {

@@ -143,7 +143,6 @@ pub struct TcpTransport {
     /// Reusable read buffer.
     scratch: Vec<u8>,
     meter: WireMeter,
-    outbound_dir: Direction,
     socket_sent: u64,
     socket_received: u64,
 }
@@ -163,18 +162,9 @@ impl TcpTransport {
             inbound: FrameBuffer::default(),
             scratch: vec![0u8; READ_CHUNK],
             meter: WireMeter::default(),
-            outbound_dir: Direction::ClientToServer,
             socket_sent: 0,
             socket_received: 0,
         })
-    }
-
-    /// Wrap the accepting side of a stream (sends are server→client).
-    #[cfg(test)]
-    fn server(stream: TcpStream) -> std::io::Result<Self> {
-        let mut t = Self::client(stream)?;
-        t.outbound_dir = Direction::ServerToClient;
-        Ok(t)
     }
 
     /// Attach a trace recorder. Every byte subsequently charged to
@@ -197,20 +187,13 @@ impl TcpTransport {
         self.socket_received
     }
 
-    fn inbound_dir(&self) -> Direction {
-        match self.outbound_dir {
-            Direction::ClientToServer => Direction::ServerToClient,
-            Direction::ServerToClient => Direction::ClientToServer,
-        }
-    }
-
     /// Split one complete frame off the inbound buffer, if present.
     /// `Ok(None)` means more bytes are needed.
     fn take_frame(&mut self) -> Result<Option<FrameBuf>, ChannelError> {
         let Some((payload, wire)) = self.inbound.take_frame()? else {
             return Ok(None);
         };
-        self.meter.received(self.inbound_dir(), wire);
+        self.meter.received(Direction::ServerToClient, wire);
         Ok(Some(payload))
     }
 }
@@ -244,7 +227,7 @@ impl Transport for TcpTransport {
             }
         }
         self.socket_sent += total as u64;
-        self.meter.sent(self.outbound_dir, split, payload.len());
+        self.meter.sent(Direction::ClientToServer, split, payload.len());
         Ok(())
     }
 
@@ -300,25 +283,66 @@ mod tests {
         FrameBuf::copy_from_slice(bytes)
     }
 
-    fn pair() -> (TcpTransport, TcpTransport) {
+    /// The accepting side as the daemon's multiplexer builds it: the
+    /// raw stream, a [`FrameBuffer`] reassembling what it reads and a
+    /// [`WireMeter`] charging it, each frame written as its header and
+    /// payload.
+    struct Accepted {
+        stream: TcpStream,
+        inbound: FrameBuffer,
+        meter: WireMeter,
+        socket_received: u64,
+    }
+
+    impl Accepted {
+        /// The next whole frame, each read bounded by 10 s.
+        fn recv(&mut self) -> FrameBuf {
+            let mut scratch = vec![0u8; READ_CHUNK];
+            self.stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            loop {
+                if let Some((payload, wire)) = self.inbound.take_frame().unwrap() {
+                    self.meter.received(Direction::ClientToServer, wire);
+                    return payload;
+                }
+                let n = self.stream.read(&mut scratch).unwrap();
+                assert!(n > 0, "the peer hung up");
+                self.socket_received += n as u64;
+                self.inbound.extend(&scratch[..n]);
+            }
+        }
+
+        fn send(&mut self, payload: &FrameBuf, phase: Phase) {
+            self.stream.write_all(&frame_header(payload)).unwrap();
+            self.stream.write_all(payload).unwrap();
+            self.meter.sent(Direction::ServerToClient, phase.into(), payload.len());
+        }
+    }
+
+    fn pair() -> (TcpTransport, Accepted) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let join = thread::spawn(move || listener.accept().unwrap().0);
         let client = TcpStream::connect(addr).unwrap();
-        let server = join.join().unwrap();
-        (TcpTransport::client(client).unwrap(), TcpTransport::server(server).unwrap())
+        let stream = join.join().unwrap();
+        let accepted = Accepted {
+            stream,
+            inbound: FrameBuffer::default(),
+            meter: WireMeter::default(),
+            socket_received: 0,
+        };
+        (TcpTransport::client(client).unwrap(), accepted)
     }
 
     #[test]
     fn frames_cross_the_socket_byte_exact() {
         let (mut c, mut s) = pair();
         c.send(&fb(b"hello over tcp"), Phase::Setup.into()).unwrap();
-        let got = s.recv_timeout(Duration::from_secs(5)).unwrap();
+        let got = s.recv();
         assert_eq!(&got[..], b"hello over tcp");
-        s.attribute_inbound(Phase::Setup.into());
+        s.meter.attribute(Phase::Setup.into());
         // Both sides agree on the wire size of what crossed.
-        assert_eq!(c.socket_sent(), s.socket_received());
-        assert_eq!(c.stats().c2s(Phase::Setup), s.stats().c2s(Phase::Setup));
+        assert_eq!(c.socket_sent(), s.socket_received);
+        assert_eq!(c.stats().c2s(Phase::Setup), s.meter.stats().c2s(Phase::Setup));
         assert_eq!(c.stats().total_bytes(), c.socket_sent());
     }
 
@@ -333,28 +357,26 @@ mod tests {
             c.send(&fb(b"tail"), Phase::Delta.into()).unwrap();
             c
         });
-        let got = s.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(got, big);
-        let tail = s.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(&tail[..], b"tail");
+        assert_eq!(s.recv(), big);
+        assert_eq!(&s.recv()[..], b"tail");
         join.join().unwrap();
     }
 
     #[test]
     fn silence_times_out_and_hangup_disconnects() {
-        let (c, mut s) = pair();
-        assert_eq!(s.recv_timeout(Duration::from_millis(50)), Err(ChannelError::Timeout));
-        drop(c);
+        let (mut c, s) = pair();
+        assert_eq!(c.recv_timeout(Duration::from_millis(50)), Err(ChannelError::Timeout));
+        drop(s);
         // After the peer hangs up the read sees EOF.
-        assert_eq!(s.recv_timeout(Duration::from_secs(5)), Err(ChannelError::Disconnected));
+        assert_eq!(c.recv_timeout(Duration::from_secs(5)), Err(ChannelError::Disconnected));
     }
 
     #[test]
     fn corrupt_length_word_is_typed_not_oom() {
-        let (c, mut s) = pair();
+        let (mut c, mut s) = pair();
         // 0xFF continuation bytes forever: an impossible length word.
-        c.stream.try_clone().unwrap().write_all(&[0xFF; 12]).unwrap();
-        let err = s.recv_timeout(Duration::from_secs(5));
+        s.stream.write_all(&[0xFF; 12]).unwrap();
+        let err = c.recv_timeout(Duration::from_secs(5));
         assert!(matches!(err, Err(ChannelError::Corrupt(_))), "{err:?}");
     }
 
@@ -373,13 +395,13 @@ mod tests {
         let (mut c, mut s) = pair();
         for _ in 0..3 {
             c.send(&fb(b"ping"), Phase::Map.into()).unwrap();
-            s.recv_timeout(Duration::from_secs(5)).unwrap();
-            s.attribute_inbound(Phase::Map.into());
-            s.send(&fb(b"pong"), Phase::Map.into()).unwrap();
+            s.recv();
+            s.meter.attribute(Phase::Map.into());
+            s.send(&fb(b"pong"), Phase::Map);
             c.recv_timeout(Duration::from_secs(5)).unwrap();
             c.attribute_inbound(Phase::Map.into());
         }
         assert_eq!(c.stats().roundtrips, 3);
-        assert_eq!(s.stats().roundtrips, 3);
+        assert_eq!(s.meter.stats().roundtrips, 3);
     }
 }

@@ -34,10 +34,9 @@ use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
 use msync::corpus::{web_collection, WebParams};
 use msync::net::handshake::client_hello;
 use msync::net::{
-    admin_health, admin_sessions, admin_stats, sync_remote, Daemon, DaemonOptions, RemoteOptions,
-    TcpTransport,
+    admin_health, admin_sessions, admin_stats, sync_remote, Daemon, DaemonOptions, NetError,
+    RemoteOptions, TcpTransport,
 };
-use msync::protocol::RetryPolicy;
 
 /// Same two-day web corpus as `net_loopback`: enough files that a
 /// depth-1 sync spans many observable roundtrips.
@@ -361,21 +360,22 @@ fn single_worker_serves_beside_a_quiet_session() {
 /// `Daemon::shutdown` wakes the acceptor blocked in `accept` whatever
 /// the bind address (an unspecified IP is reached over loopback) and
 /// whatever the workers hold: it returns within 2 s idle, and with a
-/// quiet session held. The held session is drained, not cut, so the
-/// daemon's retry budget is shortened to end it well inside the bound.
+/// quiet session held under the default retry policy, whose budget
+/// would hold a drain for seconds. The held session is ended at once,
+/// and its report says why.
 #[test]
 fn shutdown_wakes_the_acceptor() {
     let _shared = share_the_process();
-    let retry = RetryPolicy {
-        timeout: Duration::from_millis(50),
-        max_retries: 1,
-        backoff_cap: Duration::from_millis(50),
-    };
     for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
         for hold in [false, true] {
-            let opts = DaemonOptions { workers: 2, retry, ..DaemonOptions::default() };
+            let opts = DaemonOptions { workers: 2, ..DaemonOptions::default() };
             let files = vec![FileEntry::new("f", b"served".to_vec())];
-            let daemon = Daemon::spawn(listen, files, opts, |_| {}).expect("daemon spawn");
+            let (report, reports) = std::sync::mpsc::channel();
+            let report = std::sync::Mutex::new(report);
+            let daemon = Daemon::spawn(listen, files, opts, move |r| {
+                let _ = report.lock().unwrap_or_else(PoisonError::into_inner).send(r.result);
+            })
+            .expect("daemon spawn");
             let port = daemon.local_addr().port();
             let held = hold.then(|| stalled_session(&format!("127.0.0.1:{port}")));
             let (done, finished) = std::sync::mpsc::channel();
@@ -388,6 +388,11 @@ fn shutdown_wakes_the_acceptor() {
                 "shutdown of a daemon on {listen} (session held: {hold}) took over 2 s"
             );
             shutting.join().expect("shutdown panicked");
+            let ended: Vec<_> = reports.try_iter().collect();
+            match (hold, ended.as_slice()) {
+                (false, []) | (true, [Err(NetError::Shutdown)]) => {}
+                _ => panic!("{listen}, session held: {hold}: reports {ended:?}"),
+            }
             drop(held);
         }
     }
