@@ -28,9 +28,8 @@ use crate::collection::{CollectionOutcome, FileEntry, FileRef};
 use crate::config::ProtocolConfig;
 use crate::params::config_digest;
 use crate::pipeline::{
-    decode_batch, decode_group_check, decode_roster, decode_verdict, encode_batch,
-    encode_group_check, encode_roster, encode_verdict, group_digest, weak_fp_bytes, Batch,
-    ServeOutcome, WINDOW_BUDGET_BYTES,
+    decode_batch, decode_roster, decode_verdict, encode_batch, encode_roster, settle,
+    weak_fp_bytes, Batch, GroupCheck, ServeOutcome, WINDOW_BUDGET_BYTES,
 };
 use crate::session::{ClientAction, ClientSession, Part, SState, ServerSession, SyncError};
 use crate::snapshot::{CollectionSnapshot, ServedFiles, SessionCache};
@@ -336,7 +335,7 @@ impl<'a> CollectionClientMachine<'a> {
                     existed: old_data.is_some(),
                     new_len: e.len,
                     new_fp: e.fp,
-                    fp_whole: self.weak == Fingerprint::WIRE_LEN,
+                    fp_whole: false,
                     stats: SyncStats::default(),
                     done: None,
                     charged: 0,
@@ -369,21 +368,17 @@ impl<'a> CollectionClientMachine<'a> {
             .collect();
         run_jobs(self.runner, &mut jobs);
         drop(jobs);
-        let weak = self.weak;
-        for (id, (slot, fp)) in self.slots.iter().zip(local).enumerate() {
-            match fp {
-                Some(fp) if fp.0[..weak] == slot.new_fp.0[..weak] => {
-                    self.provisional.push((id, fp));
-                }
-                _ => self.queue.push_back(id),
+        self.provisional = settle(self.slots.iter().map(|slot| &slot.new_fp).zip(local), self.weak);
+        let mut provisional = self.provisional.iter().map(|&(id, _)| id).peekable();
+        for id in 0..self.slots.len() {
+            if provisional.next_if_eq(&id).is_none() {
+                self.queue.push_back(id);
             }
         }
-        if !self.provisional.is_empty() {
-            let ids: Vec<usize> = self.provisional.iter().map(|&(id, _)| id).collect();
-            let digest = group_digest(self.provisional.iter().map(|(_, fp)| fp));
-            let check = encode_group_check(self.slots.len(), &ids, digest);
-            self.group = Some(Part { phase: Phase::Setup, payload: check.into() });
-        }
+        self.group = GroupCheck::over(&self.provisional).map(|check| Part {
+            phase: Phase::Setup,
+            payload: check.encode(self.slots.len()).into(),
+        });
     }
 
     /// Apply the group verdict: on a pass (`salvage` is `None`) every
@@ -818,7 +813,7 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
         self.slots = (0..order.len()).map(|_| ServeSlot::Idle).collect();
         self.fps = files.iter().map(|&(_, _, fp)| fp).collect();
         self.weak = weak_fp_bytes(order.len());
-        self.told = vec![self.weak == Fingerprint::WIRE_LEN; order.len()];
+        self.told = vec![false; order.len()];
         self.order = order;
         self.arq.send_message(vec![roster], now_us);
         self.rostered = true;
@@ -875,20 +870,18 @@ impl<S: ServedFiles + ?Sized> CollectionServeMachine<S> {
     /// pass finishes every settled file; a fail sends each one's
     /// remainder back, so a file among them that opens later needs none.
     fn judge(&mut self, payload: &[u8], files: &[(usize, Vec<Part>)]) -> Result<Part, SyncError> {
-        let (settled, digest) = decode_group_check(payload, self.fps.len())?;
-        if files.iter().any(|(id, _)| settled.binary_search(id).is_ok()) {
+        let check = GroupCheck::decode(payload, self.fps.len())?;
+        if files.iter().any(|(id, _)| check.settled.binary_search(id).is_ok()) {
             return Err(SyncError::Desync("batch opens a provisionally settled file"));
         }
-        let pass = group_digest(settled.iter().map(|&id| &self.fps[id])) == digest;
-        for &id in &settled {
+        let (pass, verdict) = check.judge(&self.fps, self.weak);
+        for &id in &check.settled {
             if pass {
                 self.slots[id] = ServeSlot::Finished;
             } else {
                 self.told[id] = true;
             }
         }
-        let weak = self.weak;
-        let verdict = encode_verdict(pass, settled.iter().map(|&id| &self.fps[id].0[weak..]));
         Ok(Part { phase: Phase::Setup, payload: verdict.into() })
     }
 
@@ -1248,7 +1241,7 @@ mod tests {
             (|b| edit_check(b, |p| p.insert(0, 0)), "settled bitmap longer than the roster"),
             // So does a bit set in the first byte's padding.
             (|b| edit_check(b, |p| p[0] = 0xFF), "settled bitmap longer than the roster"),
-            (|b| edit_check(b, |p| drop(p.pop())), "group check truncated"),
+            (|b| edit_check(b, |p| p.truncate(p.len() - 1)), "group check truncated"),
             // File 0 is settled: opening it too is a contradiction.
             (
                 |b| {

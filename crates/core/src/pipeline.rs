@@ -174,8 +174,8 @@ pub(crate) fn weak_fp_bytes(files: usize) -> usize {
         return forced;
     }
     let bits = usize::BITS - files.saturating_sub(1).leading_zeros() + WEAK_MARGIN_BITS;
-    usize::try_from(bits.div_ceil(8))
-        .map_or(Fingerprint::WIRE_LEN, |b| b.min(Fingerprint::WIRE_LEN))
+    // At most 9 bytes for any roster size: never a whole fingerprint.
+    usize::try_from(bits.div_ceil(8)).unwrap_or(Fingerprint::WIRE_LEN)
 }
 
 /// One served file as the roster lists it: everything a client needs to
@@ -261,81 +261,104 @@ pub(crate) fn decode_roster(payload: &[u8]) -> Result<Vec<RosterEntry>, SyncErro
     Ok(files)
 }
 
-/// One MD5 over `fps` in order: the group hash that confirms every
-/// provisionally settled file at once.
-pub(crate) fn group_digest<'f>(
-    fps: impl IntoIterator<Item = &'f Fingerprint>,
-) -> [u8; GROUP_DIGEST_BYTES] {
-    let mut md5 = Md5::new();
-    for fp in fps {
-        md5.update(&fp.0);
-    }
-    md5.finish()
+/// The client's provisional settle. `files` pairs each roster entry's
+/// fingerprint, in roster order, with the full fingerprint of the
+/// client's copy of the same length (`None` without one); a copy that
+/// matches the roster's first `weak` bytes settles. Returns the settled
+/// files, ascending, with their local fingerprints.
+pub(crate) fn settle<'f>(
+    files: impl IntoIterator<Item = (&'f Fingerprint, Option<Fingerprint>)>,
+    weak: usize,
+) -> Vec<(usize, Fingerprint)> {
+    files
+        .into_iter()
+        .enumerate()
+        .filter_map(|(id, (served, local))| {
+            local.filter(|fp| fp.0[..weak] == served.0[..weak]).map(|fp| (id, fp))
+        })
+        .collect()
 }
 
-/// The client's group check on a roster of `roster_len` files: a bitmap
-/// with bit `id` set for each provisionally settled file (`settled`,
-/// ascending), then the [`group_digest`] of their full local
-/// fingerprints.
-pub(crate) fn encode_group_check(
-    roster_len: usize,
-    settled: &[usize],
+/// The group check that confirms every provisionally settled file at
+/// once: the settled roster ids, ascending, and one MD5 over their full
+/// fingerprints in that order.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct GroupCheck {
+    pub(crate) settled: Vec<usize>,
     digest: [u8; GROUP_DIGEST_BYTES],
-) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let mut settled = settled.iter().peekable();
-    for id in 0..roster_len {
-        w.write_bit(settled.next_if_eq(&&id).is_some());
-    }
-    let mut payload = w.into_bytes();
-    payload.extend_from_slice(&digest);
-    payload
 }
 
-/// Decode a group check against a roster of `roster_len` files into the
-/// settled ids, ascending, and the digest. A bitmap that runs past the
-/// roster (a longer payload, or a padding bit set) or settles nothing
-/// is a [`SyncError::Desync`].
-pub(crate) fn decode_group_check(
-    payload: &[u8],
-    roster_len: usize,
-) -> Result<(Vec<usize>, [u8; GROUP_DIGEST_BYTES]), SyncError> {
-    let map_len = roster_len.div_ceil(8);
-    let longer = SyncError::Desync("settled bitmap longer than the roster");
-    let (map, digest) = match payload.len().checked_sub(map_len + GROUP_DIGEST_BYTES) {
-        Some(0) => payload.split_at(map_len),
-        Some(_) => return Err(longer),
-        None => return Err(SyncError::Desync("group check truncated")),
-    };
-    let mut r = BitReader::new(map);
-    let mut settled = Vec::new();
-    for id in 0..map_len * 8 {
-        if r.read_bit().map_err(|_| SyncError::Desync("group check truncated"))? {
-            if id >= roster_len {
-                return Err(longer);
-            }
-            settled.push(id);
+impl GroupCheck {
+    /// The check over what [`settle`] returned; `None` when nothing
+    /// settled, and the first batch then carries no check.
+    pub(crate) fn over(provisional: &[(usize, Fingerprint)]) -> Option<Self> {
+        if provisional.is_empty() {
+            return None;
         }
+        let mut md5 = Md5::new();
+        provisional.iter().for_each(|(_, fp)| md5.update(&fp.0));
+        Some(Self {
+            settled: provisional.iter().map(|&(id, _)| id).collect(),
+            digest: md5.finish(),
+        })
     }
-    if settled.is_empty() {
-        return Err(SyncError::Desync("group check settles no file"));
-    }
-    let digest = digest.try_into().map_err(|_| SyncError::Desync("group check truncated"))?;
-    Ok((settled, digest))
-}
 
-/// The server's verdict on a group check: `1` on a pass; on a fail `0`,
-/// then the rest of each settled file's fingerprint (its bytes past the
-/// roster's weak ones), in roster order.
-pub(crate) fn encode_verdict<'f>(
-    pass: bool,
-    remainders: impl Iterator<Item = &'f [u8]>,
-) -> Vec<u8> {
-    let mut payload = vec![u8::from(pass)];
-    if !pass {
-        remainders.for_each(|rest| payload.extend_from_slice(rest));
+    /// The check on a roster of `roster_len` files: a bitmap with bit
+    /// `id` set for each settled file, then the digest.
+    pub(crate) fn encode(&self, roster_len: usize) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        let mut settled = self.settled.iter().peekable();
+        for id in 0..roster_len {
+            w.write_bit(settled.next_if_eq(&&id).is_some());
+        }
+        let mut payload = w.into_bytes();
+        payload.extend_from_slice(&self.digest);
+        payload
     }
-    payload
+
+    /// Decode a check against a roster of `roster_len` files. A bitmap
+    /// that runs past the roster (a longer payload, or a padding bit
+    /// set) or settles nothing is a [`SyncError::Desync`].
+    pub(crate) fn decode(payload: &[u8], roster_len: usize) -> Result<Self, SyncError> {
+        let map_len = roster_len.div_ceil(8);
+        let longer = SyncError::Desync("settled bitmap longer than the roster");
+        let (map, digest) = match payload.len().checked_sub(map_len + GROUP_DIGEST_BYTES) {
+            Some(0) => payload.split_at(map_len),
+            Some(_) => return Err(longer),
+            None => return Err(SyncError::Desync("group check truncated")),
+        };
+        let mut r = BitReader::new(map);
+        let mut settled = Vec::new();
+        for id in 0..map_len * 8 {
+            if r.read_bit().map_err(|_| SyncError::Desync("group check truncated"))? {
+                if id >= roster_len {
+                    return Err(longer);
+                }
+                settled.push(id);
+            }
+        }
+        if settled.is_empty() {
+            return Err(SyncError::Desync("group check settles no file"));
+        }
+        let digest = digest.try_into().map_err(|_| SyncError::Desync("group check truncated"))?;
+        Ok(Self { settled, digest })
+    }
+
+    /// The server's judgement against its own full fingerprints `fps`,
+    /// in roster order, of which the roster carried the first `weak`
+    /// bytes: whether every settled file passes, and the verdict — `1`
+    /// on a pass; on a fail `0`, then the rest of each settled file's
+    /// fingerprint, in roster order.
+    pub(crate) fn judge(&self, fps: &[Fingerprint], weak: usize) -> (bool, Vec<u8>) {
+        let mut md5 = Md5::new();
+        self.settled.iter().for_each(|&id| md5.update(&fps[id].0));
+        let pass = md5.finish() == self.digest;
+        let mut verdict = vec![u8::from(pass)];
+        if !pass {
+            self.settled.iter().for_each(|&id| verdict.extend_from_slice(&fps[id].0[weak..]));
+        }
+        (pass, verdict)
+    }
 }
 
 /// Decode a verdict on `settled` files whose remainders are `rest`
@@ -449,11 +472,11 @@ pub(crate) fn batch_split(payload: &FrameBuf) -> PhaseSplit {
 /// Wire bytes of the roster exchange for serving `new` to a client that
 /// holds `old`: the roster frame, plus — when a local copy passes for
 /// unchanged on its weak fingerprint bytes — the group check and the
-/// verdict, as the parts the first batch and its reply carry. It is what
-/// a collection sync pays, once, to tell the client which files the
-/// server holds, how long they are and which of its own copies are
-/// current. The paper harness charges the per-file baselines the same
-/// bytes.
+/// verdict, as the parts the first batch and its reply carry, decided by
+/// the same `settle` and `GroupCheck` the machines run. It is what a
+/// collection sync pays, once, to tell the client which files the server
+/// holds, how long they are and which of its own copies are current. The
+/// paper harness charges the per-file baselines the same bytes.
 pub fn roster_frame_bytes(old: &[FileRef<'_>], new: &[FileRef<'_>]) -> u64 {
     let mut listed: Vec<(&str, u64, Fingerprint)> =
         new.iter().map(|f| (f.name, f.data.len() as u64, file_fingerprint(f.data))).collect();
@@ -465,29 +488,20 @@ pub fn roster_frame_bytes(old: &[FileRef<'_>], new: &[FileRef<'_>]) -> u64 {
 
     let weak = weak_fp_bytes(listed.len());
     let local: HashMap<&str, &[u8]> = old.iter().map(|f| (f.name, f.data)).collect();
-    let (mut settled, mut mine) = (Vec::new(), Vec::new());
-    for (id, &(name, len, fp)) in listed.iter().enumerate() {
-        let Some(data) = local.get(name).filter(|data| data.len() as u64 == len) else {
-            continue;
-        };
-        let local_fp = file_fingerprint(data);
-        if local_fp.0[..weak] == fp.0[..weak] {
-            settled.push(id);
-            mine.push(local_fp);
-        }
-    }
-    if settled.is_empty() {
+    let fps: Vec<Fingerprint> = listed.iter().map(|&(_, _, fp)| fp).collect();
+    let mine = listed.iter().map(|&(name, len, _)| {
+        local.get(name).filter(|data| data.len() as u64 == len).map(|data| file_fingerprint(data))
+    });
+    let Some(check) = GroupCheck::over(&settle(fps.iter().zip(mine), weak)) else {
         return roster;
-    }
-    let pass = settled.iter().zip(&mine).all(|(&id, fp)| *fp == listed[id].2);
-    let check = encode_group_check(listed.len(), &settled, group_digest(&mine));
-    let verdict = encode_verdict(pass, settled.iter().map(|&id| &listed[id].2 .0[weak..]));
+    };
+    let (_, verdict) = check.judge(&fps, weak);
     let in_batch = |payload: Vec<u8>| {
         let mut w = BitWriter::new();
         write_part(&mut w, &Part { phase: Phase::Setup, payload: payload.into() });
         w.into_bytes().len() as u64
     };
-    roster + in_batch(check) + in_batch(verdict)
+    roster + in_batch(check.encode(fps.len())) + in_batch(verdict)
 }
 
 /// Drive `m` over `t` until it finishes: transmit queued frames,
@@ -859,10 +873,12 @@ mod tests {
             assert!(got.fp.0[weak..].iter().all(|&b| b == 0), "only the weak bytes cross");
         }
         assert!(decode_roster(&[0xff; 3]).is_err());
-        // Front coding: `a.txt~` after `a.txt` spells one byte of name.
-        let two = encode_roster(&files[1..3]).len();
-        let three = encode_roster(&[files[1], files[2], files[2]]).len();
-        assert_eq!(three - two, 1 + 1 + 0 + 5 + weak);
+        // Front coding: `a.txt~` after `a.txt` spells one byte of name
+        // (two and three files are both two weak bytes wide).
+        assert_eq!(weak_fp_bytes(2), weak_fp_bytes(3));
+        let two = encode_roster(&files[0..2]).len();
+        let three = encode_roster(&files[0..3]).len();
+        assert_eq!(three - two, 1 + 1 + 1 + 5 + weak_fp_bytes(3));
     }
 
     #[test]
@@ -918,33 +934,48 @@ mod tests {
 
     #[test]
     fn group_check_and_verdict_roundtrip() {
-        let digest = group_digest(&[file_fingerprint(b"a"), file_fingerprint(b"b")]);
-        let check = encode_group_check(11, &[0, 3, 10], digest);
-        assert_eq!(check.len(), 2 + 16, "11 bits of bitmap, then the digest");
-        assert_eq!(decode_group_check(&check, 11), Ok((vec![0, 3, 10], digest)));
+        let fps: Vec<Fingerprint> = (0..11u8).map(|i| file_fingerprint(&[i])).collect();
+        let mut mine: Vec<Option<Fingerprint>> = vec![None; 11];
+        for id in [0, 3, 10] {
+            mine[id] = Some(fps[id]);
+        }
+        let provisional = settle(fps.iter().zip(mine.iter().copied()), 2);
+        assert_eq!(provisional, [(0, fps[0]), (3, fps[3]), (10, fps[10])]);
+        let check = GroupCheck::over(&provisional).unwrap();
+        let payload = check.encode(11);
+        assert_eq!(payload.len(), 2 + 16, "11 bits of bitmap, then the digest");
+        assert_eq!(GroupCheck::decode(&payload, 11).as_ref(), Ok(&check));
         // The same bytes against a shorter roster set a bit past it.
         assert_eq!(
-            decode_group_check(&check, 10),
+            GroupCheck::decode(&payload, 10),
             Err(SyncError::Desync("settled bitmap longer than the roster"))
         );
         assert_eq!(
-            decode_group_check(&check[1..], 11),
+            GroupCheck::decode(&payload[1..], 11),
             Err(SyncError::Desync("group check truncated"))
         );
-        let none = encode_group_check(11, &[], digest);
+        let none = GroupCheck { settled: Vec::new(), ..check };
         assert_eq!(
-            decode_group_check(&none, 11),
+            GroupCheck::decode(&none.encode(11), 11),
             Err(SyncError::Desync("group check settles no file"))
         );
+        assert_eq!(GroupCheck::over(&[]), None);
 
-        let rest: [&[u8]; 2] = [&[1; 14], &[2; 14]];
-        let pass = encode_verdict(true, rest.into_iter());
-        assert_eq!(decode_verdict(&pass.into(), 2, 14), Ok(None));
-        let fail = encode_verdict(false, rest.into_iter());
-        let salvage = decode_verdict(&fail.clone().into(), 2, 14).unwrap().unwrap();
-        assert_eq!(salvage.len(), 28);
+        let (pass, verdict) = GroupCheck::over(&provisional).unwrap().judge(&fps, 2);
+        assert!(pass);
+        assert_eq!(decode_verdict(&verdict.into(), 3, 14), Ok(None));
+        // A local copy of file 3 that only shares the weak bytes fails
+        // the group: the verdict carries every settled file's remainder.
+        let mut wrong = fps[3];
+        wrong.0[15] ^= 1;
+        let (pass, verdict) =
+            GroupCheck::over(&[(0, fps[0]), (3, wrong), (10, fps[10])]).unwrap().judge(&fps, 2);
+        assert!(!pass);
+        let salvage = decode_verdict(&verdict.clone().into(), 3, 14).unwrap().unwrap();
+        let rest: Vec<u8> = [0, 3, 10].iter().flat_map(|&id| fps[id].0[2..].to_vec()).collect();
+        assert_eq!(salvage.to_vec(), rest);
         assert_eq!(
-            decode_verdict(&fail.into(), 3, 14),
+            decode_verdict(&verdict.into(), 2, 14),
             Err(SyncError::Desync("salvage list does not match the settled set"))
         );
         assert_eq!(decode_verdict(&vec![2].into(), 2, 14), Err(SyncError::Desync("group verdict")));

@@ -230,9 +230,10 @@ impl Daemon {
 
     /// Stop accepting and join the service threads. One connection to
     /// the daemon's own address wakes the acceptor blocked in `accept`;
-    /// it sees the stop flag and leaves. The workers drain the sessions
-    /// they are working on, end every one that only waits on its peer at
-    /// once, reported as [`NetError::Shutdown`], and exit.
+    /// it sees the stop flag and leaves. The workers drain their
+    /// in-flight sessions, end every one whose peer has been silent for
+    /// one retry timeout (500 ms by default), reported as
+    /// [`NetError::Shutdown`], and exit.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);

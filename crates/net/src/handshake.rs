@@ -77,7 +77,8 @@ pub enum NetError {
     Channel(ChannelError),
     /// The sync protocol itself failed after the handshake.
     Sync(SyncError),
-    /// The daemon shut down while the session waited on its peer.
+    /// The daemon shut down while the session's peer was silent for a
+    /// whole retry timeout.
     Shutdown,
 }
 
@@ -91,7 +92,7 @@ impl std::fmt::Display for NetError {
             }
             Self::Channel(e) => write!(f, "handshake transport error: {e:?}"),
             Self::Sync(e) => write!(f, "sync failed: {e}"),
-            Self::Shutdown => write!(f, "daemon shut down while the session waited on its peer"),
+            Self::Shutdown => write!(f, "daemon shut down while the session's peer was silent"),
         }
     }
 }

@@ -497,6 +497,8 @@ struct MuxConn {
     out_pos: usize,
     /// When the current outbound stall began, if one is in progress.
     stall_since_us: Option<u64>,
+    /// When the peer last sent a byte (adoption, until it first does).
+    heard_us: u64,
     eof: bool,
     /// A corrupt frame poisoned the inbound stream (the reassembler
     /// cannot advance past a bad length word); stop reading and let the
@@ -551,6 +553,7 @@ impl MuxConn {
             outq: VecDeque::new(),
             out_pos: 0,
             stall_since_us: None,
+            heard_us: now_us,
             eof: false,
             poisoned: false,
             meter,
@@ -729,6 +732,7 @@ impl MuxConn {
                     }
                     Ok(n) => {
                         self.inbuf.extend(&scratch[..n]);
+                        self.heard_us = now_us;
                         progressed = true;
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -950,6 +954,14 @@ impl MuxConn {
             && self.outq.is_empty()
     }
 
+    /// Whether the connection waits on a peer that has been silent for a
+    /// whole retry `timeout` at `now_us`. A session in progress answers
+    /// well within one; a quiet one would hold a shutdown for its whole
+    /// retry budget.
+    fn quiet(&self, now_us: u64, timeout: Duration) -> bool {
+        self.waitable() && now_us.saturating_sub(self.heard_us) >= micros(timeout)
+    }
+
     /// Consume the connection into its report.
     fn finish(self) -> SessionReport {
         let result = self.result.unwrap_or(Err(NetError::Handshake(
@@ -1032,9 +1044,9 @@ pub(crate) fn accept_loop<F>(
 
 /// One worker thread's poll loop: adopt the streams the acceptor hands
 /// over `inbox`, tick every owned connection, deliver finished
-/// sessions, wait when fully idle. On shutdown the worker drains the
-/// sessions it is working on, ends each one that only waits on its
-/// peer ([`MuxConn::waitable`]) with [`NetError::Shutdown`], and
+/// sessions, wait when fully idle. On shutdown the worker drains its
+/// in-flight sessions, ends each one whose peer has been silent for a
+/// retry timeout ([`MuxConn::quiet`]) with [`NetError::Shutdown`], and
 /// returns.
 ///
 /// The idle wait, by what the worker holds:
@@ -1088,9 +1100,7 @@ where
         let mut i = 0;
         while i < conns.len() {
             progressed |= conns[i].tick(shared, &mut scratch);
-            // A quiet peer would hold the shutdown until its retry
-            // budget ran out.
-            if stopping && conns[i].waitable() {
+            if stopping && conns[i].quiet(clock.now_micros(), shared.opts.retry.timeout) {
                 conns[i].fail(NetError::Shutdown);
             }
             if conns[i].is_done() {

@@ -16,7 +16,8 @@
 //! * an idle daemon sleeps: its workers wait without spinning, and a
 //!   wait on a quiet socket ends by its bound, never woken by it;
 //! * the only worker may park on a quiet session and still serve the
-//!   next client, and `shutdown` wakes the acceptor on any bind address;
+//!   next client, and `shutdown` wakes the acceptor on any bind address,
+//!   ends a quiet session and drains a sync in progress;
 //! * the codec's head tables are allocated at most twice per worker and
 //!   reused for every later encode, as the `msync_codec_*` family shows.
 //!
@@ -34,8 +35,8 @@ use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
 use msync::corpus::{web_collection, WebParams};
 use msync::net::handshake::client_hello;
 use msync::net::{
-    admin_health, admin_sessions, admin_stats, sync_remote, Daemon, DaemonOptions, NetError,
-    RemoteOptions, TcpTransport,
+    admin_health, admin_sessions, admin_stats, sync_remote, sync_remote_with, Daemon,
+    DaemonOptions, NetError, RemoteOptions, TcpTransport,
 };
 
 /// Same two-day web corpus as `net_loopback`: enough files that a
@@ -396,6 +397,48 @@ fn shutdown_wakes_the_acceptor() {
             drop(held);
         }
     }
+}
+
+/// A sync in progress is drained, not cut, by a shutdown: the client
+/// pauses 20 ms after each file it syncs (far inside the default 500 ms
+/// retry timeout), `shutdown` starts after the first such file, and the
+/// sync still ends byte-exact with the daemon reporting it done.
+#[test]
+fn shutdown_drains_a_sync_in_progress() {
+    let _shared = share_the_process();
+    let (old, new) = corpus();
+    let opts = DaemonOptions { workers: 2, ..DaemonOptions::default() };
+    let (report, reports) = std::sync::mpsc::channel();
+    let report = std::sync::Mutex::new(report);
+    let daemon = Daemon::spawn("127.0.0.1:0", new.clone(), opts, move |r| {
+        let _ = report.lock().unwrap_or_else(PoisonError::into_inner).send(r.result.map(|_| ()));
+    })
+    .expect("daemon spawn");
+    let addr = daemon.local_addr().to_string();
+    let (started, first_synced) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let opts = RemoteOptions {
+            cfg: small_cfg(),
+            pipeline: PipelineOptions { depth: 1, ..PipelineOptions::default() },
+            ..RemoteOptions::default()
+        };
+        sync_remote_with(&addr, &old, &opts, &mut |done| {
+            if !done.unchanged {
+                let _ = started.send(());
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Ok(())
+        })
+    });
+    first_synced.recv_timeout(Duration::from_secs(30)).expect("the sync synced no file");
+    daemon.shutdown();
+    let got = client.join().expect("client thread").expect("sync across a shutdown");
+    let by_name = |files: &[FileEntry]| -> BTreeMap<String, Vec<u8>> {
+        files.iter().map(|f| (f.name.clone(), f.data.to_vec())).collect()
+    };
+    assert_eq!(by_name(&got.outcome.files), by_name(&new), "sync across a shutdown not exact");
+    let ended: Vec<_> = reports.try_iter().collect();
+    assert!(matches!(ended.as_slice(), [Ok(())]), "daemon reports {ended:?}");
 }
 
 /// A tiny-session burst against a 2-worker daemon: each delta encode
