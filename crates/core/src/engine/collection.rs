@@ -1448,6 +1448,23 @@ mod tests {
             assert!(machine.drain_completed().is_empty(), "{refusal}");
         }
 
+        // Names that each repeat all but two bytes of a 4 096-byte name:
+        // about 10 wire bytes an entry, 4 KiB decoded. 2 000 of them would
+        // spell 8 MB of names from 22 KB; the decoder stops at the bound.
+        let count = 2_000u64;
+        let weak = weak_fp_bytes(2_000);
+        let mut w = BitWriter::new();
+        w.write_varint(count);
+        roster_entry(&mut w, 0, &"!".repeat(4096), 1, weak);
+        let suffixes = (b'!'..=b'~').flat_map(|hi| (b'!'..=b'~').map(move |lo| [hi, lo]));
+        for suffix in suffixes.skip(1).take(1_999) {
+            roster_entry(&mut w, 4094, std::str::from_utf8(&suffix).unwrap(), 1, weak);
+        }
+        let mut machine = client(&old, &cfg, Recorder::off());
+        transmissions(&mut machine);
+        let got = machine.on_frame(&(), &roster_frame(w.into_bytes()), 0);
+        assert_eq!(got, Err(SyncError::Desync("roster names exceed the payload bound")));
+
         // The roster's promises the first reply must keep: the rest of
         // each opened file's fingerprint, and a verdict on exactly the
         // group the client sent.

@@ -149,6 +149,28 @@ mod tests {
         b.start_block *= 2;
         assert_eq!(config_digest(&a), config_digest(&ProtocolConfig::default()));
         assert_ne!(config_digest(&a), config_digest(&b));
+
+        // One knob turned at a time, and the presets: no two share a
+        // digest.
+        let d = ProtocolConfig::default();
+        let configs = [
+            d.clone(),
+            ProtocolConfig { min_block_global: d.min_block_global * 2, ..d.clone() },
+            ProtocolConfig { min_block_cont: d.min_block_cont * 2, ..d.clone() },
+            ProtocolConfig { global_extra_bits: d.global_extra_bits + 1, ..d.clone() },
+            ProtocolConfig { cont_bits: d.cont_bits + 1, ..d.clone() },
+            ProtocolConfig { use_continuation: !d.use_continuation, ..d.clone() },
+            ProtocolConfig { use_decomposable: !d.use_decomposable, ..d.clone() },
+            ProtocolConfig { skip_sibling_of_matched: !d.skip_sibling_of_matched, ..d.clone() },
+            ProtocolConfig { max_positions_per_hash: d.max_positions_per_hash + 1, ..d.clone() },
+            ProtocolConfig { verify: VerifyStrategy::PerCandidate { bits: 32 }, ..d.clone() },
+            ProtocolConfig::basic(128),
+            ProtocolConfig::restricted(3),
+        ];
+        let mut digests: Vec<[u8; 16]> = configs.iter().map(config_digest).collect();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), configs.len());
     }
 
     #[test]

@@ -78,16 +78,18 @@ impl DecomposableDigest {
     pub const EMPTY: Self = Self { a: 0, b: 0, len: 0 };
 
     /// Compute the digest of a block.
+    ///
+    /// `B = Σᵢ (L−i)·g(sᵢ)` is the sum of the prefix sums of `A`, so one
+    /// running sum per component computes it without a multiply per
+    /// byte.
     pub fn of(data: &[u8]) -> Self {
         let mut a = 0u32;
         let mut b = 0u32;
-        let len = data.len() as u64;
-        for (i, &byte) in data.iter().enumerate() {
-            let g = G[byte as usize];
-            a = a.wrapping_add(g);
-            b = b.wrapping_add((len as u32).wrapping_sub(i as u32).wrapping_mul(g));
+        for &byte in data {
+            a = a.wrapping_add(G[byte as usize]);
+            b = b.wrapping_add(a);
         }
-        Self { a, b, len }
+        Self { a, b, len: data.len() as u64 }
     }
 
     /// Parent digest from the two children: `self · right`.
@@ -257,6 +259,32 @@ mod tests {
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 131 + 17) % 256) as u8).collect()
+    }
+
+    /// The digest by its defining formula, one multiply per byte.
+    fn by_formula(data: &[u8]) -> (u32, u32) {
+        let len = data.len() as u32;
+        data.iter().enumerate().fold((0u32, 0u32), |(a, b), (i, &byte)| {
+            let g = G[byte as usize];
+            (a.wrapping_add(g), b.wrapping_add(len.wrapping_sub(i as u32).wrapping_mul(g)))
+        })
+    }
+
+    #[test]
+    fn running_sums_match_the_formula() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for n in (0..300).chain([1024, 4096, 16 << 10]) {
+            let block: Vec<u8> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 56) as u8
+                })
+                .collect();
+            let d = DecomposableDigest::of(&block);
+            assert_eq!((d.a, d.b), by_formula(&block), "len {n}");
+        }
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * [`rabin`] — a Rabin–Karp polynomial rolling hash, used by the
 //!   content-defined-chunking related work and as an alternative matcher.
 //! * [`md4`] / [`md5`] — the strong digests used by rsync (MD4) and by the
-//!   paper's verification hashes and file fingerprints (MD5), implemented
-//!   from RFC 1320 / RFC 1321 and validated against the RFC test vectors.
-//! * [`fingerprint`] — 16-byte whole-file fingerprints used to skip
-//!   unchanged files and to detect residual synchronization failure.
+//!   paper's verification hashes (MD5), implemented from RFC 1320 /
+//!   RFC 1321 and validated against the RFC test vectors.
+//! * [`siphash`] — SipHash-2-4 with 128-bit output, checked against the
+//!   standard library's 64-bit `SipHasher`.
+//! * [`fingerprint`] — 16-byte whole-file fingerprints (SipHash-2-4-128)
+//!   used to skip unchanged files and to detect residual synchronization
+//!   failure.
 //! * [`bitio`] — bit-level packing used to transmit hashes of arbitrary
 //!   bit width (the protocol routinely sends 3–24 bit hashes).
 
@@ -33,6 +36,7 @@ pub mod md4;
 pub mod md5;
 pub mod rabin;
 pub mod rolling;
+pub mod siphash;
 
 pub use adler::Adler32;
 pub use bitio::{BitReader, BitWriter};

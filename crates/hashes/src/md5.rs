@@ -1,10 +1,13 @@
 //! MD5 (RFC 1321).
 //!
 //! The paper uses MD5 for verification hashes ("each verification hash,
-//! based on MD5, can be for a single candidate or a group of candidates")
-//! and for the strong 16-byte per-file hash exchanged at the start of a
-//! session. As with MD4, this is a checksum against random mismatch, not a
-//! security primitive.
+//! based on MD5, can be for a single candidate or a group of candidates"),
+//! and msync keeps it there: the verification group hashes, the group
+//! check over the roster's settled fingerprints and the server's cached
+//! group hashes. The strong 16-byte per-file hash is SipHash-2-4-128
+//! instead ([`crate::fingerprint`]), which hashes four times as fast. As
+//! with MD4, this is a checksum against random mismatch, not a security
+//! primitive.
 
 /// Per-step left-rotate amounts.
 const S: [u32; 64] = [

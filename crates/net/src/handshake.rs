@@ -3,7 +3,7 @@
 //! Before any collection traffic, the connecting client sends one frame:
 //!
 //! ```text
-//! msync-net 6 [<collection>]\n
+//! msync-net 7 [<collection>]\n
 //! <parameter file, as rendered by msync_core::params::render>
 //! ```
 //!
@@ -43,14 +43,15 @@ use crate::registry::validate_collection_name;
 /// offer with one empty opener and one fingerprinted server roster;
 /// v6 cut the roster's fingerprints to their first few bytes, settled
 /// by one group check in the first batch, with the rest of a changed
-/// file's fingerprint in its session's first reply.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// file's fingerprint in its session's first reply;
+/// v7 computes every file fingerprint as SipHash-2-4-128 instead of MD5.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Oldest client version this daemon still accepts. An older client
-/// expects whole fingerprints in the roster and no group check, so it
-/// gets the typed `unsupported version` refusal instead of a session
-/// that desyncs midway.
-pub const MIN_PROTOCOL_VERSION: u32 = 6;
+/// fingerprints its files with MD5, so it would settle nothing and fall
+/// back file by file; it gets the typed `unsupported version` refusal
+/// instead.
+pub const MIN_PROTOCOL_VERSION: u32 = 7;
 
 /// Magic line opening every client hello.
 const MAGIC: &str = "msync-net";
@@ -221,12 +222,12 @@ pub(crate) fn eval_hello(hello: &[u8]) -> HelloOutcome {
     }
     let version = words.next().and_then(|v| v.parse::<u32>().ok());
     if !version.is_some_and(|v| (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v)) {
+        // The reply names the versions spoken, so an old client's error
+        // says what to upgrade to.
+        let speaks = format!("this daemon speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}");
         return reject(
-            "unsupported version",
-            NetError::Handshake(format!(
-                "client speaks version {version:?}, this daemon speaks \
-                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
-            )),
+            &format!("unsupported version; {speaks}"),
+            NetError::Handshake(format!("client speaks version {version:?}, {speaks}")),
         );
     }
     let token = words.next();
@@ -404,14 +405,26 @@ mod tests {
 
     #[test]
     fn v2_and_v3_hellos_are_refused_as_unsupported_versions() {
-        // An older client numbers its rounds differently, so even a
-        // parameter file this daemon parses must be refused by version,
-        // up front, rather than run and desynced midway.
+        // An older client numbers its rounds differently (v2, v3) or
+        // fingerprints files differently (v6), so even a parameter file
+        // this daemon parses must be refused by version, up front, rather
+        // than run and desynced or fallen back midway.
         let render = params::render(&ProtocolConfig::default());
-        for hello in [format!("{MAGIC} 2\n{render}"), format!("{MAGIC} 3 photos\n{render}")] {
+        let hellos = [
+            format!("{MAGIC} 2\n{render}"),
+            format!("{MAGIC} 3 photos\n{render}"),
+            format!("{MAGIC} 6\n{render}"),
+        ];
+        for hello in hellos {
             match eval_hello(hello.as_bytes()) {
                 HelloOutcome::Reject { reply, error } => {
-                    assert_eq!(String::from_utf8(reply).unwrap(), "err unsupported version");
+                    assert_eq!(
+                        String::from_utf8(reply).unwrap(),
+                        format!(
+                            "err unsupported version; this daemon speaks \
+                             {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                        )
+                    );
                     assert!(matches!(error, NetError::Handshake(_)), "{error}");
                 }
                 HelloOutcome::Accept { .. } => panic!("accepted {hello:?}"),

@@ -72,7 +72,7 @@ echo "==> chrome trace export (msync trace-export, TRACE_chrome.json)"
 ./target/release/msync trace-export "$journal" --out TRACE_chrome.json > /dev/null
 test -s TRACE_chrome.json
 
-echo "==> live daemon scrape (msync stats -> xtask check-metrics, SCRAPE_metrics.txt, frame-pool, mux and codec families required)"
+echo "==> live daemon re-sync and scrape (identical tree all unchanged; msync stats -> xtask check-metrics, SCRAPE_metrics.txt, frame-pool, mux and codec families required)"
 serve_log="$(mktemp /tmp/msync-ci-serve.XXXXXX)"
 ./target/release/msync serve "$tree/new" --listen 127.0.0.1:0 --slow-session-ms 30000 \
     > "$serve_log" 2>&1 &
@@ -86,6 +86,12 @@ for _ in $(seq 1 100); do
 done
 [ -n "$addr" ] || { echo "serve never reported its address"; cat "$serve_log"; exit 1; }
 ./target/release/msync sync "$tree/old" --remote "$addr" > /dev/null
+# An identical tree must settle every file on its fingerprint. A client
+# and daemon that disagree on fingerprints still end byte-exact, through
+# fallbacks, so only this count shows it.
+resync="$(./target/release/msync sync "$tree/new" --remote "$addr")"
+grep -qF 'unchanged 2 · changed 0 · created 0 · deleted 0' <<< "$resync" || {
+    echo "an identical tree did not re-sync as all unchanged:"; echo "$resync"; exit 1; }
 ./target/release/msync stats --remote "$addr" > SCRAPE_metrics.txt
 cargo run --release -q -p xtask -- check-metrics SCRAPE_metrics.txt --require msync_frame_pool_ --require msync_mux_ --require msync_codec_
 kill "$serve_pid" 2>/dev/null || true

@@ -14,7 +14,7 @@ use msync::net::{
     admin_reload, sync_remote, Daemon, DaemonOptions, NetError, RegistryBuilder, RemoteOptions,
     RemoteOutcome, TcpTransport,
 };
-use msync::protocol::{Direction, Phase, TrafficStats};
+use msync::protocol::{Direction, FrameBuf, Phase, TrafficStats, Transport};
 use msync::trace::{DirTag, MetricsSnapshot, PhaseTag};
 
 /// A two-day web corpus: the daemon serves day 1, the client holds
@@ -514,6 +514,34 @@ fn unknown_collection_is_typed_and_nameless_clients_get_the_default() {
     let got = run_remote(&addr, &old, 16);
     daemon.shutdown();
     assert_mirror(&got.outcome, &new, "nameless client on the default collection");
+}
+
+/// A v6 client fingerprints its files with MD5 and would settle nothing
+/// against this daemon: its hello gets the typed refusal, naming the
+/// versions the daemon speaks, before any roster crosses.
+#[test]
+fn a_v6_hello_is_refused_naming_the_spoken_versions() {
+    let (_, new) = corpus();
+    let (reports, refused) = std::sync::mpsc::channel();
+    let daemon = Daemon::spawn("127.0.0.1:0", new, DaemonOptions::default(), move |r| {
+        let _ = reports.send(r.result.map(|_| ()).map_err(|e| e.to_string()));
+    })
+    .expect("bind loopback daemon");
+    let stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect a v6 client");
+    let mut t = TcpTransport::client(stream).expect("wrap the v6 client");
+    let hello = format!("msync-net 6\n{}", msync::core::params::render(&small_cfg()));
+    t.send(&FrameBuf::from(hello.into_bytes()), Phase::Setup.into()).expect("send the v6 hello");
+    let reply = t.recv_timeout(Duration::from_secs(5)).expect("the daemon answers the hello");
+    assert_eq!(
+        std::str::from_utf8(&reply).expect("a text reply"),
+        "err unsupported version; this daemon speaks 7..=7"
+    );
+    let report = refused.recv_timeout(Duration::from_secs(30)).expect("the refusal is reported");
+    let metrics = daemon.metrics();
+    daemon.shutdown();
+    let reason = report.expect_err("the session ends in the refusal");
+    assert!(reason.contains("Some(6)") && reason.contains("7..=7"), "{reason}");
+    assert_eq!((metrics.handshakes_ok, metrics.handshakes_failed), (0, 1));
 }
 
 fn run_remote_try(

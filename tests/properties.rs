@@ -303,6 +303,38 @@ fn fingerprints_separate() {
     });
 }
 
+/// The near-duplicates the protocol produces: a one-byte edit, a file
+/// cut back to a block boundary, and zero padding. None may share a
+/// fingerprint with the original or with another.
+#[test]
+fn near_duplicates_never_share_a_fingerprint() {
+    for_cases(0x6d73796e_0014, 64, |rng| {
+        let n = rng.gen_range(1..=4096usize);
+        let base = gen_sized(rng, n);
+        let mut variants = vec![base.clone()];
+        for _ in 0..16 {
+            let mut flipped = base.clone();
+            flipped[rng.gen_range(0..n)] ^= rng.gen_range(1..256u32) as u8;
+            variants.push(flipped);
+        }
+        for block in [16usize, 64, 128, 512, 1024] {
+            variants.push(base[..n / block * block].to_vec());
+            let mut padded = base.clone();
+            padded.resize(n.next_multiple_of(block), 0);
+            variants.push(padded);
+        }
+        for zeros in 1..=8 {
+            variants.push([&base[..], &vec![0; zeros]].concat());
+        }
+        variants.sort();
+        variants.dedup();
+        let mut fps: Vec<_> = variants.iter().map(|v| msync::hashes::file_fingerprint(v)).collect();
+        fps.sort();
+        fps.dedup();
+        assert_eq!(fps.len(), variants.len(), "{n}-byte base");
+    });
+}
+
 #[test]
 fn md5_md4_incremental() {
     for_cases(0x6d73796e_000d, 64, |rng| {
