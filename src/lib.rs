@@ -14,7 +14,7 @@
 //!
 //! ## Crate layout
 //!
-//! * [`hashes`] — rolling, decomposable, and strong (MD4/MD5) hashes.
+//! * [`hashes`] — rolling, decomposable, and strong (MD4/MD5, SipHash) hashes.
 //! * [`compress`] — gzip-like stream compression, a zdelta-like delta
 //!   coder, and a vcdiff-like delta coder.
 //! * [`protocol`] — message framing, byte-accounting channels, and a
