@@ -57,8 +57,9 @@ const fn build_table(seed: u64) -> [u32; 256] {
     table
 }
 
-/// The shared byte table.
-pub(crate) const G: [u32; 256] = build_table(0x6D73_796E_6331_3939); // "msync1 99"
+/// The shared byte table `g`. Public so that a scan which rolls the two
+/// sums itself (the client's match scan) uses the same weights.
+pub const G: [u32; 256] = build_table(0x6D73_796E_6331_3939); // "msync1 99"
 
 /// Digest of a block under the decomposable checksum: both components plus
 /// the block length (lengths are known to both sides from the block tree,

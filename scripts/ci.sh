@@ -109,6 +109,11 @@ MSYNC_BENCH=1 cargo test --release -q --test bigfile_ceiling
 test -s BENCH_bigfile_ceiling.json || {
     echo "bigfile ceiling did not archive its measurement"; exit 1; }
 
+echo "==> match scan speed (first_positions within 1.6x a bare roll over 512 KiB, BENCH_scan.json)"
+MSYNC_BENCH=1 cargo test --release -q --test scan_speed
+test -s BENCH_scan.json || {
+    echo "scan speed gate did not archive its measurement"; exit 1; }
+
 echo "==> crash-rerun byte gate (rerun after kill < restart, warm re-sync = roster only, BENCH_resume.json)"
 MSYNC_BENCH=1 cargo test --release -q --test fault_injection resume_bench_gate
 
