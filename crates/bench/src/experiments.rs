@@ -510,21 +510,19 @@ pub const WINDOW_DEPTHS: &[Option<usize>] = &[Some(1), Some(8), Some(32), None];
 
 /// Extension (ROADMAP item 4, "decide the window with the table as
 /// judge"): what the pipeline window costs on the wire the daemon
-/// speaks — `sync_collection_client` against `serve_collection` over an
-/// in-process channel — per corpus and cap on files in flight:
+/// speaks — the client and serve machines pumped over a clean
+/// in-process link — per corpus and cap on files in flight:
 /// roundtrips, wire bytes, and modelled time on the paper's slow links.
 pub fn window(scale: f64) -> Report {
-    use msync_core::{serve_collection, sync_collection_client, PipelineOptions};
-    use msync_protocol::{Endpoint, LinkModel, RetryPolicy};
+    use msync_core::{sync_collection_on_link, ChannelOptions, PipelineOptions};
+    use msync_protocol::LinkModel;
+    use msync_trace::Recorder;
 
     let gcc = release_pair(&gcc_like(scale));
     let emacs = release_pair(&emacs_like(scale));
     let web = web_collection(&web_params(scale / 5.0), 1);
     let corpora =
         [("gcc", gcc.pair(0, 1)), ("emacs", emacs.pair(0, 1)), ("web 1d", web.pair(0, 1))];
-    // A clean in-process link only times out if the machine stalls; a
-    // long deadline keeps a stall from adding a retransmission.
-    let retry = RetryPolicy { timeout: std::time::Duration::from_secs(30), ..Default::default() };
     let cfg = ProtocolConfig::default();
     let links = [LinkModel::dialup(), LinkModel::dsl(), LinkModel::cable(), LinkModel::t1()];
 
@@ -536,14 +534,11 @@ pub fn window(scale: f64) -> Report {
         let mut want = new.clone();
         want.sort_by(|a, b| a.name.cmp(&b.name));
         for &depth in WINDOW_DEPTHS {
-            let opts = PipelineOptions { depth: depth.unwrap_or(usize::MAX), retry };
-            let (mut client_ep, mut server_ep) = Endpoint::pair();
-            let out = std::thread::scope(|s| {
-                s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, retry));
-                let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
-                drop(client_ep);
-                out.expect("wire sync succeeds")
-            });
+            let pipeline =
+                PipelineOptions { depth: depth.unwrap_or(usize::MAX), ..Default::default() };
+            let opts = ChannelOptions { pipeline, ..Default::default() };
+            let out = sync_collection_on_link(&old, &new, &cfg, &opts, &Recorder::off())
+                .expect("wire sync succeeds");
             assert_eq!(out.files, want, "{name}: reconstruction must be exact");
             let window = depth.map_or("default".to_owned(), |d| format!("depth {d}"));
             let mut cells = vec![out.traffic.roundtrips.to_string(), kb(out.traffic.total_bytes())];
@@ -658,21 +653,15 @@ mod tests {
             assert!(rt[0] > 4 * rt[3], "{}: {rt:?}", corpus[0].label);
         }
         // A corpus that fits the byte budget runs the same schedule with
-        // no cap on files as with a cap of all of them: the in-process
-        // pump at the default window charges what the channel does at
-        // depth = files, byte for byte.
-        use msync_core::{serve_collection, sync_collection, sync_collection_client};
-        let (cfg, retry) = (ProtocolConfig::default(), msync_protocol::RetryPolicy::default());
+        // no cap on files as with a cap of all of them, byte for byte.
+        use msync_core::{sync_collection_on_link, ChannelOptions, PipelineOptions};
+        let cfg = ProtocolConfig::default();
         let gcc = release_pair(&gcc_like(0.02));
         let (old, new) = (entries(gcc.pair(0, 1).0), entries(gcc.pair(0, 1).1));
-        let (mut client_ep, mut server_ep) = msync_protocol::Endpoint::pair();
-        let deep = std::thread::scope(|s| {
-            s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, retry));
-            let opts = msync_core::PipelineOptions { depth: new.len(), retry };
-            let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
-            drop(client_ep);
-            out.unwrap()
-        });
+        let pipeline = PipelineOptions { depth: new.len(), ..Default::default() };
+        let opts = ChannelOptions { pipeline, ..Default::default() };
+        let off = msync_trace::Recorder::off();
+        let deep = sync_collection_on_link(&old, &new, &cfg, &opts, &off).unwrap();
         assert_eq!(sync_collection(&old, &new, &cfg).unwrap().traffic, deep.traffic);
     }
 

@@ -26,8 +26,8 @@ pub enum Command {
         /// Write the reconstructed files under this directory (remote:
         /// each one atomically as it completes).
         write: Option<PathBuf>,
-        /// Run over a deterministically faulty channel with this
-        /// profile (see `msync_protocol::fault::PROFILE_NAMES`).
+        /// Run over a deterministically faulty in-process link with
+        /// this profile (see `msync_protocol::fault::PROFILE_NAMES`).
         fault_profile: Option<String>,
         /// Seed for the fault injector (reproduces a faulty run).
         fault_seed: u64,
@@ -169,9 +169,10 @@ USAGE:
 OLD/NEW may both be files or both be directories.
 Presets: default, basic, restricted:<levels> (e.g. restricted:3).
 --config takes a parameter file (see `msync params` for the syntax).
---fault-profile runs the sync over a deterministically faulty channel
-(profiles: none, drop, corrupt, truncate, duplicate, delay, disconnect,
-lossy, evil); --fault-seed reproduces a specific run.
+--fault-profile runs the sync over a deterministically faulty in-process
+link on a virtual clock (profiles: none, drop, corrupt, truncate,
+duplicate, delay, disconnect, lossy, evil); --fault-seed reproduces a
+specific run.
 
 Remote mode: `msync serve <ROOT> --listen ADDR` starts a daemon serving
 <ROOT> (default 127.0.0.1:9631; sessions multiplexed over --workers

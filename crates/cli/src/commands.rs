@@ -3,7 +3,7 @@
 
 use crate::args::{preset_config, Cli, Command, ConfigSource, USAGE};
 use msync_core::{
-    atomic_write_file, sync_collection_channel, sync_collection_traced, sync_file, AtomicApplier,
+    atomic_write_file, sync_collection_on_link, sync_collection_traced, sync_file, AtomicApplier,
     FileEntry, ProtocolConfig, WINDOW_BUDGET_BYTES,
 };
 use msync_corpus::fsload::load_dir;
@@ -559,8 +559,9 @@ fn sync_cmd(
 }
 
 /// `sync --fault-profile`: run the pair as one collection session over
-/// a deterministically faulty in-process channel and report what the
-/// recovery machinery did — the operational view of the soak tests.
+/// a deterministically faulty in-process link, on a virtual clock, and
+/// report what the recovery machinery did — the operational view of the
+/// soak tests.
 fn faulty_sync_cmd(
     old: &Path,
     new: &Path,
@@ -587,7 +588,7 @@ fn faulty_sync_cmd(
         ..Default::default()
     };
     let synced =
-        sync_collection_channel(&entries(&old_col), &entries(&new_col), &cfg, &opts, &recorder);
+        sync_collection_on_link(&entries(&old_col), &entries(&new_col), &cfg, &opts, &recorder);
     let (failed, fell_back, traffic) = match synced {
         Ok(out) => {
             let wrong =

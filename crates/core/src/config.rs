@@ -210,15 +210,16 @@ impl ProtocolConfig {
     }
 }
 
-/// Link options for [`crate::sync_collection_channel`]: the
-/// timeout/retry policy the session applies to every receive, and an
-/// optional deterministic fault plan for the link (used by the soak
-/// tests and the CLI's `--fault-profile` flag to exercise recovery).
+/// Link options for [`crate::sync_collection_on_link`]: the client's
+/// window and the retry policy both machines apply to every wait, and
+/// an optional deterministic fault plan for the in-process link (used
+/// by the soak tests and the CLI's `--fault-profile` flag to exercise
+/// recovery on a virtual clock).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChannelOptions {
-    /// Receive deadline, retry budget, and backoff for the session.
-    pub retry: msync_protocol::RetryPolicy,
-    /// Faults to inject into the channel; `None` for a clean link.
+    /// Window depth and receive deadline, retry budget, and backoff.
+    pub pipeline: crate::PipelineOptions,
+    /// Faults to inject into the link; `None` for a clean link.
     pub fault_plan: Option<msync_protocol::FaultPlan>,
     /// Seed for the fault injector's PRNG (ignored for a clean link).
     /// Together with `fault_plan` it reproduces a run exactly.

@@ -70,8 +70,8 @@ pub use map::{FileMap, Segment};
 /// daemon can render them without a dependency of its own on the codec.
 pub use msync_compress::scratch_stats as codec_scratch_stats;
 pub use pipeline::{
-    roster_frame_bytes, serve_collection, sync_collection, sync_collection_channel,
-    sync_collection_client, sync_collection_client_with, sync_collection_traced, PipelineOptions,
+    roster_frame_bytes, serve_collection, sync_collection, sync_collection_client,
+    sync_collection_client_with, sync_collection_on_link, sync_collection_traced, PipelineOptions,
     ServeOutcome, WINDOW_BUDGET_BYTES,
 };
 pub use session::{sync_file, sync_file_with, SyncError, SyncOptions, SyncOutcome};

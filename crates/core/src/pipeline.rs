@@ -6,15 +6,21 @@
 //! drivers move their frames:
 //!
 //! * [`sync_collection`] (and [`sync_file`](crate::sync_file), a
-//!   one-entry collection) pumps both from the caller's thread, handing
-//!   each frame straight to the peer and charging it once to a
-//!   [`WireMeter`], with no clock. Each batch's per-file session work
-//!   runs on one worker per core (scoped to that batch), its results
-//!   committed in wire order; a traced run uses one thread, so its
-//!   journal is byte-stable;
+//!   one-entry collection) pumps both from the caller's thread over a
+//!   [`VirtualLink`], which charges each frame once and hands it
+//!   straight to the peer; the clock stays at 0. Each batch's per-file
+//!   session work runs on one worker per core (scoped to that batch),
+//!   its results committed in wire order; a traced run uses one thread,
+//!   so its journal is byte-stable. [`sync_collection_on_link`] is the
+//!   same pump under a seeded [`FaultPlan`](msync_protocol::FaultPlan):
+//!   the link drops, damages, duplicates, delays or cuts frames, and a
+//!   virtual clock jumps to the next retry deadline whenever both
+//!   machines wait, so recovery runs at CPU speed and a seed reproduces
+//!   a run exactly;
 //! * [`sync_collection_client`] / [`serve_collection`] pump one machine
-//!   each over a [`Transport`] — the in-memory [`Endpoint`] pair
-//!   ([`sync_collection_channel`]) or a TCP socket;
+//!   each over a [`Transport`] — a TCP socket, or the in-memory
+//!   [`Endpoint`](msync_protocol::Endpoint) pair with the two on their
+//!   own threads;
 //! * the `msync-net` daemon multiplexes many serve machines over
 //!   nonblocking sockets.
 //!
@@ -80,8 +86,8 @@ use std::thread::Builder;
 
 use msync_hash::{file_fingerprint, BitReader, BitWriter, Fingerprint, Md5};
 use msync_protocol::{
-    frame_wire_size, ChannelError, Direction, Endpoint, FrameBuf, Phase, PhaseSplit, RetryPolicy,
-    TrafficStats, Transport, WireMeter,
+    frame_wire_size, Arrival, ChannelError, Direction, FrameBuf, Phase, PhaseSplit, RetryPolicy,
+    TrafficStats, Transport, VirtualLink,
 };
 use msync_trace::{Clock, Recorder, SystemClock};
 
@@ -127,7 +133,7 @@ const MAX_NAME_EXPANSION: u64 = 32;
 pub const WINDOW_BUDGET_BYTES: u64 = 16 << 20;
 
 /// Knobs for the pipelined client.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Cap on files in flight at once (minimum 1), on top of
     /// [`WINDOW_BUDGET_BYTES`]. The default is no cap: the byte budget
@@ -645,50 +651,6 @@ pub fn serve_collection(
     Ok(machine.outcome(files.len(), t.stats()))
 }
 
-/// Run one collection sync over an in-process duplex channel:
-/// [`sync_collection_client`] and [`serve_collection`] on the two ends
-/// of an [`Endpoint`] pair, the server on its own thread — the
-/// deployment shape of the library without a socket. On a clean link it
-/// costs exactly what [`sync_collection`] does (same machines, same
-/// meter); `opts.fault_plan` puts the seeded fault injector on the link
-/// and the retry timers to work. A single file is a one-entry
-/// collection.
-///
-/// Whenever this returns `Ok`, every file is byte-exact; link failures
-/// that outlast the retry budget surface as [`SyncError::Timeout`] /
-/// [`SyncError::FrameCorrupt`] / [`SyncError::PeerGone`].
-pub fn sync_collection_channel(
-    old: &[FileEntry],
-    new: &[FileEntry],
-    cfg: &ProtocolConfig,
-    opts: &ChannelOptions,
-    recorder: &Recorder,
-) -> Result<CollectionOutcome, SyncError> {
-    let (mut client_ep, mut server_ep) = match &opts.fault_plan {
-        Some(plan) => Endpoint::pair_with_faults(plan, opts.fault_seed),
-        None => Endpoint::pair(),
-    };
-    // The endpoints share channel state, so one attach covers both.
-    client_ep.set_recorder(recorder.clone());
-    let pipeline = PipelineOptions { retry: opts.retry, ..PipelineOptions::default() };
-    std::thread::scope(|s| {
-        let server = s.spawn(move || serve_collection(&mut server_ep, new, cfg, pipeline.retry));
-        let result = sync_collection_client(&mut client_ep, old, cfg, &pipeline);
-        // Dropping the client endpoint is the hang-up signal that lets a
-        // lingering server finish.
-        drop(client_ep);
-        let served = server.join().map_err(|_| SyncError::Desync("server thread panicked"));
-        let outcome = result?;
-        served??;
-        Ok(outcome)
-    })
-}
-
-/// The clock reading every in-process exchange runs at: held fixed, so
-/// no retry deadline ever passes — a slow machine cannot fire a spurious
-/// retransmission — and a traced run's journal is byte-stable.
-const IN_PROCESS_NOW_US: u64 = 0;
-
 /// Synchronize the client's `old` collection to the server's `new` one,
 /// in process.
 ///
@@ -716,50 +678,101 @@ pub fn sync_collection_traced(
     cfg: &ProtocolConfig,
     recorder: &Recorder,
 ) -> Result<CollectionOutcome, SyncError> {
-    let new: Vec<FileRef<'_>> = new.iter().map(FileRef::from).collect();
-    sync_in_process(old.iter().map(FileRef::from).collect(), &new, cfg, recorder)
+    sync_collection_on_link(old, new, cfg, &ChannelOptions::default(), recorder)
 }
 
-/// Both machines pumped by the caller's thread: every frame either side
-/// transmits is charged once to one [`WireMeter`] and handed straight to
-/// the peer, and each batch's per-file session work runs on every core
-/// ([`run_on_cores`]), its results committed in wire order. A traced run
-/// stays on one thread, so its journal is byte-stable.
+/// [`sync_collection_traced`] over the link `opts` describes: the
+/// client's window and both machines' retry policy come from
+/// `opts.pipeline`, and `opts.fault_plan` puts the seeded fault injector
+/// on the link and the retry timers to work, on a virtual clock. With
+/// no fault plan it costs exactly what [`sync_collection`] does.
+///
+/// Whenever this returns `Ok`, every file is byte-exact; link failures
+/// that outlast the retry budget surface as [`SyncError::Timeout`] /
+/// [`SyncError::FrameCorrupt`] / [`SyncError::PeerGone`]. The same
+/// `(fault_plan, fault_seed)` gives the same outcome, the same
+/// [`TrafficStats`] and, under a deterministic clock, the same journal.
+pub fn sync_collection_on_link(
+    old: &[FileEntry],
+    new: &[FileEntry],
+    cfg: &ProtocolConfig,
+    opts: &ChannelOptions,
+    recorder: &Recorder,
+) -> Result<CollectionOutcome, SyncError> {
+    let new: Vec<FileRef<'_>> = new.iter().map(FileRef::from).collect();
+    let old = old.iter().map(FileRef::from).collect();
+    pump_in_process(old, &new, cfg, opts, recorder, runner_for(recorder))
+}
+
+/// A traced run stays on one thread, so its journal is byte-stable; an
+/// untraced one spreads each batch over the cores.
+fn runner_for(recorder: &Recorder) -> Runner {
+    if recorder.is_enabled() {
+        run_in_order
+    } else {
+        run_on_cores
+    }
+}
+
+/// Both machines pumped by the caller's thread over a clean
+/// [`VirtualLink`], each batch's per-file session work run by
+/// [`runner_for`] the recorder.
 pub(crate) fn sync_in_process(
     old: Vec<FileRef<'_>>,
     new: &[FileRef<'_>],
     cfg: &ProtocolConfig,
     recorder: &Recorder,
 ) -> Result<CollectionOutcome, SyncError> {
-    let runner: Runner = if recorder.is_enabled() { run_in_order } else { run_on_cores };
-    pump_in_process(old, new, cfg, recorder, runner)
+    pump_in_process(old, new, cfg, &ChannelOptions::default(), recorder, runner_for(recorder))
 }
 
-/// [`sync_in_process`] with each batch's jobs run by `runner`.
+/// Pump both machines over a [`VirtualLink`] built from `opts`, each
+/// batch's jobs run by `runner`.
+///
+/// The client drains first, then the server; every frame either side
+/// transmits reaches the peer within the same drain. When both machines
+/// wait and neither transmitted, nothing is in flight: on a clean link
+/// that is a stall, and on a faulty one the virtual clock jumps to the
+/// earlier of their deadlines, where the ARQ retransmits. A clean run
+/// never reads the clock past 0.
 fn pump_in_process(
     old: Vec<FileRef<'_>>,
     new: &[FileRef<'_>],
     cfg: &ProtocolConfig,
+    opts: &ChannelOptions,
     recorder: &Recorder,
     runner: Runner,
 ) -> Result<CollectionOutcome, SyncError> {
-    let (retry, now) = (RetryPolicy::default(), IN_PROCESS_NOW_US);
-    let mut client =
-        CollectionClientMachine::new(old, cfg, usize::MAX, retry, recorder.clone(), now)?;
+    let (PipelineOptions { depth, retry }, mut now) = (opts.pipeline, 0);
+    let mut client = CollectionClientMachine::new(old, cfg, depth, retry, recorder.clone(), now)?;
     let mut server =
         CollectionServeMachine::<[FileRef<'_>]>::new(cfg, retry, recorder.clone(), now)?;
     client.set_runner(runner);
     server.set_runner(runner);
-    let mut meter = WireMeter::default();
-    meter.set_recorder(recorder.clone());
+    let mut link = VirtualLink::new(opts.fault_plan.as_ref(), opts.fault_seed, recorder.clone());
+    let stalled = SyncError::Desync("in-process sync stalled");
     loop {
-        match hand_over(&mut client, &mut server, new, Direction::ClientToServer, &mut meter)? {
-            None => return client.finish(meter.stats()),
-            Some(0) => return Err(SyncError::Desync("in-process sync stalled")),
-            Some(_) => {
-                hand_over(&mut server, &mut client, &(), Direction::ServerToClient, &mut meter)?
-            }
+        let c2s = Direction::ClientToServer;
+        let Some((sent, client_deadline)) =
+            hand_over(&mut client, &mut server, new, c2s, &mut link, now)?
+        else {
+            return client.finish(link.stats());
         };
+        if sent == 0 && !link.is_faulty() {
+            return Err(stalled);
+        }
+        match hand_over(&mut server, &mut client, &(), Direction::ServerToClient, &mut link, now)? {
+            // A server that gave up has hung up on the client.
+            None => client.on_disconnect()?,
+            Some((0, server_deadline)) if sent == 0 => {
+                let next = client_deadline.min(server_deadline);
+                if next <= now {
+                    return Err(stalled);
+                }
+                now = next;
+            }
+            Some(_) => {}
+        }
     }
 }
 
@@ -802,30 +815,37 @@ pub(crate) fn run_on_threads(threads: usize, jobs: &mut [&mut dyn Job]) {
     });
 }
 
-/// Drain `from`'s effects, charging each frame it transmits to `meter`
-/// and feeding it to `to`. Returns the frames handed over, or `None`
-/// once `from` is done.
+/// Drain `from`'s effects at `now`, putting each frame it transmits on
+/// `link` in direction `dir` and delivering what arrives to `to`.
+/// Returns the frames transmitted and `from`'s deadline once it waits,
+/// or `None` once it is done.
 fn hand_over<A: Machine, B: Machine>(
     from: &mut A,
     to: &mut B,
     ctx: &B::Ctx,
     dir: Direction,
-    meter: &mut WireMeter,
-) -> Result<Option<u64>, SyncError> {
+    link: &mut VirtualLink,
+    now: u64,
+) -> Result<Option<(u64, u64)>, SyncError> {
     let mut frames = 0;
     loop {
-        match from.poll_output(IN_PROCESS_NOW_US)? {
+        match from.poll_output(now)? {
             Output::Transmit { frame, split, retransmit } => {
-                meter.sent(dir, split, frame.len());
-                if retransmit {
-                    meter.note_retransmits(1);
+                for arrival in link.transmit(dir, split, frame, retransmit).into_iter().flatten() {
+                    match arrival {
+                        Arrival::Frame(frame) => to.on_frame(ctx, &frame, now)?,
+                        Arrival::Corrupt(_) => to.on_corrupt_frame(now)?,
+                        Arrival::Cut => {
+                            to.on_disconnect()?;
+                            from.on_disconnect()?;
+                        }
+                    }
                 }
-                to.on_frame(ctx, &frame, IN_PROCESS_NOW_US)?;
                 frames += 1;
             }
-            // Charged on send, as the in-memory channel charges a link.
+            // Charged on send, as the link charges every frame.
             Output::Attribute { .. } => {}
-            Output::Wait { .. } => return Ok(Some(frames)),
+            Output::Wait { deadline_us } => return Ok(Some((frames, deadline_us))),
             Output::Done => return Ok(None),
         }
     }
@@ -834,7 +854,7 @@ fn hand_over<A: Machine, B: Machine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msync_protocol::Endpoint;
+    use msync_protocol::{Endpoint, WireMeter};
     use std::collections::HashMap;
     use std::thread;
 
@@ -1141,6 +1161,124 @@ mod tests {
         assert!(synced.round > 0);
     }
 
+    /// A collection of one file.
+    fn one(data: &[u8]) -> Vec<FileEntry> {
+        vec![entry("file", data)]
+    }
+
+    /// Deterministic incompressible bytes.
+    fn blob(n: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(2).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The pump over a link faulted by the named profile, if any, on the
+    /// default retry policy.
+    fn over_link(
+        old: &[FileEntry],
+        new: &[FileEntry],
+        depth: usize,
+        faults: Option<(&str, u64)>,
+    ) -> Result<CollectionOutcome, SyncError> {
+        let opts = ChannelOptions {
+            pipeline: PipelineOptions { depth, ..PipelineOptions::default() },
+            fault_plan: faults.map(|(name, _)| msync_protocol::FaultPlan::profile(name).unwrap()),
+            fault_seed: faults.map_or(0, |(_, seed)| seed),
+        };
+        sync_collection_on_link(old, new, &ProtocolConfig::default(), &opts, &Recorder::off())
+    }
+
+    #[test]
+    fn channel_run_matches_in_process_driver() {
+        let old = blob(30_000, 3);
+        let mut new = old.clone();
+        new.splice(12_000..12_050, blob(200, 4));
+        let cfg = ProtocolConfig::default();
+        let a = sync_collection(&one(&old), &one(&new), &cfg).unwrap();
+        let (b, ..) = run(&one(&old), &one(&new), &cfg, usize::MAX);
+        assert_eq!(a.files, one(&new));
+        assert_eq!(b.files, one(&new));
+        // Same machines and the same charges: a clean channel between
+        // two threads costs exactly what the pump's link charges, frame
+        // for frame, and never needs recovery.
+        assert_eq!(b.per_file[0].1.levels, a.per_file[0].1.levels);
+        assert_eq!(b.traffic, a.traffic);
+        assert_eq!(b.traffic.retransmits, 0);
+    }
+
+    #[test]
+    fn link_run_unchanged_file() {
+        let data = one(&blob(10_000, 5));
+        let out = over_link(&data, &data, usize::MAX, None).unwrap();
+        assert_eq!(out.files, data);
+        assert_eq!(out.unchanged, 1);
+        assert!(out.traffic.total_bytes() < 96, "got {}", out.traffic.total_bytes());
+    }
+
+    #[test]
+    fn link_run_empty_to_full() {
+        let new = one(&blob(5_000, 6));
+        let out = over_link(&one(b""), &new, usize::MAX, None).unwrap();
+        assert_eq!(out.files, new);
+    }
+
+    #[test]
+    fn link_run_survives_lossy_link() {
+        let old = blob(24_000, 7);
+        let mut new = old.clone();
+        new.splice(4_000..4_100, blob(300, 8));
+        let out = over_link(&one(&old), &one(&new), usize::MAX, Some(("lossy", 0xFA17))).unwrap();
+        assert_eq!(out.files, one(&new));
+        assert!(out.traffic.retransmits > 0, "the link lost something");
+    }
+
+    #[test]
+    fn link_run_corruption_is_healed_or_typed() {
+        let new = one(&blob(16_000, 10));
+        match over_link(&one(&blob(16_000, 9)), &new, usize::MAX, Some(("corrupt", 99))) {
+            Ok(out) => assert_eq!(out.files, new),
+            Err(
+                SyncError::FrameCorrupt
+                | SyncError::Timeout
+                | SyncError::PeerGone
+                | SyncError::Desync(_),
+            ) => {}
+            Err(other) => panic!("unexpected error class: {other}"),
+        }
+    }
+
+    #[test]
+    fn link_run_disconnect_surfaces_typed_error() {
+        // The profile cuts the link after 20 server frames. A changed
+        // file takes at least two (its first reply and its delta), so
+        // 24 of them one at a time is at least 48: the cut lands by
+        // construction, whatever the default window admits.
+        let old: Vec<FileEntry> =
+            (0..24).map(|i| entry(&format!("f{i:02}"), &blob(3_000, 100 + i))).collect();
+        let new: Vec<FileEntry> = old
+            .iter()
+            .map(|f| {
+                let mut data = f.data.clone();
+                data.splice(1_000..1_010, *b"EDIT");
+                FileEntry::new(f.name.clone(), data)
+            })
+            .collect();
+        match over_link(&old, &new, 1, Some(("disconnect", 1))) {
+            // Severed before the session finished: a typed transport
+            // error, never a hang or a panic.
+            Err(SyncError::PeerGone) => {}
+            Ok(_) => panic!("the session outran the cut"),
+            Err(other) => panic!("unexpected error class: {other}"),
+        }
+    }
+
     /// Four threads whatever the box has, so the threaded runner really
     /// interleaves jobs in the tests below.
     fn four_threads(jobs: &mut [&mut dyn Job]) {
@@ -1191,7 +1329,8 @@ mod tests {
             for cfg in &configs {
                 let run = |runner: Runner| {
                     let old = old.iter().map(FileRef::from).collect();
-                    pump_in_process(old, &new_refs, cfg, &Recorder::off(), runner).unwrap()
+                    let opts = ChannelOptions::default();
+                    pump_in_process(old, &new_refs, cfg, &opts, &Recorder::off(), runner).unwrap()
                 };
                 let (one, four) = (run(run_in_order), run(four_threads));
                 let what = format!("{corpus} under {cfg:?}");

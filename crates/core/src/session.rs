@@ -948,143 +948,3 @@ mod hostile_server_tests {
         }
     }
 }
-
-/// The two sessions above over a threaded channel: a single file is a
-/// one-entry collection.
-#[cfg(test)]
-mod channel_tests {
-    use super::*;
-    use crate::collection::{CollectionOutcome, FileEntry};
-    use crate::config::ChannelOptions;
-    use crate::pipeline::{sync_collection, sync_collection_channel};
-
-    fn one(data: &[u8]) -> Vec<FileEntry> {
-        vec![FileEntry::new("file", data)]
-    }
-
-    fn over_channel(
-        old: &[FileEntry],
-        new: &[FileEntry],
-        channel: ChannelOptions,
-    ) -> Result<CollectionOutcome, SyncError> {
-        sync_collection_channel(old, new, &ProtocolConfig::default(), &channel, &Recorder::off())
-    }
-
-    fn blob(n: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed.wrapping_mul(2).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 56) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn channel_run_matches_in_process_driver() {
-        let old = blob(30_000, 3);
-        let mut new = old.clone();
-        new.splice(12_000..12_050, blob(200, 4));
-        let a = sync_collection(&one(&old), &one(&new), &ProtocolConfig::default()).unwrap();
-        let b = over_channel(&one(&old), &one(&new), ChannelOptions::default()).unwrap();
-        assert_eq!(a.files, one(&new));
-        assert_eq!(b.files, one(&new));
-        // Same machines and the same meter: a clean link costs exactly
-        // what the in-process pump charges, frame for frame, and never
-        // needs recovery.
-        assert_eq!(b.per_file[0].1.levels, a.per_file[0].1.levels);
-        assert_eq!(b.traffic, a.traffic);
-        assert_eq!(b.traffic.retransmits, 0);
-    }
-
-    #[test]
-    fn channel_run_unchanged_file() {
-        let data = one(&blob(10_000, 5));
-        let out = over_channel(&data, &data, ChannelOptions::default()).unwrap();
-        assert_eq!(out.files, data);
-        assert_eq!(out.unchanged, 1);
-        assert!(out.traffic.total_bytes() < 96, "got {}", out.traffic.total_bytes());
-    }
-
-    #[test]
-    fn channel_run_empty_to_full() {
-        let new = one(&blob(5_000, 6));
-        let out = over_channel(&one(b""), &new, ChannelOptions::default()).unwrap();
-        assert_eq!(out.files, new);
-    }
-
-    fn short_retry() -> msync_protocol::RetryPolicy {
-        msync_protocol::RetryPolicy {
-            timeout: std::time::Duration::from_millis(20),
-            max_retries: 8,
-            backoff_cap: std::time::Duration::from_millis(80),
-        }
-    }
-
-    #[test]
-    fn channel_run_survives_lossy_link() {
-        let old = blob(24_000, 7);
-        let mut new = old.clone();
-        new.splice(4_000..4_100, blob(300, 8));
-        let plan = msync_protocol::FaultPlan::profile("lossy").unwrap();
-        let opts =
-            ChannelOptions { retry: short_retry(), fault_plan: Some(plan), fault_seed: 0xFA17 };
-        let out = over_channel(&one(&old), &one(&new), opts).unwrap();
-        assert_eq!(out.files, one(&new));
-    }
-
-    #[test]
-    fn channel_run_corruption_is_healed_or_typed() {
-        let new = one(&blob(16_000, 10));
-        let plan = msync_protocol::FaultPlan::profile("corrupt").unwrap();
-        let opts = ChannelOptions { retry: short_retry(), fault_plan: Some(plan), fault_seed: 99 };
-        match over_channel(&one(&blob(16_000, 9)), &new, opts) {
-            Ok(out) => assert_eq!(out.files, new),
-            Err(
-                SyncError::FrameCorrupt
-                | SyncError::Timeout
-                | SyncError::PeerGone
-                | SyncError::Desync(_),
-            ) => {}
-            Err(other) => panic!("unexpected error class: {other}"),
-        }
-    }
-
-    #[test]
-    fn channel_run_disconnect_surfaces_typed_error() {
-        use crate::pipeline::{serve_collection, sync_collection_client, PipelineOptions};
-        // The profile cuts the link after 20 server frames. A changed
-        // file takes at least two (its first reply and its delta), so
-        // 24 of them one at a time is at least 48: the cut lands by
-        // construction, whatever the default window admits.
-        let old: Vec<FileEntry> =
-            (0..24).map(|i| FileEntry::new(format!("f{i:02}"), blob(3_000, 100 + i))).collect();
-        let new: Vec<FileEntry> = old
-            .iter()
-            .map(|f| {
-                let mut data = f.data.clone();
-                data.splice(1_000..1_010, *b"EDIT");
-                FileEntry::new(f.name.clone(), data)
-            })
-            .collect();
-        let plan = msync_protocol::FaultPlan::profile("disconnect").unwrap();
-        let cfg = ProtocolConfig::default();
-        let (mut client_ep, mut server_ep) = msync_protocol::Endpoint::pair_with_faults(&plan, 1);
-        let result = std::thread::scope(|s| {
-            s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, short_retry()));
-            let opts = PipelineOptions { depth: 1, retry: short_retry() };
-            let result = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
-            drop(client_ep);
-            result
-        });
-        match result {
-            // Severed before the session finished: must be a typed
-            // transport error, never a hang or a panic.
-            Err(SyncError::PeerGone | SyncError::Timeout | SyncError::FrameCorrupt) => {}
-            Ok(_) => panic!("the session outran the cut"),
-            Err(other) => panic!("unexpected error class: {other}"),
-        }
-    }
-}

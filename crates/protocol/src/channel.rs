@@ -1,8 +1,7 @@
-//! In-memory duplex channel with exact byte accounting and link faults.
+//! In-memory links with exact byte accounting, and the frame codec.
 //!
-//! The two protocol endpoints (synchronization client and server) run as
-//! two threads connected by a pair of message queues. Every frame is
-//! *charged* at the wire size a real transport would carry it at —
+//! Two in-memory links carry the protocol's frames, and both *charge*
+//! every frame at the wire size a real transport would carry it at —
 //!
 //! ```text
 //! [LEB128 payload length][CRC32 of payload, little-endian][payload]
@@ -10,27 +9,28 @@
 //!
 //! — against a `(direction, phase)` counter, so the reported numbers
 //! correspond to bytes a TCP connection would carry, checksums included.
-//! Roundtrips are counted as direction reversals observed at the
-//! channel, matching how the paper counts "one or more roundtrips of
-//! communication" per round.
+//! Roundtrips are counted as direction reversals, matching how the
+//! paper counts "one or more roundtrips of communication" per round.
 //!
-//! The bytes themselves, however, are **never copied on the clean
-//! path**: a clean frame travels as a refcounted share of the sender's
-//! [`FrameBuf`] payload ([`Frame::Clean`]). Wire encoding exists to
-//! make damage detectable, so the channel materializes an encoded image
-//! only when a fault actually mutates a frame — via the one sanctioned
-//! copy site, [`crate::fault::copy_for_mutation`] — and the receiver
-//! rejects that [`Frame::Damaged`] image through the same CRC/length
-//! checks a real socket would apply.
+//! * The [`Endpoint`] pair is a clean duplex channel of two message
+//!   queues: a client and a server, each on its own thread, talk
+//!   through it as through any other [`Transport`](crate::Transport).
+//!   There is no blocking `recv` without a deadline: a peer that dies
+//!   surfaces as [`ChannelError::Disconnected`], never a hang.
+//! * The [`VirtualLink`] is sans-IO: a driver that pumps both machines
+//!   on one thread hands it each transmitted frame and delivers what it
+//!   returns. Under a [`FaultPlan`] a deterministic [`FaultInjector`]
+//!   per direction may drop a frame, flip a bit, truncate it, duplicate
+//!   it, hold it back past the next frame, or cut the link mid-round.
 //!
-//! A channel built with [`Endpoint::pair_with_faults`] additionally runs
-//! every sent frame through a deterministic [`FaultInjector`]: frames
-//! may be dropped, bit-flipped, truncated, duplicated, delayed past the
-//! next frame, or the link may be cut mid-round. Receivers observe these
-//! as typed [`ChannelError`]s — corruption is caught by the CRC/length
-//! checks, loss by [`Endpoint::recv_timeout`]'s deadline, disconnects as
-//! [`ChannelError::Disconnected`]. There is no blocking `recv` without a
-//! deadline: a peer that dies must surface as an error, never a hang.
+//! The bytes themselves are **never copied on the clean path**: a
+//! clean frame travels as a refcounted share of the sender's
+//! [`FrameBuf`] payload. Wire encoding exists to make damage
+//! detectable, so the virtual link materializes an encoded image only
+//! when a fault actually mutates a frame — via the one sanctioned copy
+//! site, [`crate::fault::copy_for_mutation`] — and rejects it through
+//! the same CRC/length checks a real socket applies
+//! ([`decode_frame_shared`]).
 
 use crate::bufpool::FrameBuf;
 use crate::crc::crc32;
@@ -38,35 +38,9 @@ use crate::fault::{copy_for_mutation, FaultInjector, FaultPlan};
 use crate::stats::{Direction, Phase, PhaseSplit, TrafficStats, WireMeter};
 use crate::transport::record_fate;
 use msync_trace::Recorder;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// A single frame in flight on the in-memory channel.
-#[derive(Debug)]
-pub enum Frame {
-    /// An intact frame: a refcounted share of the sender's payload
-    /// allocation. No wire image is built — framing exists to make
-    /// damage detectable, and this frame is undamaged by construction.
-    Clean(FrameBuf),
-    /// A frame a fault mutated: the injector's private encoded wire
-    /// image (length word + CRC32 + payload) after the bit flip or
-    /// truncation, which the receiver decodes — and rejects — exactly
-    /// as a real link would.
-    Damaged(FrameBuf),
-}
-
-impl Frame {
-    /// Another handle to the same frame: a refcount bump, never a byte
-    /// copy.
-    #[must_use]
-    pub fn share(&self) -> Frame {
-        match self {
-            Frame::Clean(b) => Frame::Clean(b.share()),
-            Frame::Damaged(b) => Frame::Damaged(b.share()),
-        }
-    }
-}
 
 /// Bytes of CRC32 carried by every frame.
 const CRC_LEN: u64 = 4;
@@ -208,12 +182,12 @@ impl std::fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// Timeout and bounded-retry policy for a session running over a real
-/// channel: how long one receive may wait, how many retransmission
-/// attempts are made after consecutive timeouts, and the exponential
-/// backoff cap. Protocol logic never reads a clock — the policy is
-/// applied per receive call, so runs stay deterministic given the frame
-/// sequence.
+/// Timeout and bounded-retry policy for a session, on a real clock or
+/// the in-process pump's virtual one: how long one receive may wait,
+/// how many retransmission attempts are made after consecutive
+/// timeouts, and the exponential backoff cap. Protocol logic never
+/// reads a clock — the policy is applied per receive call, so runs stay
+/// deterministic given the frame sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Deadline for a single receive attempt.
@@ -246,44 +220,14 @@ impl Default for RetryPolicy {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shared {
-    /// Both endpoints charge their sends here, so either one's
-    /// [`Endpoint::stats`] describes the whole link.
-    meter: WireMeter,
-    /// Set when a disconnect fault cut the link: subsequent sends are
-    /// lost and receivers see `Disconnected` once their queue drains.
-    cut: bool,
-    c2s_faults: Option<FaultInjector>,
-    s2c_faults: Option<FaultInjector>,
-    /// Frame held back by a delay fault, per direction; delivered ahead
-    /// of the next frame sent in the same direction.
-    held_c2s: Option<Frame>,
-    held_s2c: Option<Frame>,
-}
-
-impl Shared {
-    fn injector_mut(&mut self, dir: Direction) -> Option<&mut FaultInjector> {
-        match dir {
-            Direction::ClientToServer => self.c2s_faults.as_mut(),
-            Direction::ServerToClient => self.s2c_faults.as_mut(),
-        }
-    }
-
-    fn held_mut(&mut self, dir: Direction) -> &mut Option<Frame> {
-        match dir {
-            Direction::ClientToServer => &mut self.held_c2s,
-            Direction::ServerToClient => &mut self.held_s2c,
-        }
-    }
-}
-
-/// One side of a duplex channel.
+/// One side of a clean in-memory duplex channel.
 pub struct Endpoint {
     dir: Direction,
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
-    shared: Arc<Mutex<Shared>>,
+    tx: Sender<FrameBuf>,
+    rx: Receiver<FrameBuf>,
+    /// Both endpoints charge their sends here, so either one's
+    /// [`Endpoint::stats`] describes the whole link.
+    meter: Arc<Mutex<WireMeter>>,
     split: PhaseSplit,
 }
 
@@ -298,37 +242,21 @@ impl Endpoint {
     /// from the client end are attributed to [`Direction::ClientToServer`]
     /// and vice versa.
     pub fn pair() -> (Endpoint, Endpoint) {
-        Self::pair_shared(Shared::default())
-    }
-
-    /// Create a connected pair whose link injects faults per `plan`,
-    /// driven deterministically by `seed` (each direction derives its
-    /// own stream, so the two sides' faults are decorrelated but the
-    /// whole run is reproducible from `(plan, seed)`).
-    pub fn pair_with_faults(plan: &FaultPlan, seed: u64) -> (Endpoint, Endpoint) {
-        Self::pair_shared(Shared {
-            c2s_faults: Some(FaultInjector::new(plan.c2s, seed)),
-            s2c_faults: Some(FaultInjector::new(plan.s2c, seed ^ 0x9E37_79B9_7F4A_7C15)),
-            ..Shared::default()
-        })
-    }
-
-    fn pair_shared(shared: Shared) -> (Endpoint, Endpoint) {
         let (tx_c2s, rx_c2s) = channel();
         let (tx_s2c, rx_s2c) = channel();
-        let shared = Arc::new(Mutex::new(shared));
+        let meter = Arc::new(Mutex::new(WireMeter::default()));
         let client = Endpoint {
             dir: Direction::ClientToServer,
             tx: tx_c2s,
             rx: rx_s2c,
-            shared: Arc::clone(&shared),
+            meter: Arc::clone(&meter),
             split: Phase::Setup.into(),
         };
         let server = Endpoint {
             dir: Direction::ServerToClient,
             tx: tx_s2c,
             rx: rx_c2s,
-            shared,
+            meter,
             split: Phase::Setup.into(),
         };
         (client, server)
@@ -340,143 +268,201 @@ impl Endpoint {
         self.split = split.into();
     }
 
-    /// Lock the shared statistics. A poisoned mutex (a peer thread that
+    /// Lock the shared meter. A poisoned mutex (a peer thread that
     /// panicked while holding it) is recovered rather than propagated:
     /// traffic counters stay well-formed and the channel must never add
     /// a second panic on top of the original failure.
-    fn lock_shared(&self) -> MutexGuard<'_, Shared> {
-        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_meter(&self) -> MutexGuard<'_, WireMeter> {
+        self.meter.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Send a frame to the peer, charging its wire size (every actual
-    /// transmission is charged — including duplicates and frames the
-    /// link then loses, because the sender paid for them either way).
-    ///
-    /// Clean frames are delivered as refcounted shares of `payload`; an
-    /// encoded wire image is built (and paid for) only when a fault
-    /// actually mutates the frame.
+    /// Send a frame to the peer, charging its wire size. The peer
+    /// receives a refcounted share of `payload`, never a copy.
     pub fn send(&self, payload: impl Into<FrameBuf>) {
         let payload = payload.into();
-        let mut deliveries: Vec<Frame> = Vec::new();
-        {
-            let mut shared = self.lock_shared();
-            if shared.cut {
-                return;
-            }
-            let fate = shared.injector_mut(self.dir).map(FaultInjector::next_fate);
-            if let Some(f) = &fate {
-                let seq = shared.injector_mut(self.dir).map_or(0, |i| i.frames_seen());
-                record_fate(shared.meter.recorder(), self.dir.into(), f, seq);
-            }
-            if fate.is_some_and(|f| f.disconnect) {
-                shared.cut = true;
-                return;
-            }
-            shared.meter.sent(self.dir, self.split, payload.len());
-            // A previously delayed frame is released by the next send in
-            // the same direction: it travels ahead of the new frame.
-            if let Some(held) = shared.held_mut(self.dir).take() {
-                deliveries.push(held);
-            }
-            let fate = fate.unwrap_or_default();
-            let frame = if fate.corrupt || fate.truncate {
-                // Damage needs a private wire image: the injector's
-                // sanctioned copy, mutated below the CRC.
-                let mut wire = copy_for_mutation(&frame_header(&payload), &payload);
-                if fate.corrupt {
-                    if let Some(inj) = shared.injector_mut(self.dir) {
-                        inj.corrupt_frame(&mut wire);
-                    }
-                }
-                if fate.truncate {
-                    if let Some(inj) = shared.injector_mut(self.dir) {
-                        inj.truncate_frame(&mut wire);
-                    }
-                }
-                Frame::Damaged(FrameBuf::from(wire))
-            } else {
-                Frame::Clean(payload.share())
-            };
-            if fate.duplicate {
-                shared.meter.sent(self.dir, self.split, payload.len());
-                deliveries.push(frame.share());
-            }
-            if fate.drop {
-                // Transmitted (and charged) but lost in transit.
-            } else if fate.delay {
-                *shared.held_mut(self.dir) = Some(frame);
-            } else {
-                deliveries.push(frame);
-            }
-        }
-        for frame in deliveries {
-            // A send can only fail if the receiver was dropped; the
-            // session layer surfaces that on its next receive instead.
-            let _ = self.tx.send(frame);
-        }
-    }
-
-    /// Unwrap a received [`Frame`]: a clean frame's payload share is
-    /// handed over as-is; a damaged wire image goes through the same
-    /// CRC/length validation a real link applies, and fails there.
-    fn open_frame(frame: Frame) -> Result<FrameBuf, ChannelError> {
-        match frame {
-            Frame::Clean(payload) => Ok(payload),
-            Frame::Damaged(wire) => decode_frame_shared(&wire).map_err(ChannelError::Corrupt),
-        }
+        self.lock_meter().sent(self.dir, self.split, payload.len());
+        // A send can only fail if the receiver was dropped; the session
+        // layer surfaces that on its next receive instead.
+        let _ = self.tx.send(payload);
     }
 
     /// Receive the next frame from the peer, waiting at most `timeout`.
-    /// Integrity failures surface as [`ChannelError::Corrupt`]; a dead
-    /// peer or cut link as [`ChannelError::Disconnected`].
+    /// A dead peer surfaces as [`ChannelError::Disconnected`].
     pub fn recv_timeout(&self, timeout: Duration) -> Result<FrameBuf, ChannelError> {
-        if self.lock_shared().cut {
-            // The link is gone: drain what already arrived, then report
-            // the disconnect immediately instead of burning the timeout.
-            return match self.rx.try_recv() {
-                Ok(frame) => Self::open_frame(frame),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
-                    Err(ChannelError::Disconnected)
-                }
-            };
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Self::open_frame(frame),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.lock_shared().cut {
-                    Err(ChannelError::Disconnected)
-                } else {
-                    Err(ChannelError::Timeout)
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ChannelError::Disconnected),
-        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => ChannelError::Timeout,
+            RecvTimeoutError::Disconnected => ChannelError::Disconnected,
+        })
     }
 
     /// Record `frames` retransmitted frames in the shared stats. The
     /// bytes themselves are charged by [`Endpoint::send`] like any other
     /// transmission; this counter makes the recovery cost visible.
     pub fn note_retransmits(&self, frames: u64) {
-        self.lock_shared().meter.note_retransmits(frames);
+        self.lock_meter().note_retransmits(frames);
     }
 
     /// Snapshot of the traffic statistics shared by both endpoints.
     pub fn stats(&self) -> TrafficStats {
-        self.lock_shared().meter.stats()
+        self.lock_meter().stats()
     }
 
     /// Attach a trace recorder to the channel. Both endpoints share
-    /// it: the meter mirrors every charge as a `FrameSend` event and the
-    /// channel emits `FaultInjected` events for every fate the injector
-    /// assigns.
+    /// it: the meter mirrors every charge as a `FrameSend` event.
     pub fn set_recorder(&self, recorder: Recorder) {
-        self.lock_shared().meter.set_recorder(recorder);
+        self.lock_meter().set_recorder(recorder);
     }
 
     /// The trace recorder shared by both endpoints (disabled unless
     /// [`Endpoint::set_recorder`] was called).
     pub fn recorder(&self) -> Recorder {
-        self.lock_shared().meter.recorder().clone()
+        self.lock_meter().recorder().clone()
+    }
+}
+
+/// What the receiving side gets from one transmission on a
+/// [`VirtualLink`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrival {
+    /// A frame that passed the wire checks: for an undamaged frame, a
+    /// share of the sender's payload.
+    Frame(FrameBuf),
+    /// A damaged frame, rejected by [`decode_frame_shared`].
+    Corrupt(FrameError),
+    /// The link was cut: nothing crosses it again, in either direction.
+    Cut,
+}
+
+/// Up to three arrivals per transmission, in delivery order: a frame
+/// an earlier delay fault held back, an injected duplicate, the frame.
+pub type Arrivals = [Option<Arrival>; 3];
+
+/// A sans-IO duplex link for a driver that pumps both machines on one
+/// thread: [`transmit`](VirtualLink::transmit) charges a frame to the
+/// link's one [`WireMeter`] and says what reaches the peer. Without a
+/// fault plan that is the frame itself, moved and never copied; with
+/// one, whatever the seeded injector of the frame's direction decides.
+/// Time is the driver's business: the link never holds a frame for a
+/// duration, only until the next frame sent in the same direction.
+#[derive(Debug)]
+pub struct VirtualLink {
+    meter: WireMeter,
+    faults: Option<LinkFaults>,
+}
+
+/// A faulty link's state, indexed by direction (client to server
+/// first).
+#[derive(Debug)]
+struct LinkFaults {
+    injectors: [FaultInjector; 2],
+    /// Frames held back by a delay fault, released ahead of the next
+    /// frame sent in the same direction.
+    held: [Option<Arrival>; 2],
+    cut: bool,
+}
+
+fn lane(dir: Direction) -> usize {
+    match dir {
+        Direction::ClientToServer => 0,
+        Direction::ServerToClient => 1,
+    }
+}
+
+impl VirtualLink {
+    /// A link charging to a meter that mirrors every charge to
+    /// `recorder`, injecting faults per `plan`, if any, driven by
+    /// `seed`. Each direction derives its own stream, so the two sides'
+    /// faults are decorrelated but the whole run is reproducible from
+    /// `(plan, seed)`.
+    #[must_use]
+    pub fn new(plan: Option<&FaultPlan>, seed: u64, recorder: Recorder) -> Self {
+        let mut meter = WireMeter::default();
+        meter.set_recorder(recorder);
+        let faults = plan.map(|plan| LinkFaults {
+            injectors: [
+                FaultInjector::new(plan.c2s, seed),
+                FaultInjector::new(plan.s2c, seed ^ 0x9E37_79B9_7F4A_7C15),
+            ],
+            held: [None, None],
+            cut: false,
+        });
+        VirtualLink { meter, faults }
+    }
+
+    /// Whether a fault plan governs the link.
+    #[must_use]
+    pub fn is_faulty(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// Put one frame on the link in direction `dir`, charged across
+    /// `split` (and counted as a retransmission if `retransmit`), and
+    /// return what reaches the peer, in order.
+    ///
+    /// Every transmission is charged, including duplicates and frames
+    /// the link then loses, because the sender paid for them either
+    /// way. The frame that trips a disconnect fault is not: it never
+    /// left, and neither does any later one.
+    pub fn transmit(
+        &mut self,
+        dir: Direction,
+        split: PhaseSplit,
+        frame: FrameBuf,
+        retransmit: bool,
+    ) -> Arrivals {
+        if retransmit {
+            self.meter.note_retransmits(1);
+        }
+        let Some(faults) = &mut self.faults else {
+            self.meter.sent(dir, split, frame.len());
+            return [Some(Arrival::Frame(frame)), None, None];
+        };
+        if faults.cut {
+            return [None, None, None];
+        }
+        let injector = &mut faults.injectors[lane(dir)];
+        let fate = injector.next_fate();
+        record_fate(self.meter.recorder(), dir.into(), &fate, injector.frames_seen());
+        if fate.disconnect {
+            faults.cut = true;
+            return [Some(Arrival::Cut), None, None];
+        }
+        let len = frame.len();
+        self.meter.sent(dir, split, len);
+        let arrival = if fate.corrupt || fate.truncate {
+            // Damage needs a private wire image: the injector's
+            // sanctioned copy, mutated below the CRC.
+            let mut wire = copy_for_mutation(&frame_header(&frame), &frame);
+            if fate.corrupt {
+                injector.corrupt_frame(&mut wire);
+            }
+            if fate.truncate {
+                injector.truncate_frame(&mut wire);
+            }
+            decode_frame_shared(&FrameBuf::from(wire)).map_or_else(Arrival::Corrupt, Arrival::Frame)
+        } else {
+            Arrival::Frame(frame)
+        };
+        let held = faults.held[lane(dir)].take();
+        let duplicate = fate.duplicate.then(|| {
+            self.meter.sent(dir, split, len);
+            arrival.clone()
+        });
+        let arrival = if fate.drop {
+            None
+        } else if fate.delay {
+            faults.held[lane(dir)] = Some(arrival);
+            None
+        } else {
+            Some(arrival)
+        };
+        [held, duplicate, arrival]
+    }
+
+    /// Snapshot of the link's traffic accounting.
+    #[must_use]
+    pub fn stats(&self) -> TrafficStats {
+        self.meter.stats()
     }
 }
 
@@ -617,80 +603,95 @@ mod tests {
         assert_eq!(stats.c2s(Phase::Delta), 35);
     }
 
+    /// What the peer receives of one `dir` frame carrying `payload`.
+    fn send_on(link: &mut VirtualLink, dir: Direction, payload: &[u8]) -> Vec<Arrival> {
+        let frame = FrameBuf::copy_from_slice(payload);
+        link.transmit(dir, Phase::Map.into(), frame, false).into_iter().flatten().collect()
+    }
+
+    fn c2s(link: &mut VirtualLink, payload: &[u8]) -> Vec<Arrival> {
+        send_on(link, Direction::ClientToServer, payload)
+    }
+
+    fn faulty(plan: &FaultPlan, seed: u64) -> VirtualLink {
+        VirtualLink::new(Some(plan), seed, Recorder::off())
+    }
+
+    fn arrived(payload: &[u8]) -> Arrival {
+        Arrival::Frame(FrameBuf::copy_from_slice(payload))
+    }
+
     #[test]
     fn clean_fault_plan_is_transparent() {
-        let (faulty_c, faulty_s) = Endpoint::pair_with_faults(&FaultPlan::none(), 42);
-        let (plain_c, plain_s) = Endpoint::pair();
-        for ep in [&faulty_c, &plain_c] {
-            ep.send(vec![9; 50]);
+        let mut zeroed = faulty(&FaultPlan::none(), 42);
+        let mut plain = VirtualLink::new(None, 0, Recorder::off());
+        for (i, dir) in
+            [Direction::ClientToServer, Direction::ServerToClient].repeat(3).into_iter().enumerate()
+        {
+            let payload = vec![9; 50 + i];
+            assert_eq!(send_on(&mut zeroed, dir, &payload), vec![arrived(&payload)]);
+            assert_eq!(send_on(&mut plain, dir, &payload), vec![arrived(&payload)]);
         }
-        assert_eq!(faulty_s.recv_timeout(TICK).unwrap(), plain_s.recv_timeout(TICK).unwrap());
-        assert_eq!(faulty_c.stats(), plain_c.stats());
+        assert_eq!(zeroed.stats(), plain.stats());
+        assert_eq!(plain.stats().roundtrips, 3);
     }
 
     #[test]
     fn dropped_frames_still_charged() {
         let rates = FaultRates { drop: 1.0, ..FaultRates::none() };
-        let (client, server) = Endpoint::pair_with_faults(&FaultPlan::symmetric(rates), 1);
-        client.send(vec![0; 10]);
-        assert_eq!(server.recv_timeout(Duration::from_millis(10)), Err(ChannelError::Timeout));
-        assert_eq!(client.stats().total_c2s(), frame_wire_size(10));
+        let mut link = faulty(&FaultPlan::symmetric(rates), 1);
+        assert_eq!(c2s(&mut link, &[0; 10]), vec![]);
+        assert_eq!(link.stats().total_c2s(), frame_wire_size(10));
     }
 
     #[test]
     fn corruption_detected_by_receiver() {
         let rates = FaultRates { corrupt: 1.0, ..FaultRates::none() };
-        let (client, server) = Endpoint::pair_with_faults(&FaultPlan::symmetric(rates), 3);
-        client.send(vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(matches!(server.recv_timeout(TICK), Err(ChannelError::Corrupt(_))));
+        let mut link = faulty(&FaultPlan::symmetric(rates), 3);
+        assert!(matches!(c2s(&mut link, &[1, 2, 3, 4, 5, 6, 7, 8])[..], [Arrival::Corrupt(_)]));
     }
 
     #[test]
     fn truncation_detected_by_receiver() {
         let rates = FaultRates { truncate: 1.0, ..FaultRates::none() };
-        let (client, server) = Endpoint::pair_with_faults(&FaultPlan::symmetric(rates), 4);
-        client.send(vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(matches!(server.recv_timeout(TICK), Err(ChannelError::Corrupt(_))));
+        let mut link = faulty(&FaultPlan::symmetric(rates), 4);
+        assert!(matches!(c2s(&mut link, &[1, 2, 3, 4, 5, 6, 7, 8])[..], [Arrival::Corrupt(_)]));
     }
 
     #[test]
     fn duplicates_delivered_and_charged_twice() {
         let rates = FaultRates { duplicate: 1.0, ..FaultRates::none() };
-        let (client, server) = Endpoint::pair_with_faults(&FaultPlan::symmetric(rates), 5);
-        client.send(vec![7; 10]);
-        assert_eq!(server.recv_timeout(TICK).unwrap(), vec![7; 10]);
-        assert_eq!(server.recv_timeout(TICK).unwrap(), vec![7; 10]);
-        assert_eq!(client.stats().total_c2s(), 2 * frame_wire_size(10));
-        assert_eq!(client.stats().frames, 2);
+        let mut link = faulty(&FaultPlan::symmetric(rates), 5);
+        assert_eq!(c2s(&mut link, &[7; 10]), vec![arrived(&[7; 10]), arrived(&[7; 10])]);
+        assert_eq!(link.stats().total_c2s(), 2 * frame_wire_size(10));
+        assert_eq!(link.stats().frames, 2);
     }
 
     #[test]
     fn delay_reorders_past_next_frame() {
-        let rates = FaultRates { delay: 1.0, ..FaultRates::none() };
         let mut plan = FaultPlan::none();
-        plan.c2s = rates;
-        let (client, server) = Endpoint::pair_with_faults(&plan, 6);
-        client.send(vec![1]); // held
-        assert_eq!(server.recv_timeout(Duration::from_millis(10)), Err(ChannelError::Timeout));
-        client.send(vec![2]); // releases [1]; [2] is itself held
-        assert_eq!(server.recv_timeout(TICK).unwrap(), vec![1]);
+        plan.c2s.delay = 1.0;
+        let mut link = faulty(&plan, 6);
+        assert_eq!(c2s(&mut link, &[1]), vec![], "held");
+        // The next frame releases [1]; [2] is itself held.
+        assert_eq!(c2s(&mut link, &[2]), vec![arrived(&[1])]);
+        // The other direction neither releases nor is held.
+        assert_eq!(send_on(&mut link, Direction::ServerToClient, &[3]), vec![arrived(&[3])]);
     }
 
     #[test]
     fn disconnect_fault_cuts_both_sides() {
-        let rates = FaultRates { disconnect_after: Some(2), ..FaultRates::none() };
         let mut plan = FaultPlan::none();
-        plan.c2s = rates;
-        let (client, server) = Endpoint::pair_with_faults(&plan, 7);
-        client.send(vec![1]);
-        client.send(vec![2]);
-        client.send(vec![3]); // triggers the cut; frame lost
-        assert_eq!(server.recv_timeout(TICK).unwrap(), vec![1]);
-        assert_eq!(server.recv_timeout(TICK).unwrap(), vec![2]);
-        assert_eq!(server.recv_timeout(TICK), Err(ChannelError::Disconnected));
-        // The cut link also swallows the server's sends.
-        server.send(vec![9]);
-        assert_eq!(client.recv_timeout(TICK), Err(ChannelError::Disconnected));
+        plan.c2s.disconnect_after = Some(2);
+        let mut link = faulty(&plan, 7);
+        assert_eq!(c2s(&mut link, &[1]), vec![arrived(&[1])]);
+        assert_eq!(c2s(&mut link, &[2]), vec![arrived(&[2])]);
+        // The third frame trips the cut and is lost uncharged.
+        assert_eq!(c2s(&mut link, &[3]), vec![Arrival::Cut]);
+        // The cut link swallows the server's sends, and later ones too.
+        assert_eq!(send_on(&mut link, Direction::ServerToClient, &[9]), vec![]);
+        assert_eq!(c2s(&mut link, &[4]), vec![]);
+        assert_eq!(link.stats().frames, 2);
     }
 
     #[test]
@@ -721,11 +722,9 @@ mod tests {
     fn injected_faults_become_trace_events() {
         use msync_trace::{EventKind as Ev, FaultKind};
         let rates = FaultRates { duplicate: 1.0, ..FaultRates::none() };
-        let (client, server) = Endpoint::pair_with_faults(&FaultPlan::symmetric(rates), 5);
         let rec = Recorder::system();
-        client.set_recorder(rec.clone());
-        client.send(vec![7; 10]);
-        let _ = server.recv_timeout(TICK);
+        let mut link = VirtualLink::new(Some(&FaultPlan::symmetric(rates)), 5, rec.clone());
+        c2s(&mut link, &[7; 10]);
         let faults: Vec<_> = rec
             .events()
             .into_iter()
@@ -743,17 +742,13 @@ mod tests {
     fn faulty_runs_reproduce_per_seed() {
         let rates = FaultRates { drop: 0.4, corrupt: 0.3, ..FaultRates::none() };
         let plan = FaultPlan::symmetric(rates);
-        let outcomes: Vec<Vec<Result<FrameBuf, ChannelError>>> = (0..2)
+        let outcomes: Vec<Vec<Vec<Arrival>>> = (0..2)
             .map(|_| {
-                let (client, server) = Endpoint::pair_with_faults(&plan, 1234);
-                (0..20u8)
-                    .map(|i| {
-                        client.send(vec![i; 8]);
-                        server.recv_timeout(Duration::from_millis(5))
-                    })
-                    .collect()
+                let mut link = faulty(&plan, 1234);
+                (0..20u8).map(|i| c2s(&mut link, &[i; 8])).collect()
             })
             .collect();
         assert_eq!(outcomes[0], outcomes[1], "same seed must reproduce the same faults");
+        assert!(outcomes[0].iter().any(Vec::is_empty), "some frame was dropped");
     }
 }

@@ -34,8 +34,7 @@ pub struct FaultRates {
     pub delay: f64,
     /// Cut the connection after this many frames have entered this
     /// direction: the triggering frame and everything after it (both
-    /// directions) is lost, and receivers see a disconnect once their
-    /// queues drain.
+    /// directions) is lost, and both sides see a disconnect.
     pub disconnect_after: Option<u64>,
 }
 
@@ -136,7 +135,7 @@ impl FaultPlan {
     }
 
     /// True when both directions are clean (the injector is a no-op and
-    /// byte accounting matches a faultless channel exactly).
+    /// byte accounting matches a faultless link exactly).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.c2s.is_clean() && self.s2c.is_clean()
@@ -172,8 +171,8 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Build an injector for one direction. Distinct directions of the
-    /// same plan must use distinct seeds (the channel derives them from
-    /// the caller's seed).
+    /// same plan must use distinct seeds (the virtual link derives them
+    /// from the caller's seed).
     #[must_use]
     pub fn new(rates: FaultRates, seed: u64) -> Self {
         FaultInjector { rates, rng: Rng::seed_from_u64(seed), sent: 0 }
@@ -231,7 +230,7 @@ impl FaultInjector {
 /// This is the **only sanctioned copy of live frame bytes** in the wire
 /// modules — the xtask `alloc-discipline` pass allowlists exactly this
 /// function; every other path must share [`crate::FrameBuf`]s by
-/// refcount. Clean frames are never encoded on the in-memory channel at
+/// refcount. Clean frames are never encoded on the virtual link at
 /// all, so this copy is paid exactly when a fault actually mutates a
 /// frame, and it is metered like any other.
 #[must_use]

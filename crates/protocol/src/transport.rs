@@ -6,7 +6,8 @@
 //! accounting and *mandatory deadlines* on every receive. Two backends
 //! implement it:
 //!
-//! * the in-memory [`Endpoint`] pair (simulation, tests, soak suite),
+//! * the in-memory [`Endpoint`] pair (a client and a server on two
+//!   threads: tests and examples),
 //! * `msync-net`'s `TcpTransport` (a real socket).
 //!
 //! The contract every implementation must honour:
@@ -23,9 +24,9 @@
 //!    CRC32 + payload, see [`crate::frame_wire_size`]), so the numbers
 //!    can be cross-checked against bytes observed on a real socket.
 //!
-//! [`FaultTransport`] wraps any implementation with the PR 2 fault
-//! injector, so the soak machinery is no longer tied to
-//! [`Endpoint::pair_with_faults`].
+//! [`FaultTransport`] wraps any implementation with the fault injector,
+//! so a real socket can be put through the same fault classes the
+//! in-process [`VirtualLink`](crate::VirtualLink) injects.
 
 use crate::bufpool::FrameBuf;
 use crate::channel::{ChannelError, Endpoint, FrameError};
@@ -37,7 +38,7 @@ use std::time::Duration;
 
 /// A frame-oriented duplex byte exchange (see the module docs for the
 /// full contract). The session layer only ever holds `dyn Transport`,
-/// so in-memory channels, faulty channels, and real sockets compose
+/// so in-memory channels, fault wrappers, and real sockets compose
 /// with the same ARQ recovery machinery.
 pub trait Transport: Send {
     /// Send one frame carrying `payload`, charged across `split` at its
@@ -103,9 +104,9 @@ impl Transport for Endpoint {
 
 /// A deterministic fault layer over any [`Transport`].
 ///
-/// [`Endpoint::pair_with_faults`] injects faults *inside* the in-memory
-/// channel; this wrapper injects the same fault classes *above* an
-/// arbitrary transport, so a real TCP connection can be subjected to
+/// The [`VirtualLink`](crate::VirtualLink) injects faults *inside* the
+/// in-process link; this wrapper injects the same fault classes *above*
+/// an arbitrary transport, so a real TCP connection can be subjected to
 /// the soak adversary too. Because the wrapper sits above the frame
 /// codec (it sees payloads, not encoded wire bytes), the fault model is
 /// expressed in receiver-visible effects:
@@ -128,7 +129,7 @@ impl Transport for Endpoint {
 ///
 /// Frames swallowed before the inner transport are *not* charged to the
 /// traffic stats (the bytes never existed on the wire), unlike the
-/// in-memory channel which models a sender that paid for lost frames.
+/// virtual link, which models a sender that paid for lost frames.
 pub struct FaultTransport<T: Transport> {
     inner: T,
     outbound: FaultInjector,
@@ -194,7 +195,7 @@ impl<T: Transport> FaultTransport<T> {
 /// Emit one `FaultInjected` trace event per fault class set on `fate`,
 /// in the injector's draw order, tagged with the injector's 1-based
 /// frame sequence number. Shared by [`FaultTransport`] and the
-/// fault-injecting in-memory channel.
+/// [`VirtualLink`](crate::VirtualLink).
 pub(crate) fn record_fate(rec: &Recorder, dir: DirTag, fate: &FrameFate, seq: u64) {
     if !rec.is_enabled() {
         return;

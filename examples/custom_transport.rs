@@ -1,8 +1,10 @@
-//! Scenario: running the protocol over a real channel with the server
-//! on its own thread — the deployment shape of the library (the
-//! in-process `sync_file` driver is for experiments; a real tool talks
-//! over a socket-like transport, and on the wire a single file is a
-//! one-entry collection).
+//! Scenario: running the protocol over a transport with the server on
+//! its own thread — the deployment shape of the library. The in-process
+//! `sync_file` driver is for experiments; a real tool puts the client
+//! machine and the server machine on two ends of a socket-like
+//! [`Transport`](msync::protocol::Transport). Here that transport is
+//! the in-memory [`Endpoint`] pair, and on the wire a single file is a
+//! one-entry collection.
 //!
 //! Also demonstrates the [`msync::protocol::LinkModel`] to answer the
 //! operational question: *on which links does the multi-round protocol
@@ -12,9 +14,10 @@
 //! cargo run --release --example custom_transport
 //! ```
 
-use msync::core::{sync_collection_channel, ChannelOptions, FileEntry, ProtocolConfig};
-use msync::protocol::LinkModel;
-use msync::trace::Recorder;
+use msync::core::{
+    serve_collection, sync_collection_client, FileEntry, PipelineOptions, ProtocolConfig,
+};
+use msync::protocol::{Endpoint, LinkModel, RetryPolicy};
 use std::time::Duration;
 
 fn main() {
@@ -27,17 +30,23 @@ fn main() {
     let mut new = old.clone();
     new.splice(40_000..40_000, b"ALERT: sensor 17 offline since 03:12 UTC\n".iter().copied());
 
-    // Client and server talk through a real duplex channel; the server
-    // runs on its own thread. Byte accounting comes from the channel.
-    let file = |data: &[u8]| [FileEntry::new("status.log", data)];
-    let outcome = sync_collection_channel(
-        &file(&old),
-        &file(&new),
-        &ProtocolConfig::default(),
-        &ChannelOptions::default(),
-        &Recorder::off(),
-    )
-    .expect("sync succeeds");
+    // Client and server talk through a duplex channel, each end a
+    // `Transport`; the server runs on its own thread. Byte accounting
+    // comes from the transport.
+    let (old_files, new_files) =
+        ([FileEntry::new("status.log", old.clone())], [FileEntry::new("status.log", new.clone())]);
+    let cfg = ProtocolConfig::default();
+    let (mut client_end, mut server_end) = Endpoint::pair();
+    let outcome = std::thread::scope(|s| {
+        let server =
+            s.spawn(|| serve_collection(&mut server_end, &new_files, &cfg, RetryPolicy::default()));
+        let outcome =
+            sync_collection_client(&mut client_end, &old_files, &cfg, &PipelineOptions::default());
+        // Hanging up ends the server's wait for stragglers.
+        drop(client_end);
+        server.join().expect("server thread").expect("server succeeds");
+        outcome.expect("sync succeeds")
+    });
     assert_eq!(outcome.files[0].data, new);
     println!(
         "channel run: {} bytes, {} roundtrips (file {} KiB)",

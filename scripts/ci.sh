@@ -49,8 +49,8 @@ cargo test --release -q --test introspection
 echo "==> sans-IO engine determinism gate (ManualClock replay of CollectionClientMachine / CollectionServeMachine)"
 cargo test --release -q --test engine_machine
 
-echo "==> fault-injection soak (seeded, release; sync_collection_client vs serve_collection over a faulty channel)"
-MSYNC_SOAK_SEEDS="${MSYNC_SOAK_SEEDS:-40}" \
+echo "==> fault-injection soak (seeded, release; the in-process pump over a faulty virtual link, default retry policy)"
+MSYNC_SOAK_SEEDS="${MSYNC_SOAK_SEEDS:-400}" \
     cargo test --release -q --test fault_injection
 
 echo "==> golden trace journal (byte-identical under ManualClock)"

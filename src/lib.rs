@@ -17,15 +17,15 @@
 //! * [`hashes`] — rolling, decomposable, and strong (MD4/MD5, SipHash) hashes.
 //! * [`compress`] — gzip-like stream compression, a zdelta-like delta
 //!   coder, and a vcdiff-like delta coder.
-//! * [`protocol`] — message framing, byte-accounting channels, and a
-//!   slow-link cost model.
+//! * [`protocol`] — message framing, byte-accounting links (a faulty
+//!   one among them), and a slow-link cost model.
 //! * [`rsync`] — a complete reimplementation of the rsync algorithm used
 //!   as the baseline throughout the paper.
 //! * [`core`] — the paper's contribution: two-phase (map construction +
 //!   delta) multi-round synchronization, with recursive block splitting,
 //!   group-testing match verification, continuation hashes, and
 //!   decomposable hash functions, run by the two collection machines
-//!   that every driver — in-process, channel, daemon — pumps.
+//!   that every driver — in-process, `Transport`, daemon — pumps.
 //! * [`cdc`] — an LBFS-style content-defined-chunking synchronizer,
 //!   a related-work baseline.
 //! * [`net`] — the real network layer: a TCP-backed transport speaking

@@ -3,22 +3,24 @@
 //!
 //! Sweeps every fault class of `msync::protocol::fault` across a seed
 //! range, two block-size schedules and two collection shapes, driving
-//! real two-thread sessions of the machines the daemon runs
-//! (`sync_collection_client` against `serve_collection`) over a faulty
-//! in-memory channel. The contract under test (ISSUE: "graceful
-//! degradation"):
+//! the machines the daemon runs (`CollectionClientMachine` against
+//! `CollectionServeMachine`) through the in-process pump over a faulty
+//! virtual link (`sync_collection_on_link`), under the default retry
+//! policy. The link's clock jumps to the next retry deadline whenever
+//! both machines wait, so a half-second timeout costs no wall time and
+//! a run is a pure function of its `(class, schedule, shape, seed)`.
+//! The contract under test:
 //!
-//! * **no panic, no hang** — every run finishes within a watchdog
-//!   deadline, whatever the link does;
+//! * **no panic, no hang** — every run ends, whatever the link does;
 //! * **no silent corruption** — whenever a run reports `Ok`, the
 //!   reconstruction is byte-exact;
 //! * **typed failure** — when the retry budget is exhausted the error
 //!   is `Timeout` / `FrameCorrupt` / `PeerGone` / `Desync`, never a
 //!   deadlock or a wrong file.
 //!
-//! Seeds are deterministic; a failure reproduces from the printed
-//! `(class, schedule, shape, seed)` tuple. `MSYNC_SOAK_SEEDS=100` widens
-//! the sweep (CI runs it with more seeds than the default 20).
+//! A failure reproduces from the printed `(class, schedule, shape,
+//! seed)` tuple. `MSYNC_SOAK_SEEDS=1000` widens the sweep from the
+//! default 200 (CI runs 400).
 //!
 //! The crash-recovery section at the bottom drives a rerun after a crash
 //! end to end: seeded disconnects kill live daemon sessions
@@ -30,15 +32,15 @@
 //! measurement as `BENCH_resume.json` in the repo root.
 
 use msync::core::{
-    serve_collection, sync_collection, sync_collection_channel, sync_collection_client,
-    AtomicApplier, ChannelOptions, CollectionOutcome, FileEntry, PipelineOptions, ProtocolConfig,
-    SyncError,
+    sync_collection, sync_collection_on_link, AtomicApplier, ChannelOptions, CollectionOutcome,
+    FileEntry, PipelineOptions, ProtocolConfig, SyncError,
 };
 use msync::corpus::Rng;
 use msync::net::{sync_remote, sync_remote_with, Daemon, DaemonOptions, RemoteOptions};
-use msync::protocol::fault::FaultInjector;
-use msync::protocol::{Endpoint, FaultPlan, Phase, RetryPolicy};
-use msync::trace::{DirTag, EventKind, FaultKind, Recorder};
+use msync::protocol::fault::{FaultInjector, PROFILE_NAMES};
+use msync::protocol::{FaultPlan, Phase, RetryPolicy};
+use msync::trace::{render_journal, DirTag, EventKind, FaultKind, ManualClock, Recorder};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault classes under test — every profile the injector ships except
@@ -46,16 +48,12 @@ use std::time::Duration;
 const CLASSES: &[&str] =
     &["drop", "corrupt", "truncate", "duplicate", "delay", "disconnect", "lossy", "evil"];
 
-/// Per-run watchdog: generous next to the retry budget (worst case a
-/// few seconds of backoff), tiny next to a real hang.
-const DEADLINE: Duration = Duration::from_secs(60);
-
 fn seed_count() -> u64 {
-    std::env::var("MSYNC_SOAK_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(20)
+    std::env::var("MSYNC_SOAK_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(200)
 }
 
-/// Short deadlines so injected losses cost milliseconds, not the
-/// default half-second.
+/// Short deadlines for the kill-and-rerun runs over real sockets, where
+/// a timeout is wall time.
 fn soak_retry() -> RetryPolicy {
     RetryPolicy {
         timeout: Duration::from_millis(10),
@@ -148,58 +146,56 @@ fn assert_collection(got: &[FileEntry], want: &[FileEntry], label: &str) {
     }
 }
 
-/// One soak run: sync ~24 KiB of [`sized_pair`]s in the given shape
-/// over a channel injecting `plan`, on a worker thread under the
-/// watchdog (a deadline miss is exactly the hang this suite exists to
-/// catch, so it panics with the reproducing tuple). Every `Ok` is
-/// checked byte for byte, every `Err` for being a typed transport
-/// error; returns the retransmitted frame count of a successful run.
-fn soak_run(
-    label: &str,
+/// The pump over a link injecting `plan` under `seed`: ~24 KiB of
+/// [`sized_pair`]s in the given shape, on the default retry policy.
+/// Returns the served collection and the outcome.
+fn link_run(
     plan: FaultPlan,
     seed: u64,
     cfg: &ProtocolConfig,
     (files, depth): (usize, usize),
-) -> Option<u64> {
+    recorder: &Recorder,
+) -> (Vec<FileEntry>, Result<CollectionOutcome, SyncError>) {
     let (old, new): (Vec<FileEntry>, Vec<FileEntry>) = (0..files)
         .map(|i| {
             let (o, n) = sized_pair(seed.wrapping_mul(1009).wrapping_add(i as u64), 24_576 / files);
             (FileEntry::new(format!("f{i:02}.bin"), o), FileEntry::new(format!("f{i:02}.bin"), n))
         })
         .unzip();
-    let (cfg, served) = (cfg.clone(), new.clone());
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let (mut client_ep, mut server_ep) = Endpoint::pair_with_faults(&plan, seed);
-        let result = std::thread::scope(|s| {
-            s.spawn(|| serve_collection(&mut server_ep, &served, &cfg, soak_retry()));
-            let opts = PipelineOptions { depth, retry: soak_retry() };
-            let result = sync_collection_client(&mut client_ep, &old, &cfg, &opts);
-            // The hang-up that lets a lingering server finish.
-            drop(client_ep);
-            result
-        });
-        let _ = tx.send(result);
-    });
-    let result = match rx.recv_timeout(DEADLINE) {
-        Ok(result) => {
-            let _ = handle.join();
-            result
-        }
-        Err(_) => panic!("HANG: {label} exceeded the {DEADLINE:?} watchdog"),
+    let opts = ChannelOptions {
+        pipeline: PipelineOptions { depth, ..PipelineOptions::default() },
+        fault_plan: Some(plan),
+        fault_seed: seed,
     };
-    match result {
-        Ok(out) => {
+    let result = sync_collection_on_link(&old, &new, cfg, &opts, recorder);
+    (new, result)
+}
+
+/// One soak run of [`link_run`]: every `Ok` is checked byte for byte,
+/// every `Err` for being a typed transport error; returns the
+/// retransmitted frame count of a successful run.
+fn soak_run(
+    label: &str,
+    plan: FaultPlan,
+    seed: u64,
+    cfg: &ProtocolConfig,
+    shape: (usize, usize),
+) -> Option<u64> {
+    match link_run(plan, seed, cfg, shape, &Recorder::off()) {
+        (new, Ok(out)) => {
             assert_collection(&out.files, &new, label);
             Some(out.traffic.retransmits)
         }
-        Err(
-            SyncError::Timeout
-            | SyncError::FrameCorrupt
-            | SyncError::PeerGone
-            | SyncError::Desync(_),
+        (
+            _,
+            Err(
+                SyncError::Timeout
+                | SyncError::FrameCorrupt
+                | SyncError::PeerGone
+                | SyncError::Desync(_),
+            ),
         ) => None,
-        Err(other) => panic!("{label}: non-transport error {other}"),
+        (_, Err(other)) => panic!("{label}: non-transport error {other}"),
     }
 }
 
@@ -267,47 +263,34 @@ fn disconnect_surfaces_typed_error_not_hang() {
     );
 }
 
-/// A single file over a channel: a one-entry collection.
+/// A single file: a one-entry collection.
 fn one(data: &[u8]) -> Vec<FileEntry> {
     vec![FileEntry::new("file.bin", data)]
 }
 
-fn channel_run(
-    old: &[u8],
-    new: &[u8],
-    opts: &ChannelOptions,
-    recorder: &Recorder,
-) -> Result<CollectionOutcome, SyncError> {
-    sync_collection_channel(&one(old), &one(new), &ProtocolConfig::default(), opts, recorder)
+fn faulty(plan: FaultPlan, fault_seed: u64) -> ChannelOptions {
+    ChannelOptions { fault_plan: Some(plan), fault_seed, ..ChannelOptions::default() }
 }
 
 #[test]
 fn zero_fault_rates_change_nothing() {
     // A FaultPlan with every rate at zero must be bit-transparent:
-    // identical bytes, frames, and phase attribution to the clean
-    // channel and to the in-process pump (the same machines and the same
-    // meter, without a thread or a clock), and zero retransmissions.
+    // identical bytes, frames, roundtrips and phase attribution to the
+    // clean in-process pump, and zero retransmissions.
     let (old, new) = file_pair(7);
-    let clean =
-        channel_run(&old, &new, &ChannelOptions::default(), &Recorder::off()).expect("clean run");
-    let opts = ChannelOptions {
-        retry: RetryPolicy::default(),
-        fault_plan: Some(FaultPlan::none()),
-        fault_seed: 1234,
-    };
-    let zeroed = channel_run(&old, &new, &opts, &Recorder::off()).expect("zero-fault run");
+    let cfg = ProtocolConfig::default();
+    let opts = faulty(FaultPlan::none(), 1234);
+    let zeroed = sync_collection_on_link(&one(&old), &one(&new), &cfg, &opts, &Recorder::off())
+        .expect("zero-fault run");
     assert_eq!(zeroed.files, one(&new));
-    assert_eq!(zeroed.traffic, clean.traffic, "zero-rate plan perturbed accounting");
     assert_eq!(zeroed.traffic.retransmits, 0);
-
-    let pumped =
-        sync_collection(&one(&old), &one(&new), &ProtocolConfig::default()).expect("in process");
-    assert_eq!(zeroed.traffic, pumped.traffic, "the channel charged what the pump did not");
+    let pumped = sync_collection(&one(&old), &one(&new), &cfg).expect("clean run");
+    assert_eq!(zeroed.traffic, pumped.traffic, "zero-rate plan perturbed accounting");
 }
 
 #[test]
 fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
-    // The channel stamps each fault event with the injector's 1-based
+    // The link stamps each fault event with the injector's 1-based
     // per-direction frame sequence, so a mirror pair of injectors built
     // from the same `(rates, seed)` must reproduce the recorded fates
     // exactly. The `lossy` profile (drop + duplicate + delay) is the
@@ -319,14 +302,11 @@ fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
     let fault_seed = 0x5EEDu64;
     let (old, new) = file_pair(42);
     let recorder = Recorder::system();
-    let opts = ChannelOptions {
-        retry: RetryPolicy { timeout: Duration::from_millis(50), ..RetryPolicy::default() },
-        fault_plan: Some(plan),
-        fault_seed,
-    };
     // Outcome is irrelevant here (Ok or typed failure both leave a
     // valid journal); only the recorded fault events are under test.
-    let _ = channel_run(&old, &new, &opts, &recorder);
+    let cfg = ProtocolConfig::default();
+    let _ =
+        sync_collection_on_link(&one(&old), &one(&new), &cfg, &faulty(plan, fault_seed), &recorder);
 
     let mut observed: [Vec<(u64, FaultKind)>; 2] = [Vec::new(), Vec::new()];
     for ev in recorder.drain_events() {
@@ -345,7 +325,7 @@ fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
         "a lossy run must inject (and trace) at least one fault"
     );
 
-    // Mirror the channel's per-direction injector seeding and replay.
+    // Mirror the link's per-direction injector seeding and replay.
     let mirrors = [
         FaultInjector::new(plan.c2s, fault_seed),
         FaultInjector::new(plan.s2c, fault_seed ^ 0x9E37_79B9_7F4A_7C15),
@@ -355,7 +335,7 @@ fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
         let mut expected: Vec<(u64, FaultKind)> = Vec::new();
         for seq in 1..=max_seq {
             let fate = mirror.next_fate();
-            // Same order the channel emits fault events in.
+            // Same order the link emits fault events in.
             for (hit, kind) in [
                 (fate.disconnect, FaultKind::Disconnect),
                 (fate.drop, FaultKind::Drop),
@@ -375,31 +355,26 @@ fn every_injected_fault_is_traced_with_matching_direction_and_seq() {
 
 #[test]
 fn faulty_runs_are_reproducible() {
-    // Timing-driven retransmissions make lossy runs' traffic counts
-    // scheduling-dependent, so determinism is asserted on a profile
-    // where nothing is ever lost or held: duplication perturbs the
-    // stream (and triggers receipt-driven resends) without any
-    // timeouts, so bytes, frames, and resend counts must reproduce
-    // exactly from the fault seed. The roundtrip counter is excluded:
-    // it counts direction reversals, and how a concurrent resend
-    // interleaves with the peer's next message is up to the scheduler.
-    let plan = FaultPlan::profile("duplicate").expect("profile exists");
-    let (old, new) = file_pair(3);
-    let run = |seed: u64| {
-        // Long deadline: with no losses a timeout only fires on a
-        // pathological scheduler stall, which would make the comparison
-        // spuriously flaky under a heavily loaded test machine.
-        let retry = RetryPolicy { timeout: Duration::from_secs(10), ..RetryPolicy::default() };
-        let opts = ChannelOptions { retry, fault_plan: Some(plan), fault_seed: seed };
-        channel_run(&old, &new, &opts, &Recorder::off())
-            .map(|out| {
-                let mut traffic = out.traffic;
-                traffic.roundtrips = 0;
-                (out.files, traffic)
-            })
-            .map_err(|e| e.to_string())
-    };
-    assert_eq!(run(11), run(11), "same fault seed must reproduce the same run");
+    // On the virtual clock a run is a pure function of `(plan, seed)`:
+    // for every profile, two runs end with the same files or the same
+    // typed error, the same traffic to the last roundtrip and
+    // retransmission, and the same journal under a deterministic clock.
+    // The windowed shape runs long enough for `disconnect` to land.
+    let cfg = ProtocolConfig::default();
+    for name in PROFILE_NAMES {
+        let plan = FaultPlan::profile(name).expect("profile exists");
+        for seed in [3, 11] {
+            let run = || {
+                let recorder = Recorder::with_clock(Arc::new(ManualClock::ticking(0, 1)));
+                let (_, result) = link_run(plan, seed, &cfg, WINDOWED, &recorder);
+                let result = result.map(|out| (out.files, out.traffic)).map_err(|e| e.to_string());
+                (result, render_journal(&recorder.events()))
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(first.0, second.0, "{name} seed {seed}: outcome or traffic differs");
+            assert!(first.1 == second.1, "{name} seed {seed}: journal differs");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

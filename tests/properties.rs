@@ -440,8 +440,10 @@ mod decoder_robustness {
 mod extensions {
     use super::{edited_pair, for_cases};
     use msync::cdc::ChunkParams;
-    use msync::core::{sync_collection_channel, ChannelOptions, FileEntry, ProtocolConfig};
-    use msync::trace::Recorder;
+    use msync::core::{
+        serve_collection, sync_collection_client, FileEntry, PipelineOptions, ProtocolConfig,
+    };
+    use msync::protocol::{Endpoint, RetryPolicy};
 
     #[test]
     fn cdc_sync_reconstructs_exactly() {
@@ -465,16 +467,21 @@ mod extensions {
             // On the wire a single file is a one-entry collection.
             let (old, new) = edited_pair(rng, 4096);
             let (old, new) = ([FileEntry::new("f", old)], [FileEntry::new("f", new)]);
-            let opts = ChannelOptions::default();
-            let out = sync_collection_channel(&old, &new, &cfg, &opts, &Recorder::off()).unwrap();
+            let (mut client_ep, mut server_ep) = Endpoint::pair();
+            let out = std::thread::scope(|s| {
+                s.spawn(|| serve_collection(&mut server_ep, &new, &cfg, RetryPolicy::default()));
+                let opts = PipelineOptions::default();
+                let out = sync_collection_client(&mut client_ep, &old, &cfg, &opts).unwrap();
+                // The hang-up that lets the lingering server finish.
+                drop(client_ep);
+                out
+            });
             assert_eq!(out.files, new);
         });
     }
 
     #[test]
     fn collection_mixes_settle_unchanged_files_up_front() {
-        use msync::core::{serve_collection, sync_collection_client, PipelineOptions};
-        use msync::protocol::{Endpoint, RetryPolicy};
         let cfg = super::quick_cfg();
         for_cases(0x65787434, 24, |rng| {
             // Unchanged, edited, created and deleted files under names
