@@ -21,7 +21,7 @@
 //! bounded by the `RetryPolicy`, so a dead peer surfaces as a typed
 //! error — never a hang.
 //!
-//! [`ArqCore`] holds this logic with **no I/O and no clock**: callers
+//! `ArqCore` holds this logic with **no I/O and no clock**: callers
 //! feed it received frames with an explicit `now_us` and drain queued
 //! effects (frames to transmit, inbound bytes to attribute). Timeouts
 //! exist only as an absolute deadline the caller is told to watch; the
@@ -33,55 +33,16 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use msync_hash::{BitReader, BitWriter};
-use msync_protocol::{BufferPool, FrameBuf, Phase, PhaseSplit, RetryPolicy};
+use msync_protocol::{BufferPool, FrameBuf, PhaseSplit, RetryPolicy};
 use msync_trace::{EventKind, HistKind, Recorder};
 
-use super::Output;
-use crate::session::{Part, SyncError};
+use super::codec::{parse_part_header, part_header, split_of, Part, MAX_PARTS_PER_MESSAGE};
+use super::{Output, SyncError};
 
 /// Hard cap on frames processed while waiting for one message: a live
 /// peer never legitimately approaches it, so exceeding it means the
 /// link floods garbage faster than timeouts can fire.
 pub(crate) const MAX_FRAMES_PER_EXCHANGE: u32 = 10_000;
-
-/// Parts per message are small (bitmap + batch + round hashes); a
-/// larger index in an ARQ header is corruption that slipped past the
-/// CRC, not a real frame.
-pub(crate) const MAX_PARTS_PER_MESSAGE: usize = 256;
-
-/// Wire form of a message part on a real channel: 1 header byte
-/// (bit 0 = more parts follow in this logical message, bits 1..3 =
-/// phase tag) followed by the payload.
-pub(crate) fn part_header(phase: Phase, more: bool) -> u8 {
-    let tag = match phase {
-        Phase::Setup => 0u8,
-        Phase::Map => 1,
-        Phase::Delta => 2,
-        Phase::Resume => 3,
-    };
-    (tag << 1) | u8::from(more)
-}
-
-pub(crate) fn parse_part_header(b: u8) -> Option<(Phase, bool)> {
-    let phase = match b >> 1 {
-        0 => Phase::Setup,
-        1 => Phase::Map,
-        2 => Phase::Delta,
-        3 => Phase::Resume,
-        _ => return None,
-    };
-    Some((phase, b & 1 == 1))
-}
-
-/// How the frame of a message part divides across phases. Every
-/// map-phase message of the collection protocol is one batch frame, and
-/// the files' parts inside it each carry their own phase.
-pub(crate) fn split_of(part: &Part) -> PhaseSplit {
-    match part.phase {
-        Phase::Map => crate::pipeline::batch_split(&part.payload),
-        phase @ (Phase::Setup | Phase::Delta | Phase::Resume) => phase.into(),
-    }
-}
 
 /// A decoded ARQ frame.
 pub(crate) struct ArqFrame {
@@ -109,15 +70,15 @@ pub(crate) fn parse_frame(frame: &FrameBuf) -> Option<ArqFrame> {
 }
 
 /// Encode one part as a wire frame: ARQ header bits followed by one
-/// metered copy of the payload into `buf` (a pool checkout or a plain
-/// `Vec` — the caller seals it into a [`FrameBuf`]).
-pub(crate) fn encode_arq_frame_into(
-    buf: &mut Vec<u8>,
+/// metered copy of the payload, appended to `buf` (a pool checkout or a
+/// plain `Vec`, which the caller seals into a [`FrameBuf`]).
+pub(crate) fn encode_arq_frame(
+    mut buf: Vec<u8>,
     seq: u64,
     idx: usize,
     more: bool,
     part: &Part,
-) {
+) -> Vec<u8> {
     let mut w = BitWriter::new();
     w.write_varint(seq);
     w.write_varint(idx as u64);
@@ -127,6 +88,7 @@ pub(crate) fn encode_arq_frame_into(
     buf.extend_from_slice(&head);
     msync_protocol::note_frame_copy(part.payload.len());
     buf.extend_from_slice(&part.payload);
+    buf
 }
 
 pub(crate) fn micros_of(d: Duration) -> u64 {
@@ -226,14 +188,9 @@ impl ArqCore {
 
     /// Encode one part into a pooled (or plain) buffer.
     fn encode_frame_buf(&self, seq: u64, idx: usize, more: bool, part: &Part) -> FrameBuf {
-        let mut buf = match &self.pool {
-            Some(p) => p.checkout(),
-            None => Vec::new(),
-        };
-        encode_arq_frame_into(&mut buf, seq, idx, more, part);
         match &self.pool {
-            Some(p) => p.seal(buf),
-            None => FrameBuf::from(buf),
+            Some(p) => p.seal(encode_arq_frame(p.checkout(), seq, idx, more, part)),
+            None => encode_arq_frame(Vec::new(), seq, idx, more, part).into(),
         }
     }
 
@@ -418,13 +375,12 @@ impl ArqCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msync_protocol::Phase;
 
     #[test]
     fn arq_frame_roundtrip_and_garbage_rejection() {
         let part = Part { phase: Phase::Map, payload: vec![1, 2, 3, 4].into() };
-        let mut frame = Vec::new();
-        encode_arq_frame_into(&mut frame, 6, 1, true, &part);
-        let parsed = parse_frame(&frame.into()).unwrap();
+        let parsed = parse_frame(&encode_arq_frame(Vec::new(), 6, 1, true, &part).into()).unwrap();
         assert_eq!(parsed.seq, 6);
         assert_eq!(parsed.idx, 1);
         assert!(parsed.more);

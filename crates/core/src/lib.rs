@@ -4,7 +4,7 @@
 //! an outdated file replica over a slow link with far less traffic than
 //! rsync.
 //!
-//! **Phase 1 — map construction** ([`session`]): over multiple rounds of
+//! **Phase 1 — map construction** ([`engine`]): over multiple rounds of
 //! shrinking block sizes, the server sends weak hashes of its file's
 //! blocks and the client identifies which blocks it already holds,
 //! verified with an optimized group-testing sub-protocol. The techniques
@@ -19,7 +19,7 @@
 //!   derived instead of transmitted
 //!   ([`msync_hash::decomposable`]).
 //!
-//! **Phase 2 — delta compression** ([`session`]): both sides assemble the
+//! **Phase 2 — delta compression** ([`engine`]): both sides assemble the
 //! identical reference string from the map's known areas; the server
 //! sends a zdelta-style delta of the current file against it.
 //!
@@ -56,7 +56,6 @@ pub mod items;
 pub mod map;
 pub mod params;
 pub mod pipeline;
-pub mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod verify;
@@ -64,16 +63,20 @@ pub mod verify;
 pub use apply::{atomic_write_file, AtomicApplier, TEMP_SUFFIX};
 pub use collection::{CollectionOutcome, FileEntry, FileRef};
 pub use config::{BatchConfig, ChannelOptions, ProtocolConfig, VerifyStrategy};
-pub use engine::{CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output};
+pub use engine::client::WINDOW_BUDGET_BYTES;
+pub use engine::codec::roster_frame_bytes;
+pub use engine::server::ServeOutcome;
+pub use engine::{
+    CollectionClientMachine, CollectionServeMachine, CompletedFile, Machine, Output, SyncError,
+};
 pub use map::{FileMap, Segment};
 /// The delta codec's head-table pool counters, re-exported so the
 /// daemon can render them without a dependency of its own on the codec.
 pub use msync_compress::scratch_stats as codec_scratch_stats;
 pub use pipeline::{
-    roster_frame_bytes, serve_collection, sync_collection, sync_collection_client,
-    sync_collection_client_with, sync_collection_on_link, sync_collection_traced, PipelineOptions,
-    ServeOutcome, WINDOW_BUDGET_BYTES,
+    serve_collection, sync_collection, sync_collection_client, sync_collection_client_with,
+    sync_collection_on_link, sync_collection_traced, sync_file, sync_file_with, PipelineOptions,
+    SyncOptions, SyncOutcome,
 };
-pub use session::{sync_file, sync_file_with, SyncError, SyncOptions, SyncOutcome};
 pub use snapshot::{CollectionSnapshot, HashCache, ServedFiles, SessionCache};
 pub use stats::{LevelStats, SyncStats};

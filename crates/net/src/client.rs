@@ -1,7 +1,7 @@
 //! The `msync sync --remote` client.
 //!
 //! Connect, handshake, then run the pipelined collection scheduler
-//! ([`msync_core::pipeline::sync_collection_client`]) over the socket.
+//! ([`msync_core::sync_collection_client`]) over the socket.
 //! The whole sync is the same code path as the in-memory tests; only
 //! the transport differs — including, optionally, the fault injector
 //! wrapped *around the real socket*, which is how the soak profiles are
@@ -10,8 +10,10 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use msync_core::pipeline::{sync_collection_client_with, PipelineOptions};
-use msync_core::{CollectionOutcome, CompletedFile, FileEntry, ProtocolConfig};
+use msync_core::{
+    sync_collection_client_with, CollectionOutcome, CompletedFile, FileEntry, PipelineOptions,
+    ProtocolConfig,
+};
 use msync_protocol::{FaultPlan, FaultTransport, FrameBuf, Phase, Transport};
 use msync_trace::Recorder;
 

@@ -32,8 +32,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use msync_core::pipeline::ServeOutcome;
-use msync_core::FileEntry;
+use msync_core::{FileEntry, ServeOutcome};
 use msync_protocol::{BufferPool, RetryPolicy};
 use msync_trace::MetricsSnapshot;
 

@@ -40,8 +40,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use msync_core::pipeline::ServeOutcome;
-use msync_core::{CollectionServeMachine, CollectionSnapshot, Machine, Output, SyncError};
+use msync_core::{
+    CollectionServeMachine, CollectionSnapshot, Machine, Output, ServeOutcome, SyncError,
+};
 use msync_protocol::{
     frame_header, BufferPool, ChannelError, Direction, FrameBuf, Phase, PhaseSplit, WireMeter,
 };

@@ -54,8 +54,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Run all cross-file passes over the modeled workspace.
 pub fn run(models: &BTreeMap<String, FileModel>, cfg: &LintConfig, findings: &mut Vec<Finding>) {
     for schema in &cfg.wire_schemas {
+        stale_scopes(models, Rule::WireSchema, &schema.scopes, findings);
         wire_schema(models, schema, findings);
     }
+    stale_scopes(models, Rule::MachineDiscipline, &cfg.engine_modules, findings);
+    stale_scopes(models, Rule::ApplyDiscipline, &cfg.apply_scopes, findings);
+    stale_scopes(models, Rule::AllocDiscipline, &cfg.alloc_scopes, findings);
     charge_point(models, cfg, findings);
     machine_discipline(models, cfg, findings);
     apply_discipline(models, cfg, findings);
@@ -145,6 +149,30 @@ fn enum_variants(m: &FileModel, name: &str) -> Option<(usize, Vec<String>)> {
 /// Whether `rel` falls under any of the configured scope prefixes.
 fn in_scopes(rel: &str, scopes: &[String]) -> bool {
     scopes.iter().any(|s| rel.starts_with(s.as_str()))
+}
+
+/// A finding for each of `rule`'s scope prefixes under which no file
+/// lies, in a crate that has files: the files it named have moved, and
+/// the rule silently stopped covering them. A scope in a crate the tree
+/// lacks is left alone, as the crate lists are.
+fn stale_scopes(
+    models: &BTreeMap<String, FileModel>,
+    rule: Rule,
+    scopes: &[String],
+    findings: &mut Vec<Finding>,
+) {
+    let holds = |prefix: &str| models.keys().any(|rel| rel.starts_with(prefix));
+    for scope in scopes {
+        // `crates/<name>/`: the prefix up to its second slash.
+        let krate = scope.match_indices('/').nth(1).map_or(scope.as_str(), |(i, _)| &scope[..=i]);
+        if holds(krate) && !holds(scope) {
+            findings.push(Finding::file_level(
+                rule,
+                scope,
+                "configured scope matches no file (update LintConfig)".to_owned(),
+            ));
+        }
+    }
 }
 
 /// Rule `wire-schema` for one registry enum.
@@ -933,6 +961,26 @@ mod tests {
         let mut fs = Vec::new();
         alloc_discipline(&m, &cfg(), &mut fs);
         assert!(fs.is_empty(), "tests and non-wire modules are out of scope: {fs:?}");
+    }
+
+    #[test]
+    fn a_scope_that_matches_no_file_is_a_finding() {
+        let m = models(&[
+            (MACHINE_REGISTRY, OUTPUT_DECL),
+            ("crates/core/src/pipeline.rs", "fn drive() {}\n"),
+        ]);
+        let mut c = cfg();
+        // A live scope, a stale one in a crate the tree has, and one in
+        // a crate it lacks.
+        c.alloc_scopes =
+            ["crates/core/src/engine/", "crates/core/src/machines/", "crates/gone/src/"]
+                .map(str::to_owned)
+                .to_vec();
+        let mut fs = Vec::new();
+        run(&m, &c, &mut fs);
+        let stale: Vec<_> = fs.iter().filter(|f| f.message.contains("matches no file")).collect();
+        let stale: Vec<_> = stale.iter().map(|f| (f.rule, f.file.as_str())).collect();
+        assert_eq!(stale, [(Rule::AllocDiscipline, "crates/core/src/machines/")], "{fs:?}");
     }
 
     #[test]

@@ -262,6 +262,7 @@ impl LintConfig {
                 "crates/protocol/src/channel.rs",
                 "crates/protocol/src/crc.rs",
                 "crates/compress/src/vcdiff.rs",
+                "crates/core/src/engine/codec.rs",
                 "crates/core/src/pipeline.rs",
                 "crates/net/src/tcp.rs",
             ]

@@ -23,8 +23,9 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> benchmark unit tests"
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo doc (a doc link to a deleted public item is an error)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline -q
+echo "==> cargo doc (a doc link to a deleted public item, or from a public item to a private one, is an error)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --offline -q
 
 echo "==> cargo test -q"
 cargo test -q

@@ -31,35 +31,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use msync::core::{FileEntry, PipelineOptions, ProtocolConfig};
-use msync::corpus::{web_collection, WebParams};
+use msync::core::{FileEntry, PipelineOptions};
 use msync::net::handshake::client_hello;
 use msync::net::{
     admin_health, admin_sessions, admin_stats, sync_remote, sync_remote_with, Daemon,
     DaemonOptions, NetError, RemoteOptions, TcpTransport,
 };
-
-/// Same two-day web corpus as `net_loopback`: enough files that a
-/// depth-1 sync spans many observable roundtrips.
-fn corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
-    let params = WebParams {
-        pages: 120,
-        median_size: 1_500,
-        daily_change_prob: 0.35,
-        rewrite_prob: 0.05,
-        seed: 0x10_0b_ac_c5,
-    };
-    let versioned = web_collection(&params, 1);
-    let (day0, day1) = versioned.pair(0, 1);
-    let to_entries = |c: &msync::corpus::Collection| {
-        c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
-    };
-    (to_entries(day0), to_entries(day1))
-}
-
-fn small_cfg() -> ProtocolConfig {
-    ProtocolConfig { start_block: 1024, ..ProtocolConfig::default() }
-}
+use support::{corpus, small_cfg};
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 

@@ -415,7 +415,8 @@ fn alloc_discipline_detects_frame_copies_outside_the_allowlist() {
         &[
             ("protocol", "channel.rs", &offender),
             ("protocol", "fault.rs", &sanctioned),
-            ("core", "session.rs", &offender),
+            ("core", "engine/codec.rs", "//! Codec.\n"),
+            ("core", "pipeline.rs", &offender),
         ],
     );
     let hits = ws.findings_for(Rule::AllocDiscipline);

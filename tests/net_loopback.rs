@@ -3,12 +3,13 @@
 //! client syncing a multi-file corpus over genuine TCP, and the
 //! accounting cross-checks that tie `TrafficStats` to socket reality.
 
+mod support;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use msync::core::{sync_collection_client, FileEntry, PipelineOptions, ProtocolConfig};
-use msync::corpus::{web_collection, WebParams};
+use msync::core::{sync_collection_client, FileEntry, PipelineOptions};
 use msync::net::handshake::client_hello_as;
 use msync::net::{
     admin_reload, sync_remote, Daemon, DaemonOptions, NetError, RegistryBuilder, RemoteOptions,
@@ -16,30 +17,7 @@ use msync::net::{
 };
 use msync::protocol::{Direction, FrameBuf, Phase, TrafficStats, Transport};
 use msync::trace::{DirTag, MetricsSnapshot, PhaseTag};
-
-/// A two-day web corpus: the daemon serves day 1, the client holds
-/// day 0. At least 100 files so the pipelined-vs-sequential comparison
-/// below has enough in-flight work to show a schedule difference.
-fn corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
-    let params = WebParams {
-        pages: 120,
-        median_size: 1_500,
-        daily_change_prob: 0.35,
-        rewrite_prob: 0.05,
-        seed: 0x10_0b_ac_c5,
-    };
-    let versioned = web_collection(&params, 1);
-    let (day0, day1) = versioned.pair(0, 1);
-    let to_entries = |c: &msync::corpus::Collection| {
-        c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
-    };
-    (to_entries(day0), to_entries(day1))
-}
-
-fn small_cfg() -> ProtocolConfig {
-    // Small blocks keep per-file rounds cheap on a 1.5 KB median corpus.
-    ProtocolConfig { start_block: 1024, ..ProtocolConfig::default() }
-}
+use support::{corpus, small_cfg};
 
 fn run_remote(addr: &str, old: &[FileEntry], depth: usize) -> RemoteOutcome {
     let opts = RemoteOptions {

@@ -1,8 +1,36 @@
-//! Helpers shared by the root integration tests that gate a memory or
-//! CPU ceiling (`mod support;` in each).
+//! Helpers shared by the root integration tests (`mod support;` in
+//! each): the loopback daemon tests' corpus and config, and the memory
+//! and CPU readings the ceiling gates take.
 
 // Each test binary compiles its own copy and uses only some helpers.
 #![allow(dead_code)]
+
+use msync::core::{FileEntry, ProtocolConfig};
+use msync::corpus::{web_collection, WebParams};
+
+/// A two-day web corpus: the daemon serves day 1, the client holds
+/// day 0. At least 100 files, so a depth-1 sync spans many observable
+/// roundtrips and a pipelined one shows its schedule difference.
+pub(crate) fn corpus() -> (Vec<FileEntry>, Vec<FileEntry>) {
+    let params = WebParams {
+        pages: 120,
+        median_size: 1_500,
+        daily_change_prob: 0.35,
+        rewrite_prob: 0.05,
+        seed: 0x10_0b_ac_c5,
+    };
+    let versioned = web_collection(&params, 1);
+    let (day0, day1) = versioned.pair(0, 1);
+    let to_entries = |c: &msync::corpus::Collection| {
+        c.files().iter().map(|f| FileEntry::new(f.name.clone(), f.data.clone())).collect()
+    };
+    (to_entries(day0), to_entries(day1))
+}
+
+/// Small blocks keep per-file rounds cheap on a 1.5 KB median corpus.
+pub(crate) fn small_cfg() -> ProtocolConfig {
+    ProtocolConfig { start_block: 1024, ..ProtocolConfig::default() }
+}
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// /proc/self/status). Returns 0 where procfs is unavailable, which
